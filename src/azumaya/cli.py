@@ -93,10 +93,6 @@ def _matrix(rows, what="matrix") -> PolyMatrix:
     return PolyMatrix.from_rows([[_poly(x, what) for x in row] for row in rows])
 
 
-def _matrix_strings(m: PolyMatrix):
-    return m.to_strings()
-
-
 def _lambda_mode(text):
     if text in (None, "formal"):
         return weyl.FORMAL
@@ -148,7 +144,7 @@ def cmd_azu_solve(payload):
     bound = int(payload.get("deg_bound", diffop.default_degree_bound(a)))
     basis = diffop.solve_commutation(a, lam, bound)
     return "ok", {"deg_bound": bound, "dimension": len(basis),
-                  "basis": [_matrix_strings(b) for b in basis]}, []
+                  "basis": [b.to_strings() for b in basis]}, []
 
 
 def cmd_azu_basis(payload):
@@ -157,7 +153,7 @@ def cmd_azu_basis(payload):
     lam = _fraction(payload["lambda"], "lambda")
     basis = diffop.fundamental_solutions(a, lam)
     return "ok", {"discriminant": str(diffop.discriminant(a)),
-                  "basis": [_matrix_strings(b) for b in basis]}, []
+                  "basis": [b.to_strings() for b in basis]}, []
 
 
 def cmd_azu_classify(payload):
@@ -215,7 +211,7 @@ def cmd_spec_admissible(payload):
         return "violation", {"admissible": False}, ["generator images do not commute"]
     pres = spectral.higgs_to_morphism(pair)
     return "ok", {"admissible": True,
-                  "subalgebra_basis": [_matrix_strings(b) for b in pres.subalgebra_basis]}, []
+                  "subalgebra_basis": [b.to_strings() for b in pres.subalgebra_basis]}, []
 
 
 def cmd_spec_family(payload):
@@ -248,7 +244,7 @@ def cmd_spec_curvature(payload):
     gammas = [_matrix(g, "gamma") for g in payload["gammas"]]
     base_vars = payload.get("base_vars")
     field = spectral.curvature(gammas, base_vars)
-    comps = {f"{i},{j}": _matrix_strings(m) for (i, j), m in sorted(field.items())}
+    comps = {f"{i},{j}": m.to_strings() for (i, j), m in sorted(field.items())}
     flat = all(m.is_zero() for m in field.values())
     return "ok", {"components": comps, "flat": flat}, []
 
@@ -336,7 +332,7 @@ def commutation_demo_report(a: PolyMatrix, lam: Fraction, bhat, deg_bound=None):
     residuals_zero = all(diffop.commutation_constraint(a, b, lam).is_zero()
                          for b in basis)
     if deg_bound is None:
-        deg_bound = 2 * max((e.total_degree() for e in a.entries), default=0) + 2
+        deg_bound = diffop.default_degree_bound(a)
     solved = diffop.solve_commutation(a, lam, deg_bound)
     span = SpanBasis()
     for m in solved:
@@ -350,18 +346,18 @@ def commutation_demo_report(a: PolyMatrix, lam: Fraction, bhat, deg_bound=None):
     cp_b, cp_b0 = char_poly(b), char_poly(b0)
     report = diffop.pushforward_report(a, bhat, lam)
     return {
-        "A": _matrix_strings(a),
+        "A": a.to_strings(),
         "lambda": str(lam),
         "bhat": [str(c) for c in bhat],
         "deg_bound": deg_bound,
         "discriminant": str(diffop.discriminant(a)),
-        "fundamental_solutions": [_matrix_strings(m) for m in basis],
+        "fundamental_solutions": [m.to_strings() for m in basis],
         "constraint_residuals_zero": residuals_zero,
         "solve_dimension": len(solved),
-        "solution_basis": [_matrix_strings(m) for m in solved],
+        "solution_basis": [m.to_strings() for m in solved],
         "span_match": span_match,
-        "B": _matrix_strings(b),
-        "degree0": _matrix_strings(b0),
+        "B": b.to_strings(),
+        "degree0": b0.to_strings(),
         "char_poly_B": str(cp_b),
         "char_poly_degree0": str(cp_b0),
         "char_match": cp_b == cp_b0,

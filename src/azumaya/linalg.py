@@ -1,30 +1,31 @@
 """Exact linear algebra: rational matrices, polynomial matrices, kernels.
 
+Over Q, ``rref`` is Gauss-Jordan on Fractions.  Over the fraction field of
+a polynomial base ring Q[z] (or Q[w1, w2, ...]) there is one elimination,
+``SpanBasis``: fraction-free (Bareiss), so it computes in the base ring with
+exact divisions and no gcds.  ``min_poly``, ``kernel_saturated`` and the
+span tests all run on it.
+
 Everything is deterministic: elimination always picks the first usable
 pivot, nullspace bases are in the standard reduced-echelon form (free
-coordinate set to 1, pivots filled in), and polynomial outputs are
-primitive with a fixed sign convention.
+coordinate set to 1, pivots filled in; over Q[z] saturated instead, with
+the free coordinate's leading coefficient positive), and polynomial outputs
+are primitive with a fixed sign convention.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ShapeError
-from .poly import MultiPoly, ONE, RatFunc, dense_divmod, from_dense, to_dense
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return x.is_zero()
+from .poly import MultiPoly, ONE, ZERO, dense_gcd, exact_div, from_dense, to_dense
 
 
 def rref(rows):
-    """In-place-free reduced row echelon form over any exact field.
+    """Reduced row echelon form over Q (Fraction entries), copying its input.
 
-    Entries must support +, -, *, / and zero testing via ``_is_zero``.
     Returns (reduced rows, pivot column list).
     """
     rows = [list(r) for r in rows]
@@ -36,7 +37,7 @@ def rref(rows):
     for col in range(ncols):
         pivot_row = None
         for i in range(rank, len(rows)):
-            if not _is_zero(rows[i][col]):
+            if rows[i][col]:
                 pivot_row = i
                 break
         if pivot_row is None:
@@ -45,7 +46,7 @@ def rref(rows):
         inv = rows[rank][col]
         rows[rank] = [x / inv for x in rows[rank]]
         for i in range(len(rows)):
-            if i != rank and not _is_zero(rows[i][col]):
+            if i != rank and rows[i][col]:
                 f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         pivots.append(col)
@@ -297,11 +298,6 @@ def eval_poly_at_matrix(p: MultiPoly, name: str, m: PolyMatrix) -> PolyMatrix:
     return out
 
 
-def _ratfunc_rows(m: PolyMatrix, var: str):
-    return [[RatFunc(m[i, j], ONE, var=var) for j in range(m.cols)]
-            for i in range(m.rows)]
-
-
 def _base_var(m: PolyMatrix) -> str:
     names = m.variables()
     if len(names) > 1:
@@ -309,134 +305,155 @@ def _base_var(m: PolyMatrix) -> str:
     return names.pop() if names else "z"
 
 
-def min_poly(m: PolyMatrix) -> MultiPoly:
-    """Least-degree monic annihilating polynomial over the fraction field,
-    denominators cleared and content removed.
+# ---------------------------------------------------------------------------
+# fraction-free elimination over the polynomial base ring
+# ---------------------------------------------------------------------------
 
-    Found by the first linear dependence among I, M, M^2, ... ; always
-    divides ``char_poly(m)``.
+class SpanBasis:
+    """Incremental row echelon over Q[base]; spans are over its fraction field.
+
+    Fraction-free (Bareiss 1968): the i-th stored row has been through the
+    i - 1 elimination steps before it, so its entries are minors of the
+    inserted vectors and every division in ``_reduce`` is exact.  Any number
+    of base variables.  ``insert`` may append tag entries to a vector; they
+    are eliminated with it but never pivoted on, so when the vector reduces
+    to zero they record the relation it satisfies.
+    """
+
+    def __init__(self):
+        self.rows = []       # stored rows, tag entries included
+        self.pivots = []     # pivot column of each row
+
+    def _reduce(self, vec):
+        prev = ONE
+        for row, pc in zip(self.rows, self.pivots):
+            p, f = row[pc], vec[pc]
+            # (p * vec - f * row) / prev, also when f is 0: the scaling by
+            # p / prev is what keeps the later divisions exact
+            vec = [p * a - f * b for a, b in zip(vec, row)]
+            if prev != ONE:
+                vec = [exact_div(x, prev) for x in vec]
+            prev = p
+        return vec
+
+    def insert(self, polys, tag):
+        """Insert ``polys`` followed by the tag entries.  Returns None when
+        the vector enlarged the span.  Otherwise returns its reduced tag t:
+        with u_i the inserted vector tagged by the i-th unit vector,
+        sum_i t_i * u_i = 0, and t is nonzero at this vector's own index."""
+        vec = self._reduce(list(polys) + list(tag))
+        for pc in range(len(polys)):
+            if not vec[pc].is_zero():
+                self.rows.append(vec)
+                self.pivots.append(pc)
+                return None
+        return vec[len(polys):]
+
+    def add(self, polys) -> bool:
+        """Insert the vector; returns True when it enlarged the span."""
+        return self.insert(polys, ()) is None
+
+    def contains(self, polys) -> bool:
+        return all(x.is_zero() for x in self._reduce(list(polys)))
+
+    def dimension(self) -> int:
+        return len(self.rows)
+
+
+def _unit_tag(n, i):
+    return [ONE if j == i else ZERO for j in range(n)]
+
+
+def min_poly(m: PolyMatrix) -> MultiPoly:
+    """Least-degree annihilating polynomial over the fraction field, made
+    primitive over the base ring (``_primitive_in``).
+
+    One fraction-free elimination takes vec(I), vec(M), vec(M^2), ... in
+    turn; the first power that depends on the ones before it gives the
+    relation, hence the coefficients.  Always divides ``char_poly(m)``.
     """
     if not m.is_square():
         raise ShapeError("minimal polynomial of non-square matrix")
-    var = _base_var(m)
+    _base_var(m)  # univariate base only: _primitive_in is canonical there
     r = m.rows
-    powers = [PolyMatrix.identity(r)]
-    for _ in range(r):
-        powers.append(m * powers[-1])
-    flat = [[RatFunc(p[i, j], ONE, var=var) for i in range(r) for j in range(r)]
-            for p in powers]
-    for k in range(1, r + 1):
-        # solve sum_j c_j M^j = M^k over the fraction field
-        cols = list(range(k))
-        system = [[flat[j][idx] for j in cols] for idx in range(r * r)]
-        rhs = [flat[k][idx] for idx in range(r * r)]
-        sol = _field_solve(system, rhs)
-        if sol is not None:
+    echelon = SpanBasis()
+    power = PolyMatrix.identity(r)
+    for k in range(r + 1):
+        rel = echelon.insert(power.entries, _unit_tag(r + 1, k))
+        if rel is not None:
             v = MultiPoly.var("v")
-            den_lcm = ONE
-            for c in sol:
-                den_lcm = _poly_lcm(den_lcm, c.den, var)
-            out = den_lcm * v ** k
-            for j, c in enumerate(sol):
-                scale, _ = dense_divmod(to_dense(den_lcm), to_dense(c.den))
-                coeff = from_dense(scale, var) * c.num
-                out = out - coeff * v ** j
-            return _primitive_in(out, "v")
+            return _primitive_in(sum((c * v ** j for j, c in enumerate(rel)), ZERO), "v")
+        power = m * power
     raise AssertionError("Cayley-Hamilton violated")  # unreachable
 
 
-def _field_solve(system, rhs):
-    """Solve over a field; None when inconsistent (used with RatFunc)."""
-    ncols = len(system[0]) if system else 0
-    var = system[0][0].var if system and system[0] else "z"
-    aug = [row + [b] for row, b in zip(system, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    sol = [RatFunc.const(0, var) for _ in range(ncols)]
-    for r, pc in enumerate(pivots):
-        sol[pc] = red[r][ncols]
-    return sol
+def kernel_saturated(m: PolyMatrix):
+    """Saturated kernel basis over the polynomial base ring.
+
+    The basis of the reduced echelon form over the fraction field (one
+    vector per free column, supported on it and the pivot columns before
+    it), each vector made primitive.  The columns of M go into one
+    fraction-free elimination; a column that depends on the earlier ones
+    gives its relation, which is saturated and signed so that the free
+    coordinate has a positive leading coefficient.
+    """
+    var = _base_var(m)
+    echelon = SpanBasis()
+    basis = []
+    for j in range(m.cols):
+        rel = echelon.insert([m[i, j] for i in range(m.rows)], _unit_tag(m.cols, j))
+        if rel is not None:
+            vec = saturate_vector(rel, var)
+            if _leading_coeff(vec[j], var) < 0:
+                vec = tuple(-x for x in vec)
+            basis.append(vec)
+    return basis
 
 
-def _poly_lcm(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
-    from .poly import dense_gcd
-    da, db = to_dense(a), to_dense(b)
-    g = dense_gcd(da, db)
-    q, _ = dense_divmod(db, g)
-    prod = from_dense(da, var) * from_dense(q, var)
-    dense = to_dense(prod)
-    lead = dense[-1]
-    return from_dense([c / lead for c in dense], var)
+def saturate_vector(vec, var: str):
+    """Divide a nonzero vector over Q[var] by the gcd of its entries and by
+    its rational content."""
+    g = _dense_gcd_of(vec)
+    if len(g) > 1:
+        vec = [exact_div(p, from_dense(g, var)) for p in vec]
+    c = poly_content(*vec)
+    return tuple(p * (1 / c) for p in vec)
 
 
-def poly_content(p: MultiPoly) -> Fraction:
-    """Positive rational content (gcd of coefficients); 0 for the zero poly."""
-    if p.is_zero():
-        return Fraction(0)
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = _gcd_int(num, c.numerator)
-        den = _lcm_int(den, c.denominator)
+def poly_content(*polys) -> Fraction:
+    """Positive rational content (gcd of all coefficients); 0 when all are zero."""
+    num, den = 0, 1
+    for p in polys:
+        for c in p.terms.values():
+            num = math.gcd(num, c.numerator)
+            den = math.lcm(den, c.denominator)
     return Fraction(num, den)
 
 
-def _gcd_int(a, b):
-    import math
-    return math.gcd(a, b)
-
-
-def _lcm_int(a, b):
-    import math
-    return a * b // math.gcd(a, b)
+def _dense_gcd_of(polys):
+    """Monic gcd over Q of univariate polynomials, as a dense list."""
+    g = []
+    for p in polys:
+        g = dense_gcd(g, to_dense(p))
+    return g
 
 
 def _primitive_in(p: MultiPoly, main_var: str) -> MultiPoly:
     """Divide by content: rational content and the gcd of the coefficient
-    polynomials in the non-main variables; leading coefficient made positive
-    (and monic in the remaining variable when univariate)."""
+    polynomials in the non-main variables (when there is one); leading
+    coefficient made positive."""
     if p.is_zero():
         return p
     coeffs = [c for c in p.coefficients_in(main_var) if not c.is_zero()]
-    other = set()
-    for c in coeffs:
-        other.update(c.vars)
-    if len(other) <= 1:
-        var = other.pop() if other else None
-        g = []
-        for c in coeffs:
-            g = _dense_gcd_list(g, to_dense(c))
-        if var is not None and len(g) > 1:
-            gp = from_dense(g, var)
-            p = _exact_poly_div(p, gp, main_var, var)
+    other = set().union(*(c.vars for c in coeffs))
+    if len(other) == 1:
+        g = _dense_gcd_of(coeffs)
+        if len(g) > 1:
+            p = exact_div(p, from_dense(g, other.pop()))
     c = poly_content(p)
-    lead = _leading_coeff(p, main_var)
-    if lead < 0:
+    if _leading_coeff(p, main_var) < 0:
         c = -c
     return p * (1 / c)
-
-
-def _dense_gcd_list(a, b):
-    from .poly import dense_gcd
-    if not a:
-        return list(b)
-    if not b:
-        return list(a)
-    return dense_gcd(a, b)
-
-
-def _exact_poly_div(p: MultiPoly, g: MultiPoly, main_var: str, var: str) -> MultiPoly:
-    out = MultiPoly.zero()
-    v = MultiPoly.var(main_var)
-    for k, c in enumerate(p.coefficients_in(main_var)):
-        if c.is_zero():
-            continue
-        q, rem = dense_divmod(to_dense(c), to_dense(g))
-        if rem:
-            raise AssertionError("content division not exact")
-        out = out + from_dense(q, var) * v ** k
-    return out
 
 
 def _leading_coeff(p: MultiPoly, main_var: str) -> Fraction:
@@ -446,96 +463,15 @@ def _leading_coeff(p: MultiPoly, main_var: str) -> Fraction:
     return best[1]
 
 
-def kernel_saturated(m: PolyMatrix):
-    """Saturated kernel basis over the polynomial base ring.
-
-    Computes the kernel over the fraction field, clears denominators and
-    removes content so that every generator is primitive.
-    """
-    var = _base_var(m)
-    rows = _ratfunc_rows(m, var)
-    red, pivots = rref(rows)
-    basis = []
-    free = [c for c in range(m.cols) if c not in pivots]
-    for fc in free:
-        vec = [RatFunc.const(0, var) for _ in range(m.cols)]
-        vec[fc] = RatFunc.const(1, var)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(saturate_vector(vec, var))
-    return basis
-
-
-def saturate_vector(vec, var: str):
-    """Clear denominators of a fraction-field vector and remove content."""
-    den_lcm = ONE
-    for x in vec:
-        den_lcm = _poly_lcm(den_lcm, x.den, var)
-    cleared = []
-    for x in vec:
-        scale, _ = dense_divmod(to_dense(den_lcm), to_dense(x.den))
-        cleared.append(from_dense(scale, var) * x.num)
-    g = []
-    for p in cleared:
-        if not p.is_zero():
-            g = _dense_gcd_list(g, to_dense(p))
-    if len(g) > 1:
-        gp = from_dense(g, var)
-        cleared = [_exact_div_uni(p, gp, var) for p in cleared]
-    num, den = 0, 1
-    for p in cleared:
-        c = poly_content(p)
-        num = _gcd_int(num, c.numerator)
-        den = _lcm_int(den, c.denominator)
-    if num:
-        cleared = [p * (1 / Fraction(num, den)) for p in cleared]
-    return tuple(cleared)
-
-
-def _exact_div_uni(p: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    if p.is_zero():
-        return p
-    q, rem = dense_divmod(to_dense(p), to_dense(g))
-    if rem:
-        raise AssertionError("saturation division not exact")
-    return from_dense(q, var)
-
-
 def vector_is_primitive(vec) -> bool:
     """True when the entries have trivial polynomial gcd and coprime
     integer coefficients (content 1)."""
-    g = []
-    nums = 0
-    dens = 1
-    nonzero = False
-    for p in vec:
-        if p.is_zero():
-            continue
-        nonzero = True
-        g = _dense_gcd_list(g, to_dense(p))
-        c = poly_content(p)
-        nums = _gcd_int(nums, c.numerator)
-        dens = _lcm_int(dens, c.denominator)
-    if not nonzero:
-        return False
-    return len(g) <= 1 and nums == 1 and dens == 1
+    return len(_dense_gcd_of(vec)) == 1 and poly_content(*vec) == 1
 
 
 # ---------------------------------------------------------------------------
-# polynomials in v with polynomial coefficients (pseudo-remainder gcd)
+# polynomials in v with polynomial coefficients (pseudo-remainders)
 # ---------------------------------------------------------------------------
-
-def v_coeffs(p: MultiPoly, name: str = "v"):
-    return p.coefficients_in(name)
-
-
-def _v_assemble(coeffs, name: str = "v"):
-    v = MultiPoly.var(name)
-    out = MultiPoly.zero()
-    for k, c in enumerate(coeffs):
-        out = out + c * v ** k
-    return out
-
 
 def _v_degree(coeffs):
     d = -1
@@ -563,118 +499,25 @@ def pseudo_rem(f, g):
 
 def squarefree_in_v(p: MultiPoly, name: str = "v") -> bool:
     """Squarefree test in the main variable over the base fraction field:
-    gcd(p, dp/dv) must have degree 0 in v (pseudo-remainder Euclid)."""
-    f = v_coeffs(p, name)
-    g = v_coeffs(p.derivative(name), name)
+    gcd(p, dp/dv) must have degree 0 in v (pseudo-remainder Euclid, each
+    remainder divided by its rational content)."""
+    f = p.coefficients_in(name)
+    g = p.derivative(name).coefficients_in(name)
     while _v_degree(g) > 0:
-        f, g = g, pseudo_rem(f, g)
+        rem = pseudo_rem(f, g)
+        c = poly_content(*rem)
+        f, g = g, ([x * (1 / c) for x in rem] if c else rem)
     if _v_degree(g) < 0:
         return _v_degree(f) <= 0
     return True
 
 
 def divides_in_v(d: MultiPoly, p: MultiPoly, base_var: str, name: str = "v") -> bool:
-    """Exact divisibility in (fraction field)[v] for a univariate base."""
-    dc = [RatFunc(c, ONE, var=base_var) for c in v_coeffs(d, name)]
-    pc = [RatFunc(c, ONE, var=base_var) for c in v_coeffs(p, name)]
-    dd, dp = _v_degree_r(dc), _v_degree_r(pc)
-    if dd < 0:
+    """Exact divisibility in (base fraction field)[v]: a nonzero ``d``
+    divides ``p`` exactly when the pseudo-remainder of p by d is zero.
+    Works over any number of base variables; ``base_var`` is not needed
+    and kept only so existing calls stay valid."""
+    dc = d.coefficients_in(name)
+    if _v_degree(dc) < 0:
         return False
-    while dp >= dd:
-        lead = pc[dp] / dc[dd]
-        for i in range(dd + 1):
-            pc[dp - dd + i] = pc[dp - dd + i] - lead * dc[i]
-        while pc and pc[-1].is_zero():
-            pc.pop()
-        dp = _v_degree_r(pc)
-    return all(c.is_zero() for c in pc)
-
-
-def _v_degree_r(coeffs):
-    d = -1
-    for k, c in enumerate(coeffs):
-        if not c.is_zero():
-            d = k
-    return d
-
-
-# ---------------------------------------------------------------------------
-# span tracking over an arbitrary exact field (used for subalgebra closure)
-# ---------------------------------------------------------------------------
-
-class FracNoGcd:
-    """Unreduced fraction of MultiPoly; exact field arithmetic that needs
-    no multivariate gcd (growth is acceptable at the scales used here)."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MultiPoly, den: MultiPoly = None):
-        den = ONE if den is None else den
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *_):
-        raise AttributeError("FracNoGcd is immutable")
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        return FracNoGcd(self.num * other.den + other.num * self.den,
-                         self.den * other.den)
-
-    def __sub__(self, other):
-        return FracNoGcd(self.num * other.den - other.num * self.den,
-                         self.den * other.den)
-
-    def __neg__(self):
-        return FracNoGcd(-self.num, self.den)
-
-    def __mul__(self, other):
-        return FracNoGcd(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError
-        return FracNoGcd(self.num * other.den, self.den * other.num)
-
-
-class SpanBasis:
-    """Incremental row space over the base fraction field."""
-
-    def __init__(self):
-        self.rows = []       # reduced rows of FracNoGcd
-        self.pivots = []
-
-    @staticmethod
-    def _vec(polys):
-        return [FracNoGcd(p) for p in polys]
-
-    def _reduce(self, vec):
-        vec = list(vec)
-        for row, pc in zip(self.rows, self.pivots):
-            if not vec[pc].is_zero():
-                f = vec[pc]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return vec
-
-    def contains(self, polys) -> bool:
-        vec = self._reduce(self._vec(polys))
-        return all(x.is_zero() for x in vec)
-
-    def add(self, polys) -> bool:
-        """Insert the vector; returns True when it enlarged the span."""
-        vec = self._reduce(self._vec(polys))
-        for pc, x in enumerate(vec):
-            if not x.is_zero():
-                inv = x
-                vec = [a / inv for a in vec]
-                self.rows.append(vec)
-                self.pivots.append(pc)
-                return True
-        return False
-
-    def dimension(self) -> int:
-        return len(self.rows)
+    return _v_degree(pseudo_rem(p.coefficients_in(name), dc)) < 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 _INDEXED_FAMILIES = {"x": 0, "w": 1}
 _FIXED_NAMES = {"z": 2, "v": 3, "lam": 4, "m": 5}
@@ -289,6 +290,50 @@ ZERO = MultiPoly.zero()
 ONE = MultiPoly.const(1)
 
 
+def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly:
+    """The quotient q with q * d == p, in any number of variables.
+
+    Division by leading terms in the monomial order; raises ArithmeticError
+    as soon as a leading term of the remainder is not a multiple of the
+    leading term of ``d``, which happens exactly when ``d`` does not divide
+    ``p``.
+    """
+    if d.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    names, rem, div = p._aligned(d)
+    rem = dict(rem)
+    lead = max(div, key=MultiPoly._term_sort_key)
+    lead_c = div[lead]
+    tail = [(e, c) for e, c in div.items() if e != lead]
+    # min-heap on the negated order, so the largest remaining term pops first;
+    # cancelled terms stay in the heap and are skipped when popped
+    heap = [(-sum(e), tuple(-k for k in e)) for e in rem]
+    heapify(heap)
+    quo = {}
+    while heap:
+        _, neg_e = heappop(heap)
+        e = tuple(-k for k in neg_e)
+        c = rem.pop(e, None)
+        if c is None:
+            continue
+        q = tuple(a - b for a, b in zip(e, lead))
+        if min(q, default=0) < 0:
+            raise ArithmeticError("inexact polynomial division")
+        c = c / lead_c
+        quo[q] = c
+        for e2, c2 in tail:
+            m = tuple(a + b for a, b in zip(q, e2))
+            x = rem.get(m)
+            if x is None:
+                rem[m] = -c * c2
+                heappush(heap, (-sum(m), tuple(-k for k in m)))
+            elif x == c * c2:
+                del rem[m]
+            else:
+                rem[m] = x - c * c2
+    return MultiPoly(names, quo)
+
+
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
@@ -472,10 +517,6 @@ class RatFunc:
 
     def __setattr__(self, *_):
         raise AttributeError("RatFunc is immutable")
-
-    @staticmethod
-    def from_poly(p: MultiPoly, var: str = None) -> "RatFunc":
-        return RatFunc(p, ONE, var=var or _only_var(p))
 
     @staticmethod
     def const(c, var: str = "z") -> "RatFunc":

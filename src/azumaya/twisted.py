@@ -17,6 +17,7 @@ from itertools import product
 
 from .errors import (CoverMismatchError, InvalidInputError,
                      UndecidableGroupError)
+from .linalg import rref
 from .poly import MultiPoly
 from .zmod import solve_mod
 
@@ -339,22 +340,13 @@ def mat_scale(a, c):
 
 
 def mat_inv(a):
-    """Inverse by Gauss-Jordan; None when singular."""
+    """Inverse read off the reduced form of [A | I]; None when singular,
+    that is when the left block lacks a pivot."""
     r = len(a)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(r)]
-           for i, row in enumerate(a)]
-    for col in range(r):
-        piv = next((i for i in range(col, r) if aug[i][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = aug[col][col]
-        aug[col] = [x / f for x in aug[col]]
-        for i in range(r):
-            if i != col and aug[i][col]:
-                g = aug[i][col]
-                aug[i] = [x - g * y for x, y in zip(aug[i], aug[col])]
-    return tuple(tuple(row[r:]) for row in aug)
+    red, pivots = rref([list(row) + list(e) for row, e in zip(a, mat_identity(r))])
+    if pivots != list(range(r)):
+        return None
+    return tuple(tuple(row[r:]) for row in red)
 
 
 def _as_qmatrix(rows, r):

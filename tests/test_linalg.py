@@ -4,9 +4,10 @@ from itertools import product
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from azumaya.errors import ShapeError
-from azumaya.linalg import (PolyMatrix, char_poly, divides_in_v,
+from azumaya.linalg import (PolyMatrix, SpanBasis, char_poly, divides_in_v,
                             eval_poly_at_matrix, kernel_saturated,
                             linear_solve_exact, min_poly, squarefree_in_v,
                             vector_is_primitive)
@@ -22,6 +23,56 @@ def rand_matrix(rng, r, deg=2):
         terms = {(k,): Fraction(rng.randint(-3, 3)) for k in range(deg + 1)}
         ents.append(MultiPoly(("z",), terms))
     return PolyMatrix(r, r, ents)
+
+
+def conjugated(diagonal, upper, rng):
+    """P * D * P^-1 for D with the given diagonal and first superdiagonal,
+    P a random unimodular integer matrix (a product of elementary ones)."""
+    r = len(diagonal)
+    d = PolyMatrix.from_rows([[diagonal[i] if i == j else upper[i] if j == i + 1 else 0
+                               for j in range(r)] for i in range(r)])
+    p = q = PolyMatrix.identity(r)
+    for _ in range(4):
+        i, j = rng.sample(range(r), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        e = [[int(a == b) for b in range(r)] for a in range(r)]
+        e[i][j] = c
+        p = p * PolyMatrix.from_rows(e)
+        e[i][j] = -c
+        q = PolyMatrix.from_rows(e) * q
+    return p * d * q
+
+
+def sympy_poly(p: MultiPoly):
+    return sympy.sympify(str(p).replace("^", "**"), rational=True)
+
+
+def sympy_rank(vectors, gens):
+    """Rank over the fraction field Q(gens), computed by sympy."""
+    rows = sympy.Matrix([[sympy_poly(x) for x in vec] for vec in vectors])
+    field = sympy.QQ.frac_field(*sympy.symbols(gens, seq=True))
+    return DomainMatrix.from_Matrix(rows).convert_to(field).rank()
+
+
+def sympy_min_poly(m: PolyMatrix):
+    """First relation among vec(I), vec(M), ... over Q(z), by sympy, made
+    primitive over Q[z] with a positive leading coefficient."""
+    zs, vs = sympy.symbols("z v")
+    field = sympy.QQ.frac_field(zs)
+    sm, r = to_sympy(m), m.rows
+    powers = [sympy.eye(r)]
+    for _ in range(r):
+        powers.append((sm * powers[-1]).expand())
+        krylov = sympy.Matrix([[p[i] for p in powers] for i in range(r * r)])
+        null = DomainMatrix.from_Matrix(krylov).convert_to(field).nullspace()
+        if null.shape[0]:
+            break
+    rel = null.to_Matrix().row(0)
+    num = sympy.numer(sympy.together(sum(c * vs ** j for j, c in enumerate(rel))))
+    content = sympy.gcd_list(sympy.Poly(num, vs).all_coeffs())
+    prim = sympy.Poly(sympy.cancel(num / content), vs, zs)
+    prim = prim.clear_denoms()[1].primitive()[1]
+    return -prim if prim.LC() < 0 else prim
 
 
 def to_sympy(m: PolyMatrix):
@@ -167,6 +218,21 @@ def test_min_poly_divides_char_poly_random():
         assert eval_poly_at_matrix(mp, "v", m).is_zero()
 
 
+def test_min_poly_against_sympy():
+    rng = random.Random(31)
+    cases = [rand_matrix(rng, 4), rand_matrix(rng, 4), rand_matrix(rng, 5)]
+    root = lambda: z * rng.randint(-2, 2) + rng.randint(-3, 3)
+    # derogatory: repeated eigenvalues, with and without a Jordan block
+    for r in (4, 5):
+        a, b = root(), root()
+        cases.append(conjugated([a, a, a] + [b] * (r - 3), [1] + [0] * (r - 2), rng))
+        cases.append(conjugated([a, a] + [b] * (r - 2), [0] * (r - 1), rng))
+    for m in cases:
+        mine = min_poly(m)
+        assert sympy.expand(sympy_poly(mine) - sympy_min_poly(m).as_expr()) == 0
+        assert eval_poly_at_matrix(mine, "v", m).is_zero()
+
+
 # -- kernel_saturated ---------------------------------------------------------
 
 def test_kernel_zero_matrix():
@@ -185,6 +251,20 @@ def test_kernel_denominator_cleared():
     assert [[str(x) for x in vec] for vec in ks] == [["-z", "1"]]
 
 
+def check_saturated_kernel(m: PolyMatrix):
+    ks = kernel_saturated(m)
+    assert len(ks) == m.cols - sympy_rank([m.row(i) for i in range(m.rows)], "z")
+    for vec in ks:
+        image = [sum((m[i, j] * vec[j] for j in range(m.cols)), MultiPoly.zero())
+                 for i in range(m.rows)]
+        assert all(e.is_zero() for e in image)
+        assert vector_is_primitive(vec)
+        # the free coordinate is the last nonzero one
+        free = [x for x in vec if not x.is_zero()][-1]
+        assert free.sorted_terms()[0][1] > 0
+    return ks
+
+
 def test_kernel_saturation_properties_random():
     rng = random.Random(29)
     checked = 0
@@ -195,15 +275,17 @@ def test_kernel_saturation_properties_random():
         rows = [list(m.row(i)) for i in range(r)]
         rows[rng.randrange(r)] = [MultiPoly.zero()] * r
         m = PolyMatrix.from_rows(rows)
-        ks = kernel_saturated(m)
-        if not ks:
-            continue
-        checked += 1
-        for vec in ks:
-            image = [sum((m[i, j] * vec[j] for j in range(r)), MultiPoly.zero())
-                     for i in range(r)]
-            assert all(e.is_zero() for e in image)
-            assert vector_is_primitive(vec)
+        if check_saturated_kernel(m):
+            checked += 1
+    # rank-deficient 3x3 and 4x4: a row (or two) combined from the others
+    for r in (3, 3, 4, 4, 4):
+        m = rand_matrix(rng, r, deg=1)
+        rows = [list(m.row(i)) for i in range(r)]
+        for k in rng.sample(range(r), rng.choice([1, 2]) if r == 4 else 1):
+            coeffs = [rand_matrix(rng, 1, deg=1)[0, 0] if i != k else 0 for i in range(r)]
+            rows[k] = [sum((c * row[j] for c, row in zip(coeffs, rows)), MultiPoly.zero())
+                       for j in range(r)]
+        assert len(check_saturated_kernel(PolyMatrix.from_rows(rows))) >= 1
 
 
 # -- squarefree / divisibility -------------------------------------------------
@@ -234,3 +316,24 @@ def test_squarefree_multivariate_base():
     assert squarefree_in_v((v - w1) * (v - w2))
     assert not squarefree_in_v((v - w1) ** 2 * (v - w2))
     assert squarefree_in_v(v ** 2 - w1 * w2)
+
+
+def test_span_dimension_over_two_base_variables():
+    rng = random.Random(37)
+    w1, w2 = MultiPoly.var("w1"), MultiPoly.var("w2")
+
+    def rand_entry():
+        return rng.randint(-2, 2) * w1 + rng.randint(-2, 2) * w2 + rng.randint(-2, 2)
+
+    for _ in range(8):
+        span, vectors = SpanBasis(), []
+        for _ in range(rng.randint(2, 5)):
+            if vectors and rng.random() < 0.4:
+                a, b = rand_entry(), rand_entry()
+                vec = [a * x + b * y for x, y in zip(vectors[0], vectors[-1])]
+            else:
+                vec = [rand_entry() * rand_entry() for _ in range(4)]
+            vectors.append(vec)
+            span.add(vec)
+            assert span.dimension() == sympy_rank(vectors, "w1 w2")
+            assert span.contains(vec)

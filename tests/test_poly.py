@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from azumaya.poly import MultiPoly, RatFunc, parse_poly, to_dense, from_dense, dense_gcd
+from azumaya.poly import (MultiPoly, RatFunc, dense_gcd, exact_div, from_dense, parse_poly,
+                          to_dense)
 
 
 z = MultiPoly.var("z")
@@ -42,6 +43,23 @@ def test_ring_axioms_random():
         assert a * (b + c) == a * b + a * c
         assert a + b == b + a
         assert a * b == b * a
+
+
+def test_exact_div_round_trip_multivariate():
+    rng = random.Random(43)
+    for _ in range(100):
+        variables = ("w1", "w2", "z", "v")[:rng.randint(1, 4)]
+        a, b = rand_poly(rng, variables, deg=3), rand_poly(rng, variables, deg=3)
+        if b.is_zero():
+            continue
+        assert exact_div(a * b, b) == a
+        if not b.is_const():
+            with pytest.raises(ArithmeticError):
+                exact_div(a * b + 1, b)
+    with pytest.raises(ArithmeticError):
+        exact_div(parse_poly("w1*w2 + z"), parse_poly("w1 + z"))
+    with pytest.raises(ZeroDivisionError):
+        exact_div(z, MultiPoly.zero())
 
 
 def test_canonical_text_contract():
