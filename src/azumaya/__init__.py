@@ -13,7 +13,7 @@ from .errors import (AzumayaError, CoverMismatchError, DegenerateError,
                      NotAdmissibleError, NotSplitError, PreconditionError,
                      ShapeError, UndecidableGroupError, ZeroElementError,
                      ZeroLambdaError)
-from .poly import MultiPoly, RatFunc, parse_poly
+from .poly import MultiPoly, parse_poly
 from .linalg import (PolyMatrix, char_poly, eval_poly_at_matrix,
                      kernel_saturated, linear_solve_exact, min_poly)
 from .weyl import (FORMAL, SimplicityCertificate, WeylElement,

@@ -6,6 +6,8 @@ serialization is byte-stable for identical inputs (sorted keys, fixed
 separators, canonical polynomial text).
 
 Exit codes: 0 ok, 1 malformed input or module error, 2 check violation.
+Every outcome, an unexpected exception included, gets exactly one report;
+no traceback is printed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import sys
 from fractions import Fraction
 
 from . import diffop, spectral, suites, twisted, weyl
-from .errors import AzumayaError
+from .errors import (E_INPUT, E_INTERNAL, AzumayaError, CoverMismatchError,
+                     InvalidInputError)
 from .linalg import PolyMatrix, SpanBasis, char_poly
 from .poly import MultiPoly, parse_poly
 
@@ -62,6 +65,8 @@ def _load_problem_file(path: str, command: str) -> dict:
 
 
 def _take(payload: dict, required=(), optional=()):
+    if not isinstance(payload, dict):
+        raise UsageError(f"expected a JSON object, got {payload!r}")
     unknown = set(payload) - set(required) - set(optional)
     if unknown:
         raise UsageError(f"unknown payload fields: {sorted(unknown)}")
@@ -70,14 +75,43 @@ def _take(payload: dict, required=(), optional=()):
         raise UsageError(f"missing payload fields: {missing}")
 
 
+def _field(payload: dict, key: str):
+    if key not in payload:
+        raise UsageError(f"missing payload fields: {[key]}")
+    return payload[key]
+
+
+def _convert(convert, raw, what):
+    """``convert(raw)``; a value it cannot convert is malformed input."""
+    try:
+        return convert(raw)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise UsageError(f"bad {what}: {raw!r} ({exc})")
+
+
+def _int(raw, what) -> int:
+    return _convert(int, raw, what)
+
+
+def _list(raw, what, length=None) -> list:
+    items = _convert(list, raw, what)
+    if length not in (None, len(items)):
+        raise UsageError(f"bad {what}: {raw!r} (expected {length} entries)")
+    return items
+
+
+def _indices(raw, what, length) -> tuple:
+    items = _list(raw, what, length)
+    if not all(isinstance(i, int) for i in items):
+        raise UsageError(f"bad {what}: {raw!r} (entries must be integers)")
+    return tuple(items)
+
+
 def _fraction(text, what="value") -> Fraction:
     if isinstance(text, float):
         raise UsageError(f"bad {what}: floating point is not exact; "
                          "send rationals as strings")
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad {what}: {text!r} ({exc})")
+    return _convert(lambda t: Fraction(str(t)), text, what)
 
 
 def _poly(text, what="polynomial") -> MultiPoly:
@@ -105,7 +139,7 @@ def _lambda_mode(text):
 
 def _weyl_element(payload):
     lam = _lambda_mode(payload.get("lam"))
-    n = int(payload["n"]) if payload.get("n") else None
+    n = _int(payload["n"], "n") if payload.get("n") else None
     try:
         return weyl.parse_weyl(str(payload["expr"]), n=n, lam=lam)
     except ValueError as exc:
@@ -141,7 +175,7 @@ def cmd_azu_solve(payload):
     _take(payload, required=("A", "lambda"), optional=("deg_bound",))
     a = _matrix(payload["A"], "A")
     lam = _fraction(payload["lambda"], "lambda")
-    bound = int(payload.get("deg_bound", diffop.default_degree_bound(a)))
+    bound = _int(payload.get("deg_bound", diffop.default_degree_bound(a)), "deg_bound")
     basis = diffop.solve_commutation(a, lam, bound)
     return "ok", {"deg_bound": bound, "dimension": len(basis),
                   "basis": [b.to_strings() for b in basis]}, []
@@ -170,16 +204,16 @@ def cmd_azu_report(payload):
     rep = diffop.pushforward_report(a, bhat, lam)
     data = rep.to_json()
     if "deg_bound" in payload:
-        bound = int(payload["deg_bound"])
+        bound = _int(payload["deg_bound"], "deg_bound")
         data["solve_dimension"] = len(diffop.solve_commutation(a, lam, bound))
         data["deg_bound"] = bound
     return "ok", data, []
 
 
 def _higgs_pair(payload):
-    rank = int(payload["rank"])
+    rank = _int(payload["rank"], "rank")
     base_vars = tuple(payload.get("base_vars", ["z"]))
-    phis = [_matrix(m, "phi") for m in payload["phis"]]
+    phis = [_matrix(m, "phi") for m in _list(payload["phis"], "phis")]
     return spectral.HiggsPair(rank, phis, base_vars)
 
 
@@ -220,7 +254,7 @@ def cmd_spec_family(payload):
     _take(payload, required=("rank", "phis", "lambda"),
           optional=("base_vars", "degree"))
     lam = _fraction(payload["lambda"], "lambda")
-    degree = int(payload.get("degree", 3))
+    degree = _int(payload.get("degree", 3), "degree")
     pair = _higgs_pair({k: payload[k] for k in ("rank", "phis") if k in payload}
                        | {"base_vars": payload.get("base_vars", ["z"])})
     fam = spectral.lambda_family(pair)
@@ -249,9 +283,66 @@ def cmd_spec_curvature(payload):
     return "ok", {"components": comps, "flat": flat}, []
 
 
+def _exact(raw, convert, what):
+    """A cochain value or gluing entry; floats are refused as inexact."""
+    if isinstance(raw, float):
+        raise InvalidInputError(
+            f"floating-point {what} are not exact; send rationals as strings")
+    return _convert(convert, raw, what)
+
+
+def cochain_from_json(payload, key: str):
+    """Read the wire form of a cochain whose tuples are keyed ``key``: "ijk"
+    for a 2-cochain, "ij" for a 1-cochain."""
+    _take(payload, optional=("group", "n", "indices", "values"))
+    name = payload.get("group")
+    if name == "qstar":
+        group = twisted.Qstar()
+    elif name == "mu":
+        group = twisted.Mu(_int(_field(payload, "n"), "n"))
+    else:
+        raise InvalidInputError(f"unknown group {name!r}")
+    nerve = twisted.CoverNerve(_int(_field(payload, "indices"), "indices"))
+    convert = Fraction if name == "qstar" else int
+    values = {}
+    for item in _list(payload.get("values", []), "values"):
+        _take(item, required=(key, "v"))
+        values[_indices(item[key], key, len(key))] = _exact(item["v"], convert, "values")
+    cochain = twisted.UnitCochain2 if len(key) == 3 else twisted.Cochain1
+    return cochain(nerve, group, values)
+
+
+def cochain_to_json(cochain) -> dict:
+    """The wire form read by ``cochain_from_json``."""
+    key = "ijk" if isinstance(cochain, twisted.UnitCochain2) else "ij"
+    group = cochain.group
+    out = {"group": group.name, "indices": cochain.nerve.index_count,
+           "values": [{key: list(t), "v": group.to_json(v)}
+                      for t, v in sorted(cochain.values.items())]}
+    if isinstance(group, twisted.Mu):
+        out["n"] = group.n
+    return out
+
+
+def _bundle(payload) -> twisted.TwistedBundle:
+    rank = _int(payload["rank"], "rank")
+    nerve = twisted.CoverNerve(_int(payload["indices"], "indices"))
+    twist = twisted.UnitCochain2.trivial(nerve, twisted.Qstar())
+    if "twist" in payload:
+        twist = cochain_from_json(payload["twist"], "ijk")
+        if twist.nerve.index_count != nerve.index_count:
+            raise CoverMismatchError("twist nerve size differs from bundle nerve")
+    gluing = {}
+    for item in _list(payload["gluing"], "gluing"):
+        _take(item, required=("ij", "g"))
+        gluing[_indices(item["ij"], "ij", 2)] = [
+            [_exact(x, Fraction, "gluing entries") for x in _list(row, "g row")]
+            for row in _list(item["g"], "g")]
+    return twisted.TwistedBundle(rank, nerve, gluing, twist)
+
+
 def cmd_coc_check(payload):
-    alpha = twisted.cochain2_from_json(payload)
-    res = twisted.check_2cocycle(alpha)
+    res = twisted.check_2cocycle(cochain_from_json(payload, "ijk"))
     if res.ok:
         return "ok", {"cocycle": True}, []
     return "violation", {"cocycle": False, "violation": list(res.where)}, [res.detail]
@@ -263,21 +354,18 @@ def cmd_coc_coboundary(payload):
         raise UsageError("provide exactly one of 'beta' (build d beta) "
                          "or 'alpha' (decide coboundary)")
     if "beta" in payload:
-        beta = twisted.cochain1_from_json(payload["beta"])
-        return "ok", {"coboundary": twisted.cochain2_to_json(twisted.coboundary(beta))}, []
-    alpha = twisted.cochain2_from_json(payload["alpha"])
-    ok, witness = twisted.is_coboundary(alpha)
+        beta = cochain_from_json(payload["beta"], "ij")
+        return "ok", {"coboundary": cochain_to_json(twisted.coboundary(beta))}, []
+    ok, witness = twisted.is_coboundary(cochain_from_json(payload["alpha"], "ijk"))
     if ok:
-        return "ok", {"is_coboundary": True,
-                      "witness": twisted.cochain1_to_json(witness)}, []
+        return "ok", {"is_coboundary": True, "witness": cochain_to_json(witness)}, []
     return "ok", {"is_coboundary": False}, []
 
 
 def cmd_coc_glue(payload):
     _take(payload, required=("rank", "indices", "gluing"),
           optional=("twist", "descend_endomorphisms"))
-    bundle = twisted.bundle_from_json(
-        {k: payload[k] for k in ("rank", "indices", "gluing", "twist") if k in payload})
+    bundle = _bundle(payload)
     res = twisted.twisted_gluing_check(bundle)
     if not res.ok:
         return "violation", {"glued": False, "violation": list(res.where)}, [res.detail]
@@ -294,8 +382,8 @@ def cmd_coc_glue(payload):
 
 def cmd_coc_match(payload):
     _take(payload, required=("left", "right"))
-    left = twisted.cochain2_from_json(payload["left"])
-    right = twisted.cochain2_from_json(payload["right"])
+    left = cochain_from_json(payload["left"], "ijk")
+    right = cochain_from_json(payload["right"], "ijk")
     res = twisted.twist_matching_check(left, right)
     if res.ok:
         return "ok", {"match": True}, []
@@ -304,17 +392,20 @@ def cmd_coc_match(payload):
 
 def cmd_hilb_sheaf(payload):
     _take(payload, required=("summands",), optional=("torsion", "g_rank", "g_summands"))
-    sheaf = twisted.SheafOnP1(tuple(int(a) for a in payload["summands"]),
-                              int(payload.get("torsion", 0)))
-    g_summands = [int(c) for c in payload.get("g_summands", [0])]
-    g_rank = int(payload.get("g_rank", len(g_summands)))
+    sheaf = twisted.SheafOnP1(
+        tuple(_int(a, "summand") for a in _list(payload["summands"], "summands")),
+        _int(payload.get("torsion", 0), "torsion"))
+    g_summands = [_int(c, "g_summand")
+                  for c in _list(payload.get("g_summands", [0]), "g_summands")]
+    g_rank = _int(payload.get("g_rank", len(g_summands)), "g_rank")
     p = twisted.hilbert_poly(sheaf, g_rank, g_summands)
     return "ok", {"polynomial": str(p), "degree": p.degree_in("m")}, []
 
 
 def cmd_hilb_morphism(payload):
     _take(payload, required=("summands",))
-    summands = [(int(a), int(d)) for a, d in payload["summands"]]
+    summands = [tuple(_int(x, "summand") for x in _list(pair, "summand", 2))
+                for pair in _list(payload["summands"], "summands")]
     p = twisted.morphism_hilbert_poly(summands)
     return "ok", {"polynomial": str(p), "degree": p.degree_in("m")}, []
 
@@ -570,22 +661,29 @@ def main(argv=None) -> int:
             payload = _payload_from_args(args, command)
             status, data, diagnostics = handler(payload)
     except UsageError as exc:
-        return _emit(render_report("error", {"code": "E_INPUT"}, [str(exc)]), args)
+        return _emit(render_report("error", {"code": E_INPUT}, [str(exc)]), args)
     except AzumayaError as exc:
         return _emit(render_report("error", {"code": exc.code},
                                    [f"{exc.code}: {exc}"]), args)
+    except Exception as exc:  # the report contract holds for defects too
+        return _emit(render_report("error", {"code": E_INTERNAL},
+                                   [f"{type(exc).__name__}: {exc}"]), args)
     return _emit(render_report(status, data, diagnostics), args)
 
 
 def _emit(report, args) -> int:
     text_mode = bool(getattr(args, "text", False)) if args is not None else False
     out_path = getattr(args, "out", None) if args is not None else None
-    body = _render_text(report) if text_mode else serialize_report(report)
+    render = _render_text if text_mode else serialize_report
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(render(report))
+            return EXIT_BY_STATUS.get(report["status"], 1)
+        except OSError as exc:
+            report = render_report("error", {"code": E_INPUT},
+                                   [f"cannot write {out_path}: {exc}"])
+    sys.stdout.write(render(report))
     return EXIT_BY_STATUS.get(report["status"], 1)
 
 

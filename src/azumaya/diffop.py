@@ -21,8 +21,7 @@ from math import comb
 
 from .errors import (NonConstantError, NotSplitError, PreconditionError,
                      ShapeError, ZeroLambdaError)
-from .linalg import (PolyMatrix, char_poly, kernel_saturated, linear_solve_exact,
-                     min_poly)
+from .linalg import PolyMatrix, char_poly, image_kernel, kernel_saturated, min_poly
 from .poly import MultiPoly
 
 
@@ -164,14 +163,6 @@ def mixed_mul(p: MixedOperator, q: MixedOperator) -> MixedOperator:
     return MixedOperator(p.r, p.base_vars, out, p.gamma)
 
 
-def mixed_pow(p: MixedOperator, k: int) -> MixedOperator:
-    zero = (0,) * len(p.base_vars)
-    out = MixedOperator(p.r, p.base_vars, {zero: PolyMatrix.identity(p.r)}, p.gamma)
-    for _ in range(k):
-        out = mixed_mul(out, p)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the commutation constraint and its polynomial solution space
 # ---------------------------------------------------------------------------
@@ -212,25 +203,13 @@ def solve_commutation(a: PolyMatrix, lam, deg_bound: int = None, var: str = "z")
     z = MultiPoly.var(var)
     unknowns = [(i, j, d) for i in range(r) for j in range(r)
                 for d in range(deg_bound + 1)]
-    max_deg = deg_bound + max((e.total_degree() for e in a.entries), default=0)
-    rows_idx = [(i, j, d) for i in range(r) for j in range(r)
-                for d in range(max_deg + 1)]
-    columns = []
+    images = []
     for (i, j, d) in unknowns:
         basis_mat = PolyMatrix(r, r, [z ** d if (i, j) == (p, q) else MultiPoly.zero()
                                       for p in range(r) for q in range(r)])
-        image = commutation_constraint(a, basis_mat, lam, var)
-        col = []
-        for (p, q, dd) in rows_idx:
-            entry = image[p, q]
-            cs = entry.coefficients_in(var)
-            col.append(cs[dd].as_fraction() if dd < len(cs) else Fraction(0))
-        columns.append(col)
-    matrix = [[columns[u][ridx] for u in range(len(unknowns))]
-              for ridx in range(len(rows_idx))]
-    sol = linear_solve_exact(matrix, [Fraction(0)] * len(rows_idx))
+        images.append(dict(enumerate(commutation_constraint(a, basis_mat, lam, var).entries)))
     basis = []
-    for vec in sol.nullspace:
+    for vec in image_kernel(images, var):
         entries = [MultiPoly.zero()] * (r * r)
         for (i, j, d), c in zip(unknowns, vec):
             if c:

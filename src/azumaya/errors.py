@@ -4,6 +4,11 @@ Every exception carries a stable ``code`` string; the CLI maps codes to
 diagnostics and exit statuses, so codes are part of the public contract.
 """
 
+# Codes the CLI reports for failures that are not library errors: a
+# malformed invocation or payload, and any other exception a command raises.
+E_INPUT = "E_INPUT"
+E_INTERNAL = "E_INTERNAL"
+
 
 class AzumayaError(Exception):
     """Base class; ``code`` identifies the failure category."""

@@ -90,11 +90,7 @@ def linear_solve_exact(matrix, rhs=None) -> LinearSolution:
     rhs = [_as_frac(x) for x in rhs]
     if len(rhs) != nrows:
         raise ShapeError("rhs length does not match row count")
-    aug = [row + [b] for row, b in zip(m, rhs)]
-    if nrows == 0:
-        return LinearSolution(True, tuple(Fraction(0) for _ in range(ncols)),
-                              tuple(_unit(ncols, i) for i in range(ncols)))
-    red, pivots = rref(aug)
+    red, pivots = rref([row + [b] for row, b in zip(m, rhs)])
     if ncols in pivots:
         return LinearSolution(False, None, ())
     particular = [Fraction(0)] * ncols
@@ -105,10 +101,25 @@ def linear_solve_exact(matrix, rhs=None) -> LinearSolution:
     return LinearSolution(True, tuple(particular), nut)
 
 
-def _unit(n, i):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return tuple(v)
+def image_kernel(images, var: str):
+    """Rational kernel of the Q-linear map sending unknown u to ``images[u]``.
+
+    Each image maps keys to polynomials in ``var`` with rational
+    coefficients (a missing key is a zero entry); every (key, power of
+    ``var``) pair gives one equation.  The basis is the standard
+    reduced-echelon one (free coordinate = 1), which depends only on the
+    map: neither the order of the equations nor zero equations change it.
+    """
+    n = len(images)
+    equations = {}
+    for u, image in enumerate(images):
+        for key, p in image.items():
+            for power, c in enumerate(p.coefficients_in(var)):
+                if not c.is_zero():
+                    row = equations.setdefault((key, power), [Fraction(0)] * n)
+                    row[u] = c.as_fraction()
+    red, pivots = rref(list(equations.values()))
+    return nullspace_from_rref(red, pivots, n)
 
 
 def _as_frac(x):
@@ -512,11 +523,10 @@ def squarefree_in_v(p: MultiPoly, name: str = "v") -> bool:
     return True
 
 
-def divides_in_v(d: MultiPoly, p: MultiPoly, base_var: str, name: str = "v") -> bool:
+def divides_in_v(d: MultiPoly, p: MultiPoly, name: str = "v") -> bool:
     """Exact divisibility in (base fraction field)[v]: a nonzero ``d``
     divides ``p`` exactly when the pseudo-remainder of p by d is zero.
-    Works over any number of base variables; ``base_var`` is not needed
-    and kept only so existing calls stay valid."""
+    Works over any number of base variables."""
     dc = d.coefficients_in(name)
     if _v_degree(dc) < 0:
         return False

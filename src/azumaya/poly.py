@@ -1,4 +1,4 @@
-"""Exact multivariate polynomials over Q and univariate rational functions.
+"""Exact multivariate polynomials over Q.
 
 Coefficients are ``fractions.Fraction`` throughout.  The monomial order is
 graded-lex descending with the fixed variable priority
@@ -427,15 +427,8 @@ def parse_poly(s: str, var_hook=None):
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers and rational functions
+# univariate helpers
 # ---------------------------------------------------------------------------
-
-def _only_var(p: MultiPoly, q: MultiPoly = None):
-    names = set(p.vars) | (set(q.vars) if q is not None else set())
-    if len(names) > 1:
-        raise ValueError(f"not univariate: {sorted(names)}")
-    return names.pop() if names else None
-
 
 def to_dense(p: MultiPoly):
     """Univariate polynomial as [c0, c1, ...] of Fractions (empty = zero)."""
@@ -443,7 +436,8 @@ def to_dense(p: MultiPoly):
         return []
     if p.is_const():
         return [p.as_fraction()]
-    _only_var(p)
+    if len(p.vars) > 1:
+        raise ValueError(f"not univariate: {sorted(p.vars)}")
     out = [Fraction(0)] * (p.total_degree() + 1)
     for e, c in p.terms.items():
         out[e[0]] = c
@@ -454,8 +448,8 @@ def from_dense(coeffs, name: str) -> MultiPoly:
     return MultiPoly((name,), {(i,): c for i, c in enumerate(coeffs) if c})
 
 
-def dense_divmod(a, b):
-    """Exact division with remainder over Q; inputs/outputs dense lists."""
+def _dense_rem(a, b):
+    """Remainder of a divided by b over Q (dense lists)."""
     a = list(a)
     while a and a[-1] == 0:
         a.pop()
@@ -464,125 +458,22 @@ def dense_divmod(a, b):
         b.pop()
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b):
         f = a[-1] / b[-1]
         k = len(a) - len(b)
-        q[k] = f
         for i, bc in enumerate(b):
             a[k + i] -= f * bc
         while a and a[-1] == 0:
             a.pop()
-    return q, a
+    return a
 
 
 def dense_gcd(a, b):
     """Monic gcd over Q (dense lists)."""
     a, b = list(a), list(b)
     while b:
-        _, r = dense_divmod(a, b)
-        a, b = b, r
+        a, b = b, _dense_rem(a, b)
     if a:
         lead = a[-1]
         a = [c / lead for c in a]
     return a
-
-
-class RatFunc:
-    """Reduced univariate rational function over Q (denominator monic)."""
-
-    __slots__ = ("var", "num", "den")
-
-    def __init__(self, num: MultiPoly, den: MultiPoly = None, var: str = None):
-        den = ONE if den is None else den
-        name = var or _only_var(num, den)
-        n, d = to_dense(num), to_dense(den)
-        if not d:
-            raise ZeroDivisionError("zero denominator")
-        if n:
-            g = dense_gcd(n, d)
-            if len(g) > 1:
-                n, _ = dense_divmod(n, g)
-                d, _ = dense_divmod(d, g)
-        else:
-            d = [Fraction(1)]
-        lead = d[-1]
-        n = [c / lead for c in n]
-        d = [c / lead for c in d]
-        if name is None:
-            name = "z"
-        object.__setattr__(self, "var", name)
-        object.__setattr__(self, "num", from_dense(n, name))
-        object.__setattr__(self, "den", from_dense(d, name))
-
-    def __setattr__(self, *_):
-        raise AttributeError("RatFunc is immutable")
-
-    @staticmethod
-    def const(c, var: str = "z") -> "RatFunc":
-        return RatFunc(MultiPoly.const(c), ONE, var=var)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def _pair(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.const(other, self.var)
-        if isinstance(other, MultiPoly):
-            return RatFunc(other, ONE, var=self.var)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._pair(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den, var=self.var)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den, var=self.var)
-
-    def __sub__(self, other):
-        o = self._pair(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._pair(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den, var=self.var)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._pair(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num, var=self.var)
-
-    def __eq__(self, other):
-        o = self._pair(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __str__(self):
-        if self.den == ONE:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self):
-        return f"RatFunc({str(self)!r})"

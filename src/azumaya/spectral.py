@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffop import MixedOperator, mixed_mul, mixed_pow
+from .diffop import MixedOperator, mixed_mul
 from .errors import NotAdmissibleError, ShapeError
-from .linalg import (PolyMatrix, SpanBasis, char_poly, divides_in_v,
-                     linear_solve_exact, min_poly, squarefree_in_v)
+from .linalg import (PolyMatrix, SpanBasis, char_poly, divides_in_v, image_kernel,
+                     min_poly, squarefree_in_v)
 from .poly import MultiPoly
 
 
@@ -294,32 +294,19 @@ class LambdaFamily:
         zop = MixedOperator.from_matrix(zmat, (var,))
         pop = (MixedOperator.derivation(0, r, (var,)) * lam
                + MixedOperator.from_matrix(self.pair.phis[0], (var,)))
-        monomials = [(a, b) for t in range(degree + 1)
-                     for a in range(t + 1) for b in [t - a]]
-        monomials.sort(key=lambda ab: (sum(ab), ab))
+        zpows = [MixedOperator.from_matrix(PolyMatrix.identity(r), (var,))]
+        ppows = list(zpows)
+        for _ in range(degree):
+            zpows.append(mixed_mul(zpows[-1], zop))
+            ppows.append(mixed_mul(ppows[-1], pop))
         images = []
-        for a, b in monomials:
-            img = mixed_mul(mixed_pow(zop, a), mixed_pow(pop, b))
-            images.append(img)
-        max_k = max((k[0] for img in images for k in img.coeffs), default=0)
-        max_deg = 0
-        for img in images:
-            for m in img.coeffs.values():
-                for e in m.entries:
-                    max_deg = max(max_deg, e.total_degree())
-        rows = []
-        for k in range(max_k + 1):
-            for idx in range(r * r):
-                for dd in range(max_deg + 1):
-                    row = []
-                    for img in images:
-                        entry = img.coefficient((k,)).entries[idx]
-                        cs = entry.coefficients_in(var)
-                        row.append(cs[dd].as_fraction() if dd < len(cs) else Fraction(0))
-                    rows.append(row)
-        sol = linear_solve_exact(rows, [Fraction(0)] * len(rows))
-        kdim = len(sol.nullspace)
-        return KernelProbe(degree, len(monomials), len(monomials) - kdim, kdim)
+        for t in range(degree + 1):
+            for a in range(t + 1):
+                img = mixed_mul(zpows[a], ppows[t - a])
+                images.append({(k, idx): e for k, m in img.coeffs.items()
+                               for idx, e in enumerate(m.entries)})
+        kdim = len(image_kernel(images, var))
+        return KernelProbe(degree, len(images), len(images) - kdim, kdim)
 
     def evaluate(self, lam, degree: int = 3):
         lam = lam if isinstance(lam, Fraction) else Fraction(lam)
@@ -336,4 +323,4 @@ def image_divides_cover(h: HiggsPair) -> bool:
     """Exact divisibility of the cover by the image ideal (univariate base)."""
     cover = spectral_cover(h).poly
     ideal = image_ideal(h)
-    return divides_in_v(ideal, cover, h.base_vars[0])
+    return divides_in_v(ideal, cover)

@@ -414,9 +414,10 @@ def twisted_gluing_check(e: TwistedBundle) -> CheckResult:
 
 def endomorphism_azumaya(e: TwistedBundle) -> TwistedBundle:
     """Descend End(E): conjugation gluing h_ij(M) = g_ij M g_ij^-1 on r x r
-    matrices, packaged as an untwisted rank-r^2 bundle (the twist scalars
-    cancel, so the ordinary cocycle condition holds and is re-checkable
-    through ``twisted_gluing_check``)."""
+    matrices, that is the Kronecker product g_ij (x) (g_ij^-1)^T acting on
+    row-major vec(M), packaged as an untwisted rank-r^2 bundle (the twist
+    scalars cancel, so the ordinary cocycle condition holds and is
+    re-checkable through ``twisted_gluing_check``)."""
     chk = twisted_gluing_check(e)
     if not chk.ok:
         raise InvalidInputError(f"input fails the twisted gluing check: {chk.detail}")
@@ -426,15 +427,9 @@ def endomorphism_azumaya(e: TwistedBundle) -> TwistedBundle:
         ginv = mat_inv(g)
         if ginv is None:
             raise InvalidInputError(f"gluing matrix g_{i}{j} is singular")
-        cols = []
-        for a in range(r):
-            for b in range(r):
-                basis = tuple(tuple(Fraction(int(p == a and q == b)) for q in range(r))
-                              for p in range(r))
-                img = mat_mul(g, mat_mul(basis, ginv))
-                cols.append([img[p][q] for p in range(r) for q in range(r)])
-        h = tuple(tuple(cols[c][rw] for c in range(r * r)) for rw in range(r * r))
-        gluing[(i, j)] = h
+        # h = g (x) ginv^T: vec(g M ginv)[(p, q)] = sum g[p][a] * ginv[b][q] * M[a][b]
+        gluing[(i, j)] = tuple(tuple(g[p][a] * ginv[b][q] for a in range(r) for b in range(r))
+                               for p in range(r) for q in range(r))
     trivial = UnitCochain2.trivial(e.nerve, e.twist.group)
     return TwistedBundle(r * r, e.nerve, gluing, trivial)
 
@@ -497,82 +492,3 @@ def morphism_hilbert_poly(summands) -> MultiPoly:
     for a, d in summands:
         out = out + m * (1 + int(d)) + (int(a) + 1)
     return out
-
-
-# ---------------------------------------------------------------------------
-# JSON codecs (the CLI wire format)
-# ---------------------------------------------------------------------------
-
-def group_from_json(payload: dict):
-    name = payload.get("group")
-    if name == "qstar":
-        return Qstar()
-    if name == "mu":
-        return Mu(int(payload["n"]))
-    raise InvalidInputError(f"unknown group {name!r}")
-
-
-def _exact_value(raw, group):
-    if isinstance(raw, float):
-        raise InvalidInputError(
-            "floating-point values are not exact; send rationals as strings")
-    return Fraction(raw) if isinstance(group, Qstar) else int(raw)
-
-
-def cochain2_from_json(payload: dict) -> UnitCochain2:
-    group = group_from_json(payload)
-    nerve = CoverNerve(int(payload["indices"]))
-    values = {}
-    for item in payload.get("values", []):
-        i, j, k = item["ijk"]
-        values[(i, j, k)] = _exact_value(item["v"], group)
-    return UnitCochain2(nerve, group, values)
-
-
-def cochain1_from_json(payload: dict) -> Cochain1:
-    group = group_from_json(payload)
-    nerve = CoverNerve(int(payload["indices"]))
-    values = {}
-    for item in payload.get("values", []):
-        i, j = item["ij"]
-        values[(i, j)] = _exact_value(item["v"], group)
-    return Cochain1(nerve, group, values)
-
-
-def cochain2_to_json(alpha: UnitCochain2) -> dict:
-    out = {"group": alpha.group.name, "indices": alpha.nerve.index_count,
-           "values": [{"ijk": list(t), "v": alpha.group.to_json(v)}
-                      for t, v in sorted(alpha.values.items())]}
-    if isinstance(alpha.group, Mu):
-        out["n"] = alpha.group.n
-    return out
-
-
-def cochain1_to_json(beta: Cochain1) -> dict:
-    out = {"group": beta.group.name, "indices": beta.nerve.index_count,
-           "values": [{"ij": list(t), "v": beta.group.to_json(v)}
-                      for t, v in sorted(beta.values.items())]}
-    if isinstance(beta.group, Mu):
-        out["n"] = beta.group.n
-    return out
-
-
-def bundle_from_json(payload: dict) -> TwistedBundle:
-    rank = int(payload["rank"])
-    nerve = CoverNerve(int(payload["indices"]))
-    twist = cochain2_from_json(payload["twist"]) if "twist" in payload else \
-        UnitCochain2.trivial(nerve, Qstar())
-    if twist.nerve.index_count != nerve.index_count:
-        raise CoverMismatchError("twist nerve size differs from bundle nerve")
-    twist = UnitCochain2(nerve, twist.group, twist.values)
-    gluing = {}
-    for item in payload.get("gluing", []):
-        i, j = item["ij"]
-        for row in item["g"]:
-            for x in row:
-                if isinstance(x, float):
-                    raise InvalidInputError(
-                        "floating-point gluing entries are not exact; "
-                        "send rationals as strings")
-        gluing[(i, j)] = [[Fraction(x) for x in row] for row in item["g"]]
-    return TwistedBundle(rank, nerve, gluing, twist)

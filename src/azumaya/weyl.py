@@ -133,6 +133,12 @@ class WeylElement:
             return self.scale(other)
         return NotImplemented
 
+    def __pow__(self, k: int) -> "WeylElement":
+        out = WeylElement.one(self.n, self.lam)
+        for _ in range(k):
+            out = weyl_mul(out, self)
+        return out
+
     def __eq__(self, other):
         return (isinstance(other, WeylElement) and self.n == other.n
                 and self.lam == other.lam and self.terms == other.terms)
@@ -169,7 +175,7 @@ class WeylElement:
             mono = "*".join(
                 [f"{nm}^{k}" if k > 1 else nm for nm, k in zip(xs, a) if k] +
                 [f"{nm}^{k}" if k > 1 else nm for nm, k in zip(ds, b) if k])
-            coeff = _coeff_str(c, bool(mono))
+            coeff = _coeff_str(c)
             if coeff == "+1" and mono:
                 body, neg = mono, False
             elif coeff == "-1" and mono:
@@ -188,10 +194,10 @@ class WeylElement:
         return f"WeylElement({str(self)!r})"
 
 
-def _coeff_str(c: MultiPoly, has_mono: bool) -> str:
+def _coeff_str(c: MultiPoly) -> str:
     """Signed coefficient rendering; multi-term coefficients parenthesized."""
     if len(c.terms) > 1:
-        return f"+({c})" if has_mono else f"+({c})"
+        return f"+({c})"
     s = str(c)
     return s if s.startswith("-") else f"+{s}"
 
@@ -349,70 +355,26 @@ def parse_weyl(s: str, n: int = None, lam=FORMAL) -> WeylElement:
             inferred = max(inferred, int(nm[len(base):]))
     rank = n or inferred
 
-    sym_cache = {}
-
-    def hook(name: str):
+    def hook(name: str) -> WeylElement:
         key = name.lower()
         if key == "lam":
             if lam != FORMAL:
                 raise ModeMismatchError("lam is not a symbol in fixed mode")
-            return _WeylSym(WeylElement.scalar(_LAM, rank, lam))
+            return WeylElement.scalar(_LAM, rank, lam)
         base = key.rstrip("0123456789")
         if base in ("x", "d"):
             idx = int(key[len(base):]) - 1 if key != base else 0
             if idx >= rank:
                 raise ModeMismatchError(f"generator {name} exceeds rank {rank}")
-            elem = WeylElement.x(idx, rank, lam) if base == "x" else WeylElement.d(idx, rank, lam)
-            return _WeylSym(elem)
+            return WeylElement.x(idx, rank, lam) if base == "x" else WeylElement.d(idx, rank, lam)
         raise ValueError(f"unknown generator {name!r}")
 
     parser = _Parser(_tokenize(s), hook)
     out = parser.parse_expr()
     if parser.i != len(parser.tokens):
         raise ValueError(f"trailing input in {s!r}")
-    if isinstance(out, _WeylSym):
-        return out.elem
-    # pure scalar expression
-    return WeylElement.scalar(out.as_fraction() if isinstance(out, MultiPoly) else out, rank, lam)
-
-
-class _WeylSym:
-    """Adapter giving WeylElement the arithmetic surface the parser expects."""
-
-    def __init__(self, elem: WeylElement):
-        self.elem = elem
-
-    def _lift(self, other):
-        if isinstance(other, _WeylSym):
-            return other.elem
-        if isinstance(other, MultiPoly):
-            if other.is_const():
-                return WeylElement.scalar(other.as_fraction(), self.elem.n, self.elem.lam)
-            return WeylElement.scalar(other, self.elem.n, self.elem.lam)
-        return WeylElement.scalar(other, self.elem.n, self.elem.lam)
-
-    def __add__(self, other):
-        return _WeylSym(self.elem + self._lift(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _WeylSym(self.elem - self._lift(other))
-
-    def __rsub__(self, other):
-        return _WeylSym(self._lift(other) - self.elem)
-
-    def __mul__(self, other):
-        return _WeylSym(weyl_mul(self.elem, self._lift(other)))
-
-    def __rmul__(self, other):
-        return _WeylSym(weyl_mul(self._lift(other), self.elem))
-
-    def __neg__(self):
-        return _WeylSym(-self.elem)
-
-    def __pow__(self, k):
-        out = WeylElement.one(self.elem.n, self.elem.lam)
-        for _ in range(k):
-            out = weyl_mul(out, self.elem)
-        return _WeylSym(out)
+    # numbers parse as MultiPoly constants; MultiPoly hands + and * with a
+    # WeylElement to its reflected operators, so any generator makes a WeylElement
+    if isinstance(out, MultiPoly):
+        return WeylElement.scalar(out, rank, lam)
+    return out

@@ -193,7 +193,7 @@ def test_criterion_6_spectral_correspondence():
         cover = spectral.spectral_cover(single)
         ideal = spectral.image_ideal(single)
         from azumaya.linalg import divides_in_v
-        assert divides_in_v(ideal, cover.poly, "z")
+        assert divides_in_v(ideal, cover.poly)
         assert (ideal == cover.poly) == cover.reduced
     _stamp(6, "spectral correspondence: round trip and ideal/cover divisibility (exact)", t0)
 

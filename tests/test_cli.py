@@ -1,6 +1,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from azumaya import cli
 from azumaya.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "example-5-1-11.json"
@@ -232,6 +235,13 @@ def test_out_flag(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == GOLDEN.read_text(encoding="utf-8")
 
 
+def test_unwritable_out_reports_input_error(capsys, tmp_path):
+    code, doc = run_json(capsys, "weyl", "nf", "--expr", "x",
+                         "--out", str(tmp_path / "missing" / "r.json"))
+    assert code == 1 and doc["data"]["code"] == "E_INPUT"
+    assert "cannot write" in doc["diagnostics"][0]
+
+
 def test_text_mode(capsys, monkeypatch):
     monkeypatch.setenv("AZK_COLOR", "never")
     code, out = run(capsys, "weyl", "nf", "--expr", "D*x", "--lam", "1", "--text")
@@ -245,4 +255,64 @@ def test_error_codes_are_distinct():
     codes = [cls.code for cls in vars(errors).values()
              if isinstance(cls, type) and issubclass(cls, errors.AzumayaError)
              and cls not in (errors.AzumayaError, errors.InvalidInputError)]
+    codes += [errors.E_INPUT, errors.E_INTERNAL, errors.InvalidInputError.code]
     assert len(codes) == len(set(codes))
+
+
+_QSTAR = {"group": "qstar", "indices": 3, "values": [{"ijk": [0, 1, 2], "v": "2"}]}
+_MU = {"group": "mu", "n": 2, "indices": 3, "values": [{"ijk": [0, 1, 2], "v": 1}]}
+_GLUE = {"rank": 1, "indices": 2,
+         "gluing": [{"ij": [0, 1], "g": [["2"]]}, {"ij": [1, 0], "g": [["1/2"]]}]}
+
+
+def _with_value(doc, **item):
+    return dict(doc, values=[dict(doc["values"][0], **item)])
+
+
+@pytest.mark.parametrize("command, payload, code", [
+    ("coc check", {k: v for k, v in _QSTAR.items() if k != "indices"}, "E_INPUT"),
+    ("coc check", _with_value(_QSTAR, v="1/0"), "E_INPUT"),
+    ("coc check", _with_value(_QSTAR, ijk=[0, 1]), "E_INPUT"),
+    ("coc check", _with_value(_QSTAR, ijk=[0, "1", 2]), "E_INPUT"),
+    ("coc check", dict(_MU, n="x"), "E_INPUT"),
+    ("coc check", dict(_MU, values={"ijk": [0, 1, 2]}), "E_INPUT"),
+    ("coc check", dict(_QSTAR, bogus=1), "E_INPUT"),
+    ("coc check", _with_value(_QSTAR, v=0.5), "E_INVALID_INPUT"),
+    ("coc check", dict(_MU, n=0), "E_INVALID_INPUT"),
+    ("coc check", _with_value(_MU, ijk=[0, 1, 5]), "E_INVALID_INPUT"),
+    ("coc check", dict(_MU, group="z2"), "E_INVALID_INPUT"),
+    ("coc coboundary", {"alpha": _QSTAR}, "E_UNDECIDABLE_GROUP"),
+    ("coc coboundary", {"beta": _MU}, "E_INPUT"),
+    ("coc coboundary", {"alpha": [1, 2]}, "E_INPUT"),
+    ("coc match", {"left": _MU, "right": None}, "E_INPUT"),
+    ("coc glue", dict(_GLUE, gluing=[{"ij": [0, 1], "g": [["x"]]}]), "E_INPUT"),
+    ("coc glue", dict(_GLUE, gluing=[{"ij": [0, 1], "g": [[0.5]]}]), "E_INVALID_INPUT"),
+    ("coc glue", dict(_GLUE, gluing=[{"ij": [0, 1]}]), "E_INPUT"),
+    ("coc glue", dict(_GLUE, twist=_QSTAR), "E_COVER_MISMATCH"),
+    ("hilb sheaf", {"summands": ["abc"]}, "E_INPUT"),
+    ("hilb sheaf", {"summands": 3}, "E_INPUT"),
+    ("hilb sheaf", {"summands": [1], "g_rank": 2, "g_summands": [0]}, "E_INVALID_INPUT"),
+    ("hilb sheaf", {"summands": [1], "torsion": -1}, "E_INVALID_INPUT"),
+    ("hilb morphism", {"summands": [[1]]}, "E_INPUT"),
+    ("weyl nf", {"expr": "x", "n": "x"}, "E_INPUT"),
+])
+def test_malformed_payload_reports_one_error(capsys, tmp_path, command, payload, code):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"version": 1, "command": command, "payload": payload}))
+    status = main(command.split() + [str(f)])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out.count("\n") == 1 and captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["status"] == "error" and doc["data"]["code"] == code
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def broken(payload):
+        raise RuntimeError("boom")
+    monkeypatch.setitem(cli.HANDLERS, ("weyl", "nf"), broken)
+    status = main(["weyl", "nf", "--expr", "x"])
+    captured = capsys.readouterr()
+    assert status == 1 and captured.err == ""
+    assert json.loads(captured.out) == {"status": "error", "data": {"code": "E_INTERNAL"},
+                                        "diagnostics": ["RuntimeError: boom"]}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from azumaya.poly import (MultiPoly, RatFunc, dense_gcd, exact_div, from_dense, parse_poly,
+from azumaya.poly import (MultiPoly, dense_gcd, exact_div, from_dense, parse_poly,
                           to_dense)
 
 
@@ -126,25 +126,3 @@ def test_dense_round_trip_and_gcd():
     q = (z - 1) * (z + 3)
     g = dense_gcd(to_dense(p), to_dense(q))
     assert from_dense(g, "z") == z - 1
-
-
-def test_ratfunc_reduction_and_field_axioms():
-    r = RatFunc(z ** 2 - 1, z - 1)
-    assert r.num == z + 1 and r.den == MultiPoly.const(1)
-    rng = random.Random(5)
-    for _ in range(40):
-        def rat():
-            num = rand_poly(rng, ("z",), deg=3, nterms=3)
-            den = rand_poly(rng, ("z",), deg=2, nterms=2)
-            if den.is_zero():
-                den = z + 1
-            return RatFunc(num, den)
-        a, b, c = rat(), rat(), rat()
-        assert (a + b) * c == a * c + b * c
-        if not b.is_zero():
-            assert (a / b) * b == a
-
-
-def test_ratfunc_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        RatFunc(z, MultiPoly.zero())

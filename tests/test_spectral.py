@@ -150,7 +150,7 @@ def test_image_divides_cover_random_with_equality_iff_squarefree():
         pair = HiggsPair(r, [phi])
         cover = spectral_cover(pair)
         ideal = image_ideal(pair)
-        assert divides_in_v(ideal, cover.poly, "z")
+        assert divides_in_v(ideal, cover.poly)
         if cover.reduced:
             assert ideal == cover.poly
             saw_equal = True

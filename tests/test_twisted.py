@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from azumaya.cli import cochain_from_json, cochain_to_json
 from azumaya.errors import (CoverMismatchError, InvalidInputError,
                             UndecidableGroupError)
 from azumaya.suites import rand_cochain1
 from azumaya.twisted import (Cochain1, CoverNerve, Mu, Qstar, SheafOnP1,
                              TwistedBundle, UnitCochain2, check_2cocycle,
-                             coboundary, cochain2_from_json,
-                             cochain2_to_json, endomorphism_azumaya,
+                             coboundary, endomorphism_azumaya,
                              hilbert_poly, is_coboundary, mat_identity,
                              mat_inv, mat_mul, mat_scale,
                              morphism_hilbert_poly, refine,
@@ -387,13 +387,14 @@ def test_cochain_json_round_trip():
     rng = random.Random(193)
     for _ in range(20):
         g = Mu(rng.choice([2, 3, 4])) if rng.random() < 0.5 else Qstar()
-        alpha = coboundary(rand_cochain1(rng, N4, g))
-        doc = cochain2_to_json(alpha)
-        assert cochain2_from_json(doc) == alpha
+        beta = rand_cochain1(rng, N4, g)
+        alpha = coboundary(beta)
+        assert cochain_from_json(cochain_to_json(alpha), "ijk") == alpha
+        assert cochain_from_json(cochain_to_json(beta), "ij") == beta
 
 
 def test_json_rejects_floats():
     doc = {"group": "qstar", "indices": 3,
            "values": [{"ijk": [0, 1, 2], "v": 0.5}]}
     with pytest.raises(InvalidInputError):
-        cochain2_from_json(doc)
+        cochain_from_json(doc, "ijk")

@@ -7,7 +7,7 @@ from azumaya.errors import (DegenerateError, ModeMismatchError,
                             ZeroElementError)
 from azumaya.poly import MultiPoly
 from azumaya.suites import rand_position_poly, rand_weyl
-from azumaya.weyl import (WeylElement, act_on_polynomial, fourier,
+from azumaya.weyl import (FORMAL, WeylElement, act_on_polynomial, fourier,
                           parse_weyl, position_vars, reduce_to_scalar,
                           specialize_lambda, weyl_mul)
 
@@ -191,6 +191,15 @@ def test_parse_weyl():
         parse_weyl("lam*x", lam=Fraction(1))
     with pytest.raises(ValueError):
         parse_weyl("y*x")
+
+
+@pytest.mark.parametrize("lam", [FORMAL, Fraction(1), Fraction(-2)])
+def test_weyl_power(lam):
+    xe, de = WeylElement.x(0, 1, lam), WeylElement.d(0, 1, lam)
+    e = xe + de * 3
+    assert e ** 0 == WeylElement.one(1, lam)
+    assert de ** 3 == de * de * de
+    assert e ** 2 == weyl_mul(e, e)
 
 
 def test_position_vars():
