@@ -13,6 +13,7 @@ no traceback is printed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -90,6 +91,9 @@ def _convert(convert, raw, what):
 
 
 def _int(raw, what) -> int:
+    """An int or a decimal-integer string; floats and bools are refused."""
+    if isinstance(raw, (bool, float)):
+        raise UsageError(f"bad {what}: {raw!r} (expected an integer)")
     return _convert(int, raw, what)
 
 
@@ -504,7 +508,10 @@ HANDLERS = {
     ("hilb", "morphism"): cmd_hilb_morphism,
 }
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``azk`` argument parser, built on first use and shared afterwards;
+    ``parse_args`` keeps no state between calls."""
     parser = _Parser(prog="azk", description=__doc__)
     common = _Parser(add_help=False)
     common.add_argument("--text", action="store_true", default=argparse.SUPPRESS,

@@ -75,17 +75,27 @@ class MultiPoly:
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def _trusted(variables: tuple, terms: dict) -> "MultiPoly":
+        """Wrap data that is already canonical, without normalising it:
+        ``variables`` sorted by ``var_sort_key`` and each one used, ``terms``
+        keyed by tuples of that length with nonzero Fraction values."""
+        self = object.__new__(MultiPoly)
+        object.__setattr__(self, "vars", variables)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @staticmethod
     def const(c) -> "MultiPoly":
         c = _as_fraction(c)
-        return MultiPoly((), {(): c} if c else {})
+        return MultiPoly._trusted((), {(): c} if c else {})
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
-        return MultiPoly((name,), {(1,): Fraction(1)})
+        return MultiPoly._trusted((name,), {(1,): Fraction(1)})
 
     @staticmethod
     def zero() -> "MultiPoly":
-        return MultiPoly((), {})
+        return MultiPoly._trusted((), {})
 
     # -- predicates ----------------------------------------------------
 
@@ -125,9 +135,21 @@ class MultiPoly:
             return NotImplemented
         merged, a, b = self._aligned(other)
         out = dict(a)
+        cancelled = False
         for e, c in b.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MultiPoly(merged, out)
+            s = out.get(e)
+            if s is None:
+                out[e] = c
+                continue
+            s += c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+                cancelled = True
+        if cancelled and not all(any(e[i] for e in out) for i in range(len(merged))):
+            return MultiPoly(merged, out)
+        return MultiPoly._trusted(merged, out)
 
     __radd__ = __add__
 
@@ -144,7 +166,7 @@ class MultiPoly:
         return other + (-self)
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -155,8 +177,11 @@ class MultiPoly:
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = tuple(i + j for i, j in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(merged, out)
+                out[e] = out.get(e, 0) + c1 * c2
+        out = {e: c for e, c in out.items() if c}
+        # over Q a nonzero product has positive degree in every variable of
+        # either factor, so only a zero product loses its variables
+        return MultiPoly._trusted(merged if out else (), out)
 
     __rmul__ = __mul__
 

@@ -364,6 +364,8 @@ class TwistedBundle:
     """
 
     def __init__(self, rank: int, nerve: CoverNerve, gluing, twist: UnitCochain2):
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+            raise InvalidInputError(f"bundle rank must be a positive integer, got {rank!r}")
         if twist.nerve != nerve:
             raise CoverMismatchError("twist lives on a different cover")
         self.rank = rank

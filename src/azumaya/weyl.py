@@ -45,9 +45,7 @@ class WeylElement:
             lam = lam if isinstance(lam, Fraction) else Fraction(lam)
         clean = {}
         for (a, b), c in (terms or {}).items():
-            c = c if isinstance(c, MultiPoly) else MultiPoly.const(c)
-            if lam != FORMAL and "lam" in c.vars:
-                raise ModeMismatchError("fixed-mode coefficient contains lam")
+            c = _coefficient(c, lam)
             if not c.is_zero():
                 key = (tuple(a), tuple(b))
                 if len(key[0]) != n or len(key[1]) != n:
@@ -57,6 +55,16 @@ class WeylElement:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "terms", clean)
+
+    @staticmethod
+    def _trusted(n: int, lam, terms: dict) -> "WeylElement":
+        """Wrap terms that are already clean: exponent keys of length n and
+        nonzero coefficients in the ring of the mode."""
+        self = object.__new__(WeylElement)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("WeylElement is immutable")
@@ -90,11 +98,6 @@ class WeylElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _lam_power(self, k: int) -> MultiPoly:
-        if self.lam == FORMAL:
-            return _LAM ** k
-        return MultiPoly.const(self.lam ** k)
-
     def _check_compatible(self, other: "WeylElement"):
         if self.n != other.n or self.lam != other.lam:
             raise ModeMismatchError(
@@ -106,13 +109,21 @@ class WeylElement:
         self._check_compatible(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, MultiPoly.zero()) + c
-        return WeylElement(self.n, self.lam, out)
+            s = out.get(k)
+            if s is None:
+                out[k] = c
+                continue
+            s = s + c
+            if s.is_zero():
+                del out[k]
+            else:
+                out[k] = s
+        return WeylElement._trusted(self.n, self.lam, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeylElement(self.n, self.lam, {k: -c for k, c in self.terms.items()})
+        return WeylElement._trusted(self.n, self.lam, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):
@@ -120,8 +131,10 @@ class WeylElement:
         return self + (-other)
 
     def scale(self, c) -> "WeylElement":
-        c = c if isinstance(c, MultiPoly) else MultiPoly.const(c)
-        return WeylElement(self.n, self.lam, {k: c * v for k, v in self.terms.items()})
+        c = _coefficient(c, self.lam)
+        # Q[lam] has no zero divisors, so only a zero scalar drops terms
+        terms = {k: c * v for k, v in self.terms.items()} if not c.is_zero() else {}
+        return WeylElement._trusted(self.n, self.lam, terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):
@@ -194,6 +207,16 @@ class WeylElement:
         return f"WeylElement({str(self)!r})"
 
 
+def _coefficient(c, lam) -> MultiPoly:
+    """A coefficient of the mode's ring: Q[lam] when formal, Q when fixed."""
+    c = c if isinstance(c, MultiPoly) else MultiPoly.const(c)
+    if c.vars and (lam != FORMAL or c.vars != ("lam",)):
+        if lam != FORMAL and "lam" in c.vars:
+            raise ModeMismatchError("fixed-mode coefficient contains lam")
+        raise ModeMismatchError(f"coefficient {c} is not a polynomial in lam")
+    return c
+
+
 def _coeff_str(c: MultiPoly) -> str:
     """Signed coefficient rendering; multi-term coefficients parenthesized."""
     if len(c.terms) > 1:
@@ -208,31 +231,59 @@ def weyl_mul(d1: WeylElement, d2: WeylElement) -> WeylElement:
     Per variable the reordering is the closed form
         d^m x^n = sum_k C(m,k) C(n,k) k! lam^k x^(n-k) d^(m-k),
     which keeps term counts O(min(m,n)) instead of walking single steps.
+    Coefficients are summed as {lam power: Fraction}; a fixed lam is
+    multiplied in, so in fixed mode only power 0 occurs.
     """
     d1._check_compatible(d2)
-    n = d1.n
+    n, lam = d1.n, d1.lam
+    formal = lam == FORMAL
+    left = [(a, b, _lam_coeffs(c)) for (a, b), c in d1.terms.items()]
+    right = [(a, b, _lam_coeffs(c)) for (a, b), c in d2.terms.items()]
     out = {}
-    for (a1, b1), c1 in d1.terms.items():
-        for (a2, b2), c2 in d2.terms.items():
-            base = c1 * c2
+    for a1, b1, c1 in left:
+        for a2, b2, c2 in right:
+            base = {}
+            for p1, x1 in c1.items():
+                for p2, x2 in c2.items():
+                    prev = base.get(p1 + p2)
+                    base[p1 + p2] = x1 * x2 if prev is None else prev + x1 * x2
             # distribute over per-variable contraction orders
-            choices = [range(min(b1[i], a2[i]) + 1) for i in range(n)]
-            for ks in product(*choices):
-                coeff = base
-                tot = 0
+            for ks in product(*[range(min(i, j) + 1) for i, j in zip(b1, a2)]):
+                f, tot = 1, 0
                 for i, k in enumerate(ks):
                     if k:
-                        coeff = coeff * (comb(b1[i], k) * comb(a2[i], k) * factorial(k))
-                    tot += k
-                if tot:
-                    coeff = coeff * d1._lam_power(tot)
-                if coeff.is_zero():
-                    continue
-                a = tuple(a1[i] + a2[i] - ks[i] for i in range(n))
-                b = tuple(b1[i] + b2[i] - ks[i] for i in range(n))
-                key = (a, b)
-                out[key] = out.get(key, MultiPoly.zero()) + coeff
-    return WeylElement(n, d1.lam, out)
+                        f *= comb(b1[i], k) * comb(a2[i], k) * factorial(k)
+                        tot += k
+                if not formal:
+                    if tot:
+                        f *= lam ** tot
+                        if not f:
+                            continue
+                    tot = 0
+                key = (tuple(i + j - k for i, j, k in zip(a1, a2, ks)),
+                       tuple(i + j - k for i, j, k in zip(b1, b2, ks)))
+                acc = out.get(key)
+                if acc is None:
+                    acc = out[key] = {}
+                for p, x in base.items():
+                    x = x * f if f != 1 else x
+                    prev = acc.get(p + tot)
+                    acc[p + tot] = x if prev is None else prev + x
+    terms = {}
+    for key, acc in out.items():
+        acc = {(p,): x for p, x in acc.items() if x}
+        if list(acc) == [(0,)]:
+            terms[key] = MultiPoly._trusted((), {(): acc[(0,)]})
+        elif acc:
+            terms[key] = MultiPoly._trusted(("lam",), acc)
+    return WeylElement._trusted(n, lam, terms)
+
+
+def _lam_coeffs(c: MultiPoly) -> dict:
+    """A Q[lam] coefficient as {lam power: Fraction}."""
+    if c.vars:
+        return {e[0]: x for e, x in c.terms.items()}
+    return {0: x for x in c.terms.values()}
 
 
 def act_on_polynomial(d: WeylElement, f: MultiPoly) -> MultiPoly:

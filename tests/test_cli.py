@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -295,6 +298,14 @@ def _with_value(doc, **item):
     ("hilb sheaf", {"summands": [1], "torsion": -1}, "E_INVALID_INPUT"),
     ("hilb morphism", {"summands": [[1]]}, "E_INPUT"),
     ("weyl nf", {"expr": "x", "n": "x"}, "E_INPUT"),
+    ("coc check", {"group": "mu", "n": 2.7, "indices": 3.9, "values": []}, "E_INPUT"),
+    ("coc check", dict(_MU, n=True), "E_INPUT"),
+    ("weyl nf", {"expr": "x", "n": 1.9}, "E_INPUT"),
+    ("hilb sheaf", {"summands": [1.5]}, "E_INPUT"),
+    ("hilb sheaf", {"summands": [1], "torsion": False}, "E_INPUT"),
+    ("coc glue", dict(_GLUE, rank=1.0), "E_INPUT"),
+    ("coc glue", {"rank": 0, "indices": 2, "gluing": [],
+                  "descend_endomorphisms": True}, "E_INVALID_INPUT"),
 ])
 def test_malformed_payload_reports_one_error(capsys, tmp_path, command, payload, code):
     f = tmp_path / "p.json"
@@ -316,3 +327,43 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert status == 1 and captured.err == ""
     assert json.loads(captured.out) == {"status": "error", "data": {"code": "E_INTERNAL"},
                                         "diagnostics": ["RuntimeError: boom"]}
+
+
+def test_counts_accept_ints_and_integer_strings(capsys, tmp_path):
+    for n in (2, "2"):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({"version": 1, "command": "coc check",
+                                 "payload": dict(_MU, n=n, indices="3", values=[])}))
+        code, doc = run_json(capsys, "coc", "check", str(f))
+        assert code == 0 and doc["data"] == {"cocycle": True}
+
+
+# -- the parser is built once per process and shared by every main() call ----------
+
+def _fresh(argv, cwd):
+    """The bytes a new `azk` process prints for ``argv``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, AZK_COLOR="never")
+    proc = subprocess.run([sys.executable, "-m", "azumaya.cli", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+def test_reused_parser_carries_no_state(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("AZK_COLOR", "never")
+    monkeypatch.chdir(tmp_path)
+    nf = ["weyl", "nf", "--expr", "D*x^2", "--lam", "1"]
+    sequences = [
+        [nf + ["--text"], nf],
+        [nf + ["--out", "r.json"], nf],
+        [["weyl", "nf", "--bogus"], nf],
+        [["demo", "weyl-assoc", "--seed", "5", "--count", "3"], ["demo", "weyl-assoc"]],
+    ]
+    for seq in sequences:
+        for argv in seq:
+            code, out = run(capsys, *argv)
+            written = Path("r.json").read_text() if "--out" in argv else None
+            assert (code, out) == _fresh(argv, tmp_path), argv
+            if written is not None:
+                assert written == Path("r.json").read_text()
+    assert cli.build_parser() is cli.build_parser()

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from azumaya.poly import (MultiPoly, dense_gcd, exact_div, from_dense, parse_poly,
-                          to_dense)
+                          to_dense, var_sort_key)
 
 
 z = MultiPoly.var("z")
@@ -119,6 +119,40 @@ def test_unused_variables_are_dropped():
     p = MultiPoly(("z", "v"), {(2, 0): Fraction(1)})
     assert p.vars == ("z",)
     assert p == z ** 2
+
+
+def assert_canonical(r):
+    """What every MultiPoly holds, however it was built."""
+    assert r == MultiPoly(r.vars, r.terms)
+    assert list(r.vars) == sorted(r.vars, key=var_sort_key)
+    assert all(any(e[i] for e in r.terms) for i in range(len(r.vars)))
+    assert all(len(e) == len(r.vars) for e in r.terms)
+    assert all(isinstance(c, Fraction) and c != 0 for c in r.terms.values())
+
+
+def test_arithmetic_results_are_canonical_random():
+    rng = random.Random(67)
+    names = ("x2", "x1", "w1", "z", "v", "lam", "m", "t")
+    for _ in range(300):
+        a = rand_poly(rng, tuple(rng.sample(names, rng.randint(1, 3))), deg=3)
+        # operands that cancel some, all or none of a's terms, and zero
+        dropped = {e: -c for e, c in a.terms.items() if rng.random() < 0.5}
+        b = rng.choice([
+            rand_poly(rng, tuple(rng.sample(names, rng.randint(1, 3))), deg=3),
+            MultiPoly(a.vars, dropped) + rand_poly(rng, a.vars[:1], deg=2),
+            MultiPoly(a.vars, dropped),
+            -a,
+            MultiPoly.zero(),
+            MultiPoly.const(rng.randint(-2, 2)),
+        ])
+        name = rng.choice(names)
+        value = rng.choice([Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+                            rand_poly(rng, tuple(rng.sample(names, 2)), deg=2)])
+        results = [a + b, b + a, a - b, b - a, a - a, a * b, b * a, -a, -b,
+                   a ** rng.randint(0, 3), b ** 2, 2 + a, a * 0, 1 - b,
+                   a.derivative(name), b.derivative(name), a.subs({name: value})]
+        for r in results:
+            assert_canonical(r)
 
 
 def test_dense_round_trip_and_gcd():

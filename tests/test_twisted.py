@@ -305,6 +305,12 @@ def test_endomorphism_generic_rank_two():
         assert twisted_gluing_check(endo).ok
 
 
+@pytest.mark.parametrize("rank", [0, -1, True, 1.0, "2"])
+def test_bundle_rank_must_be_a_positive_int(rank):
+    with pytest.raises(InvalidInputError):
+        TwistedBundle(rank, N3, {}, UnitCochain2.trivial(N3, Qstar()))
+
+
 def test_endomorphism_requires_valid_input():
     bad = TwistedBundle(2, N3, {(0, 1): [[1, 1], [0, 1]]},
                         UnitCochain2.trivial(N3, Qstar()))

@@ -248,3 +248,50 @@ def test_closed_form_matches_slow_rewriter():
             gen = WeylElement.x(i, n) if kind == "x" else WeylElement.d(i, n)
             fast = weyl_mul(fast, gen)
         assert fast.terms == slow_normal_form(word, n)
+
+
+def _word(a, b):
+    """The generator word x1^a1 ... xn^an d1^b1 ... dn^bn."""
+    return (tuple(("x", i) for i, k in enumerate(a) for _ in range(k))
+            + tuple(("d", i) for i, k in enumerate(b) for _ in range(k)))
+
+
+def slow_product(e1, e2, n):
+    """e1 * e2 by rewriting the concatenated word of every pair of terms."""
+    out = {}
+    for (a1, b1), c1 in e1.terms.items():
+        for (a2, b2), c2 in e2.terms.items():
+            for key, c in slow_normal_form(_word(a1, b1) + _word(a2, b2), n).items():
+                out[key] = out.get(key, MultiPoly.zero()) + c1 * c2 * c
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+@pytest.mark.parametrize("lam", [FORMAL, Fraction(0), Fraction(1), Fraction(-1, 2)])
+def test_products_match_slow_rewriter(lam):
+    rng = random.Random(61)
+    for _ in range(40):
+        n = rng.choice([1, 2])
+        e1, e2 = (rand_weyl(rng, n, bideg=2, with_lam=True) for _ in range(2))
+        expected = slow_product(e1, e2, n)
+        if lam != FORMAL:
+            expected = {k: c.subs({"lam": lam}) for k, c in expected.items()}
+            expected = {k: c for k, c in expected.items() if not c.is_zero()}
+            e1, e2 = specialize_lambda(e1, lam), specialize_lambda(e2, lam)
+        prod = weyl_mul(e1, e2)
+        assert prod.terms == expected
+        scalar = e2.terms.get(((0,) * n, (0,) * n), MultiPoly.const(3))
+        for r in (prod, e1 + e2, e1 - e2, e1 - e1, -e1, e1.scale(scalar)):
+            assert r == WeylElement(n, lam, r.terms)
+
+
+def test_coefficients_live_in_q_lam():
+    key = ((0,), (1,))
+    z = MultiPoly.var("z")
+    with pytest.raises(ModeMismatchError):
+        WeylElement(1, FORMAL, {key: z * MultiPoly.var("lam")})
+    with pytest.raises(ModeMismatchError):
+        WeylElement(1, Fraction(1), {key: z})
+    with pytest.raises(ModeMismatchError):
+        WeylElement(1, Fraction(1), {key: MultiPoly.var("lam")})
+    with pytest.raises(ModeMismatchError):
+        d.scale(z)
