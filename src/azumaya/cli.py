@@ -98,16 +98,25 @@ def _int(raw, what) -> int:
 
 
 def _list(raw, what, length=None) -> list:
-    items = _convert(list, raw, what)
-    if length not in (None, len(items)):
+    """A JSON array; a string or an object is not read as one."""
+    if not isinstance(raw, list):
+        raise UsageError(f"bad {what}: {raw!r} (expected a JSON array)")
+    if length not in (None, len(raw)):
         raise UsageError(f"bad {what}: {raw!r} (expected {length} entries)")
-    return items
+    return raw
 
 
 def _indices(raw, what, length) -> tuple:
     items = _list(raw, what, length)
-    if not all(isinstance(i, int) for i in items):
+    if not all(isinstance(i, int) and not isinstance(i, bool) for i in items):
         raise UsageError(f"bad {what}: {raw!r} (entries must be integers)")
+    return tuple(items)
+
+
+def _names(raw, what) -> tuple:
+    items = _list(raw, what)
+    if not all(isinstance(name, str) for name in items):
+        raise UsageError(f"bad {what}: {raw!r} (entries must be strings)")
     return tuple(items)
 
 
@@ -143,7 +152,9 @@ def _lambda_mode(text):
 
 def _weyl_element(payload):
     lam = _lambda_mode(payload.get("lam"))
-    n = _int(payload["n"], "n") if payload.get("n") else None
+    n = _int(payload["n"], "n") if "n" in payload else None
+    if n is not None and n < 1:
+        raise UsageError(f"bad n: {n!r} (expected at least 1)")
     try:
         return weyl.parse_weyl(str(payload["expr"]), n=n, lam=lam)
     except ValueError as exc:
@@ -204,7 +215,7 @@ def cmd_azu_report(payload):
     _take(payload, required=("A", "lambda", "bhat"), optional=("deg_bound",))
     a = _matrix(payload["A"], "A")
     lam = _fraction(payload["lambda"], "lambda")
-    bhat = [_fraction(c, "bhat entry") for c in payload["bhat"]]
+    bhat = [_fraction(c, "bhat entry") for c in _list(payload["bhat"], "bhat")]
     rep = diffop.pushforward_report(a, bhat, lam)
     data = rep.to_json()
     if "deg_bound" in payload:
@@ -216,7 +227,7 @@ def cmd_azu_report(payload):
 
 def _higgs_pair(payload):
     rank = _int(payload["rank"], "rank")
-    base_vars = tuple(payload.get("base_vars", ["z"]))
+    base_vars = _names(payload.get("base_vars", ["z"]), "base_vars")
     phis = [_matrix(m, "phi") for m in _list(payload["phis"], "phis")]
     return spectral.HiggsPair(rank, phis, base_vars)
 
@@ -259,9 +270,7 @@ def cmd_spec_family(payload):
           optional=("base_vars", "degree"))
     lam = _fraction(payload["lambda"], "lambda")
     degree = _int(payload.get("degree", 3), "degree")
-    pair = _higgs_pair({k: payload[k] for k in ("rank", "phis") if k in payload}
-                       | {"base_vars": payload.get("base_vars", ["z"])})
-    fam = spectral.lambda_family(pair)
+    fam = spectral.lambda_family(_higgs_pair(payload))
     if lam == 0:
         fiber = fam.classical_fiber()
         return "ok", {"lambda": "0",
@@ -279,8 +288,8 @@ def cmd_spec_curvature(payload):
     payload = dict(payload)
     _check_mode(payload, "curvature")
     _take(payload, required=("rank", "gammas"), optional=("base_vars",))
-    gammas = [_matrix(g, "gamma") for g in payload["gammas"]]
-    base_vars = payload.get("base_vars")
+    gammas = [_matrix(g, "gamma") for g in _list(payload["gammas"], "gammas")]
+    base_vars = _names(payload.get("base_vars", []), "base_vars")
     field = spectral.curvature(gammas, base_vars)
     comps = {f"{i},{j}": m.to_strings() for (i, j), m in sorted(field.items())}
     flat = all(m.is_zero() for m in field.values())
@@ -288,7 +297,9 @@ def cmd_spec_curvature(payload):
 
 
 def _exact(raw, convert, what):
-    """A cochain value or gluing entry; floats are refused as inexact."""
+    """A cochain value or gluing entry; booleans are refused, floats as inexact."""
+    if isinstance(raw, bool):
+        raise UsageError(f"bad {what}: {raw!r} (expected a number)")
     if isinstance(raw, float):
         raise InvalidInputError(
             f"floating-point {what} are not exact; send rationals as strings")
@@ -460,53 +471,82 @@ def commutation_demo_report(a: PolyMatrix, lam: Fraction, bhat, deg_bound=None):
     }
 
 
-def cmd_demo(name, payload):
-    if name == CANONICAL_DEMO:
-        a = _matrix(payload.get("A", [["0", "1"], ["0", "0"]]), "A")
-        lam = _fraction(payload.get("lambda", "1"), "lambda")
-        bhat = [_fraction(c, "bhat entry")
-                for c in payload.get("bhat", ["1", "0", "0", "2"])]
-        if len(bhat) != 4:
-            raise UsageError("bhat needs four entries")
-        data = commutation_demo_report(a, lam, bhat)
-        ok = (data["constraint_residuals_zero"] and data["span_match"]
-              and data["char_match"])
-        return ("ok" if ok else "violation"), data, []
-    seed = int(payload.get("seed", 0))
-    count = int(payload.get("count", 100))
+def cmd_canonical_demo(payload):
+    a = _matrix(payload.get("A", [["0", "1"], ["0", "0"]]), "A")
+    lam = _fraction(payload.get("lambda", "1"), "lambda")
+    bhat = [_fraction(c, "bhat entry")
+            for c in payload.get("bhat", ["1", "0", "0", "2"])]
+    if len(bhat) != 4:
+        raise UsageError("bhat needs four entries")
+    data = commutation_demo_report(a, lam, bhat)
+    ok = (data["constraint_residuals_zero"] and data["span_match"]
+          and data["char_match"])
+    return ("ok" if ok else "violation"), data, []
+
+
+def cmd_suite(name, payload):
+    result = suites.run_suite(name, payload["seed"], payload["count"])
+    if result.ok:
+        return "ok", result.to_json(), []
+    return "violation", result.to_json(), [f"{result.failures} failures"]
+
+
+# ---------------------------------------------------------------------------
+# the command table, parsing, dispatch and serialization
+# ---------------------------------------------------------------------------
+
+# A flag is (payload key, option, add_argument keywords): the parsed value,
+# when given, goes to that payload key, through _FLAG_READERS if listed.
+EXPR, POLY, LAM = ("expr", "--expr", {}), ("poly", "--poly", {}), ("lam", "--lam", {})
+N = ("n", "--n", {"type": int})
+WEYL_FLAGS = (EXPR, LAM, N)
+LAMBDA = ("lambda", "--lambda", {"metavar": "Q", "help": "rational value, or 'formal'"})
+A_MATRIX = ("A", "--a", {"metavar": "JSON", "help": "matrix as a JSON list of rows"})
+DEG_BOUND = ("deg_bound", "--deg-bound", {"type": int})
+DEMO_FLAGS = (("bhat", "--bhat", {"metavar": "Q,Q,Q,Q"}),
+              ("lambda", "--lambda", {"metavar": "Q"}), ("A", "--a", {"metavar": "JSON"}))
+SUITE_FLAGS = (("seed", "--seed", {"type": int, "default": 0}),
+               ("count", "--count", {"type": int, "default": 100}))
+
+
+def _json_flag(text):
     try:
-        result = suites.run_suite(name, seed, count)
-    except KeyError as exc:
-        raise UsageError(str(exc.args[0]))
-    status = "ok" if result.ok else "violation"
-    diags = [] if result.ok else [f"{result.failures} failures"]
-    return status, result.to_json(), diags
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"bad --a matrix: {exc}")
 
 
-# ---------------------------------------------------------------------------
-# dispatch and serialization
-# ---------------------------------------------------------------------------
+_FLAG_READERS = {"bhat": lambda text: [c.strip() for c in text.split(",")],
+                 "A": _json_flag}
 
-HANDLERS = {
-    ("weyl", "nf"): cmd_weyl_nf,
-    ("weyl", "act"): cmd_weyl_act,
-    ("weyl", "fourier"): cmd_weyl_fourier,
-    ("weyl", "reduce"): cmd_weyl_reduce,
-    ("azu", "solve"): cmd_azu_solve,
-    ("azu", "basis"): cmd_azu_basis,
-    ("azu", "classify"): cmd_azu_classify,
-    ("azu", "report"): cmd_azu_report,
-    ("spec", "cover"): cmd_spec_cover,
-    ("spec", "admissible"): cmd_spec_admissible,
-    ("spec", "family"): cmd_spec_family,
-    ("spec", "curvature"): cmd_spec_curvature,
-    ("coc", "check"): cmd_coc_check,
-    ("coc", "coboundary"): cmd_coc_coboundary,
-    ("coc", "glue"): cmd_coc_glue,
-    ("coc", "match"): cmd_coc_match,
-    ("hilb", "sheaf"): cmd_hilb_sheaf,
-    ("hilb", "morphism"): cmd_hilb_morphism,
+# (group, subcommand) -> (handler, flags); the only list of commands.  The
+# commands of the "demo" group take no problem file.
+COMMANDS = {
+    ("weyl", "nf"): (cmd_weyl_nf, WEYL_FLAGS),
+    ("weyl", "act"): (cmd_weyl_act, (EXPR, POLY, LAM, N)),
+    ("weyl", "fourier"): (cmd_weyl_fourier, WEYL_FLAGS),
+    ("weyl", "reduce"): (cmd_weyl_reduce, WEYL_FLAGS),
+    ("azu", "solve"): (cmd_azu_solve, (LAMBDA, DEG_BOUND, A_MATRIX)),
+    ("azu", "basis"): (cmd_azu_basis, (LAMBDA, A_MATRIX)),
+    ("azu", "classify"): (cmd_azu_classify, ()),
+    ("azu", "report"): (cmd_azu_report, (LAMBDA, DEG_BOUND, ("bhat", "--bhat", {}), A_MATRIX)),
+    ("spec", "cover"): (cmd_spec_cover, ()),
+    ("spec", "admissible"): (cmd_spec_admissible, ()),
+    ("spec", "family"): (cmd_spec_family, (LAMBDA, ("degree", "--degree", {"type": int}))),
+    ("spec", "curvature"): (cmd_spec_curvature, ()),
+    ("coc", "check"): (cmd_coc_check, ()),
+    ("coc", "coboundary"): (cmd_coc_coboundary, ()),
+    ("coc", "glue"): (cmd_coc_glue, ()),
+    ("coc", "match"): (cmd_coc_match, ()),
+    ("hilb", "sheaf"): (cmd_hilb_sheaf, ()),
+    ("hilb", "morphism"): (cmd_hilb_morphism, ()),
+    ("demo", CANONICAL_DEMO): (cmd_canonical_demo, DEMO_FLAGS),
+    **{("demo", name): (functools.partial(cmd_suite, name), SUITE_FLAGS)
+       for name in sorted(suites.SUITES)},
 }
+
+HANDLERS = {command: handler for command, (handler, _) in COMMANDS.items()}
+
 
 @functools.cache
 def build_parser() -> _Parser:
@@ -521,55 +561,16 @@ def build_parser() -> _Parser:
     parser.add_argument("--text", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--out", metavar="FILE", help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="group", metavar="GROUP")
-
-    def add(group, name, with_file=True, flags=()):
+    groups = {}
+    for (group, name), (_, flags) in COMMANDS.items():
         if group not in groups:
             groups[group] = sub.add_parser(group).add_subparsers(
-                dest="sub", metavar="SUB")
+                dest="sub", metavar="NAME" if group == "demo" else "SUB")
         p = groups[group].add_parser(name, parents=[common])
-        if with_file:
+        if group != "demo":
             p.add_argument("file", nargs="?", help="JSON problem file")
-        for flag in flags:
-            if flag == "lambda_":
-                p.add_argument("--lambda", dest="lambda_", metavar="Q",
-                               help="rational value, or 'formal'")
-            elif flag == "a_matrix":
-                p.add_argument("--a", dest="a_matrix", metavar="JSON",
-                               help="matrix as a JSON list of rows")
-            elif flag in ("n", "deg_bound", "seed", "count", "degree"):
-                p.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=int)
-            else:
-                p.add_argument(f"--{flag}", dest=flag)
-        return p
-
-    groups = {}
-    add("weyl", "nf", flags=("expr", "lam", "n"))
-    add("weyl", "act", flags=("expr", "poly", "lam", "n"))
-    add("weyl", "fourier", flags=("expr", "lam", "n"))
-    add("weyl", "reduce", flags=("expr", "lam", "n"))
-    add("azu", "solve", flags=("lambda_", "deg_bound", "a_matrix"))
-    add("azu", "basis", flags=("lambda_", "a_matrix"))
-    add("azu", "classify")
-    add("azu", "report", flags=("lambda_", "deg_bound", "bhat", "a_matrix"))
-    add("spec", "cover")
-    add("spec", "admissible")
-    add("spec", "family", flags=("lambda_", "degree"))
-    add("spec", "curvature")
-    add("coc", "check")
-    add("coc", "coboundary")
-    add("coc", "glue")
-    add("coc", "match")
-    add("hilb", "sheaf")
-    add("hilb", "morphism")
-    demo = sub.add_parser("demo").add_subparsers(dest="sub", metavar="NAME")
-    canonical = demo.add_parser(CANONICAL_DEMO, parents=[common])
-    canonical.add_argument("--bhat", metavar="Q,Q,Q,Q")
-    canonical.add_argument("--lambda", dest="lambda_", metavar="Q")
-    canonical.add_argument("--a", dest="a_matrix", metavar="JSON")
-    for suite_name in sorted(suites.SUITES):
-        p = demo.add_parser(suite_name, parents=[common])
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--count", type=int, default=100)
+        for key, option, kwargs in flags:
+            p.add_argument(option, dest=key, **kwargs)
     return parser
 
 
@@ -577,31 +578,10 @@ def _payload_from_args(args, command: str) -> dict:
     payload = {}
     if getattr(args, "file", None):
         payload = _load_problem_file(args.file, command)
-    if getattr(args, "expr", None) is not None:
-        payload["expr"] = args.expr
-    if getattr(args, "poly", None) is not None:
-        payload["poly"] = args.poly
-    if getattr(args, "lam", None) is not None:
-        payload["lam"] = args.lam
-    if getattr(args, "n", None) is not None:
-        payload["n"] = args.n
-    if getattr(args, "lambda_", None) is not None:
-        payload["lambda"] = args.lambda_
-    if getattr(args, "deg_bound", None) is not None:
-        payload["deg_bound"] = args.deg_bound
-    if getattr(args, "degree", None) is not None:
-        payload["degree"] = args.degree
-    if getattr(args, "bhat", None) is not None:
-        payload["bhat"] = [c.strip() for c in str(args.bhat).split(",")]
-    if getattr(args, "a_matrix", None) is not None:
-        try:
-            payload["A"] = json.loads(args.a_matrix)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"bad --a matrix: {exc}")
-    if getattr(args, "seed", None) is not None:
-        payload["seed"] = args.seed
-    if getattr(args, "count", None) is not None:
-        payload["count"] = args.count
+    for key, _, _ in COMMANDS[(args.group, args.sub)][1]:
+        value = getattr(args, key)
+        if value is not None:
+            payload[key] = _FLAG_READERS.get(key, lambda v: v)(value)
     return payload
 
 
@@ -657,16 +637,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "group", None) or not getattr(args, "sub", None):
             raise UsageError("expected a GROUP and SUBCOMMAND; see --help")
-        command = f"{args.group} {args.sub}"
-        if args.group == "demo":
-            payload = _payload_from_args(args, command)
-            status, data, diagnostics = cmd_demo(args.sub, payload)
-        else:
-            handler = HANDLERS.get((args.group, args.sub))
-            if handler is None:
-                raise UsageError(f"unknown command {command!r}")
-            payload = _payload_from_args(args, command)
-            status, data, diagnostics = handler(payload)
+        payload = _payload_from_args(args, f"{args.group} {args.sub}")
+        status, data, diagnostics = HANDLERS[(args.group, args.sub)](payload)
     except UsageError as exc:
         return _emit(render_report("error", {"code": E_INPUT}, [str(exc)]), args)
     except AzumayaError as exc:

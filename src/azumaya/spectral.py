@@ -290,20 +290,18 @@ class LambdaFamily:
             raise ShapeError("probe requires lam != 0; use classical_fiber()")
         r = self.pair.r
         var = self.var
-        zmat = PolyMatrix.identity(r).scale(MultiPoly.var(var))
-        zop = MixedOperator.from_matrix(zmat, (var,))
         pop = (MixedOperator.derivation(0, r, (var,)) * lam
                + MixedOperator.from_matrix(self.pair.phis[0], (var,)))
-        zpows = [MixedOperator.from_matrix(PolyMatrix.identity(r), (var,))]
-        ppows = list(zpows)
+        ppows = [MixedOperator.from_matrix(PolyMatrix.identity(r), (var,))]
         for _ in range(degree):
-            zpows.append(mixed_mul(zpows[-1], zop))
             ppows.append(mixed_mul(ppows[-1], pop))
+        z = MultiPoly.var(var)
         images = []
         for t in range(degree + 1):
             for a in range(t + 1):
-                img = mixed_mul(zpows[a], ppows[t - a])
-                images.append({(k, idx): e for k, m in img.coeffs.items()
+                # w^a p^b is p^b with every coefficient matrix multiplied by z^a
+                za = z ** a
+                images.append({(k, idx): za * e for k, m in ppows[t - a].coeffs.items()
                                for idx, e in enumerate(m.entries)})
         kdim = len(image_kernel(images, var))
         return KernelProbe(degree, len(images), len(images) - kdim, kdim)

@@ -1,8 +1,9 @@
 """Seeded randomized invariant suites.
 
-Each suite is a deterministic function of (seed, count) and reports the
-pass count plus the first counterexample; the CLI exposes them as demos
-and the acceptance tests run them at pinned seeds.
+Each suite checks one invariant on randomly drawn cases; ``run_suite`` is a
+deterministic function of (suite, seed, count) and reports the pass count
+plus the first counterexample.  The CLI exposes the suites as demos and the
+acceptance tests run them at pinned seeds.
 """
 
 from __future__ import annotations
@@ -120,316 +121,250 @@ def rand_cochain1(rng, nerve, group):
 
 
 # -- suites -------------------------------------------------------------------
+#
+# A suite is one case function ``case(rng) -> (ok, describe)``: it draws its
+# inputs from ``rng``, checks one invariant and returns a thunk that
+# describes the inputs, called only for the first failing case.  ``@suite``
+# registers it under its name with dashes.
 
-def suite_weyl_assoc(seed, count):
-    rng = random.Random(seed)
-    res = SuiteResult("weyl-assoc", seed, count)
-    for _ in range(count):
-        n = rng.choice([1, 2])
-        a, b, c = (rand_weyl(rng, n) for _ in range(3))
-        ok = weyl.weyl_mul(weyl.weyl_mul(a, b), c) == weyl.weyl_mul(a, weyl.weyl_mul(b, c))
-        res.record(ok, lambda: f"({a}) ({b}) ({c})")
-    return res
+SUITES = {}
 
 
-def suite_weyl_action(seed, count):
-    rng = random.Random(seed)
-    res = SuiteResult("weyl-action", seed, count)
-    for _ in range(count):
-        n = rng.choice([1, 2])
-        lam = Fraction(rng.choice([1, 2, -1, 3]))
-        d1, d2 = rand_weyl(rng, n, lam), rand_weyl(rng, n, lam)
-        f = rand_position_poly(rng, n)
-        lhs = weyl.act_on_polynomial(weyl.weyl_mul(d1, d2), f)
-        rhs = weyl.act_on_polynomial(d1, weyl.act_on_polynomial(d2, f))
-        res.record(lhs == rhs, lambda: f"({d1}) ({d2}) on {f}")
-    return res
+def suite(case):
+    SUITES[case.__name__.replace("_", "-")] = case
+    return case
 
 
-def suite_weyl_fourier(seed, count):
-    rng = random.Random(seed)
-    res = SuiteResult("weyl-fourier", seed, count)
-    for _ in range(count):
-        n = rng.choice([1, 2])
-        a, b = rand_weyl(rng, n), rand_weyl(rng, n)
-        mult = weyl.fourier(weyl.weyl_mul(a, b)) == weyl.weyl_mul(weyl.fourier(a), weyl.fourier(b))
-        four = a
-        for _ in range(4):
-            four = weyl.fourier(four)
-        res.record(mult and four == a, lambda: f"({a}) ({b})")
-    return res
+@suite
+def weyl_assoc(rng):
+    n = rng.choice([1, 2])
+    a, b, c = (rand_weyl(rng, n) for _ in range(3))
+    ok = weyl.weyl_mul(weyl.weyl_mul(a, b), c) == weyl.weyl_mul(a, weyl.weyl_mul(b, c))
+    return ok, lambda: f"({a}) ({b}) ({c})"
 
 
-def suite_weyl_reduce(seed, count):
-    rng = random.Random(seed)
-    res = SuiteResult("weyl-reduce", seed, count)
-    done = 0
-    while done < count:
+@suite
+def weyl_action(rng):
+    n = rng.choice([1, 2])
+    lam = Fraction(rng.choice([1, 2, -1, 3]))
+    d1, d2 = rand_weyl(rng, n, lam), rand_weyl(rng, n, lam)
+    f = rand_position_poly(rng, n)
+    lhs = weyl.act_on_polynomial(weyl.weyl_mul(d1, d2), f)
+    rhs = weyl.act_on_polynomial(d1, weyl.act_on_polynomial(d2, f))
+    return lhs == rhs, lambda: f"({d1}) ({d2}) on {f}"
+
+
+@suite
+def weyl_fourier(rng):
+    n = rng.choice([1, 2])
+    a, b = rand_weyl(rng, n), rand_weyl(rng, n)
+    mult = weyl.fourier(weyl.weyl_mul(a, b)) == weyl.weyl_mul(weyl.fourier(a), weyl.fourier(b))
+    four = a
+    for _ in range(4):
+        four = weyl.fourier(four)
+    return mult and four == a, lambda: f"({a}) ({b})"
+
+
+@suite
+def weyl_reduce(rng):
+    while True:     # the certificate needs a nonzero element: redraw zeros
         n = rng.choice([1, 2])
         d = rand_weyl(rng, n, with_lam=True)
-        if d.is_zero():
-            continue
-        done += 1
-        cert = weyl.reduce_to_scalar(d)
-        replay = cert.replay(d)
-        zero_key = ((0,) * n, (0,) * n)
-        ok = (not cert.final_scalar.is_zero()
-              and list(replay.terms) == [zero_key]
-              and replay.terms[zero_key] == cert.final_scalar)
-        res.record(ok, lambda: f"{d}")
-    return res
+        if not d.is_zero():
+            break
+    cert = weyl.reduce_to_scalar(d)
+    replay = cert.replay(d)
+    zero_key = ((0,) * n, (0,) * n)
+    ok = (not cert.final_scalar.is_zero()
+          and list(replay.terms) == [zero_key]
+          and replay.terms[zero_key] == cert.final_scalar)
+    return ok, lambda: f"{d}"
 
 
-def suite_lambda_commute(seed, count):
-    rng = random.Random(seed)
-    res = SuiteResult("lambda-commute", seed, count)
-    for _ in range(count):
-        n = rng.choice([1, 2])
-        a, b = rand_weyl(rng, n, with_lam=True), rand_weyl(rng, n, with_lam=True)
-        a0 = weyl.specialize_lambda(a, 0)
-        b0 = weyl.specialize_lambda(b, 0)
-        ok = weyl.weyl_mul(a0, b0) == weyl.weyl_mul(b0, a0)
-        res.record(ok, lambda: f"({a}) ({b})")
-    return res
+@suite
+def lambda_commute(rng):
+    n = rng.choice([1, 2])
+    a, b = rand_weyl(rng, n, with_lam=True), rand_weyl(rng, n, with_lam=True)
+    a0 = weyl.specialize_lambda(a, 0)
+    b0 = weyl.specialize_lambda(b, 0)
+    return weyl.weyl_mul(a0, b0) == weyl.weyl_mul(b0, a0), lambda: f"({a}) ({b})"
 
 
-def suite_lambda_torsion(seed, count):
-    rng = random.Random(seed)
-    res = SuiteResult("lambda-torsion", seed, count)
+@suite
+def lambda_torsion(rng):
+    n = rng.choice([1, 2])
+    d = rand_weyl(rng, n, with_lam=True)
     lam_var = MultiPoly.var("lam")
-    for _ in range(count):
-        n = rng.choice([1, 2])
-        d = rand_weyl(rng, n, with_lam=True)
-        c = MultiPoly.zero()
-        for k in range(rng.randint(0, 2) + 1):
-            c = c + Fraction(rng.randint(-2, 2)) * lam_var ** k
-        prod = d.scale(c)
-        ok = prod.is_zero() == (c.is_zero() or d.is_zero())
-        res.record(ok, lambda: f"c = {c}, d = {d}")
-    return res
+    c = MultiPoly.zero()
+    for k in range(rng.randint(0, 2) + 1):
+        c = c + Fraction(rng.randint(-2, 2)) * lam_var ** k
+    ok = d.scale(c).is_zero() == (c.is_zero() or d.is_zero())
+    return ok, lambda: f"c = {c}, d = {d}"
 
 
-def suite_mixed_assoc(seed, count):
-    rng = random.Random(seed)
-    res = SuiteResult("mixed-assoc", seed, count)
-    for _ in range(count):
-        gamma = rand_poly_matrix(rng, 2, ("z",), deg=1)
-        ops = []
-        for _ in range(3):
-            coeffs = {(k,): rand_poly_matrix(rng, 2, ("z",), deg=2)
-                      for k in range(rng.randint(1, 3))}
-            ops.append(diffop.MixedOperator(2, ("z",), coeffs, gamma=gamma))
-        a, b, c = ops
-        ok = diffop.mixed_mul(diffop.mixed_mul(a, b), c) == diffop.mixed_mul(a, diffop.mixed_mul(b, c))
-        res.record(ok, lambda: "associativity failure")
-    return res
+@suite
+def mixed_assoc(rng):
+    gamma = rand_poly_matrix(rng, 2, ("z",), deg=1)
+    ops = []
+    for _ in range(3):
+        coeffs = {(k,): rand_poly_matrix(rng, 2, ("z",), deg=2)
+                  for k in range(rng.randint(1, 3))}
+        ops.append(diffop.MixedOperator(2, ("z",), coeffs, gamma=gamma))
+    a, b, c = ops
+    ok = diffop.mixed_mul(diffop.mixed_mul(a, b), c) == diffop.mixed_mul(a, diffop.mixed_mul(b, c))
+    return ok, lambda: "associativity failure"
 
 
-def suite_charpoly_b0(seed, count):
-    rng = random.Random(seed)
-    res = SuiteResult("charpoly-b0", seed, count)
-    for _ in range(count):
-        a = rand_discriminant_zero(rng)
-        lam = Fraction(rng.choice([1, 2, -1]))
-        basis = diffop.fundamental_solutions(a, lam)
-        bhat = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
-        b = PolyMatrix.zeros(2)
-        for c, m in zip(bhat, basis):
-            b = b + m.scale(c)
-        b0 = PolyMatrix.from_rows([[bhat[0], bhat[1]], [bhat[2], bhat[3]]])
-        cp = char_poly(b)
-        ok = cp == char_poly(b0) and set(cp.vars) <= {"v"}
-        res.record(ok, lambda: f"bhat = {bhat}")
-    return res
+@suite
+def charpoly_b0(rng):
+    a = rand_discriminant_zero(rng)
+    lam = Fraction(rng.choice([1, 2, -1]))
+    basis = diffop.fundamental_solutions(a, lam)
+    bhat = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
+    b = PolyMatrix.zeros(2)
+    for c, m in zip(bhat, basis):
+        b = b + m.scale(c)
+    b0 = PolyMatrix.from_rows([[bhat[0], bhat[1]], [bhat[2], bhat[3]]])
+    cp = char_poly(b)
+    return cp == char_poly(b0) and set(cp.vars) <= {"v"}, lambda: f"bhat = {bhat}"
 
 
-def suite_spectral_roundtrip(seed, count):
-    rng = random.Random(seed)
-    res = SuiteResult("spectral-roundtrip", seed, count)
-    for _ in range(count):
-        r = rng.choice([2, 3])
-        mats = rand_commuting_pair(rng, r)
-        pair = spectral.HiggsPair(r, mats)
-        pres = spectral.higgs_to_morphism(pair)
-        back = spectral.morphism_to_higgs(pres)
-        ok = back.phis == pair.phis and spectral.subalgebra_closed(pres)
-        res.record(ok, lambda: f"phis = {[str(m) for m in mats]}")
-    return res
+@suite
+def spectral_roundtrip(rng):
+    r = rng.choice([2, 3])
+    mats = rand_commuting_pair(rng, r)
+    pair = spectral.HiggsPair(r, mats)
+    pres = spectral.higgs_to_morphism(pair)
+    back = spectral.morphism_to_higgs(pres)
+    ok = back.phis == pair.phis and spectral.subalgebra_closed(pres)
+    return ok, lambda: f"phis = {[str(m) for m in mats]}"
 
 
-def suite_spectral_divides(seed, count):
-    rng = random.Random(seed)
-    res = SuiteResult("spectral-divides", seed, count)
-    for _ in range(count):
-        r = rng.choice([2, 3])
-        phi = rand_poly_matrix(rng, r, ("z",), deg=2)
-        pair = spectral.HiggsPair(r, [phi])
-        cover = spectral.spectral_cover(pair)
-        ideal = spectral.image_ideal(pair)
-        divides = linalg.divides_in_v(ideal, cover.poly)
-        equality_when_reduced = (not cover.reduced) or (ideal == cover.poly)
-        res.record(divides and equality_when_reduced,
-                   lambda: f"phi = {phi}")
-    return res
+@suite
+def spectral_divides(rng):
+    r = rng.choice([2, 3])
+    phi = rand_poly_matrix(rng, r, ("z",), deg=2)
+    pair = spectral.HiggsPair(r, [phi])
+    cover = spectral.spectral_cover(pair)
+    ideal = spectral.image_ideal(pair)
+    divides = linalg.divides_in_v(ideal, cover.poly)
+    equality_when_reduced = (not cover.reduced) or (ideal == cover.poly)
+    return divides and equality_when_reduced, lambda: f"phi = {phi}"
 
 
-def suite_curvature_flat(seed, count):
-    rng = random.Random(seed)
-    res = SuiteResult("curvature-flat", seed, count)
-    for _ in range(count):
-        gs = [rand_poly_matrix(rng, 2, ("w1", "w2"), deg=2) for _ in range(2)]
-        f1 = spectral.curvature(gs)
-        f2 = spectral.curvature_via_operators(gs)
-        flat_formula = all(m.is_zero() for m in f1.values())
-        flat_ops = all(m.is_zero() for m in f2.values())
-        res.record(f1 == f2 and flat_formula == flat_ops,
-                   lambda: "curvature mismatch")
-    return res
+@suite
+def curvature_flat(rng):
+    gs = [rand_poly_matrix(rng, 2, ("w1", "w2"), deg=2) for _ in range(2)]
+    f1 = spectral.curvature(gs)
+    f2 = spectral.curvature_via_operators(gs)
+    flat_formula = all(m.is_zero() for m in f1.values())
+    flat_ops = all(m.is_zero() for m in f2.values())
+    return f1 == f2 and flat_formula == flat_ops, lambda: "curvature mismatch"
 
 
-def suite_cocycle_dd(seed, count):
-    rng = random.Random(seed)
-    res = SuiteResult("cocycle-dd", seed, count)
-    for _ in range(count):
-        size = rng.randint(2, 5)
-        nerve = twisted.CoverNerve(size)
-        group = twisted.Mu(rng.choice([2, 3, 4, 6])) if rng.random() < 0.5 else twisted.Qstar()
-        beta = rand_cochain1(rng, nerve, group)
-        alpha = twisted.coboundary(beta)
-        res.record(twisted.check_2cocycle(alpha).ok, lambda: "dd != 1")
-    return res
+@suite
+def cocycle_dd(rng):
+    nerve = twisted.CoverNerve(rng.randint(2, 5))
+    group = twisted.Mu(rng.choice([2, 3, 4, 6])) if rng.random() < 0.5 else twisted.Qstar()
+    alpha = twisted.coboundary(rand_cochain1(rng, nerve, group))
+    return twisted.check_2cocycle(alpha).ok, lambda: "dd != 1"
 
 
-def suite_gluing_perturb(seed, count):
-    rng = random.Random(seed)
-    res = SuiteResult("gluing-perturb", seed, count)
-    for _ in range(count):
-        size = rng.randint(3, 4)
-        nerve = twisted.CoverNerve(size)
-        beta = rand_cochain1(rng, nerve, twisted.Qstar())
-        alpha = twisted.coboundary(beta)
-        r = rng.choice([1, 2])
-        gluing = {}
-        for i in range(size):
-            for j in range(size):
-                if i != j:
-                    b = beta.value(i, j)
-                    gluing[(i, j)] = [[b if p == q else Fraction(0) for q in range(r)]
-                                     for p in range(r)]
-        bundle = twisted.TwistedBundle(r, nerve, gluing, alpha)
-        accepted = twisted.twisted_gluing_check(bundle).ok
-        pair = (0, 1)
-        bad = {k: [list(row) for row in m] for k, m in gluing.items()}
-        bad[pair][0][0] = bad[pair][0][0] + Fraction(1, 2)
-        rejected = not twisted.twisted_gluing_check(
-            twisted.TwistedBundle(r, nerve, bad, alpha)).ok
-        res.record(accepted and rejected, lambda: f"size={size}, r={r}")
-    return res
+@suite
+def gluing_perturb(rng):
+    size = rng.randint(3, 4)
+    nerve = twisted.CoverNerve(size)
+    beta = rand_cochain1(rng, nerve, twisted.Qstar())
+    alpha = twisted.coboundary(beta)
+    r = rng.choice([1, 2])
+    gluing = {}
+    for i in range(size):
+        for j in range(size):
+            if i != j:
+                b = beta.value(i, j)
+                gluing[(i, j)] = [[b if p == q else Fraction(0) for q in range(r)]
+                                 for p in range(r)]
+    bundle = twisted.TwistedBundle(r, nerve, gluing, alpha)
+    accepted = twisted.twisted_gluing_check(bundle).ok
+    bad = {k: [list(row) for row in m] for k, m in gluing.items()}
+    bad[(0, 1)][0][0] = bad[(0, 1)][0][0] + Fraction(1, 2)
+    rejected = not twisted.twisted_gluing_check(
+        twisted.TwistedBundle(r, nerve, bad, alpha)).ok
+    return accepted and rejected, lambda: f"size={size}, r={r}"
 
 
-def suite_endo_cocycle(seed, count):
-    rng = random.Random(seed)
-    res = SuiteResult("endo-cocycle", seed, count)
-    for _ in range(count):
-        size = rng.randint(3, 4)
-        nerve = twisted.CoverNerve(size)
-        beta = rand_cochain1(rng, nerve, twisted.Qstar())
-        alpha = twisted.coboundary(beta)
-        tries = []
-        for _ in range(size):
-            while True:
-                p = [[Fraction(rng.randint(-2, 2)) for _ in range(2)] for _ in range(2)]
-                if twisted.mat_inv(p) is not None:
-                    tries.append(tuple(tuple(row) for row in p))
-                    break
-        gluing = {}
-        for i in range(size):
-            for j in range(size):
-                if i != j:
-                    g = twisted.mat_mul(tries[j], twisted.mat_inv(tries[i]))
-                    gluing[(i, j)] = twisted.mat_scale(g, beta.value(i, j))
-        bundle = twisted.TwistedBundle(2, nerve, gluing, alpha)
-        if not twisted.twisted_gluing_check(bundle).ok:
-            res.record(False, lambda: "construction failed the twisted check")
-            continue
-        endo = twisted.endomorphism_azumaya(bundle)
-        res.record(twisted.twisted_gluing_check(endo).ok,
-                   lambda: "conjugation gluing fails the ordinary cocycle check")
-    return res
+@suite
+def endo_cocycle(rng):
+    size = rng.randint(3, 4)
+    nerve = twisted.CoverNerve(size)
+    beta = rand_cochain1(rng, nerve, twisted.Qstar())
+    alpha = twisted.coboundary(beta)
+    tries = []
+    for _ in range(size):
+        while True:
+            p = [[Fraction(rng.randint(-2, 2)) for _ in range(2)] for _ in range(2)]
+            if twisted.mat_inv(p) is not None:
+                tries.append(tuple(tuple(row) for row in p))
+                break
+    gluing = {}
+    for i in range(size):
+        for j in range(size):
+            if i != j:
+                g = twisted.mat_mul(tries[j], twisted.mat_inv(tries[i]))
+                gluing[(i, j)] = twisted.mat_scale(g, beta.value(i, j))
+    bundle = twisted.TwistedBundle(2, nerve, gluing, alpha)
+    if not twisted.twisted_gluing_check(bundle).ok:
+        return False, lambda: "construction failed the twisted check"
+    endo = twisted.endomorphism_azumaya(bundle)
+    return (twisted.twisted_gluing_check(endo).ok,
+            lambda: "conjugation gluing fails the ordinary cocycle check")
 
 
-def suite_hilbert_degree(seed, count):
-    rng = random.Random(seed)
-    res = SuiteResult("hilbert-degree", seed, count)
-    for _ in range(count):
-        nsum = rng.randint(0, 3)
-        tor = rng.randint(0, 4)
-        if nsum == 0 and tor == 0:
-            tor = 1
-        sheaf = twisted.SheafOnP1(
-            tuple(rng.randint(-3, 3) for _ in range(nsum)), tor)
-        grank = rng.randint(1, 2)
-        gsum = [rng.randint(-2, 2) for _ in range(grank)]
-        p = twisted.hilbert_poly(sheaf, grank, gsum)
-        res.record(p.degree_in("m") == sheaf.dim(),
-                   lambda: f"sheaf = {sheaf}")
-    return res
+@suite
+def hilbert_degree(rng):
+    nsum = rng.randint(0, 3)
+    tor = rng.randint(0, 4)
+    if nsum == 0 and tor == 0:
+        tor = 1
+    sheaf = twisted.SheafOnP1(
+        tuple(rng.randint(-3, 3) for _ in range(nsum)), tor)
+    grank = rng.randint(1, 2)
+    gsum = [rng.randint(-2, 2) for _ in range(grank)]
+    p = twisted.hilbert_poly(sheaf, grank, gsum)
+    return p.degree_in("m") == sheaf.dim(), lambda: f"sheaf = {sheaf}"
 
 
-def suite_hilbert_constancy(seed, count):
-    rng = random.Random(seed)
-    res = SuiteResult("hilbert-constancy", seed, count)
-    for _ in range(count):
-        length = rng.randint(1, 6)
-        polys = set()
-        for _ in range(rng.randint(2, 5)):
-            npts = rng.randint(1, length)
-            cuts = sorted(rng.sample(range(1, length), npts - 1)) if npts > 1 else []
-            parts = [b - a for a, b in zip([0] + cuts, cuts + [length])]
-            support = [(Fraction(rng.randint(-9, 9)), part) for part in parts]
-            sheaf = twisted.SheafOnP1.torsion_at(support)
-            polys.add(str(twisted.hilbert_poly(sheaf, 1, [0])))
-        res.record(len(polys) == 1 and polys == {str(length)},
-                   lambda: f"length {length}: {sorted(polys)}")
-    return res
+@suite
+def hilbert_constancy(rng):
+    length = rng.randint(1, 6)
+    polys = set()
+    for _ in range(rng.randint(2, 5)):
+        npts = rng.randint(1, length)
+        cuts = sorted(rng.sample(range(1, length), npts - 1)) if npts > 1 else []
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [length])]
+        support = [(Fraction(rng.randint(-9, 9)), part) for part in parts]
+        sheaf = twisted.SheafOnP1.torsion_at(support)
+        polys.add(str(twisted.hilbert_poly(sheaf, 1, [0])))
+    return (len(polys) == 1 and polys == {str(length)},
+            lambda: f"length {length}: {sorted(polys)}")
 
 
-def suite_cayley_hamilton(seed, count):
-    rng = random.Random(seed)
-    res = SuiteResult("cayley-hamilton", seed, count)
-    for _ in range(count):
-        r = rng.choice([2, 3])
-        m = rand_poly_matrix(rng, r, ("z",), deg=2)
-        cp = char_poly(m)
-        mp = linalg.min_poly(m)
-        ok = (eval_poly_at_matrix(cp, "v", m).is_zero()
-              and linalg.divides_in_v(mp, cp))
-        res.record(ok, lambda: f"M = {m}")
-    return res
-
-
-SUITES = {
-    "weyl-assoc": suite_weyl_assoc,
-    "weyl-action": suite_weyl_action,
-    "weyl-fourier": suite_weyl_fourier,
-    "weyl-reduce": suite_weyl_reduce,
-    "lambda-commute": suite_lambda_commute,
-    "lambda-torsion": suite_lambda_torsion,
-    "mixed-assoc": suite_mixed_assoc,
-    "charpoly-b0": suite_charpoly_b0,
-    "spectral-roundtrip": suite_spectral_roundtrip,
-    "spectral-divides": suite_spectral_divides,
-    "curvature-flat": suite_curvature_flat,
-    "cocycle-dd": suite_cocycle_dd,
-    "gluing-perturb": suite_gluing_perturb,
-    "endo-cocycle": suite_endo_cocycle,
-    "hilbert-degree": suite_hilbert_degree,
-    "hilbert-constancy": suite_hilbert_constancy,
-    "cayley-hamilton": suite_cayley_hamilton,
-}
+@suite
+def cayley_hamilton(rng):
+    m = rand_poly_matrix(rng, rng.choice([2, 3]), ("z",), deg=2)
+    cp = char_poly(m)
+    mp = linalg.min_poly(m)
+    ok = (eval_poly_at_matrix(cp, "v", m).is_zero()
+          and linalg.divides_in_v(mp, cp))
+    return ok, lambda: f"M = {m}"
 
 
 def run_suite(name: str, seed: int, count: int) -> SuiteResult:
+    """Run ``count`` cases of suite ``name``, drawing from ``random.Random(seed)``."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    return SUITES[name](seed, count)
+    case, rng = SUITES[name], random.Random(seed)
+    res = SuiteResult(name, seed, count)
+    for _ in range(count):
+        res.record(*case(rng))
+    return res

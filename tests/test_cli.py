@@ -1,12 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from azumaya import cli
+from azumaya import cli, suites
 from azumaya.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "example-5-1-11.json"
@@ -224,6 +225,40 @@ def test_suite_demo_deterministic(capsys):
     assert doc["data"]["passes"] == 25
 
 
+# -- every command and every suite is entered once, in cli.COMMANDS and by @suite ---
+
+@pytest.mark.parametrize("command", sorted(cli.HANDLERS))
+def test_every_command_has_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert f"usage: azk {' '.join(command)}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(suites.SUITES))
+def test_every_suite_runs_as_a_demo(capsys, name):
+    code, doc = run_json(capsys, "demo", name, "--count", "2")
+    assert code == 0
+    assert doc["data"] == {"suite": name, "seed": 0, "count": 2, "passes": 2, "failures": 0}
+
+
+def test_suite_reports_failures_and_first_counterexample(monkeypatch):
+    described = []
+
+    def flaky(rng):
+        u, k = rng.random(), rng.randrange(4)
+        return k != 0, lambda: described.append(u) or f"case {u}"
+
+    monkeypatch.setitem(suites.SUITES, "flaky", flaky)
+    res = suites.run_suite("flaky", 7, 40)
+    rng = random.Random(7)
+    draws = [(rng.random(), rng.randrange(4)) for _ in range(40)]
+    failing = [u for u, k in draws if k == 0]
+    assert (res.passes, res.failures) == (40 - len(failing), len(failing)) and failing
+    assert described == [failing[0]]            # only the first failure is described
+    assert res.to_json()["first_counterexample"] == f"case {failing[0]}"
+
+
 def test_unknown_suite(capsys):
     code, doc = run_json(capsys, "demo", "weyl-assoc", "--seed", "1", "--count", "5")
     assert code == 0
@@ -306,6 +341,22 @@ def _with_value(doc, **item):
     ("coc glue", dict(_GLUE, rank=1.0), "E_INPUT"),
     ("coc glue", {"rank": 0, "indices": 2, "gluing": [],
                   "descend_endomorphisms": True}, "E_INVALID_INPUT"),
+    ("coc check", {"group": "mu", "n": 2, "indices": 3,
+                   "values": [{"ijk": [0, True, 2], "v": True}]}, "E_INPUT"),
+    ("coc check", _with_value(_MU, ijk=[0, True, 2]), "E_INPUT"),
+    ("coc glue", dict(_GLUE, gluing=[{"ij": [0, 1], "g": [[True]]}]), "E_INPUT"),
+    ("weyl nf", {"expr": "x1*d1", "n": 0}, "E_INPUT"),
+    ("weyl nf", {"expr": "x", "n": False}, "E_INPUT"),
+    ("weyl nf", {"expr": "x", "n": -1}, "E_INPUT"),
+    ("hilb sheaf", {"summands": "12"}, "E_INPUT"),
+    ("coc glue", dict(_GLUE, gluing=[{"ij": [0, 1], "g": "5"},
+                                     {"ij": [1, 0], "g": [["1/5"]]}]), "E_INPUT"),
+    ("azu report", {"A": [["0", "1"], ["0", "0"]], "lambda": "1", "bhat": "1002"}, "E_INPUT"),
+    ("spec curvature", {"rank": 2, "base_vars": "ab",
+                        "gammas": [[["a", "0"], ["0", "0"]], [["0", "b"], ["0", "0"]]]},
+     "E_INPUT"),
+    ("spec cover", {"rank": 2, "base_vars": [1], "phis": [[["0", "1"], ["1", "0"]]]},
+     "E_INPUT"),
 ])
 def test_malformed_payload_reports_one_error(capsys, tmp_path, command, payload, code):
     f = tmp_path / "p.json"
