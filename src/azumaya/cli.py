@@ -97,6 +97,14 @@ def _int(raw, what) -> int:
     return _convert(int, raw, what)
 
 
+def _count(raw, what) -> int:
+    """An ``_int`` that is not negative."""
+    n = _int(raw, what)
+    if n < 0:
+        raise UsageError(f"bad {what}: {raw!r} (expected a non-negative integer)")
+    return n
+
+
 def _list(raw, what, length=None) -> list:
     """A JSON array; a string or an object is not read as one."""
     if not isinstance(raw, list):
@@ -269,7 +277,7 @@ def cmd_spec_family(payload):
     _take(payload, required=("rank", "phis", "lambda"),
           optional=("base_vars", "degree"))
     lam = _fraction(payload["lambda"], "lambda")
-    degree = _int(payload.get("degree", 3), "degree")
+    degree = _count(payload.get("degree", 3), "degree")
     fam = spectral.lambda_family(_higgs_pair(payload))
     if lam == 0:
         fiber = fam.classical_fiber()
@@ -485,7 +493,7 @@ def cmd_canonical_demo(payload):
 
 
 def cmd_suite(name, payload):
-    result = suites.run_suite(name, payload["seed"], payload["count"])
+    result = suites.run_suite(name, payload["seed"], _count(payload["count"], "count"))
     if result.ok:
         return "ok", result.to_json(), []
     return "violation", result.to_json(), [f"{result.failures} failures"]

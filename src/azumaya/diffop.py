@@ -21,7 +21,8 @@ from math import comb
 
 from .errors import (NonConstantError, NotSplitError, PreconditionError,
                      ShapeError, ZeroLambdaError)
-from .linalg import PolyMatrix, char_poly, image_kernel, kernel_saturated, min_poly
+from .linalg import (PolyMatrix, char_poly, kernel_saturated, min_poly,
+                     nullspace_from_rref, rref)
 from .poly import MultiPoly
 
 
@@ -181,12 +182,29 @@ def default_degree_bound(a: PolyMatrix) -> int:
     return 2 * max((e.total_degree() for e in a.entries), default=0) + 2
 
 
+def _bracket_into(out, aj, b, r):
+    """out += [Aj, B] for r x r matrices flattened row-major to lists of
+    Fractions, Aj given by its nonzero entries (i, m, c)."""
+    for i, m, c in aj:
+        for l in range(r):
+            out[i * r + l] += c * b[m * r + l]
+            out[l * r + m] -= b[l * r + i] * c
+
+
 def solve_commutation(a: PolyMatrix, lam, deg_bound: int = None, var: str = "z"):
     """Rational basis of {B : deg entries <= deg_bound, lam B' + [A,B] = 0}.
 
-    Coefficient ansatz ordered entry-major then z-degree ascending; the
-    returned basis is the reduced-echelon nullspace in those coordinates,
-    so output is deterministic.
+    With A = sum_j A_j z^j and B = sum_k B_k z^k, k <= D = deg_bound, the z^k
+    coefficient of the constraint is lam (k+1) B_{k+1} + sum_j [A_j, B_{k-j}].
+    For k < D this recurrence fixes B_{k+1}, so every solution is linear in
+    the r^2 entries of B_0; the residual equations sum_j [A_j, B_{k-j}] = 0,
+    k = D..D + deg A, are solved for B_0 by ``rref``.
+
+    The basis is the reduced-echelon nullspace (free coordinate 1) of the
+    coefficient ansatz ordered entry-major then z-degree ascending, so output
+    is deterministic.  It is the reduced echelon form of the solution space
+    with coordinates read backwards, so one ``rref`` of the expanded kernel
+    vectors, reversed, gives it back.
     """
     lam = lam if isinstance(lam, Fraction) else Fraction(lam)
     if lam == 0:
@@ -199,23 +217,38 @@ def solve_commutation(a: PolyMatrix, lam, deg_bound: int = None, var: str = "z")
         deg_bound = default_degree_bound(a)
     if deg_bound < 0:
         raise ShapeError("deg_bound must be nonnegative")
-    r = a.rows
-    z = MultiPoly.var(var)
-    unknowns = [(i, j, d) for i in range(r) for j in range(r)
-                for d in range(deg_bound + 1)]
-    images = []
-    for (i, j, d) in unknowns:
-        basis_mat = PolyMatrix(r, r, [z ** d if (i, j) == (p, q) else MultiPoly.zero()
-                                      for p in range(r) for q in range(r)])
-        images.append(dict(enumerate(commutation_constraint(a, basis_mat, lam, var).entries)))
-    basis = []
-    for vec in image_kernel(images, var):
-        entries = [MultiPoly.zero()] * (r * r)
-        for (i, j, d), c in zip(unknowns, vec):
-            if c:
-                entries[i * r + j] = entries[i * r + j] + c * z ** d
-        basis.append(PolyMatrix(r, r, entries))
-    return basis
+    r, n = a.rows, deg_bound + 1
+    coeffs = [[c.as_fraction() for c in e.coefficients_in(var)] for e in a.entries]
+    # A_j as its nonzero entries (i, m, c)
+    a_terms = [[(idx // r, idx % r, cs[j]) for idx, cs in enumerate(coeffs)
+                if j < len(cs) and cs[j]]
+               for j in range(max(map(len, coeffs), default=0))]
+    zero = Fraction(0)
+    # series[u][k] = B_k and columns[u] = the residuals when B_0 is the
+    # u-th elementary matrix
+    series, columns = [], []
+    for u in range(r * r):
+        bs, column = [[Fraction(int(e == u)) for e in range(r * r)]], []
+        for k in range(deg_bound + len(a_terms)):
+            acc = [zero] * (r * r)
+            for j in range(max(0, k - deg_bound), min(k + 1, len(a_terms))):
+                _bracket_into(acc, a_terms[j], bs[k - j], r)
+            if k < deg_bound:
+                f = -1 / (lam * (k + 1))
+                bs.append([f * x for x in acc])
+            else:
+                column += acc
+        series.append(bs)
+        columns.append(column)
+    red, pivots = rref(list(zip(*columns)))
+    # the kernel vectors expanded into ansatz coordinates, read backwards
+    expanded = [[sum((c * series[u][d][idx] for u, c in enumerate(vec) if c), zero)
+                 for idx in reversed(range(r * r)) for d in reversed(range(n))]
+                for vec in nullspace_from_rref(red, pivots, r * r)]
+    echelon, pivots = rref(expanded)
+    return [PolyMatrix(r, r, [MultiPoly((var,), {(d,): row[-1 - idx * n - d] for d in range(n)})
+                              for idx in range(r * r)])
+            for row in reversed(echelon[:len(pivots)])]
 
 
 def discriminant(a: PolyMatrix) -> MultiPoly:

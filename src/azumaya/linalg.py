@@ -48,7 +48,7 @@ def rref(rows):
         for i in range(len(rows)):
             if i != rank and rows[i][col]:
                 f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[rank])]
         pivots.append(col)
         rank += 1
     return rows, pivots
@@ -99,27 +99,6 @@ def linear_solve_exact(matrix, rhs=None) -> LinearSolution:
     body = [row[:ncols] for row in red]
     nut = nullspace_from_rref(body, pivots, ncols)
     return LinearSolution(True, tuple(particular), nut)
-
-
-def image_kernel(images, var: str):
-    """Rational kernel of the Q-linear map sending unknown u to ``images[u]``.
-
-    Each image maps keys to polynomials in ``var`` with rational
-    coefficients (a missing key is a zero entry); every (key, power of
-    ``var``) pair gives one equation.  The basis is the standard
-    reduced-echelon one (free coordinate = 1), which depends only on the
-    map: neither the order of the equations nor zero equations change it.
-    """
-    n = len(images)
-    equations = {}
-    for u, image in enumerate(images):
-        for key, p in image.items():
-            for power, c in enumerate(p.coefficients_in(var)):
-                if not c.is_zero():
-                    row = equations.setdefault((key, power), [Fraction(0)] * n)
-                    row[u] = c.as_fraction()
-    red, pivots = rref(list(equations.values()))
-    return nullspace_from_rref(red, pivots, n)
 
 
 def _as_frac(x):

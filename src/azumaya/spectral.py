@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .diffop import MixedOperator, mixed_mul
 from .errors import NotAdmissibleError, ShapeError
-from .linalg import (PolyMatrix, SpanBasis, char_poly, divides_in_v, image_kernel,
-                     min_poly, squarefree_in_v)
+from .linalg import (PolyMatrix, SpanBasis, char_poly, divides_in_v, min_poly,
+                     squarefree_in_v)
 from .poly import MultiPoly
 
 
@@ -285,9 +285,21 @@ class LambdaFamily:
         return {"cover": spectral_cover(self.pair), "image_ideal": image_ideal(self.pair)}
 
     def probe(self, lam, degree: int = 3) -> KernelProbe:
+        """Injectivity of w^a p^b -> z^a (lam*D + Phi)^b for a + b <= degree,
+        certified by leading terms instead of an elimination.
+
+        In the lex order (D-degree desc, entry index asc, z-degree desc) the
+        leading monomial of each image is read off the computed powers of p
+        (z^a shifts the z-degree by a).  Pairwise distinct leading monomials
+        prove linear independence; for lam != 0 that of w^a p^b is (b, 0, a),
+        as p^b has top D-coefficient lam^b * I.  A coincidence means the
+        operator arithmetic is wrong and raises an internal error.
+        """
         lam = lam if isinstance(lam, Fraction) else Fraction(lam)
         if lam == 0:
             raise ShapeError("probe requires lam != 0; use classical_fiber()")
+        if degree < 0:
+            raise ShapeError("probe degree must be nonnegative")
         r = self.pair.r
         var = self.var
         pop = (MixedOperator.derivation(0, r, (var,)) * lam
@@ -295,16 +307,17 @@ class LambdaFamily:
         ppows = [MixedOperator.from_matrix(PolyMatrix.identity(r), (var,))]
         for _ in range(degree):
             ppows.append(mixed_mul(ppows[-1], pop))
-        z = MultiPoly.var(var)
-        images = []
-        for t in range(degree + 1):
-            for a in range(t + 1):
-                # w^a p^b is p^b with every coefficient matrix multiplied by z^a
-                za = z ** a
-                images.append({(k, idx): za * e for k, m in ppows[t - a].coeffs.items()
-                               for idx, e in enumerate(m.entries)})
-        kdim = len(image_kernel(images, var))
-        return KernelProbe(degree, len(images), len(images) - kdim, kdim)
+        leads = set()
+        for b, power in enumerate(ppows):
+            top = max(power.coeffs)
+            idx, e = next((i, e) for i, e in enumerate(power.coeffs[top].entries)
+                          if not e.is_zero())
+            leads.update((top, idx, e.degree_in(var) + a) for a in range(degree + 1 - b))
+        monomials = (degree + 1) * (degree + 2) // 2
+        if len(leads) != monomials:
+            raise AssertionError("images of w^a p^b share a leading monomial; "
+                                 "injectivity is not certified")
+        return KernelProbe(degree, monomials, monomials, 0)
 
     def evaluate(self, lam, degree: int = 3):
         lam = lam if isinstance(lam, Fraction) else Fraction(lam)

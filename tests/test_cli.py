@@ -357,11 +357,18 @@ def _with_value(doc, **item):
      "E_INPUT"),
     ("spec cover", {"rank": 2, "base_vars": [1], "phis": [[["0", "1"], ["1", "0"]]]},
      "E_INPUT"),
+    ("spec family", {"rank": 2, "phis": [[["0", "z"], ["1", "0"]]], "lambda": "1",
+                     "degree": -2}, "E_INPUT"),
+    ("demo weyl-assoc --count -3", None, "E_INPUT"),
 ])
 def test_malformed_payload_reports_one_error(capsys, tmp_path, command, payload, code):
-    f = tmp_path / "p.json"
-    f.write_text(json.dumps({"version": 1, "command": command, "payload": payload}))
-    status = main(command.split() + [str(f)])
+    # a payload of None: the command line alone is the malformed input
+    argv = command.split()
+    if payload is not None:
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({"version": 1, "command": command, "payload": payload}))
+        argv.append(str(f))
+    status = main(argv)
     captured = capsys.readouterr()
     assert status == 1
     assert captured.out.count("\n") == 1 and captured.err == ""

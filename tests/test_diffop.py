@@ -5,12 +5,13 @@ import pytest
 
 from azumaya.diffop import (CASE_DISTINCT, CASE_NILPOTENT, CASE_SEMISIMPLE,
                             MixedOperator, classify_higgsing,
-                            commutation_constraint, discriminant,
-                            fundamental_solutions, mixed_mul,
+                            commutation_constraint, default_degree_bound,
+                            discriminant, fundamental_solutions, mixed_mul,
                             pushforward_report, solve_commutation)
 from azumaya.errors import (NonConstantError, NotSplitError, PreconditionError,
                             ShapeError, ZeroLambdaError)
-from azumaya.linalg import PolyMatrix, SpanBasis, char_poly
+from azumaya.linalg import (PolyMatrix, SpanBasis, char_poly, nullspace_from_rref,
+                            rref)
 from azumaya.poly import MultiPoly
 from azumaya.suites import rand_discriminant_zero, rand_poly_matrix
 
@@ -194,6 +195,53 @@ def test_solvability_dichotomy():
         a = PolyMatrix.from_rows([[a1, a2], [a3, a4]])
         basis = solve_commutation(a, 1, 2)
         assert len(basis) < 4
+
+
+def _ansatz_basis(a, lam, deg_bound):
+    """Reference solver: one unknown per coefficient of B (entry-major, then
+    z-degree ascending), one equation per (entry, power of z) of the
+    constraint, and the reduced-echelon nullspace of that whole system."""
+    r = a.rows
+    unknowns = [(i, j, d) for i in range(r) for j in range(r) for d in range(deg_bound + 1)]
+    equations = {}
+    for u, (i, j, d) in enumerate(unknowns):
+        unit = PolyMatrix(r, r, [z ** d if (p, q) == (i, j) else 0
+                                 for p in range(r) for q in range(r)])
+        for key, p in enumerate(commutation_constraint(a, unit, lam).entries):
+            for power, c in enumerate(p.coefficients_in("z")):
+                if not c.is_zero():
+                    row = equations.setdefault((key, power), [Fraction(0)] * len(unknowns))
+                    row[u] = c.as_fraction()
+    red, pivots = rref(list(equations.values()))
+    basis = []
+    for vec in nullspace_from_rref(red, pivots, len(unknowns)):
+        entries = [MultiPoly.zero()] * (r * r)
+        for (i, j, d), c in zip(unknowns, vec):
+            entries[i * r + j] = entries[i * r + j] + c * z ** d
+        basis.append(PolyMatrix(r, r, entries))
+    return basis
+
+
+def test_solver_matches_ansatz_elimination():
+    rng = random.Random(131)
+    for t in range(15):
+        r = 2 + t % 2
+        a = rand_poly_matrix(rng, r, ("z",), deg=rng.randint(0, 4 - r))
+        scalar = t % 5 == 4
+        if scalar:
+            a = PolyMatrix.identity(r).scale(a[0, 0])
+        for lam in (Fraction(1), Fraction(-2, 3)):
+            for bound in (rng.randint(0, 8 - 2 * r), None):
+                basis = solve_commutation(a, lam, bound)
+                expected = _ansatz_basis(
+                    a, lam, default_degree_bound(a) if bound is None else bound)
+                assert [b.to_strings() for b in basis] == [b.to_strings() for b in expected]
+                assert basis == expected
+                assert all(commutation_constraint(a, b, lam).is_zero() for b in basis)
+                if scalar:
+                    # every constant B solves: the canonical basis is the unit matrices
+                    assert basis == [PolyMatrix(r, r, [int(k == u) for k in range(r * r)])
+                                     for u in range(r * r)]
 
 
 # -- discriminant and the closed-form quadruple -----------------------------------

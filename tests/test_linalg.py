@@ -8,9 +8,9 @@ from sympy.polys.matrices import DomainMatrix
 
 from azumaya.errors import ShapeError
 from azumaya.linalg import (PolyMatrix, SpanBasis, char_poly, divides_in_v,
-                            eval_poly_at_matrix, image_kernel, kernel_saturated,
-                            linear_solve_exact, min_poly, squarefree_in_v,
-                            vector_is_primitive)
+                            eval_poly_at_matrix, kernel_saturated,
+                            linear_solve_exact, min_poly, nullspace_from_rref,
+                            rref, squarefree_in_v, vector_is_primitive)
 from azumaya.poly import MultiPoly, parse_poly
 
 z = MultiPoly.var("z")
@@ -126,9 +126,28 @@ def test_against_sympy_random():
                 assert all(x == 0 for x in res)
 
 
+def image_kernel(images, var):
+    """Rational kernel of the Q-linear map sending unknown u to ``images[u]``
+    (a dict of polynomials in ``var``; a missing key is a zero entry): one
+    equation per (key, power of ``var``), then ``rref`` + ``nullspace_from_rref``.
+    This is the elimination the solver and probe oracles in the other test
+    modules are built on."""
+    n = len(images)
+    equations = {}
+    for u, image in enumerate(images):
+        for key, p in image.items():
+            for power, c in enumerate(p.coefficients_in(var)):
+                if not c.is_zero():
+                    row = equations.setdefault((key, power), [Fraction(0)] * n)
+                    row[u] = c.as_fraction()
+    red, pivots = rref(list(equations.values()))
+    return nullspace_from_rref(red, pivots, n)
+
+
 def test_image_kernel_matches_linear_solve_random():
-    # the kernel depends only on the map: shuffled rows, zero rows and rows
-    # packed as coefficients of z^0, z^1 in one image entry leave it unchanged
+    # the reduced-echelon kernel depends only on the map: shuffled rows, zero
+    # rows and rows packed as coefficients of z^0, z^1 in one image entry
+    # leave it unchanged
     rng = random.Random(12)
     for _ in range(60):
         rows, cols = rng.randint(1, 5), rng.randint(1, 6)

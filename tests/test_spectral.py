@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from azumaya import spectral
+from azumaya.diffop import MixedOperator, mixed_mul
 from azumaya.errors import NotAdmissibleError, ShapeError
-from azumaya.linalg import PolyMatrix, divides_in_v
+from azumaya.linalg import PolyMatrix, divides_in_v, nullspace_from_rref, rref
 from azumaya.poly import MultiPoly, parse_poly
-from azumaya.spectral import (HiggsPair, LambdaConnectionFamily,
+from azumaya.spectral import (HiggsPair, KernelProbe, LambdaConnectionFamily,
                               MorphismPresentation, commutativity_admissible,
                               curvature, curvature_via_operators,
                               higgs_to_morphism, image_divides_cover,
@@ -251,6 +253,55 @@ def test_family_probe_random():
         phi = rand_poly_matrix(rng, 2, ("z",), deg=2)
         fam = lambda_family(HiggsPair(2, [phi]))
         assert fam.probe(Fraction(rng.choice([1, 2, -1])), 2).injective
+
+
+def _probe_by_elimination(phi, lam, degree):
+    """Reference probe: the images z^a p^b of w^a p^b as rational vectors,
+    one coordinate per (D-degree, entry, power of z), and their kernel by
+    elimination over Q.  p^b is built by multiplying from the left."""
+    r = phi.rows
+    pop = (MixedOperator.derivation(0, r) * lam + MixedOperator.from_matrix(phi))
+    ppows = [MixedOperator.from_matrix(PolyMatrix.identity(r))]
+    for _ in range(degree):
+        ppows.append(mixed_mul(pop, ppows[-1]))
+    images = [(a, ppows[t - a]) for t in range(degree + 1) for a in range(t + 1)]
+    equations = {}
+    for u, (a, power) in enumerate(images):
+        for k, m in power.coeffs.items():
+            for idx, e in enumerate(m.entries):
+                for deg, c in enumerate((z ** a * e).coefficients_in("z")):
+                    if not c.is_zero():
+                        row = equations.setdefault((k, idx, deg), [Fraction(0)] * len(images))
+                        row[u] = c.as_fraction()
+    red, pivots = rref(list(equations.values()))
+    kdim = len(nullspace_from_rref(red, pivots, len(images)))
+    return KernelProbe(degree, len(images), len(images) - kdim, kdim)
+
+
+def test_probe_matches_elimination_oracle():
+    rng = random.Random(113)
+    for t in range(12):
+        r = 2 + t % 2
+        phi = rand_poly_matrix(rng, r, ("z",), deg=rng.randint(0, 2))
+        lam = Fraction(rng.choice([1, -1, 2]))
+        degree = rng.randint(1, 7 - r)
+        probe = lambda_family(HiggsPair(r, [phi])).probe(lam, degree)
+        assert probe == _probe_by_elimination(phi, lam, degree)
+
+
+def test_probe_degree_zero_and_negative():
+    fam = lambda_family(HiggsPair(2, [companion(z)]))
+    assert fam.probe(1, 0) == KernelProbe(0, 1, 1, 0)
+    with pytest.raises(ShapeError):
+        fam.probe(1, -1)
+
+
+def test_probe_refuses_coinciding_leading_terms(monkeypatch):
+    # with p^b computed wrongly as I for every b, the images of 1 and p share
+    # their leading monomial: the certificate must fail, not report injective
+    monkeypatch.setattr(spectral, "mixed_mul", lambda p, q: p)
+    with pytest.raises(AssertionError):
+        lambda_family(HiggsPair(2, [companion(z)])).probe(1, 1)
 
 
 def test_family_needs_single_generator():
