@@ -198,7 +198,7 @@ def cmd_azu_solve(payload):
     _take(payload, required=("A", "lambda"), optional=("deg_bound",))
     a = _matrix(payload["A"], "A")
     lam = _fraction(payload["lambda"], "lambda")
-    bound = _int(payload.get("deg_bound", diffop.default_degree_bound(a)), "deg_bound")
+    bound = _count(payload.get("deg_bound", diffop.default_degree_bound(a)), "deg_bound")
     basis = diffop.solve_commutation(a, lam, bound)
     return "ok", {"deg_bound": bound, "dimension": len(basis),
                   "basis": [b.to_strings() for b in basis]}, []
@@ -227,7 +227,7 @@ def cmd_azu_report(payload):
     rep = diffop.pushforward_report(a, bhat, lam)
     data = rep.to_json()
     if "deg_bound" in payload:
-        bound = _int(payload["deg_bound"], "deg_bound")
+        bound = _count(payload["deg_bound"], "deg_bound")
         data["solve_dimension"] = len(diffop.solve_commutation(a, lam, bound))
         data["deg_bound"] = bound
     return "ok", data, []
@@ -458,7 +458,7 @@ def commutation_demo_report(a: PolyMatrix, lam: Fraction, bhat, deg_bound=None):
         b = b + m.scale(c)
     b0 = PolyMatrix.from_rows([[bhat[0], bhat[1]], [bhat[2], bhat[3]]])
     cp_b, cp_b0 = char_poly(b), char_poly(b0)
-    report = diffop.pushforward_report(a, bhat, lam)
+    report = diffop.classify_higgsing(b)
     return {
         "A": a.to_strings(),
         "lambda": str(lam),

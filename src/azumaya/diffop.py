@@ -7,10 +7,11 @@ Leibniz rule  D_i * M = (dM/dw_i + [Gamma_i, M]) + M * D_i; a nonzero
 connection matrix Gamma is supported on a one-variable base, where the
 normal form is unconditionally well defined.
 
-The rank-2 suite solves  lam * B' + [A, B] = 0  for polynomial B, builds
-the closed-form fundamental solution quadruple available when
-(a1-a4)^2 + 4 a2 a3 = 0, and classifies the induced module decomposition
-by the eigenvalue pattern of the degree-0 term.
+The rank-2 suite solves  lam * B' + [A, B] = 0  for polynomial B by its
+z-power recurrence, builds the closed-form fundamental solution quadruple
+available when (a1-a4)^2 + 4 a2 a3 = 0 (the same recurrence, which stops at
+z^2 because ad_A^3 = 0 for such a constant A), and classifies the induced
+module decomposition by the eigenvalue pattern of the degree-0 term.
 """
 
 from __future__ import annotations
@@ -187,8 +188,38 @@ def _bracket_into(out, aj, b, r):
     Fractions, Aj given by its nonzero entries (i, m, c)."""
     for i, m, c in aj:
         for l in range(r):
-            out[i * r + l] += c * b[m * r + l]
-            out[l * r + m] -= b[l * r + i] * c
+            if b[m * r + l]:
+                out[i * r + l] += c * b[m * r + l]
+            if b[l * r + i]:
+                out[l * r + m] -= b[l * r + i] * c
+
+
+def _recurrence(a: PolyMatrix, lam: Fraction, deg_bound: int, var: str):
+    """For each elementary B_0 = E_u, u in row-major order, the pair
+    (B_0..B_D, residuals): B_{k+1} = -sum_j [A_j, B_{k-j}] / (lam (k+1)) for
+    k < D = deg_bound, then sum_j [A_j, B_{k-j}] for k = D..D + deg A,
+    concatenated.  Matrices are row-major lists of Fractions."""
+    r = a.rows
+    coeffs = [[c.as_fraction() for c in e.coefficients_in(var)] for e in a.entries]
+    # A_j as its nonzero entries (i, m, c)
+    a_terms = [[(idx // r, idx % r, cs[j]) for idx, cs in enumerate(coeffs)
+                if j < len(cs) and cs[j]]
+               for j in range(max(map(len, coeffs), default=0))]
+    zero = Fraction(0)
+    out = []
+    for u in range(r * r):
+        bs, residuals = [[Fraction(int(e == u)) for e in range(r * r)]], []
+        for k in range(deg_bound + len(a_terms)):
+            acc = [zero] * (r * r)
+            for j in range(max(0, k - deg_bound), min(k + 1, len(a_terms))):
+                _bracket_into(acc, a_terms[j], bs[k - j], r)
+            if k < deg_bound:
+                f = -1 / (lam * (k + 1))
+                bs.append([f * x for x in acc])
+            else:
+                residuals += acc
+        out.append((bs, residuals))
+    return out
 
 
 def solve_commutation(a: PolyMatrix, lam, deg_bound: int = None, var: str = "z"):
@@ -197,8 +228,8 @@ def solve_commutation(a: PolyMatrix, lam, deg_bound: int = None, var: str = "z")
     With A = sum_j A_j z^j and B = sum_k B_k z^k, k <= D = deg_bound, the z^k
     coefficient of the constraint is lam (k+1) B_{k+1} + sum_j [A_j, B_{k-j}].
     For k < D this recurrence fixes B_{k+1}, so every solution is linear in
-    the r^2 entries of B_0; the residual equations sum_j [A_j, B_{k-j}] = 0,
-    k = D..D + deg A, are solved for B_0 by ``rref``.
+    the r^2 entries of B_0 (``_recurrence``); the residual equations
+    sum_j [A_j, B_{k-j}] = 0, k = D..D + deg A, are solved for B_0 by ``rref``.
 
     The basis is the reduced-echelon nullspace (free coordinate 1) of the
     coefficient ansatz ordered entry-major then z-degree ascending, so output
@@ -218,28 +249,9 @@ def solve_commutation(a: PolyMatrix, lam, deg_bound: int = None, var: str = "z")
     if deg_bound < 0:
         raise ShapeError("deg_bound must be nonnegative")
     r, n = a.rows, deg_bound + 1
-    coeffs = [[c.as_fraction() for c in e.coefficients_in(var)] for e in a.entries]
-    # A_j as its nonzero entries (i, m, c)
-    a_terms = [[(idx // r, idx % r, cs[j]) for idx, cs in enumerate(coeffs)
-                if j < len(cs) and cs[j]]
-               for j in range(max(map(len, coeffs), default=0))]
     zero = Fraction(0)
-    # series[u][k] = B_k and columns[u] = the residuals when B_0 is the
-    # u-th elementary matrix
-    series, columns = [], []
-    for u in range(r * r):
-        bs, column = [[Fraction(int(e == u)) for e in range(r * r)]], []
-        for k in range(deg_bound + len(a_terms)):
-            acc = [zero] * (r * r)
-            for j in range(max(0, k - deg_bound), min(k + 1, len(a_terms))):
-                _bracket_into(acc, a_terms[j], bs[k - j], r)
-            if k < deg_bound:
-                f = -1 / (lam * (k + 1))
-                bs.append([f * x for x in acc])
-            else:
-                column += acc
-        series.append(bs)
-        columns.append(column)
+    # series[u][k] = B_k and columns[u] = the residuals when B_0 = E_u
+    series, columns = zip(*_recurrence(a, lam, deg_bound, var))
     red, pivots = rref(list(zip(*columns)))
     # the kernel vectors expanded into ansatz coordinates, read backwards
     expanded = [[sum((c * series[u][d][idx] for u, c in enumerate(vec) if c), zero)
@@ -262,9 +274,11 @@ def discriminant(a: PolyMatrix) -> MultiPoly:
 def fundamental_solutions(a: PolyMatrix, lam, var: str = "z"):
     """The closed-form solution quadruple B1..B4 of lam B' + [A,B] = 0.
 
-    Requires a constant 2x2 A with vanishing discriminant; each output has
-    degree-0 term equal to one elementary matrix, so rational combinations
-    sum_i bhat_i B_i have degree-0 term [[b1, b2], [b3, b4]].
+    Requires a constant 2x2 A with vanishing discriminant.  Then ad_A^3 = 0,
+    so the solver's recurrence started at B_0 = E_u stops at z^2: B_u is
+    E_u - z [A, E_u] / lam + z^2 [A, [A, E_u]] / (2 lam^2), u in row-major
+    order, and the residual [A, B_2] is checked to vanish.  Rational
+    combinations sum_i bhat_i B_i have degree-0 term [[b1, b2], [b3, b4]].
     """
     lam = lam if isinstance(lam, Fraction) else Fraction(lam)
     if lam == 0:
@@ -276,26 +290,14 @@ def fundamental_solutions(a: PolyMatrix, lam, var: str = "z"):
                                 "use solve_commutation for polynomial A")
     if not discriminant(a).is_zero():
         raise PreconditionError("discriminant (a1-a4)^2 + 4 a2 a3 must vanish")
-    a1, a2, a3, a4 = (e.as_fraction() for e in a.entries)
-    d = a1 - a4
-    z = MultiPoly.var(var)
-    li = 1 / lam
-    li2 = li * li
-    z2 = z ** 2
-    half = Fraction(1, 2)
-    b1 = PolyMatrix.from_rows([
-        [1 + li2 * a2 * a3 * z2, li * a2 * z - half * li2 * d * a2 * z2],
-        [-li * a3 * z - half * li2 * d * a3 * z2, -li2 * a2 * a3 * z2]])
-    b2 = PolyMatrix.from_rows([
-        [li * a3 * z - half * li2 * d * a3 * z2, 1 - li * d * z - li2 * a2 * a3 * z2],
-        [-li2 * a3 * a3 * z2, -li * a3 * z + half * li2 * d * a3 * z2]])
-    b3 = PolyMatrix.from_rows([
-        [-li * a2 * z - half * li2 * d * a2 * z2, -li2 * a2 * a2 * z2],
-        [1 + li * d * z - li2 * a2 * a3 * z2, li * a2 * z + half * li2 * d * a2 * z2]])
-    b4 = PolyMatrix.from_rows([
-        [-li2 * a2 * a3 * z2, -li * a2 * z + half * li2 * d * a2 * z2],
-        [li * a3 * z + half * li2 * d * a3 * z2, 1 + li2 * a2 * a3 * z2]])
-    return [b1, b2, b3, b4]
+    basis = []
+    for bs, residuals in _recurrence(a, lam, 2, var):
+        if any(residuals):
+            raise AssertionError("the series of a zero-discriminant A "
+                                 "does not stop at z^2")
+        basis.append(PolyMatrix(2, 2, [MultiPoly((var,), {(d,): b[idx] for d, b in enumerate(bs)})
+                                       for idx in range(4)]))
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +353,7 @@ def _sqrt_fraction(c: Fraction):
     return None
 
 
-def classify_higgsing(b: PolyMatrix, var: str = "z") -> HiggsingReport:
+def classify_higgsing(b: PolyMatrix) -> HiggsingReport:
     """Trichotomy for a 2x2 B over the polynomial base ring.
 
     The characteristic polynomial must be z-free and split over Q; the
@@ -399,4 +401,4 @@ def pushforward_report(a: PolyMatrix, bhat, lam, var: str = "z") -> HiggsingRepo
     b = PolyMatrix.zeros(2)
     for c, mat in zip(bhat, basis):
         b = b + mat.scale(c)
-    return classify_higgsing(b, var)
+    return classify_higgsing(b)

@@ -3,8 +3,9 @@
 Over Q, ``rref`` is Gauss-Jordan on Fractions.  Over the fraction field of
 a polynomial base ring Q[z] (or Q[w1, w2, ...]) there is one elimination,
 ``SpanBasis``: fraction-free (Bareiss), so it computes in the base ring with
-exact divisions and no gcds.  ``min_poly``, ``kernel_saturated`` and the
-span tests all run on it.
+exact divisions and no gcds.  The span tests run on it, and so do
+``min_poly`` and ``kernel_saturated``, through one relation path
+(``_relations``) that saturates and signs each dependency it finds.
 
 Everything is deterministic: elimination always picks the first usable
 pivot, nullspace bases are in the standard reduced-echelon form (free
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ShapeError
-from .poly import MultiPoly, ONE, ZERO, dense_gcd, exact_div, from_dense, to_dense
+from .poly import (MultiPoly, ONE, ZERO, _as_fraction, dense_gcd, exact_div, from_dense,
+                   to_dense)
 
 
 def rref(rows):
@@ -82,12 +84,12 @@ def linear_solve_exact(matrix, rhs=None) -> LinearSolution:
     Returns a particular solution (free coordinates zero) plus a
     nullspace basis, or ``consistent=False``.
     """
-    m = [[_as_frac(x) for x in row] for row in matrix]
+    m = [[_as_fraction(x) for x in row] for row in matrix]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     if rhs is None:
         rhs = [Fraction(0)] * nrows
-    rhs = [_as_frac(x) for x in rhs]
+    rhs = [_as_fraction(x) for x in rhs]
     if len(rhs) != nrows:
         raise ShapeError("rhs length does not match row count")
     red, pivots = rref([row + [b] for row, b in zip(m, rhs)])
@@ -99,14 +101,6 @@ def linear_solve_exact(matrix, rhs=None) -> LinearSolution:
     body = [row[:ncols] for row in red]
     nut = nullspace_from_rref(body, pivots, ncols)
     return LinearSolution(True, tuple(particular), nut)
-
-
-def _as_frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"not a rational scalar: {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,31 +344,52 @@ class SpanBasis:
         return len(self.rows)
 
 
-def _unit_tag(n, i):
-    return [ONE if j == i else ZERO for j in range(n)]
+def _relations(vectors, n, var: str):
+    """The relations among ``vectors`` (at most n of them, over Q[var]),
+    one for each vector that depends on the ones before it.
+
+    Each vector goes into one fraction-free elimination tagged by its unit
+    vector; a vector that reduces to zero yields its reduced tag, divided by
+    the gcd of its entries and by its rational content, and signed so that
+    its own entry has a positive leading coefficient.
+    """
+    echelon = SpanBasis()
+    for i, polys in enumerate(vectors):
+        rel = echelon.insert(polys, [ONE if j == i else ZERO for j in range(n)])
+        if rel is None:
+            continue
+        g = _dense_gcd_of(rel)
+        if len(g) > 1:
+            rel = [exact_div(p, from_dense(g, var)) for p in rel]
+        c = poly_content(*rel)
+        if to_dense(rel[i])[-1] < 0:
+            c = -c
+        yield tuple(p * (1 / c) for p in rel)
 
 
 def min_poly(m: PolyMatrix) -> MultiPoly:
     """Least-degree annihilating polynomial over the fraction field, made
-    primitive over the base ring (``_primitive_in``).
+    primitive over the base ring with a positive leading coefficient.
 
-    One fraction-free elimination takes vec(I), vec(M), vec(M^2), ... in
-    turn; the first power that depends on the ones before it gives the
-    relation, hence the coefficients.  Always divides ``char_poly(m)``.
+    The first relation (``_relations``) among vec(I), vec(M), vec(M^2), ...
+    gives the coefficients.  Always divides ``char_poly(m)``.
     """
     if not m.is_square():
         raise ShapeError("minimal polynomial of non-square matrix")
-    _base_var(m)  # univariate base only: _primitive_in is canonical there
+    var = _base_var(m)
     r = m.rows
-    echelon = SpanBasis()
-    power = PolyMatrix.identity(r)
-    for k in range(r + 1):
-        rel = echelon.insert(power.entries, _unit_tag(r + 1, k))
-        if rel is not None:
-            v = MultiPoly.var("v")
-            return _primitive_in(sum((c * v ** j for j, c in enumerate(rel)), ZERO), "v")
-        power = m * power
-    raise AssertionError("Cayley-Hamilton violated")  # unreachable
+
+    def powers():
+        power = PolyMatrix.identity(r)
+        for _ in range(r + 1):
+            yield power.entries
+            power = m * power
+
+    rel = next(_relations(powers(), r + 1, var), None)
+    if rel is None:
+        raise AssertionError("Cayley-Hamilton violated")  # unreachable
+    v = MultiPoly.var("v")
+    return sum((c * v ** j for j, c in enumerate(rel)), ZERO)
 
 
 def kernel_saturated(m: PolyMatrix):
@@ -382,32 +397,11 @@ def kernel_saturated(m: PolyMatrix):
 
     The basis of the reduced echelon form over the fraction field (one
     vector per free column, supported on it and the pivot columns before
-    it), each vector made primitive.  The columns of M go into one
-    fraction-free elimination; a column that depends on the earlier ones
-    gives its relation, which is saturated and signed so that the free
-    coordinate has a positive leading coefficient.
+    it): the relations (``_relations``) among the columns of M, each
+    primitive, with the free coordinate's leading coefficient positive.
     """
-    var = _base_var(m)
-    echelon = SpanBasis()
-    basis = []
-    for j in range(m.cols):
-        rel = echelon.insert([m[i, j] for i in range(m.rows)], _unit_tag(m.cols, j))
-        if rel is not None:
-            vec = saturate_vector(rel, var)
-            if _leading_coeff(vec[j], var) < 0:
-                vec = tuple(-x for x in vec)
-            basis.append(vec)
-    return basis
-
-
-def saturate_vector(vec, var: str):
-    """Divide a nonzero vector over Q[var] by the gcd of its entries and by
-    its rational content."""
-    g = _dense_gcd_of(vec)
-    if len(g) > 1:
-        vec = [exact_div(p, from_dense(g, var)) for p in vec]
-    c = poly_content(*vec)
-    return tuple(p * (1 / c) for p in vec)
+    columns = ([m[i, j] for i in range(m.rows)] for j in range(m.cols))
+    return list(_relations(columns, m.cols, _base_var(m)))
 
 
 def poly_content(*polys) -> Fraction:
@@ -426,31 +420,6 @@ def _dense_gcd_of(polys):
     for p in polys:
         g = dense_gcd(g, to_dense(p))
     return g
-
-
-def _primitive_in(p: MultiPoly, main_var: str) -> MultiPoly:
-    """Divide by content: rational content and the gcd of the coefficient
-    polynomials in the non-main variables (when there is one); leading
-    coefficient made positive."""
-    if p.is_zero():
-        return p
-    coeffs = [c for c in p.coefficients_in(main_var) if not c.is_zero()]
-    other = set().union(*(c.vars for c in coeffs))
-    if len(other) == 1:
-        g = _dense_gcd_of(coeffs)
-        if len(g) > 1:
-            p = exact_div(p, from_dense(g, other.pop()))
-    c = poly_content(p)
-    if _leading_coeff(p, main_var) < 0:
-        c = -c
-    return p * (1 / c)
-
-
-def _leading_coeff(p: MultiPoly, main_var: str) -> Fraction:
-    top = p.coefficients_in(main_var)[-1]
-    # leading rational of the leading coefficient polynomial
-    best = max(top.terms.items(), key=lambda kv: MultiPoly._term_sort_key(kv[0]))
-    return best[1]
 
 
 def vector_is_primitive(vec) -> bool:

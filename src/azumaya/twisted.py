@@ -426,9 +426,7 @@ def endomorphism_azumaya(e: TwistedBundle) -> TwistedBundle:
     r = e.rank
     gluing = {}
     for (i, j), g in e.gluing.items():
-        ginv = mat_inv(g)
-        if ginv is None:
-            raise InvalidInputError(f"gluing matrix g_{i}{j} is singular")
+        ginv = e.g(j, i)  # the check above proved g_ij g_ji = I
         # h = g (x) ginv^T: vec(g M ginv)[(p, q)] = sum g[p][a] * ginv[b][q] * M[a][b]
         gluing[(i, j)] = tuple(tuple(g[p][a] * ginv[b][q] for a in range(r) for b in range(r))
                                for p in range(r) for q in range(r))

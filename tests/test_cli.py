@@ -360,6 +360,10 @@ def _with_value(doc, **item):
     ("spec family", {"rank": 2, "phis": [[["0", "z"], ["1", "0"]]], "lambda": "1",
                      "degree": -2}, "E_INPUT"),
     ("demo weyl-assoc --count -3", None, "E_INPUT"),
+    ("azu solve", {"A": [["0", "1"], ["0", "0"]], "lambda": "1", "deg_bound": -1}, "E_INPUT"),
+    ("azu report", {"A": [["0", "1"], ["0", "0"]], "lambda": "1",
+                    "bhat": ["1", "0", "0", "2"], "deg_bound": -1}, "E_INPUT"),
+    ('azu solve --a [["0","1"],["0","0"]] --lambda 1 --deg-bound -1', None, "E_INPUT"),
 ])
 def test_malformed_payload_reports_one_error(capsys, tmp_path, command, payload, code):
     # a payload of None: the command line alone is the malformed input

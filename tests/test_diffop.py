@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from azumaya import diffop
+from azumaya.cli import main
 from azumaya.diffop import (CASE_DISTINCT, CASE_NILPOTENT, CASE_SEMISIMPLE,
                             MixedOperator, classify_higgsing,
                             commutation_constraint, default_degree_bound,
@@ -286,6 +289,60 @@ def test_fundamental_solutions_solve_and_span():
         for m in solver:
             solver_span.add(list(m.entries))
         assert all(solver_span.contains(list(m.entries)) for m in basis)
+
+
+def _closed_form_quadruple(a, lam):
+    """Reference: the quadruple typed out entry by entry for a constant A with
+    (a1-a4)^2 + 4 a2 a3 = 0."""
+    a1, a2, a3, a4 = (e.as_fraction() for e in a.entries)
+    d = a1 - a4
+    li = 1 / Fraction(lam)
+    li2 = li * li
+    z2 = z ** 2
+    half = Fraction(1, 2)
+    return [
+        PolyMatrix.from_rows([
+            [1 + li2 * a2 * a3 * z2, li * a2 * z - half * li2 * d * a2 * z2],
+            [-li * a3 * z - half * li2 * d * a3 * z2, -li2 * a2 * a3 * z2]]),
+        PolyMatrix.from_rows([
+            [li * a3 * z - half * li2 * d * a3 * z2, 1 - li * d * z - li2 * a2 * a3 * z2],
+            [-li2 * a3 * a3 * z2, -li * a3 * z + half * li2 * d * a3 * z2]]),
+        PolyMatrix.from_rows([
+            [-li * a2 * z - half * li2 * d * a2 * z2, -li2 * a2 * a2 * z2],
+            [1 + li * d * z - li2 * a2 * a3 * z2, li * a2 * z + half * li2 * d * a2 * z2]]),
+        PolyMatrix.from_rows([
+            [-li2 * a2 * a3 * z2, -li * a2 * z + half * li2 * d * a2 * z2],
+            [li * a3 * z + half * li2 * d * a3 * z2, 1 + li2 * a2 * a3 * z2]]),
+    ]
+
+
+def test_fundamental_solutions_match_the_typed_closed_forms():
+    rng = random.Random(83)
+    lams = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2, 3), Fraction(3, 2)]
+    cases = [PolyMatrix.zeros(2), PolyMatrix.identity(2).scale(3), E12]
+    cases += [rand_discriminant_zero(rng) for _ in range(200)]
+    for t, a in enumerate(cases):
+        lam = lams[t % len(lams)]
+        basis, expected = fundamental_solutions(a, lam), _closed_form_quadruple(a, lam)
+        assert basis == expected
+        assert [m.to_strings() for m in basis] == [m.to_strings() for m in expected]
+
+
+def test_nonzero_residual_is_an_internal_error(monkeypatch, capsys):
+    real = diffop._recurrence
+
+    def leaves_a_residual(*args):
+        out = real(*args)
+        bs, residuals = out[-1]
+        out[-1] = (bs, residuals[:-1] + [Fraction(1)])
+        return out
+
+    monkeypatch.setattr(diffop, "_recurrence", leaves_a_residual)
+    with pytest.raises(AssertionError):
+        fundamental_solutions(E12, 1)
+    assert main(["azu", "basis", "--a", '[["0", "1"], ["0", "0"]]', "--lambda", "1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "error" and doc["data"]["code"] == "E_INTERNAL"
 
 
 def test_fundamental_solutions_preconditions():

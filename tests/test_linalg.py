@@ -270,6 +270,9 @@ def test_min_poly_against_sympy():
         a, b = root(), root()
         cases.append(conjugated([a, a, a] + [b] * (r - 3), [1] + [0] * (r - 2), rng))
         cases.append(conjugated([a, a] + [b] * (r - 2), [0] * (r - 1), rng))
+    # scalar and zero matrices: M itself already depends on I
+    cases += [PolyMatrix.identity(3).scale(root()), PolyMatrix.identity(4).scale(z - 2),
+              PolyMatrix.zeros(3)]
     for m in cases:
         mine = min_poly(m)
         assert sympy.expand(sympy_poly(mine) - sympy_min_poly(m).as_expr()) == 0
@@ -329,6 +332,10 @@ def test_kernel_saturation_properties_random():
             rows[k] = [sum((c * row[j] for c, row in zip(coeffs, rows)), MultiPoly.zero())
                        for j in range(r)]
         assert len(check_saturated_kernel(PolyMatrix.from_rows(rows))) >= 1
+    # scalar and zero matrices: no kernel, or all of it
+    assert check_saturated_kernel(PolyMatrix.identity(3).scale(z + 1)) == []
+    assert len(check_saturated_kernel(PolyMatrix.zeros(3))) == 3
+    assert len(check_saturated_kernel(PolyMatrix.zeros(2, 3))) == 3
 
 
 # -- squarefree / divisibility -------------------------------------------------

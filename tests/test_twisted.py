@@ -281,28 +281,50 @@ def test_endomorphism_scalar_rank_two():
     assert endo.twist.is_trivial()
 
 
+def frame_bundle(rng, nerve, rank=2):
+    """A valid bundle twisted by a qstar coboundary: g_ij = beta_ij F_j F_i^-1
+    for random invertible integer frames F_i."""
+    beta = rand_cochain1(rng, nerve, Qstar())
+    alpha = coboundary(beta)
+    frames = []
+    for _ in nerve.indices():
+        while True:
+            p = [[Fraction(rng.randint(-3, 3)) for _ in range(rank)] for _ in range(rank)]
+            if mat_inv(p) is not None:
+                frames.append(tuple(tuple(r) for r in p))
+                break
+    gluing = {}
+    for i in nerve.indices():
+        for j in nerve.indices():
+            if i != j:
+                base = mat_mul(frames[j], mat_inv(frames[i]))
+                gluing[(i, j)] = mat_scale(base, beta.value(i, j))
+    return TwistedBundle(rank, nerve, gluing, alpha)
+
+
 def test_endomorphism_generic_rank_two():
     rng = random.Random(179)
     for _ in range(10):
-        beta = rand_cochain1(rng, N4, Qstar())
-        alpha = coboundary(beta)
-        frames = []
-        for _ in range(4):
-            while True:
-                p = [[Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
-                if mat_inv(p) is not None:
-                    frames.append(tuple(tuple(r) for r in p))
-                    break
-        gluing = {}
-        for i in range(4):
-            for j in range(4):
-                if i != j:
-                    base = mat_mul(frames[j], mat_inv(frames[i]))
-                    gluing[(i, j)] = mat_scale(base, beta.value(i, j))
-        bundle = TwistedBundle(2, N4, gluing, alpha)
+        bundle = frame_bundle(rng, N4)
         assert twisted_gluing_check(bundle).ok
         endo = endomorphism_azumaya(bundle)
         assert twisted_gluing_check(endo).ok
+
+
+def test_endomorphism_gluing_is_conjugation():
+    # h_ij vec(M) = vec(g_ij M g_ij^-1), with the inverse computed by mat_inv
+    rng = random.Random(181)
+    for t in range(12):
+        rank, nerve = 1 + t % 3, (N3, N4)[t % 2]
+        bundle = frame_bundle(rng, nerve, rank)
+        endo = endomorphism_azumaya(bundle)
+        units = [tuple(tuple(Fraction(int((p, q) == (a, b))) for q in range(rank))
+                       for p in range(rank)) for a in range(rank) for b in range(rank)]
+        for (i, j), g in bundle.gluing.items():
+            h = endo.g(i, j)
+            for col, m in enumerate(units):
+                conj = mat_mul(mat_mul(g, m), mat_inv(g))
+                assert [row[col] for row in h] == [x for row in conj for x in row]
 
 
 @pytest.mark.parametrize("rank", [0, -1, True, 1.0, "2"])
