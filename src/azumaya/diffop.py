@@ -356,12 +356,15 @@ def _sqrt_fraction(c: Fraction):
 def classify_higgsing(b: PolyMatrix) -> HiggsingReport:
     """Trichotomy for a 2x2 B over the polynomial base ring.
 
-    The characteristic polynomial must be z-free and split over Q; the
-    report carries the minimal polynomial as the kernel ideal generator
+    Entries of B must not use ``v``, the variable of the characteristic
+    and minimal polynomials.  The characteristic polynomial must be z-free
+    and split over Q; the report carries the minimal polynomial as the kernel ideal generator
     and the saturated kernel of B - nu for each eigenvalue nu.
     """
     if b.shape() != (2, 2):
         raise ShapeError("classification applies to 2x2 matrices")
+    if "v" in b.variables():
+        raise ShapeError("entries of B must not use v, the eigenvalue variable")
     cp = char_poly(b)
     if not set(cp.vars) <= {"v"}:
         raise NonConstantError(

@@ -212,14 +212,24 @@ class CheckResult:
 
 
 def check_2cocycle(alpha: UnitCochain2) -> CheckResult:
-    """a_jkl * a_ikl^-1 * a_ijl * a_ijk^-1 = 1 on every quadruple."""
+    """a_jkl * a_ikl^-1 * a_ijl * a_ijk^-1 = 1 on every quadruple.
+
+    Only the N^3 quadruples (0, j, k, l) are evaluated, in lexicographic
+    order.  This is the cone argument that makes the Cech cohomology of a
+    simplex vanish: with beta_jk = a_0jk, the word on (0, j, k, l) is
+    a_jkl * (d beta)_jkl^-1, so a passing slice gives alpha = d beta on
+    every triple, and d(d beta) = 1 then gives every other quadruple.  A
+    non-cocycle therefore fails somewhere with i = 0, and those quadruples
+    precede all others, so the reported first offender is the one a scan
+    of all N^4 quadruples would report.
+    """
     g = alpha.group
-    for i, j, k, l in product(alpha.nerve.indices(), repeat=4):
-        word = g.op(g.op(alpha.value(j, k, l), g.inv(alpha.value(i, k, l))),
-                    g.op(alpha.value(i, j, l), g.inv(alpha.value(i, j, k))))
+    for j, k, l in product(alpha.nerve.indices(), repeat=3):
+        word = g.op(g.op(alpha.value(j, k, l), g.inv(alpha.value(0, k, l))),
+                    g.op(alpha.value(0, j, l), g.inv(alpha.value(0, j, k))))
         if word != g.identity():
-            return CheckResult(False, (i, j, k, l),
-                               f"cocycle identity fails on {(i, j, k, l)}")
+            return CheckResult(False, (0, j, k, l),
+                               f"cocycle identity fails on {(0, j, k, l)}")
     return CheckResult(True)
 
 
@@ -397,18 +407,37 @@ class TwistedBundle:
 
 def twisted_gluing_check(e: TwistedBundle) -> CheckResult:
     """Conditions: (1) g_ii = I, (2) g_ij g_ji = I, and
-    (3) g_ki g_jk g_ij = alpha_ijk I, reported in lexicographic order."""
+    (3) g_ki g_jk g_ij = alpha_ijk I, reported in lexicographic order.
+
+    The first offender is the one a scan of all pairs and triples would
+    report, at a cost of N(N-1)/2 + 2(N-1)(N-2) matrix products.  (2) is
+    tested on i < j only: over Q a one-sided inverse is two-sided, and
+    (i, j) precedes (j, i).  Matrices are multiplied only on the distinct
+    triples (0, j, k), which come first.  Once those hold, (1), (2) and
+    the twist's normalization give g_jk = alpha_0jk g_0k g_j0 for all
+    j, k (the cone on index 0), hence g_ki g_jk g_ij = alpha_0ki alpha_0jk
+    alpha_0ij I.  So on every other triple (3) is the scalar identity
+    alpha_ijk = alpha_0ki alpha_0jk alpha_0ij, which for i = 0 holds by
+    normalization, as (3) does on any triple with a repeated index.  A
+    mu_n twist with n > 2 raises ``InvalidInputError`` exactly when (1)
+    and (2) hold.
+    """
     ident = mat_identity(e.rank)
-    for i in e.nerve.indices():
+    idx = e.nerve.indices()
+    for i in idx:
         if e.g(i, i) != ident:
             return CheckResult(False, (i, i), f"g_{i}{i} is not the identity")
-    for i, j in product(e.nerve.indices(), repeat=2):
-        if i != j and mat_mul(e.g(i, j), e.g(j, i)) != ident:
+    for i, j in product(idx, repeat=2):
+        if i < j and mat_mul(e.g(i, j), e.g(j, i)) != ident:
             return CheckResult(False, (i, j), f"g_{i}{j} is not inverse to g_{j}{i}")
-    for i, j, k in product(e.nerve.indices(), repeat=3):
-        lhs = mat_mul(e.g(k, i), mat_mul(e.g(j, k), e.g(i, j)))
-        rhs = mat_scale(ident, e.scalar_twist(i, j, k))
-        if lhs != rhs:
+    cone = {(j, k): e.scalar_twist(0, j, k) for j, k in product(idx, repeat=2)}
+    for i, j, k in product(idx, repeat=3):
+        if i == 0 and len({0, j, k}) == 3:
+            lhs = mat_mul(e.g(k, 0), mat_mul(e.g(j, k), e.g(0, j)))
+            holds = lhs == mat_scale(ident, cone[j, k])
+        else:
+            holds = cone[k, i] * cone[j, k] * cone[i, j] == e.scalar_twist(i, j, k)
+        if not holds:
             return CheckResult(False, (i, j, k),
                                f"twisted cocycle condition fails on {(i, j, k)}")
     return CheckResult(True)

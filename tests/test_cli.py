@@ -115,6 +115,17 @@ def test_module_error_surfaces_code(capsys, tmp_path):
     assert rep["data"]["code"] == "E_NOT_SPLIT"
 
 
+@pytest.mark.parametrize("b", [[["v", "1"], ["0", "v"]], [["v", "0"], ["0", "0"]]])
+def test_classify_refuses_the_eigenvalue_variable(capsys, tmp_path, b):
+    f = tmp_path / "v.json"
+    f.write_text(json.dumps({"version": 1, "command": "azu classify",
+                             "payload": {"B": b}}))
+    code, out = run(capsys, "azu", "classify", str(f))
+    assert code == 1
+    rep = json.loads(out)   # exactly one report
+    assert rep["status"] == "error" and rep["data"]["code"] == "E_SHAPE"
+
+
 def test_azu_report(capsys):
     code, doc = run_json(capsys, "azu", "report", "--a", '[["0","1"],["0","0"]]',
                          "--lambda", "1", "--bhat", "1,0,0,2")

@@ -1,15 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from azumaya import twisted
 from azumaya.cli import cochain_from_json, cochain_to_json
 from azumaya.errors import (CoverMismatchError, InvalidInputError,
                             UndecidableGroupError)
 from azumaya.suites import rand_cochain1
-from azumaya.twisted import (Cochain1, CoverNerve, Mu, Qstar, SheafOnP1,
-                             TwistedBundle, UnitCochain2, check_2cocycle,
-                             coboundary, endomorphism_azumaya,
+from azumaya.twisted import (CheckResult, Cochain1, CoverNerve, Mu, Qstar,
+                             SheafOnP1, TwistedBundle, UnitCochain2,
+                             check_2cocycle, coboundary, endomorphism_azumaya,
                              hilbert_poly, is_coboundary, mat_identity,
                              mat_inv, mat_mul, mat_scale,
                              morphism_hilbert_poly, refine,
@@ -281,10 +285,18 @@ def test_endomorphism_scalar_rank_two():
     assert endo.twist.is_trivial()
 
 
-def frame_bundle(rng, nerve, rank=2):
-    """A valid bundle twisted by a qstar coboundary: g_ij = beta_ij F_j F_i^-1
+def rational_scalar(group, val):
+    """The scalar a twist value acts by; mu_n with n > 2 has none, so such
+    bundles are glued untwisted (their gluing check raises anyway)."""
+    if isinstance(group, Qstar):
+        return val
+    return Fraction(-1) ** val if group.n == 2 else Fraction(1)
+
+
+def frame_bundle(rng, nerve, rank=2, group=Qstar()):
+    """A valid bundle twisted by a coboundary: g_ij = beta_ij F_j F_i^-1
     for random invertible integer frames F_i."""
-    beta = rand_cochain1(rng, nerve, Qstar())
+    beta = rand_cochain1(rng, nerve, group)
     alpha = coboundary(beta)
     frames = []
     for _ in nerve.indices():
@@ -298,7 +310,7 @@ def frame_bundle(rng, nerve, rank=2):
         for j in nerve.indices():
             if i != j:
                 base = mat_mul(frames[j], mat_inv(frames[i]))
-                gluing[(i, j)] = mat_scale(base, beta.value(i, j))
+                gluing[(i, j)] = mat_scale(base, rational_scalar(group, beta.value(i, j)))
     return TwistedBundle(rank, nerve, gluing, alpha)
 
 
@@ -338,6 +350,216 @@ def test_endomorphism_requires_valid_input():
                         UnitCochain2.trivial(N3, Qstar()))
     with pytest.raises(InvalidInputError):
         endomorphism_azumaya(bad)
+
+
+# -- the i = 0 slice against full-scan oracles ---------------------------------------
+#
+# The oracles are the two checks as they were when they scanned every
+# quadruple and every triple.  The library decides both identities on the
+# i = 0 slice and must give the same (ok, where, detail) and raise the same
+# exceptions.
+
+def full_scan_2cocycle(alpha):
+    g = alpha.group
+    for i, j, k, l in product(alpha.nerve.indices(), repeat=4):
+        word = g.op(g.op(alpha.value(j, k, l), g.inv(alpha.value(i, k, l))),
+                    g.op(alpha.value(i, j, l), g.inv(alpha.value(i, j, k))))
+        if word != g.identity():
+            return CheckResult(False, (i, j, k, l),
+                               f"cocycle identity fails on {(i, j, k, l)}")
+    return CheckResult(True)
+
+
+def full_scan_gluing(e):
+    ident = mat_identity(e.rank)
+    for i in e.nerve.indices():
+        if e.g(i, i) != ident:
+            return CheckResult(False, (i, i), f"g_{i}{i} is not the identity")
+    for i, j in product(e.nerve.indices(), repeat=2):
+        if i != j and mat_mul(e.g(i, j), e.g(j, i)) != ident:
+            return CheckResult(False, (i, j), f"g_{i}{j} is not inverse to g_{j}{i}")
+    for i, j, k in product(e.nerve.indices(), repeat=3):
+        lhs = mat_mul(e.g(k, i), mat_mul(e.g(j, k), e.g(i, j)))
+        rhs = mat_scale(ident, e.scalar_twist(i, j, k))
+        if lhs != rhs:
+            return CheckResult(False, (i, j, k),
+                               f"twisted cocycle condition fails on {(i, j, k)}")
+    return CheckResult(True)
+
+
+def outcome(check, arg):
+    try:
+        res = check(arg)
+    except Exception as exc:   # the exception is part of what must agree
+        return type(exc), str(exc)
+    return res.ok, res.where, res.detail
+
+
+def assert_same(check, oracle, arg):
+    assert outcome(check, arg) == outcome(oracle, arg)
+
+
+GROUPS = (Qstar(), Mu(1), Mu(2), Mu(3), Mu(4), Mu(6))
+FAULTS = ("none", "diagonal", "inverse", "entry", "non-scalar", "twist")
+
+
+def distinct_triples(size):
+    return [t for t in product(range(size), repeat=3) if len(set(t)) == 3]
+
+
+def rand_unit(rng, group):
+    if isinstance(group, Mu):
+        return rng.randrange(group.n)
+    return Fraction(rng.choice([1, 2, 3, 5, -1, -2]), rng.choice([1, 2, 3]))
+
+
+def perturbed(alpha, triples, rng):
+    """alpha times a non-identity unit on each triple (unchanged in mu_1)."""
+    g = alpha.group
+    values = dict(alpha.values)
+    for t in triples:
+        if isinstance(g, Mu):
+            shift = rng.randrange(1, g.n) if g.n > 1 else 0
+        else:
+            shift = Fraction(rng.choice([2, -1, 3]), rng.choice([1, 5]))
+        values[t] = g.op(alpha.value(*t), shift)
+    return UnitCochain2(alpha.nerve, g, values)
+
+
+def cocycle_cases(rng):
+    for size in range(1, 7):
+        nerve = CoverNerve(size)
+        triples = distinct_triples(size)
+        for group in GROUPS:
+            alpha = coboundary(rand_cochain1(rng, nerve, group))
+            yield alpha
+            yield UnitCochain2(nerve, group, {t: rand_unit(rng, group) for t in triples})
+            for t in triples:
+                yield perturbed(alpha, [t], rng)
+            if len(triples) >= 3:
+                yield perturbed(alpha, rng.sample(triples, 3), rng)
+
+
+def test_cocycle_slice_matches_full_scan_seeded():
+    cases = list(cocycle_cases(random.Random(211)))
+    assert sum(not full_scan_2cocycle(a).ok for a in cases) > len(cases) // 2
+    for alpha in cases:
+        assert_same(check_2cocycle, full_scan_2cocycle, alpha)
+
+
+@st.composite
+def unit_cochains(draw):
+    size = draw(st.integers(1, 5))
+    group = draw(st.sampled_from(GROUPS))
+    nerve = CoverNerve(size)
+    unit = (st.integers(0, group.n - 1) if isinstance(group, Mu)
+            else st.builds(Fraction, st.sampled_from([1, 2, 3, -1, -2]),
+                           st.sampled_from([1, 2, 3])))
+    values = {}
+    if draw(st.booleans()):     # near a coboundary, else arbitrary
+        beta = {(i, j): draw(unit) for i in range(size) for j in range(i + 1, size)}
+        values = dict(coboundary(Cochain1(nerve, group, beta)).values)
+    triples = distinct_triples(size)
+    if triples:
+        values.update(draw(st.dictionaries(st.sampled_from(triples), unit,
+                                           max_size=len(triples))))
+    return UnitCochain2(nerve, group, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_cochains())
+def test_cocycle_slice_matches_full_scan_hypothesis(alpha):
+    assert_same(check_2cocycle, full_scan_2cocycle, alpha)
+
+
+def faulted(rng, bundle, kind):
+    """The bundle with one fault of the given kind, or unchanged when the
+    nerve is too small for it."""
+    size, rank = bundle.nerve.index_count, bundle.rank
+    gluing = {p: bundle.g(*p) for p in product(range(size), repeat=2) if p[0] != p[1]}
+    twist = bundle.twist
+    i, j = rng.sample(range(size), 2) if size >= 2 else (0, 0)
+    if kind == "diagonal":
+        k = rng.randrange(size)
+        gluing[(k, k)] = mat_scale(mat_identity(rank), Fraction(rng.choice([2, -1])))
+    elif kind == "inverse" and i != j:
+        gluing[(i, j)] = mat_scale(gluing[(i, j)], Fraction(rng.choice([2, -1, 3])))
+    elif kind in ("entry", "non-scalar") and i != j:
+        if kind == "entry":
+            g = [list(row) for row in gluing[(i, j)]]
+            g[rng.randrange(rank)][rng.randrange(rank)] += Fraction(1, rng.choice([1, 2, 3]))
+            g = tuple(tuple(row) for row in g)
+        else:
+            p = tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in range(rank))
+                      for _ in range(rank))
+            g = mat_mul(gluing[(i, j)], p)
+        if mat_inv(g) is not None:   # keep g_ij g_ji = I, so (3) must catch it
+            gluing[(i, j)], gluing[(j, i)] = g, mat_inv(g)
+    elif kind == "twist" and size >= 3:
+        twist = perturbed(twist, [rng.choice(distinct_triples(size))], rng)
+    return TwistedBundle(rank, bundle.nerve, gluing, twist)
+
+
+def test_gluing_slice_matches_full_scan_seeded():
+    rng = random.Random(223)
+    verdicts = set()
+    for group in GROUPS:
+        for size in range(1, 6):
+            for rank in (1, 2, 3) if size <= 4 else (1, 2):
+                bundle = frame_bundle(rng, CoverNerve(size), rank, group)
+                for kind in FAULTS:
+                    e = faulted(rng, bundle, kind)
+                    expected = outcome(full_scan_gluing, e)
+                    assert outcome(twisted_gluing_check, e) == expected
+                    verdicts.add(expected[0])
+                    if rank <= 2 and expected[0] is True:
+                        endo = endomorphism_azumaya(e)
+                        assert_same(twisted_gluing_check, full_scan_gluing, endo)
+    assert verdicts == {True, False, InvalidInputError}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(GROUPS), st.integers(1, 5), st.integers(1, 2),
+       st.sampled_from(FAULTS), st.integers(0, 2 ** 32))
+def test_gluing_slice_matches_full_scan_hypothesis(group, size, rank, kind, seed):
+    rng = random.Random(seed)
+    e = faulted(rng, frame_bundle(rng, CoverNerve(size), rank, group), kind)
+    assert_same(twisted_gluing_check, full_scan_gluing, e)
+
+
+def test_mu3_twist_raises_exactly_when_inverses_hold():
+    rng = random.Random(227)
+    for kind in FAULTS:
+        e = faulted(rng, frame_bundle(rng, N4, 2, Mu(3)), kind)
+        raised = outcome(full_scan_gluing, e)[0] is InvalidInputError
+        assert raised == (kind not in ("diagonal", "inverse"))
+        assert_same(twisted_gluing_check, full_scan_gluing, e)
+
+
+# -- work bounds of the slice checks ----------------------------------------------------
+
+@pytest.mark.parametrize("size,rank", [(1, 2), (2, 1), (3, 2), (5, 2), (7, 3)])
+def test_gluing_check_matrix_products_are_quadratic(monkeypatch, size, rank):
+    bundle = frame_bundle(random.Random(229), CoverNerve(size), rank)
+    calls = []
+
+    def counting_mat_mul(a, b):
+        calls.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(twisted, "mat_mul", counting_mat_mul)
+    assert twisted_gluing_check(bundle).ok
+    assert len(calls) <= size * (size - 1) // 2 + 2 * (size - 1) * (size - 2)
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 8])
+def test_cocycle_check_evaluates_cubic_words(size):
+    alpha = coboundary(rand_cochain1(random.Random(233), CoverNerve(size), Qstar()))
+    reads = []
+    value = alpha.value
+    alpha.value = lambda *t: reads.append(t) or value(*t)
+    assert check_2cocycle(alpha).ok
+    assert len(reads) == 4 * size ** 3    # four values per word
 
 
 # -- Hilbert polynomials -----------------------------------------------------------------
