@@ -2,10 +2,12 @@
 
 Over Q, ``rref`` is Gauss-Jordan on Fractions.  Over the fraction field of
 a polynomial base ring Q[z] (or Q[w1, w2, ...]) there is one elimination,
-``SpanBasis``: fraction-free (Bareiss), so it computes in the base ring with
-exact divisions and no gcds.  The span tests run on it, and so do
-``min_poly`` and ``kernel_saturated``, through one relation path
-(``_relations``) that saturates and signs each dependency it finds.
+``SpanBasis``: Bareiss over Z[base] after clearing denominators, on the
+integer maps of ``poly``'s kernel, so its divisions are exact and it takes
+no gcds.  The span tests run on it, and so do ``min_poly`` and
+``kernel_saturated``, through one relation path (``_relations``) that
+saturates and signs each dependency it finds.  ``PolyMatrix`` products sum
+each entry in one integer map over the two matrices' common denominators.
 
 Everything is deterministic: elimination always picks the first usable
 pivot, nullspace bases are in the standard reduced-echelon form (free
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ShapeError
-from .poly import (MultiPoly, ONE, ZERO, _as_fraction, dense_gcd, exact_div, from_dense,
-                   to_dense)
+from .poly import (MultiPoly, ONE, ZERO, _as_fraction, _int_addmul, _int_quo, _join,
+                   _layout, _relayout, _split, dense_gcd, exact_div, from_dense, to_dense)
 
 
 def rref(rows):
@@ -184,14 +186,19 @@ class PolyMatrix:
         if isinstance(other, PolyMatrix):
             if self.cols != other.rows:
                 raise ShapeError(f"cannot multiply {self.shape()} by {other.shape()}")
+            names = _layout(self.entries + other.entries)
+            a, da = _split(self.entries, names)
+            b, db = _split(other.entries, names)
+            n, m = self.cols, other.cols
             out = []
             for i in range(self.rows):
-                for j in range(other.cols):
-                    acc = MultiPoly.zero()
-                    for k in range(self.cols):
-                        acc = acc + self[i, k] * other[k, j]
-                    out.append(acc)
-            return PolyMatrix(self.rows, other.cols, out)
+                row = a[i * n:(i + 1) * n]
+                for j in range(m):
+                    acc = {}
+                    for k, x in enumerate(row):
+                        _int_addmul(acc, x, b[k * m + j])
+                    out.append(_join(names, acc, da * db))
+            return PolyMatrix(self.rows, m, out)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -296,27 +303,43 @@ def _base_var(m: PolyMatrix) -> str:
 class SpanBasis:
     """Incremental row echelon over Q[base]; spans are over its fraction field.
 
-    Fraction-free (Bareiss 1968): the i-th stored row has been through the
-    i - 1 elimination steps before it, so its entries are minors of the
-    inserted vectors and every division in ``_reduce`` is exact.  Any number
-    of base variables.  ``insert`` may append tag entries to a vector; they
-    are eliminated with it but never pivoted on, so when the vector reduces
-    to zero they record the relation it satisfies.
+    Fraction-free (Bareiss 1968) over Z[base]: each inserted vector, tag
+    entries included, is first multiplied by the common denominator of its
+    entries, which changes neither the span nor the normalised relations.
+    Rows are integer maps (see ``poly._split``) over one variable layout,
+    re-laid out when a vector brings a new base variable; any number of base
+    variables.  The i-th stored row has been through the i - 1 elimination
+    steps before it, so its entries are minors of the scaled vectors and
+    every division in ``_reduce`` is exact in Z[base].  ``insert`` may
+    append tag entries to a vector; they are eliminated with it but never
+    pivoted on, so when the vector reduces to zero they record the relation
+    it satisfies.
     """
 
     def __init__(self):
-        self.rows = []       # stored rows, tag entries included
+        self.names = ()      # variable layout of the stored rows
+        self.rows = []       # stored rows of integer maps, tag entries included
         self.pivots = []     # pivot column of each row
 
+    def _scaled(self, polys):
+        """The integer maps of ``polys`` times their common denominator."""
+        names = _layout(polys, self.names)
+        if names != self.names:
+            self.rows = [[_relayout(x, self.names, names) for x in row] for row in self.rows]
+            self.names = names
+        return _split(polys, names)[0]
+
     def _reduce(self, vec):
-        prev = ONE
+        prev = None
         for row, pc in zip(self.rows, self.pivots):
-            p, f = row[pc], vec[pc]
+            p, f = row[pc], {e: -c for e, c in vec[pc].items()}
             # (p * vec - f * row) / prev, also when f is 0: the scaling by
             # p / prev is what keeps the later divisions exact
-            vec = [p * a - f * b for a, b in zip(vec, row)]
-            if prev != ONE:
-                vec = [exact_div(x, prev) for x in vec]
+            vec = [_int_addmul(_int_addmul({}, p, a), f, b) for a, b in zip(vec, row)]
+            if prev is None:
+                vec = [{e: c for e, c in x.items() if c} for x in vec]
+            else:
+                vec = [_int_quo(x, prev) for x in vec]
             prev = p
         return vec
 
@@ -325,20 +348,20 @@ class SpanBasis:
         the vector enlarged the span.  Otherwise returns its reduced tag t:
         with u_i the inserted vector tagged by the i-th unit vector,
         sum_i t_i * u_i = 0, and t is nonzero at this vector's own index."""
-        vec = self._reduce(list(polys) + list(tag))
+        vec = self._reduce(self._scaled(list(polys) + list(tag)))
         for pc in range(len(polys)):
-            if not vec[pc].is_zero():
+            if vec[pc]:
                 self.rows.append(vec)
                 self.pivots.append(pc)
                 return None
-        return vec[len(polys):]
+        return [_join(self.names, x) for x in vec[len(polys):]]
 
     def add(self, polys) -> bool:
         """Insert the vector; returns True when it enlarged the span."""
         return self.insert(polys, ()) is None
 
     def contains(self, polys) -> bool:
-        return all(x.is_zero() for x in self._reduce(list(polys)))
+        return not any(self._reduce(self._scaled(list(polys))))
 
     def dimension(self) -> int:
         return len(self.rows)

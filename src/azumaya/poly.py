@@ -9,13 +9,22 @@ graded-lex descending with the fixed variable priority
 form produced by ``str()`` (terms in canonical order, coefficients printed
 ``p/q`` with ``/1`` omitted, e.g. ``3/2*z^2*v - 1``) is a bit-exact contract
 used by golden-file tests, so it must never drift.
+
+Products and exact division run on integer numerators: ``_split`` writes
+polynomials over one variable layout as ``{exponents: int}`` maps with one
+common denominator, ``_int_addmul`` multiplies such maps and ``_int_quo``
+divides them exactly, and ``_join`` makes each output coefficient a Fraction
+once, at the end.  ``linalg`` builds matrix products and its fraction-free
+elimination on the same maps.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from operator import add, sub
 
 _INDEXED_FAMILIES = {"x": 0, "w": 1}
 _FIXED_NAMES = {"z": 2, "v": 3, "lam": 4, "m": 5}
@@ -119,22 +128,15 @@ class MultiPoly:
         i = self.vars.index(name)
         return max((e[i] for e in self.terms), default=0)
 
-    # -- context alignment ----------------------------------------------
-
-    def _aligned(self, other: "MultiPoly"):
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        merged = tuple(sorted(set(self.vars) | set(other.vars), key=var_sort_key))
-        return merged, _remap(self, merged), _remap(other, merged)
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        merged, a, b = self._aligned(other)
-        out = dict(a)
+        merged = _layout((other,), self.vars)
+        out = dict(_relayout(self.terms, self.vars, merged))
+        b = _relayout(other.terms, other.vars, merged)
         cancelled = False
         for e, c in b.items():
             s = out.get(e)
@@ -172,13 +174,11 @@ class MultiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        merged, a, b = self._aligned(other)
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(i + j for i, j in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        out = {e: c for e, c in out.items() if c}
+        merged = _layout((other,), self.vars)
+        (a,), da = _split((self,), merged)
+        (b,), db = _split((other,), merged)
+        den = da * db
+        out = {e: Fraction(c, den) for e, c in _int_addmul({}, a, b).items() if c}
         # over Q a nonzero product has positive degree in every variable of
         # either factor, so only a zero product loses its variables
         return MultiPoly._trusted(merged if out else (), out)
@@ -292,17 +292,6 @@ class MultiPoly:
         return f"MultiPoly({str(self)!r})"
 
 
-def _remap(p: MultiPoly, merged) -> dict:
-    pos = [merged.index(v) for v in p.vars]
-    out = {}
-    for e, c in p.terms.items():
-        full = [0] * len(merged)
-        for i, k in zip(pos, e):
-            full[i] = k
-        out[tuple(full)] = c
-    return out
-
-
 def _coerce(x):
     if isinstance(x, MultiPoly):
         return x
@@ -318,21 +307,102 @@ ONE = MultiPoly.const(1)
 def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     """The quotient q with q * d == p, in any number of variables.
 
-    Division by leading terms in the monomial order; raises ArithmeticError
-    as soon as a leading term of the remainder is not a multiple of the
-    leading term of ``d``, which happens exactly when ``d`` does not divide
-    ``p``.
+    Both are split over one common denominator and ``d``'s numerator loses
+    its integer content c; by Gauss's lemma ``d`` divides ``p`` over Q
+    exactly when that primitive part divides ``p``'s numerator in Z[vars],
+    and then q is that integer quotient over c.  Raises ArithmeticError at
+    the first leading term of the remainder that the leading term of the
+    primitive part does not divide.
     """
     if d.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    names, rem, div = p._aligned(d)
-    rem = dict(rem)
+    names = _layout((d,), p.vars)
+    (num, div), _ = _split((p, d), names)
+    c = math.gcd(*div.values())
+    return _join(names, _int_quo(num, {e: x // c for e, x in div.items()}), c)
+
+
+# ---------------------------------------------------------------------------
+# integer kernel: numerators over Z[vars] with one common denominator
+# ---------------------------------------------------------------------------
+
+def _layout(polys, names=()):
+    """The canonically sorted union of ``names`` (already sorted) and the
+    variables of ``polys``; ``names`` itself when nothing is new."""
+    union = set(names)
+    for p in polys:
+        union.update(p.vars)
+    if len(union) == len(names):
+        return names
+    return tuple(sorted(union, key=var_sort_key))
+
+
+def _relayout(terms: dict, old: tuple, new: tuple) -> dict:
+    """``terms`` keyed by exponents over the layout ``old`` re-keyed over
+    ``new``, which holds every variable of ``old``."""
+    if old == new:
+        return terms
+    pos = [new.index(v) for v in old]
+    n = len(new)
+    out = {}
+    for e, c in terms.items():
+        full = [0] * n
+        for i, k in zip(pos, e):
+            full[i] = k
+        out[tuple(full)] = c
+    return out
+
+
+def _split(polys, names):
+    """Integer numerators of ``polys`` over the layout ``names`` (which holds
+    the variables of each) and their least positive common denominator:
+    ``(maps, den)`` with ``polys[i] == maps[i] / den``."""
+    den = math.lcm(*{c.denominator for p in polys for c in p.terms.values()})
+    return [{e: c.numerator * (den // c.denominator)
+             for e, c in _relayout(p.terms, p.vars, names).items()}
+            for p in polys], den
+
+
+def _join(names, num: dict, den: int = 1) -> MultiPoly:
+    """The MultiPoly ``num / den`` for an integer map over the layout
+    ``names``, dropping zero terms and the variables no term uses."""
+    terms = {e: Fraction(c, den) for e, c in num.items() if c}
+    if terms and all(map(any, zip(*terms))):
+        return MultiPoly._trusted(names, terms)
+    return MultiPoly(names, terms)
+
+
+def _int_addmul(out: dict, a: dict, b: dict) -> dict:
+    """Add the product of the integer maps ``a`` and ``b`` into ``out`` (all
+    over one layout) and return it; cancelled terms stay as zeros."""
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return out
+
+
+def _heap_key(e):
+    # min-heap key for the monomial order: the largest term pops first
+    return (-sum(e), tuple(-k for k in e))
+
+
+def _int_quo(num: dict, div: dict) -> dict:
+    """The q in Z[vars] with q * div == num, for integer maps over one layout
+    (``div`` nonzero, ``num`` may hold zeros).
+
+    Division by leading terms in the monomial order; raises ArithmeticError
+    as soon as the leading term of the remainder is not an integer multiple
+    of the leading term of ``div``, which happens exactly when no such q
+    exists.
+    """
     lead = max(div, key=MultiPoly._term_sort_key)
     lead_c = div[lead]
     tail = [(e, c) for e, c in div.items() if e != lead]
-    # min-heap on the negated order, so the largest remaining term pops first;
+    rem = {e: c for e, c in num.items() if c}
     # cancelled terms stay in the heap and are skipped when popped
-    heap = [(-sum(e), tuple(-k for k in e)) for e in rem]
+    heap = [_heap_key(e) for e in rem]
     heapify(heap)
     quo = {}
     while heap:
@@ -341,22 +411,22 @@ def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly:
         c = rem.pop(e, None)
         if c is None:
             continue
-        q = tuple(a - b for a, b in zip(e, lead))
-        if min(q, default=0) < 0:
+        q = tuple(map(sub, e, lead))
+        c, r = divmod(c, lead_c)
+        if r or min(q, default=0) < 0:
             raise ArithmeticError("inexact polynomial division")
-        c = c / lead_c
         quo[q] = c
         for e2, c2 in tail:
-            m = tuple(a + b for a, b in zip(q, e2))
+            m = tuple(map(add, q, e2))
             x = rem.get(m)
             if x is None:
                 rem[m] = -c * c2
-                heappush(heap, (-sum(m), tuple(-k for k in m)))
+                heappush(heap, _heap_key(m))
             elif x == c * c2:
                 del rem[m]
             else:
                 rem[m] = x - c * c2
-    return MultiPoly(names, quo)
+    return quo
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +501,11 @@ class _Parser:
     def parse_atom(self):
         kind = self.peek()
         if kind == "num":
-            return MultiPoly.const(Fraction(self.take("num")))
+            text = self.take("num")
+            try:
+                return MultiPoly.const(Fraction(text))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {text!r}") from None
         if kind == "name":
             return self.var_hook(self.take("name"))
         if kind == "lpar":

@@ -375,6 +375,8 @@ def _with_value(doc, **item):
     ("azu report", {"A": [["0", "1"], ["0", "0"]], "lambda": "1",
                     "bhat": ["1", "0", "0", "2"], "deg_bound": -1}, "E_INPUT"),
     ('azu solve --a [["0","1"],["0","0"]] --lambda 1 --deg-bound -1', None, "E_INPUT"),
+    ("azu classify", {"B": [["1/0", "0"], ["0", "1"]]}, "E_INPUT"),
+    ("weyl nf", {"expr": "3/0*x"}, "E_INPUT"),
 ])
 def test_malformed_payload_reports_one_error(capsys, tmp_path, command, payload, code):
     # a payload of None: the command line alone is the malformed input

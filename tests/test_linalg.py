@@ -11,7 +11,7 @@ from azumaya.linalg import (PolyMatrix, SpanBasis, char_poly, divides_in_v,
                             eval_poly_at_matrix, kernel_saturated,
                             linear_solve_exact, min_poly, nullspace_from_rref,
                             rref, squarefree_in_v, vector_is_primitive)
-from azumaya.poly import MultiPoly, parse_poly
+from azumaya.poly import ONE, ZERO, MultiPoly, exact_div, parse_poly
 
 z = MultiPoly.var("z")
 v = MultiPoly.var("v")
@@ -21,6 +21,16 @@ def rand_matrix(rng, r, deg=2):
     ents = []
     for _ in range(r * r):
         terms = {(k,): Fraction(rng.randint(-3, 3)) for k in range(deg + 1)}
+        ents.append(MultiPoly(("z",), terms))
+    return PolyMatrix(r, r, ents)
+
+
+def rand_rational_matrix(rng, r, deg=2):
+    """Entries with non-integer rational coefficients of mixed denominators."""
+    ents = []
+    for _ in range(r * r):
+        terms = {(k,): Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 4, 7]))
+                 for k in range(deg + 1)}
         ents.append(MultiPoly(("z",), terms))
     return PolyMatrix(r, r, ents)
 
@@ -273,6 +283,10 @@ def test_min_poly_against_sympy():
     # scalar and zero matrices: M itself already depends on I
     cases += [PolyMatrix.identity(3).scale(root()), PolyMatrix.identity(4).scale(z - 2),
               PolyMatrix.zeros(3)]
+    # non-integer rational entries, and a derogatory case with rational roots
+    cases += [rand_rational_matrix(rng, 3), rand_rational_matrix(rng, 4, deg=1)]
+    a, b = Fraction(1, 2) * z - Fraction(2, 3), Fraction(-3, 5) * z + Fraction(1, 4)
+    cases.append(conjugated([a, a, b, b], [1, 0, 0], rng))
     for m in cases:
         mine = min_poly(m)
         assert sympy.expand(sympy_poly(mine) - sympy_min_poly(m).as_expr()) == 0
@@ -332,6 +346,16 @@ def test_kernel_saturation_properties_random():
             rows[k] = [sum((c * row[j] for c, row in zip(coeffs, rows)), MultiPoly.zero())
                        for j in range(r)]
         assert len(check_saturated_kernel(PolyMatrix.from_rows(rows))) >= 1
+    # non-integer rational entries: a row combined from the others with
+    # rational coefficients
+    for r in (2, 3, 3, 4):
+        m = rand_rational_matrix(rng, r, deg=1)
+        rows = [list(m.row(i)) for i in range(r)]
+        coeffs = [Fraction(rng.randint(-4, 4), rng.choice([2, 3, 5])) * z
+                  + Fraction(1, rng.choice([2, 7])) for _ in range(r - 1)]
+        rows[-1] = [sum((c * row[j] for c, row in zip(coeffs, rows)), MultiPoly.zero())
+                    for j in range(r)]
+        assert len(check_saturated_kernel(PolyMatrix.from_rows(rows))) >= 1
     # scalar and zero matrices: no kernel, or all of it
     assert check_saturated_kernel(PolyMatrix.identity(3).scale(z + 1)) == []
     assert len(check_saturated_kernel(PolyMatrix.zeros(3))) == 3
@@ -387,3 +411,81 @@ def test_span_dimension_over_two_base_variables():
             span.add(vec)
             assert span.dimension() == sympy_rank(vectors, "w1 w2")
             assert span.contains(vec)
+
+
+# -- the integer Bareiss rows against the MultiPoly-row elimination ------------
+
+class FractionSpanBasis:
+    """The span with MultiPoly rows and Fraction coefficients, as it was
+    before rows became integer maps: the oracle for ``SpanBasis``."""
+
+    def __init__(self):
+        self.rows, self.pivots = [], []
+
+    def _reduce(self, vec):
+        prev = ONE
+        for row, pc in zip(self.rows, self.pivots):
+            p, f = row[pc], vec[pc]
+            vec = [p * a - f * b for a, b in zip(vec, row)]
+            if prev != ONE:
+                vec = [exact_div(x, prev) for x in vec]
+            prev = p
+        return vec
+
+    def insert(self, polys, tag):
+        vec = self._reduce(list(polys) + list(tag))
+        for pc in range(len(polys)):
+            if not vec[pc].is_zero():
+                self.rows.append(vec)
+                self.pivots.append(pc)
+                return None
+        return vec[len(polys):]
+
+    def contains(self, polys) -> bool:
+        return all(x.is_zero() for x in self._reduce(list(polys)))
+
+
+def proportional(s, t):
+    """s = k * t for a nonzero rational k (both nonzero vectors)."""
+    return (any(not x.is_zero() for x in s)
+            and all(a * d == b * c for a, b in zip(s, t) for c, d in zip(s, t)))
+
+
+def test_span_matches_fraction_rows_as_variables_arrive():
+    rng = random.Random(41)
+    w1 = MultiPoly.var("w1")
+    entry_kinds = [
+        lambda: MultiPoly.const(Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 5]))),
+        lambda: Fraction(rng.randint(-4, 4), rng.choice([1, 3, 4])) * z
+        + Fraction(rng.randint(-3, 3), rng.choice([2, 7])),
+        lambda: Fraction(rng.randint(-3, 3), rng.choice([2, 5])) * w1 * z
+        + Fraction(rng.randint(-3, 3), rng.choice([1, 3])) * w1
+        + Fraction(1, rng.choice([1, 6])),
+    ]
+    for _ in range(25):
+        n, size = rng.randint(2, 4), rng.randint(4, 12)
+        plain, plain_oracle = SpanBasis(), FractionSpanBasis()
+        tagged, tagged_oracle = SpanBasis(), FractionSpanBasis()
+        vectors = []
+        # constant vectors first, then vectors in z, then vectors in w1 and z
+        for k in range(size):
+            kind = entry_kinds[3 * k // size]
+            if vectors and rng.random() < 0.35:
+                a, b = rng.choice(vectors), rng.choice(vectors)
+                vec = [kind() * x + Fraction(rng.randint(-2, 2), 3) * y for x, y in zip(a, b)]
+            else:
+                vec = [kind() if rng.random() < 0.8 else ZERO for _ in range(n)]
+            assert plain.contains(vec) == plain_oracle.contains(vec)
+            assert plain.add(vec) == (plain_oracle.insert(vec, ()) is None)
+            assert plain.dimension() == len(plain_oracle.rows)
+            assert plain.contains(vec) and plain_oracle.contains(vec)
+            vectors.append(vec)
+            tag = [ONE if j == k else ZERO for j in range(size)]
+            got, want = tagged.insert(vec, tag), tagged_oracle.insert(vec, tag)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert all(parse_poly(str(x)) == x for x in got)   # well-formed
+                assert proportional(got, want) and not got[k].is_zero()
+                assert all(sum((t * x[i] for t, x in zip(got, vectors)), ZERO).is_zero()
+                           for i in range(n))
+        assert plain.dimension() == sympy_rank(vectors, "w1 z")

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from azumaya.poly import (MultiPoly, dense_gcd, exact_div, from_dense, parse_poly,
                           to_dense, var_sort_key)
@@ -60,6 +63,18 @@ def test_exact_div_round_trip_multivariate():
         exact_div(parse_poly("w1*w2 + z"), parse_poly("w1 + z"))
     with pytest.raises(ZeroDivisionError):
         exact_div(z, MultiPoly.zero())
+    w1 = MultiPoly.var("w1")
+    # the integer content 6 of 6*z - 12 divides no coefficient of the numerator
+    assert exact_div(z - 2, 6 * z - 12) == Fraction(1, 6)
+    assert exact_div((z - 2) * (w1 + 1), Fraction(4, 3) * z - Fraction(8, 3)) \
+        == Fraction(3, 4) * (w1 + 1)
+    assert exact_div(-2 * z ** 2 + 2, -4 * z - 4) == Fraction(1, 2) * (z - 1)
+    # a primitive divisor whose leading coefficient is not a unit
+    for p in (z ** 2 + 1, 3 * z ** 2 + z, 3 * z ** 2 * w1 + z * w1):
+        with pytest.raises(ArithmeticError):
+            exact_div(p, 2 * z + 2)
+        with pytest.raises(ArithmeticError):
+            exact_div(p, 2 * z + 1)
 
 
 def test_canonical_text_contract():
@@ -94,6 +109,10 @@ def test_parser_forms():
         parse_poly("z +")
     with pytest.raises(ValueError):
         parse_poly("2 ** z")
+    for text in ("1/0", "3/0*z", "z + 0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_poly(text)
+    assert parse_poly("0/5*z + 2/4") == Fraction(1, 2)
 
 
 def test_derivative():
@@ -160,3 +179,144 @@ def test_dense_round_trip_and_gcd():
     q = (z - 1) * (z + 3)
     g = dense_gcd(to_dense(p), to_dense(q))
     assert from_dense(g, "z") == z - 1
+
+
+# -- the integer kernel against the Fraction-path code it replaced -------------
+
+def _aligned(a: MultiPoly, b: MultiPoly):
+    merged = tuple(sorted(set(a.vars) | set(b.vars), key=var_sort_key))
+
+    def remap(p):
+        pos = [merged.index(v) for v in p.vars]
+        out = {}
+        for e, c in p.terms.items():
+            full = [0] * len(merged)
+            for i, k in zip(pos, e):
+                full[i] = k
+            out[tuple(full)] = c
+        return out
+
+    return merged, remap(a), remap(b)
+
+
+def fraction_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """The Fraction-path product: every coefficient product a Fraction."""
+    merged, x, y = _aligned(a, b)
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    out = {e: c for e, c in out.items() if c}
+    return MultiPoly._trusted(merged if out else (), out)
+
+
+def heap_exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly:
+    """The Fraction-path exact division by leading terms, on a heap."""
+    if d.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    names, rem, div = _aligned(p, d)
+    lead = max(div, key=MultiPoly._term_sort_key)
+    lead_c = div[lead]
+    tail = [(e, c) for e, c in div.items() if e != lead]
+    heap = [(-sum(e), tuple(-k for k in e)) for e in rem]
+    heapify(heap)
+    quo = {}
+    while heap:
+        _, neg_e = heappop(heap)
+        e = tuple(-k for k in neg_e)
+        c = rem.pop(e, None)
+        if c is None:
+            continue
+        q = tuple(a - b for a, b in zip(e, lead))
+        if min(q, default=0) < 0:
+            raise ArithmeticError("inexact polynomial division")
+        c = c / lead_c
+        quo[q] = c
+        for e2, c2 in tail:
+            m = tuple(a + b for a, b in zip(q, e2))
+            x = rem.get(m)
+            if x is None:
+                rem[m] = -c * c2
+                heappush(heap, (-sum(m), tuple(-k for k in m)))
+            elif x == c * c2:
+                del rem[m]
+            else:
+                rem[m] = x - c * c2
+    return MultiPoly(names, quo)
+
+
+def outcome(fn, *args):
+    """The value, or the exact type of the exception, that fn(*args) gives."""
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+KERNEL_NAMES = ("x1", "w1", "w2", "z", "v", "lam")
+
+
+def kernel_operand(rng, names):
+    """A random operand: zero, a constant, or a polynomial with mixed
+    denominators and a sign drawn per term, times an integer content."""
+    kind = rng.random()
+    if kind < 0.1:
+        return MultiPoly.zero()
+    if kind < 0.2:
+        return MultiPoly.const(Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)))
+    terms = {tuple(rng.randint(0, 3) for _ in names):
+             Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6, 7]))
+             for _ in range(rng.randint(1, 5))}
+    return MultiPoly(names, terms) * rng.choice([1, 1, -1, 2, -6, Fraction(4, 9)])
+
+
+def check_kernel_pair(a: MultiPoly, b: MultiPoly):
+    product = a * b
+    assert product == fraction_mul(a, b) and str(product) == str(fraction_mul(a, b))
+    assert_canonical(product)
+    assert outcome(exact_div, a, b) == outcome(heap_exact_div, a, b)
+    if not b.is_zero():
+        quotient = exact_div(product, b)
+        assert quotient == heap_exact_div(product, b) == a
+        assert_canonical(quotient)
+    if not b.is_const():
+        # remainders that b does not divide: a constant, and b's own leading
+        # monomial, which passes every monomial test
+        lead = MultiPoly(b.vars, {max(b.terms, key=MultiPoly._term_sort_key): 1})
+        for rest in (1, lead) if len(b.terms) > 1 else (1,):
+            assert outcome(exact_div, product + rest, b) is ArithmeticError
+            assert outcome(heap_exact_div, product + rest, b) is ArithmeticError
+
+
+def test_kernel_matches_fraction_path_seeded():
+    rng = random.Random(71)
+    for _ in range(600):
+        names = tuple(rng.sample(KERNEL_NAMES, rng.randint(1, 4)))
+        # the second operand over the same, an overlapping or a disjoint set
+        others = [n for n in KERNEL_NAMES if n not in names]
+        b_names = rng.choice([names, tuple(rng.sample(KERNEL_NAMES, rng.randint(1, 4))),
+                              tuple(others[:rng.randint(1, len(others))]) or names])
+        a, b = kernel_operand(rng, names), kernel_operand(rng, b_names)
+        check_kernel_pair(a, b)
+        check_kernel_pair(b, a)
+
+
+@st.composite
+def kernel_polys(draw, names):
+    if draw(st.integers(0, 9)) == 0:
+        return MultiPoly.const(draw(st.integers(-3, 3)))
+    exps = st.tuples(*[st.integers(0, 3)] * len(names))
+    coeffs = st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 2, 3, 5, 12]))
+    return MultiPoly(names, draw(st.dictionaries(exps, coeffs, max_size=5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.lists(st.sampled_from(KERNEL_NAMES), min_size=1, max_size=4, unique=True),
+       st.lists(st.sampled_from(KERNEL_NAMES), min_size=1, max_size=4, unique=True),
+       st.sampled_from([1, -1, 3, -12, Fraction(5, 2)]))
+def test_kernel_matches_fraction_path_hypothesis(data, a_names, b_names, content):
+    a = data.draw(kernel_polys(tuple(a_names)))
+    b = data.draw(kernel_polys(tuple(b_names))) * content
+    check_kernel_pair(a, b)
+    check_kernel_pair(b, a)
