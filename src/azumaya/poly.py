@@ -15,7 +15,9 @@ polynomials over one variable layout as ``{exponents: int}`` maps with one
 common denominator, ``_int_addmul`` multiplies such maps and ``_int_quo``
 divides them exactly, and ``_join`` makes each output coefficient a Fraction
 once, at the end.  ``linalg`` builds matrix products and its fraction-free
-elimination on the same maps.
+elimination on the same maps.  A product with a constant factor skips the
+kernel: it is the other factor for 1, ``ZERO`` for 0, and otherwise the other
+factor's coefficients each times the constant.
 """
 
 from __future__ import annotations
@@ -174,6 +176,10 @@ class MultiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.vars:
+            return self._scale(other)
+        if not self.vars:
+            return other._scale(self)
         merged = _layout((other,), self.vars)
         (a,), da = _split((self,), merged)
         (b,), db = _split((other,), merged)
@@ -184,6 +190,16 @@ class MultiPoly:
         return MultiPoly._trusted(merged if out else (), out)
 
     __rmul__ = __mul__
+
+    def _scale(self, c: "MultiPoly") -> "MultiPoly":
+        """``self`` times the constant ``c``: itself for 1, ``ZERO`` for 0,
+        else each coefficient times c (nonzero, so no term or variable drops)."""
+        if not c.terms:
+            return ZERO
+        k = c.terms[()]
+        if k == 1:
+            return self
+        return MultiPoly._trusted(self.vars, {e: x * k for e, x in self.terms.items()})
 
     def __pow__(self, k: int):
         if k < 0:
@@ -470,14 +486,18 @@ class _Parser:
         return tok[1]
 
     def parse_expr(self):
-        sign = 1
+        negate = False
         while self.peek() in ("plus", "minus"):
             if self.take(self.peek()) == "-":
-                sign = -sign
-        out = self.parse_term() * sign
+                negate = not negate
+        out = self.parse_term()
+        if negate:
+            out = -out
         while self.peek() in ("plus", "minus"):
             op = self.take(self.peek())
-            out = out + self.parse_term() * (1 if op == "+" else -1)
+            term = self.parse_term()
+            # not ``out - term``: WeylElement has no __rsub__ for a MultiPoly ``out``
+            out = out + (term if op == "+" else -term)
         return out
 
     def parse_term(self):

@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
+from operator import add, sub
 
 from .errors import DegenerateError, ModeMismatchError, ZeroElementError
-from .poly import MultiPoly
+from .poly import ONE, MultiPoly
 
 FORMAL = "formal"
 
@@ -41,8 +42,7 @@ class WeylElement:
     __slots__ = ("n", "lam", "terms")
 
     def __init__(self, n: int, lam, terms=None):
-        if lam != FORMAL:
-            lam = lam if isinstance(lam, Fraction) else Fraction(lam)
+        lam = _mode(lam)
         clean = {}
         for (a, b), c in (terms or {}).items():
             c = _coefficient(c, lam)
@@ -77,7 +77,7 @@ class WeylElement:
 
     @staticmethod
     def one(n: int, lam=FORMAL) -> "WeylElement":
-        return WeylElement(n, lam, {((0,) * n, (0,) * n): MultiPoly.const(1)})
+        return WeylElement._trusted(n, _mode(lam), {((0,) * n, (0,) * n): ONE})
 
     @staticmethod
     def scalar(c, n: int, lam=FORMAL) -> "WeylElement":
@@ -86,12 +86,12 @@ class WeylElement:
     @staticmethod
     def x(i: int, n: int, lam=FORMAL) -> "WeylElement":
         a = tuple(1 if j == i else 0 for j in range(n))
-        return WeylElement(n, lam, {(a, (0,) * n): MultiPoly.const(1)})
+        return WeylElement._trusted(n, _mode(lam), {(a, (0,) * n): ONE})
 
     @staticmethod
     def d(i: int, n: int, lam=FORMAL) -> "WeylElement":
         b = tuple(1 if j == i else 0 for j in range(n))
-        return WeylElement(n, lam, {((0,) * n, b): MultiPoly.const(1)})
+        return WeylElement._trusted(n, _mode(lam), {((0,) * n, b): ONE})
 
     # -- basics -----------------------------------------------------------
 
@@ -147,8 +147,12 @@ class WeylElement:
         return NotImplemented
 
     def __pow__(self, k: int) -> "WeylElement":
-        out = WeylElement.one(self.n, self.lam)
-        for _ in range(k):
+        if k < 0:
+            raise ValueError("negative power")
+        if k == 0:
+            return WeylElement.one(self.n, self.lam)
+        out = self
+        for _ in range(k - 1):
             out = weyl_mul(out, self)
         return out
 
@@ -207,6 +211,11 @@ class WeylElement:
         return f"WeylElement({str(self)!r})"
 
 
+def _mode(lam):
+    """``FORMAL``, or the fixed lam as a Fraction."""
+    return lam if isinstance(lam, Fraction) or lam == FORMAL else Fraction(lam)
+
+
 def _coefficient(c, lam) -> MultiPoly:
     """A coefficient of the mode's ring: Q[lam] when formal, Q when fixed."""
     c = c if isinstance(c, MultiPoly) else MultiPoly.const(c)
@@ -219,6 +228,10 @@ def _coefficient(c, lam) -> MultiPoly:
 
 def _coeff_str(c: MultiPoly) -> str:
     """Signed coefficient rendering; multi-term coefficients parenthesized."""
+    if not c.vars:
+        # str(c) of a nonzero constant is the Fraction's own text
+        x = c.terms[()]
+        return str(x) if x < 0 else f"+{x}"
     if len(c.terms) > 1:
         return f"+({c})"
     s = str(c)
@@ -231,47 +244,55 @@ def weyl_mul(d1: WeylElement, d2: WeylElement) -> WeylElement:
     Per variable the reordering is the closed form
         d^m x^n = sum_k C(m,k) C(n,k) k! lam^k x^(n-k) d^(m-k),
     which keeps term counts O(min(m,n)) instead of walking single steps.
-    Coefficients are summed as {lam power: Fraction}; a fixed lam is
-    multiplied in, so in fixed mode only power 0 occurs.
+    Coefficients are summed on integer numerators, as {lam power: int} over
+    one common denominator, and each output coefficient becomes a Fraction
+    once, at the end.  A fixed lam = p/q is multiplied in as the integer
+    weight p^t q^(T-t) of a contraction total t, where T bounds every total,
+    so the denominator gains q^T and only power 0 occurs; at lam = 0 every
+    t > 0 term drops.
     """
     d1._check_compatible(d2)
     n, lam = d1.n, d1.lam
     formal = lam == FORMAL
-    left = [(a, b, _lam_coeffs(c)) for (a, b), c in d1.terms.items()]
-    right = [(a, b, _lam_coeffs(c)) for (a, b), c in d2.terms.items()]
+    left, den1 = _int_terms(d1)
+    right, den2 = _int_terms(d2)
+    den = den1 * den2
+    if not formal:
+        top = sum(min(max((b[i] for _, b, _ in left), default=0),
+                      max((a[i] for a, _, _ in right), default=0)) for i in range(n))
+        p, q = lam.numerator, lam.denominator
+        weights = [p ** t * q ** (top - t) for t in range(top + 1)]
+        den *= q ** top
     out = {}
     for a1, b1, c1 in left:
         for a2, b2, c2 in right:
             base = {}
             for p1, x1 in c1.items():
                 for p2, x2 in c2.items():
-                    prev = base.get(p1 + p2)
-                    base[p1 + p2] = x1 * x2 if prev is None else prev + x1 * x2
+                    base[p1 + p2] = base.get(p1 + p2, 0) + x1 * x2
+            a, b = tuple(map(add, a1, a2)), tuple(map(add, b1, b2))
             # distribute over per-variable contraction orders
             for ks in product(*[range(min(i, j) + 1) for i, j in zip(b1, a2)]):
-                f, tot = 1, 0
-                for i, k in enumerate(ks):
-                    if k:
-                        f *= comb(b1[i], k) * comb(a2[i], k) * factorial(k)
-                        tot += k
+                tot = sum(ks)
+                if tot:
+                    f = prod(comb(i, k) * comb(j, k) * factorial(k)
+                             for i, j, k in zip(b1, a2, ks))
+                    key = (tuple(map(sub, a, ks)), tuple(map(sub, b, ks)))
+                else:
+                    f, key = 1, (a, b)
                 if not formal:
-                    if tot:
-                        f *= lam ** tot
-                        if not f:
-                            continue
+                    f *= weights[tot]
+                    if not f:
+                        continue
                     tot = 0
-                key = (tuple(i + j - k for i, j, k in zip(a1, a2, ks)),
-                       tuple(i + j - k for i, j, k in zip(b1, b2, ks)))
                 acc = out.get(key)
                 if acc is None:
                     acc = out[key] = {}
-                for p, x in base.items():
-                    x = x * f if f != 1 else x
-                    prev = acc.get(p + tot)
-                    acc[p + tot] = x if prev is None else prev + x
+                for e, x in base.items():
+                    acc[e + tot] = acc.get(e + tot, 0) + x * f
     terms = {}
     for key, acc in out.items():
-        acc = {(p,): x for p, x in acc.items() if x}
+        acc = {(e,): Fraction(x, den) for e, x in acc.items() if x}
         if list(acc) == [(0,)]:
             terms[key] = MultiPoly._trusted((), {(): acc[(0,)]})
         elif acc:
@@ -279,11 +300,13 @@ def weyl_mul(d1: WeylElement, d2: WeylElement) -> WeylElement:
     return WeylElement._trusted(n, lam, terms)
 
 
-def _lam_coeffs(c: MultiPoly) -> dict:
-    """A Q[lam] coefficient as {lam power: Fraction}."""
-    if c.vars:
-        return {e[0]: x for e, x in c.terms.items()}
-    return {0: x for x in c.terms.values()}
+def _int_terms(d: WeylElement):
+    """The terms of ``d`` as (a, b, {lam power: int}) and their least positive
+    common denominator ``den``: each coefficient is that map over ``den``."""
+    den = lcm(*{x.denominator for c in d.terms.values() for x in c.terms.values()})
+    return [(a, b, {e[0] if e else 0: x.numerator * (den // x.denominator)
+                    for e, x in c.terms.items()})
+            for (a, b), c in d.terms.items()], den
 
 
 def act_on_polynomial(d: WeylElement, f: MultiPoly) -> MultiPoly:
@@ -395,10 +418,8 @@ def parse_weyl(s: str, n: int = None, lam=FORMAL) -> WeylElement:
     """
     from .poly import _tokenize, _Parser
 
-    names = set()
-    for kind, val in _tokenize(s):
-        if kind == "name":
-            names.add(val.lower())
+    tokens = _tokenize(s)
+    names = {val.lower() for kind, val in tokens if kind == "name"}
     inferred = 1
     for nm in names:
         base = nm.rstrip("0123456789")
@@ -415,12 +436,14 @@ def parse_weyl(s: str, n: int = None, lam=FORMAL) -> WeylElement:
         base = key.rstrip("0123456789")
         if base in ("x", "d"):
             idx = int(key[len(base):]) - 1 if key != base else 0
+            if idx < 0:
+                raise ValueError(f"generator {name} has index below 1")
             if idx >= rank:
                 raise ModeMismatchError(f"generator {name} exceeds rank {rank}")
             return WeylElement.x(idx, rank, lam) if base == "x" else WeylElement.d(idx, rank, lam)
         raise ValueError(f"unknown generator {name!r}")
 
-    parser = _Parser(_tokenize(s), hook)
+    parser = _Parser(tokens, hook)
     out = parser.parse_expr()
     if parser.i != len(parser.tokens):
         raise ValueError(f"trailing input in {s!r}")

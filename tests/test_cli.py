@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from azumaya import cli, suites
 from azumaya.cli import main
@@ -377,6 +381,8 @@ def _with_value(doc, **item):
     ('azu solve --a [["0","1"],["0","0"]] --lambda 1 --deg-bound -1', None, "E_INPUT"),
     ("azu classify", {"B": [["1/0", "0"], ["0", "1"]]}, "E_INPUT"),
     ("weyl nf", {"expr": "3/0*x"}, "E_INPUT"),
+    ("weyl nf", {"expr": "x0*d0", "lam": "1"}, "E_INPUT"),
+    ("weyl act", {"expr": "d0", "poly": "x", "lam": "1"}, "E_INPUT"),
 ])
 def test_malformed_payload_reports_one_error(capsys, tmp_path, command, payload, code):
     # a payload of None: the command line alone is the malformed input
@@ -442,3 +448,61 @@ def test_reused_parser_carries_no_state(capsys, monkeypatch, tmp_path):
             if written is not None:
                 assert written == Path("r.json").read_text()
     assert cli.build_parser() is cli.build_parser()
+
+
+# -- fuzzed `weyl` commands: one report and a contract exit code for any text ------
+
+_ATOMS = st.sampled_from(["x", "d", "D", "X", "x1", "d1", "x2", "d2", "lam", "3", "2/3", "0"])
+# unknown names, index 0, bad literals, stray operators and spaces
+_JUNK = ["y", "x0", "d0", "3/0", "1.5", "#", "^", "()", ")", "(", "**", " ", "x^-1"]
+_SIGNS = st.sampled_from(["", "-", "+", "- -", "-+"])
+_OPS = st.sampled_from([" + ", " - ", "+-", "*"])
+
+
+@st.composite
+def weyl_text(draw):
+    """Sums of products of generators, numbers and parenthesised sums, with
+    exponents at most 4; one time in four a junk token lands somewhere."""
+    def power(text):
+        k = draw(st.integers(-1, 4))
+        return text if k < 0 else f"{text}^{k}"
+
+    def chain(part, most):
+        out = part()
+        for _ in range(draw(st.integers(0, most - 1))):
+            out += draw(_OPS) + part()
+        return draw(_SIGNS) + out
+
+    def factor():
+        if draw(st.booleans()):
+            return power(draw(_ATOMS))
+        return power("(" + chain(lambda: draw(_ATOMS), 3) + ")")
+
+    text = chain(lambda: "*".join(factor() for _ in range(draw(st.integers(1, 3)))), 3)
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_JUNK)) + text[at:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["nf", "act", "fourier", "reduce"]), weyl_text(),
+       st.sampled_from([None, "formal", "1", "0", "-2/3", "5/7"]),
+       st.sampled_from([None, None, "1", "2", "3"]),
+       st.sampled_from(["x^2 + 1", "x1*x2 - 3", "2/3*x", "y", "x^"]))
+def test_weyl_commands_fuzzed(sub, text, lam, n, poly):
+    argv = ["weyl", sub, f"--expr={text}"]
+    # `act` needs a lam; a formal one is a mode mismatch
+    lam = "1" if sub == "act" and lam is None else lam
+    argv += [] if lam is None else [f"--lam={lam}"]
+    argv += [] if n is None else [f"--n={n}"]
+    argv += [f"--poly={poly}"] if sub == "act" else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert err.getvalue() == ""
+    assert out.getvalue().count("\n") == 1 and out.getvalue().endswith("\n")
+    doc = json.loads(out.getvalue())
+    assert code in (0, 1, 2) and code == cli.EXIT_BY_STATUS[doc["status"]]
+    # E_INTERNAL is the code of a defect, not of malformed text
+    assert doc["data"].get("code") != "E_INTERNAL", doc

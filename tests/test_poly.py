@@ -320,3 +320,22 @@ def test_kernel_matches_fraction_path_hypothesis(data, a_names, b_names, content
     b = data.draw(kernel_polys(tuple(b_names))) * content
     check_kernel_pair(a, b)
     check_kernel_pair(b, a)
+
+
+def test_constant_factor_products_match_fraction_path():
+    # 0, 1, -1 and a Fraction, as an int, a Fraction or a MultiPoly, on either side
+    rng = random.Random(73)
+    for _ in range(200):
+        p = kernel_operand(rng, tuple(rng.sample(KERNEL_NAMES, rng.randint(1, 3))))
+        for c in (0, 1, -1, Fraction(5, 3)):
+            expected = fraction_mul(p, MultiPoly.const(c))
+            for k in (c, Fraction(c), MultiPoly.const(c)):
+                for product in (p * k, k * p):
+                    assert product == expected and str(product) == str(expected)
+                    assert_canonical(product)
+                    if c == 0:
+                        assert product.vars == () and product.is_zero()
+        # a factor 1 hands back the other factor itself
+        assert p * 1 is p
+        if p.vars:
+            assert MultiPoly.const(1) * p is p

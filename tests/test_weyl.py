@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from azumaya.errors import (DegenerateError, ModeMismatchError,
                             ZeroElementError)
@@ -193,13 +197,31 @@ def test_parse_weyl():
         parse_weyl("y*x")
 
 
+def test_generator_index_below_one_is_refused():
+    # x0 and d0 used to read as index -1, which built the unit
+    for text, n in (("x0*d0", None), ("d0", None), ("X0 + x1", None), ("x00", None),
+                    ("x1*d0", 2)):
+        with pytest.raises(ValueError, match="index below 1"):
+            parse_weyl(text, n=n, lam=Fraction(1))
+
+
 @pytest.mark.parametrize("lam", [FORMAL, Fraction(1), Fraction(-2)])
 def test_weyl_power(lam):
     xe, de = WeylElement.x(0, 1, lam), WeylElement.d(0, 1, lam)
     e = xe + de * 3
     assert e ** 0 == WeylElement.one(1, lam)
+    assert e ** 1 == e
     assert de ** 3 == de * de * de
     assert e ** 2 == weyl_mul(e, e)
+    assert e ** 3 == weyl_mul(weyl_mul(e, e), e)
+
+
+def test_negative_power_is_refused():
+    # as for MultiPoly, instead of answering 1
+    with pytest.raises(ValueError, match="negative power"):
+        x ** -1
+    with pytest.raises(ValueError, match="negative power"):
+        MultiPoly.var("x") ** -1
 
 
 def test_position_vars():
@@ -295,3 +317,143 @@ def test_coefficients_live_in_q_lam():
         WeylElement(1, Fraction(1), {key: MultiPoly.var("lam")})
     with pytest.raises(ModeMismatchError):
         d.scale(z)
+
+
+# -- parser signs against the rewriter ---------------------------------------------
+
+X, D = ("x", 0), ("d", 0)
+
+
+@pytest.mark.parametrize("text, words", [
+    ("1 - x", [(1, ()), (-1, (X,))]),
+    ("-3 - x*d", [(-3, ()), (-1, (X, D))]),
+    ("x - 1 + d", [(1, (X,)), (-1, ()), (1, (D,))]),
+    ("-(x+d)^2", [(-1, (X, X)), (-1, (X, D)), (-1, (D, X)), (-1, (D, D))]),
+    ("x - -d", [(1, (X,)), (1, (D,))]),
+    ("- -2/3*d*x - x", [(Fraction(2, 3), (D, X)), (-1, (X,))]),
+])
+def test_parser_signs_match_slow_rewriter(text, words):
+    expected = {}
+    for c, word in words:
+        for key, v in slow_normal_form(word, 1).items():
+            expected[key] = expected.get(key, MultiPoly.zero()) + v * c
+    expected = {k: c for k, c in expected.items() if not c.is_zero()}
+    assert parse_weyl(text).terms == expected
+    for lam in (Fraction(0), Fraction(1), Fraction(-2, 3)):
+        assert parse_weyl(text, lam=lam) == specialize_lambda(parse_weyl(text), lam)
+
+
+# -- the integer product against the Fraction-path code it replaced ---------------
+
+def fraction_weyl_mul(d1, d2):
+    """The Fraction-path product: coefficients summed as {lam power: Fraction},
+    a fixed lam multiplied in as a Fraction."""
+    d1._check_compatible(d2)
+    n, lam = d1.n, d1.lam
+    formal = lam == FORMAL
+
+    def lam_coeffs(c):
+        return {e[0] if e else 0: v for e, v in c.terms.items()}
+
+    left = [(a, b, lam_coeffs(c)) for (a, b), c in d1.terms.items()]
+    right = [(a, b, lam_coeffs(c)) for (a, b), c in d2.terms.items()]
+    out = {}
+    for a1, b1, c1 in left:
+        for a2, b2, c2 in right:
+            base = {}
+            for p1, x1 in c1.items():
+                for p2, x2 in c2.items():
+                    base[p1 + p2] = base.get(p1 + p2, 0) + x1 * x2
+            for ks in product(*[range(min(i, j) + 1) for i, j in zip(b1, a2)]):
+                f, tot = 1, 0
+                for i, k in enumerate(ks):
+                    if k:
+                        f *= comb(b1[i], k) * comb(a2[i], k) * factorial(k)
+                        tot += k
+                if not formal:
+                    if tot:
+                        f *= lam ** tot
+                        if not f:
+                            continue
+                    tot = 0
+                key = (tuple(i + j - k for i, j, k in zip(a1, a2, ks)),
+                       tuple(i + j - k for i, j, k in zip(b1, b2, ks)))
+                acc = out.setdefault(key, {})
+                for p, v in base.items():
+                    acc[p + tot] = acc.get(p + tot, 0) + v * f
+    terms = {}
+    for key, acc in out.items():
+        acc = {(p,): v for p, v in acc.items() if v}
+        if list(acc) == [(0,)]:
+            terms[key] = MultiPoly._trusted((), {(): acc[(0,)]})
+        elif acc:
+            terms[key] = MultiPoly._trusted(("lam",), acc)
+    return WeylElement._trusted(n, lam, terms)
+
+
+LAMS = [FORMAL, Fraction(0), Fraction(1), Fraction(-1), Fraction(-2, 3), Fraction(5, 7)]
+_LAM = MultiPoly.var("lam")
+
+
+def weyl_operand(rng, n, lam):
+    """Zero, a scalar, or up to four terms with mixed denominators (and lam
+    powers in formal mode)."""
+    kind = rng.random()
+    if kind < 0.1:
+        return WeylElement.zero(n, lam)
+    if kind < 0.2:
+        return WeylElement.scalar(Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)), n, lam)
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        key = tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in "ab")
+        c = MultiPoly.const(Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6, 7])))
+        if lam == FORMAL and rng.random() < 0.5:
+            c = c * _LAM ** rng.randint(1, 2) + Fraction(rng.randint(-3, 3), rng.choice([1, 5]))
+        terms[key] = c
+    return WeylElement(n, lam, terms)
+
+
+def check_weyl_pair(e1, e2):
+    fast, slow = weyl_mul(e1, e2), fraction_weyl_mul(e1, e2)
+    assert fast.terms == slow.terms and str(fast) == str(slow)
+    for c in fast.terms.values():
+        # the normalising constructor keeps exactly these variables and terms
+        assert c == MultiPoly(c.vars, c.terms)
+        assert all(isinstance(v, Fraction) and v for v in c.terms.values())
+
+
+@pytest.mark.parametrize("lam", LAMS)
+def test_integer_product_matches_fraction_path_seeded(lam):
+    rng = random.Random(83)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        e1, e2 = weyl_operand(rng, n, lam), weyl_operand(rng, n, lam)
+        check_weyl_pair(e1, e2)
+        check_weyl_pair(e2, e1)
+        # (u - w)(u + w): the products u*w and w*u cancel down to their commutator
+        u, w = weyl_operand(rng, n, lam), weyl_operand(rng, n, lam)
+        check_weyl_pair(u - w, u + w)
+
+
+@st.composite
+def weyl_pairs(draw):
+    n = draw(st.integers(1, 3))
+    lam = draw(st.sampled_from(LAMS))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coeff = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5, 12]))
+    lam_power = st.integers(0, 2) if lam == FORMAL else st.just(0)
+
+    def operand():
+        terms = draw(st.dictionaries(st.tuples(exps, exps),
+                                     st.tuples(coeff, lam_power), max_size=4))
+        return WeylElement(n, lam, {k: c * _LAM ** p for k, (c, p) in terms.items()})
+
+    return operand(), operand()
+
+
+@settings(max_examples=200, deadline=None)
+@given(weyl_pairs())
+def test_integer_product_matches_fraction_path_hypothesis(pair):
+    e1, e2 = pair
+    check_weyl_pair(e1, e2)
+    check_weyl_pair(e2, e1)
