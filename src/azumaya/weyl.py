@@ -149,10 +149,8 @@ class WeylElement:
     def __pow__(self, k: int) -> "WeylElement":
         if k < 0:
             raise ValueError("negative power")
-        if k == 0:
-            return WeylElement.one(self.n, self.lam)
-        out = self
-        for _ in range(k - 1):
+        out = WeylElement.one(self.n, self.lam)
+        for _ in range(k):
             out = weyl_mul(out, self)
         return out
 
@@ -228,10 +226,6 @@ def _coefficient(c, lam) -> MultiPoly:
 
 def _coeff_str(c: MultiPoly) -> str:
     """Signed coefficient rendering; multi-term coefficients parenthesized."""
-    if not c.vars:
-        # str(c) of a nonzero constant is the Fraction's own text
-        x = c.terms[()]
-        return str(x) if x < 0 else f"+{x}"
     if len(c.terms) > 1:
         return f"+({c})"
     s = str(c)
