@@ -555,6 +555,22 @@ COMMANDS = {
 
 HANDLERS = {command: handler for command, (handler, _) in COMMANDS.items()}
 
+_VALUE_OPTIONS = {option for _, flags in COMMANDS.values() for _, option, _ in flags} | {"--out"}
+
+
+def _attach_dash_values(argv: list) -> list:
+    """``argv`` with ``--opt VALUE`` as ``--opt=VALUE`` where VALUE starts with
+    one ``-`` and is not ``-h``, which argparse reads as an option (``-x*d``,
+    ``-2/3``); a token starting ``--``, abbreviated or not, stays an option."""
+    out = []
+    for token in argv:
+        if (out and out[-1] in _VALUE_OPTIONS and token.startswith("-")
+                and not token.startswith("--") and token != "-h"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
 
 @functools.cache
 def build_parser() -> _Parser:
@@ -642,7 +658,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = None
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(argv))
         if not getattr(args, "group", None) or not getattr(args, "sub", None):
             raise UsageError("expected a GROUP and SUBCOMMAND; see --help")
         payload = _payload_from_args(args, f"{args.group} {args.sub}")

@@ -3,10 +3,10 @@
 Over Q, ``rref`` is Gauss-Jordan on Fractions.  Over the fraction field of
 a polynomial base ring Q[z] (or Q[w1, w2, ...]) there is one elimination,
 ``SpanBasis``: Bareiss over Z[base] after clearing denominators, on the
-integer maps of ``poly``'s kernel, so its divisions are exact and it takes
-no gcds.  The span tests run on it, and so do ``min_poly`` and
-``kernel_saturated``, through one relation path (``_relations``) that
-saturates and signs each dependency it finds.  ``PolyMatrix`` products sum
+integer numerator maps that ``MultiPoly`` stores, so its divisions are
+exact and it takes no gcds.  The span tests run on it, and so do
+``min_poly`` and ``kernel_saturated``, through one relation path
+(``_relations``) that saturates and signs each dependency it finds.  ``PolyMatrix`` products sum
 each entry in one integer map over the two matrices' common denominators.
 
 Everything is deterministic: elimination always picks the first usable
@@ -18,13 +18,13 @@ are primitive with a fixed sign convention.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ShapeError
 from .poly import (MultiPoly, ONE, ZERO, _as_fraction, _int_addmul, _int_quo, _join,
-                   _layout, _relayout, _split, dense_gcd, exact_div, from_dense, to_dense)
+                   _layout, _relayout, _split, dense_gcd, exact_div, from_dense,
+                   poly_content, to_dense)
 
 
 def rref(rows):
@@ -304,13 +304,14 @@ class SpanBasis:
     """Incremental row echelon over Q[base]; spans are over its fraction field.
 
     Fraction-free (Bareiss 1968) over Z[base]: each inserted vector, tag
-    entries included, is first multiplied by the common denominator of its
-    entries, which changes neither the span nor the normalised relations.
-    Rows are integer maps (see ``poly._split``) over one variable layout,
-    re-laid out when a vector brings a new base variable; any number of base
-    variables.  The i-th stored row has been through the i - 1 elimination
-    steps before it, so its entries are minors of the scaled vectors and
-    every division in ``_reduce`` is exact in Z[base].  ``insert`` may
+    entries included, is first multiplied by the lcm of its entries'
+    denominators, which changes neither the span nor the normalised
+    relations.  Rows are the entries' integer numerator maps (``num``, see
+    ``MultiPoly``) over one variable layout, re-laid out when a vector brings
+    a new base variable; any number of base variables.  The i-th stored row
+    has been through the i - 1 elimination steps before it, so its entries
+    are minors of the scaled vectors and every division in ``_reduce`` is
+    exact in Z[base].  ``insert`` may
     append tag entries to a vector; they are eliminated with it but never
     pivoted on, so when the vector reduces to zero they record the relation
     it satisfies.
@@ -425,16 +426,6 @@ def kernel_saturated(m: PolyMatrix):
     """
     columns = ([m[i, j] for i in range(m.rows)] for j in range(m.cols))
     return list(_relations(columns, m.cols, _base_var(m)))
-
-
-def poly_content(*polys) -> Fraction:
-    """Positive rational content (gcd of all coefficients); 0 when all are zero."""
-    num, den = 0, 1
-    for p in polys:
-        for c in p.terms.values():
-            num = math.gcd(num, c.numerator)
-            den = math.lcm(den, c.denominator)
-    return Fraction(num, den)
 
 
 def _dense_gcd_of(polys):

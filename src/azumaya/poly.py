@@ -1,6 +1,7 @@
 """Exact multivariate polynomials over Q.
 
-Coefficients are ``fractions.Fraction`` throughout.  The monomial order is
+A polynomial is stored as integer numerators over one positive common
+denominator, the form of FLINT's ``fmpq_mpoly``.  The monomial order is
 graded-lex descending with the fixed variable priority
 
     x1 < x2 < ... < w1 < w2 < ... < z < v < lam < m
@@ -10,14 +11,13 @@ form produced by ``str()`` (terms in canonical order, coefficients printed
 ``p/q`` with ``/1`` omitted, e.g. ``3/2*z^2*v - 1``) is a bit-exact contract
 used by golden-file tests, so it must never drift.
 
-Products and exact division run on integer numerators: ``_split`` writes
-polynomials over one variable layout as ``{exponents: int}`` maps with one
-common denominator, ``_int_addmul`` multiplies such maps and ``_int_quo``
-divides them exactly, and ``_join`` makes each output coefficient a Fraction
-once, at the end.  ``linalg`` builds matrix products and its fraction-free
-elimination on the same maps.  A product with a constant factor skips the
-kernel: it is the other factor for 1, ``ZERO`` for 0, and otherwise the other
-factor's coefficients each times the constant.
+Every result passes through one normaliser, ``_normal`` (wrapped by
+``_join``): it drops zero terms and unused variables and divides out the
+gcd of the denominator and the numerators.  ``_int_addmul`` multiplies and
+``_int_quo`` exactly divides numerator maps; ``_split`` puts several
+polynomials over one layout and denominator, for ``linalg``'s matrix
+products and fraction-free elimination.  A constant factor skips the
+kernel (see ``_scale``).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import math
 import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from operator import add, sub
 
 _INDEXED_FAMILIES = {"x": 0, "w": 1}
@@ -47,38 +48,33 @@ def var_sort_key(name: str):
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, str):
+    if isinstance(c, (int, str)):
         return Fraction(c)
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
 class MultiPoly:
-    """Sparse exact polynomial; immutable after construction.
+    """Sparse exact polynomial over Q; immutable after construction.
 
-    ``vars`` holds exactly the variables that occur (canonically sorted);
-    ``terms`` maps exponent tuples to nonzero Fractions.
+    The polynomial is ``num / den``.  ``vars`` holds exactly the variables
+    that occur (canonically sorted), ``num`` maps exponent tuples over them
+    to nonzero ints, and ``den`` is a positive int with
+    ``gcd(den, *num.values()) == 1``.  That form is canonical, so equality
+    and hashing read it directly; ``terms`` gives the coefficients as
+    Fractions.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "num", "den")
 
     def __init__(self, variables=(), terms=None):
         variables = tuple(variables)
-        # normalize: drop zero coefficients and unused variables
-        terms = {tuple(e): _as_fraction(c) for e, c in (terms or {}).items()}
-        terms = {e: c for e, c in terms.items() if c != 0}
-        used = [i for i in range(len(variables))
-                if any(e[i] for e in terms)]
-        if len(used) != len(variables):
-            variables = tuple(variables[i] for i in used)
-            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
-        order = sorted(range(len(variables)), key=lambda i: var_sort_key(variables[i]))
-        if order != list(range(len(variables))):
-            variables = tuple(variables[i] for i in order)
-            terms = {tuple(e[i] for i in order): c for e, c in terms.items()}
-        object.__setattr__(self, "vars", variables)
-        object.__setattr__(self, "terms", terms)
+        names = tuple(sorted(variables, key=var_sort_key))
+        terms = _relayout({tuple(e): _as_fraction(c) for e, c in (terms or {}).items()},
+                          variables, names)
+        den = math.lcm(*{c.denominator for c in terms.values()})
+        num = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+        for slot, value in zip(MultiPoly.__slots__, _normal(names, num, den)):
+            object.__setattr__(self, slot, value)
 
     def __setattr__(self, *_):
         raise AttributeError("MultiPoly is immutable")
@@ -86,32 +82,36 @@ class MultiPoly:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def _trusted(variables: tuple, terms: dict) -> "MultiPoly":
-        """Wrap data that is already canonical, without normalising it:
-        ``variables`` sorted by ``var_sort_key`` and each one used, ``terms``
-        keyed by tuples of that length with nonzero Fraction values."""
+    def _trusted(variables: tuple, num: dict, den: int = 1) -> "MultiPoly":
+        """Wrap a canonical form (see the class docstring) as it is."""
         self = object.__new__(MultiPoly)
         object.__setattr__(self, "vars", variables)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         return self
 
     @staticmethod
     def const(c) -> "MultiPoly":
         c = _as_fraction(c)
-        return MultiPoly._trusted((), {(): c} if c else {})
+        return MultiPoly._trusted((), {(): c.numerator} if c else {}, c.denominator)
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
-        return MultiPoly._trusted((name,), {(1,): Fraction(1)})
+        return MultiPoly._trusted((name,), {(1,): 1})
 
     @staticmethod
     def zero() -> "MultiPoly":
         return MultiPoly._trusted((), {})
 
+    @property
+    def terms(self) -> dict:
+        """A fresh map from exponent tuples to the Fraction coefficients."""
+        return {e: Fraction(c, self.den) for e, c in self.num.items()}
+
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_const(self) -> bool:
         return not self.vars
@@ -119,16 +119,16 @@ class MultiPoly:
     def as_fraction(self) -> Fraction:
         if self.vars:
             raise ValueError(f"not a constant: {self}")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.num.get((), 0), self.den)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self.num), default=0)
 
     def degree_in(self, name: str) -> int:
         if name not in self.vars:
             return 0
         i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=0)
+        return max((e[i] for e in self.num), default=0)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -137,23 +137,11 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         merged = _layout((other,), self.vars)
-        out = dict(_relayout(self.terms, self.vars, merged))
-        b = _relayout(other.terms, other.vars, merged)
-        cancelled = False
+        (a, b), den = _split((self, other), merged)
+        out = dict(a)
         for e, c in b.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-                continue
-            s += c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-                cancelled = True
-        if cancelled and not all(any(e[i] for e in out) for i in range(len(merged))):
-            return MultiPoly(merged, out)
-        return MultiPoly._trusted(merged, out)
+            out[e] = out.get(e, 0) + c
+        return _join(merged, out, den)
 
     __radd__ = __add__
 
@@ -170,7 +158,7 @@ class MultiPoly:
         return other + (-self)
 
     def __neg__(self):
-        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.num.items()}, self.den)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -181,31 +169,25 @@ class MultiPoly:
         if not self.vars:
             return other._scale(self)
         merged = _layout((other,), self.vars)
-        (a,), da = _split((self,), merged)
-        (b,), db = _split((other,), merged)
-        den = da * db
-        out = {e: Fraction(c, den) for e, c in _int_addmul({}, a, b).items() if c}
-        # over Q a nonzero product has positive degree in every variable of
-        # either factor, so only a zero product loses its variables
-        return MultiPoly._trusted(merged if out else (), out)
+        a = _relayout(self.num, self.vars, merged)
+        b = _relayout(other.num, other.vars, merged)
+        return _join(merged, _int_addmul({}, a, b), self.den * other.den)
 
     __rmul__ = __mul__
 
     def _scale(self, c: "MultiPoly") -> "MultiPoly":
-        """``self`` times the constant ``c``: itself for 1, ``ZERO`` for 0,
-        else each coefficient times c (nonzero, so no term or variable drops)."""
-        if not c.terms:
+        """``self`` times the constant ``c``; itself for 1, ``ZERO`` for 0."""
+        if not c.num:
             return ZERO
-        k = c.terms[()]
-        if k == 1:
+        k = c.num[()]
+        if k == c.den == 1:
             return self
-        return MultiPoly._trusted(self.vars, {e: x * k for e, x in self.terms.items()})
+        return _join(self.vars, {e: x * k for e, x in self.num.items()}, self.den * c.den)
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        out = MultiPoly.const(1)
-        base = self
+        out, base = ONE, self
         while k:
             if k & 1:
                 out = out * base
@@ -217,10 +199,10 @@ class MultiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self.num.items())))
 
     # -- calculus / substitution -----------------------------------------
 
@@ -230,26 +212,21 @@ class MultiPoly:
             return MultiPoly.zero()
         i = self.vars.index(name)
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
             if e[i]:
                 e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-                out[e2] = out.get(e2, Fraction(0)) + c * e[i]
-        return MultiPoly(self.vars, out)
+                out[e2] = out.get(e2, 0) + c * e[i]
+        return _join(self.vars, out, self.den)
 
     def subs(self, assignment: dict) -> "MultiPoly":
         """Substitute variables by Fractions or MultiPoly values."""
-        out = MultiPoly.zero()
+        out = ZERO
         for e, c in self.terms.items():
             term = MultiPoly.const(c)
             for name, k in zip(self.vars, e):
-                if not k:
-                    continue
-                val = assignment.get(name)
-                if val is None:
-                    term = term * MultiPoly.var(name) ** k
-                else:
-                    val = val if isinstance(val, MultiPoly) else MultiPoly.const(val)
-                    term = term * val ** k
+                if k:
+                    val = assignment.get(name, MultiPoly.var(name))
+                    term = term * (val if isinstance(val, MultiPoly) else MultiPoly.const(val)) ** k
             out = out + term
         return out
 
@@ -260,12 +237,10 @@ class MultiPoly:
             return [self] if not self.is_zero() else []
         i = self.vars.index(name)
         rest = self.vars[:i] + self.vars[i + 1:]
-        deg = self.degree_in(name)
-        buckets = [dict() for _ in range(deg + 1)]
-        for e, c in self.terms.items():
-            e2 = e[:i] + e[i + 1:]
-            buckets[e[i]][e2] = c
-        return [MultiPoly(rest, b) for b in buckets]
+        buckets = [{} for _ in range(self.degree_in(name) + 1)]
+        for e, c in self.num.items():
+            buckets[e[i]][e[:i] + e[i + 1:]] = c
+        return [_join(rest, b, self.den) for b in buckets]
 
     # -- canonical text ----------------------------------------------------
 
@@ -286,12 +261,13 @@ class MultiPoly:
         return "*".join(parts)
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         pieces = []
-        for idx, (e, c) in enumerate(self.sorted_terms()):
+        items = sorted(self.num.items(), key=lambda kv: self._term_sort_key(kv[0]), reverse=True)
+        for idx, (e, c) in enumerate(items):
             mono = self._monomial_str(e)
-            mag = abs(c)
+            mag = Fraction(abs(c), self.den)
             if mono and mag == 1:
                 body = mono
             elif mono:
@@ -323,19 +299,26 @@ ONE = MultiPoly.const(1)
 def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     """The quotient q with q * d == p, in any number of variables.
 
-    Both are split over one common denominator and ``d``'s numerator loses
-    its integer content c; by Gauss's lemma ``d`` divides ``p`` over Q
-    exactly when that primitive part divides ``p``'s numerator in Z[vars],
-    and then q is that integer quotient over c.  Raises ArithmeticError at
-    the first leading term of the remainder that the leading term of the
+    By Gauss's lemma ``d`` divides ``p`` over Q exactly when the primitive
+    part of ``d.num`` (content c) divides ``p.num`` in Z[vars], and then q is
+    that quotient times ``d.den`` over ``p.den * c``.  Raises ArithmeticError
+    at the first leading term of the remainder that the leading term of the
     primitive part does not divide.
     """
     if d.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     names = _layout((d,), p.vars)
-    (num, div), _ = _split((p, d), names)
+    div = _relayout(d.num, d.vars, names)
     c = math.gcd(*div.values())
-    return _join(names, _int_quo(num, {e: x // c for e, x in div.items()}), c)
+    quo = _int_quo(_relayout(p.num, p.vars, names), {e: x // c for e, x in div.items()})
+    return _join(names, {e: x * d.den for e, x in quo.items()}, p.den * c)
+
+
+def poly_content(*polys) -> Fraction:
+    """Positive rational content (gcd of all coefficients); 0 when all are
+    zero.  Each ``num / den`` is reduced, so it is gcd(nums) / lcm(dens)."""
+    return Fraction(math.gcd(*[c for p in polys for c in p.num.values()]),
+                    math.lcm(*{p.den for p in polys}))
 
 
 # ---------------------------------------------------------------------------
@@ -370,22 +353,36 @@ def _relayout(terms: dict, old: tuple, new: tuple) -> dict:
 
 
 def _split(polys, names):
-    """Integer numerators of ``polys`` over the layout ``names`` (which holds
-    the variables of each) and their least positive common denominator:
-    ``(maps, den)`` with ``polys[i] == maps[i] / den``."""
-    den = math.lcm(*{c.denominator for p in polys for c in p.terms.values()})
-    return [{e: c.numerator * (den // c.denominator)
-             for e, c in _relayout(p.terms, p.vars, names).items()}
+    """``(maps, den)`` with ``polys[i] == maps[i] / den`` over the layout
+    ``names`` (which holds the variables of each) and the lcm ``den`` of
+    their denominators.  A map may be a ``num`` itself: only read them."""
+    den = math.lcm(*{p.den for p in polys})
+    return [_relayout(p.num if p.den == den else
+                      {e: c * (den // p.den) for e, c in p.num.items()}, p.vars, names)
             for p in polys], den
 
 
+def _normal(names: tuple, num: dict, den: int):
+    """The canonical ``(vars, num, den)`` of ``num / den`` over the sorted
+    layout ``names`` (``den > 0``): without zero terms, unused variables or
+    a common factor of ``den`` and the numerators."""
+    num = {e: c for e, c in num.items() if c}
+    if not num:
+        return (), num, 1
+    g = math.gcd(den, *num.values())
+    if g != 1:
+        num = {e: c // g for e, c in num.items()}
+        den //= g
+    used = tuple(map(any, zip(*num)))
+    if not all(used):
+        names = tuple(compress(names, used))
+        num = {tuple(compress(e, used)): c for e, c in num.items()}
+    return names, num, den
+
+
 def _join(names, num: dict, den: int = 1) -> MultiPoly:
-    """The MultiPoly ``num / den`` for an integer map over the layout
-    ``names``, dropping zero terms and the variables no term uses."""
-    terms = {e: Fraction(c, den) for e, c in num.items() if c}
-    if terms and all(map(any, zip(*terms))):
-        return MultiPoly._trusted(names, terms)
-    return MultiPoly(names, terms)
+    """The MultiPoly ``num / den`` over the layout ``names``, normalised."""
+    return MultiPoly._trusted(*_normal(names, num, den))
 
 
 def _int_addmul(out: dict, a: dict, b: dict) -> dict:
@@ -551,15 +548,11 @@ def parse_poly(s: str, var_hook=None):
 
 def to_dense(p: MultiPoly):
     """Univariate polynomial as [c0, c1, ...] of Fractions (empty = zero)."""
-    if p.is_zero():
-        return []
-    if p.is_const():
-        return [p.as_fraction()]
     if len(p.vars) > 1:
         raise ValueError(f"not univariate: {sorted(p.vars)}")
-    out = [Fraction(0)] * (p.total_degree() + 1)
-    for e, c in p.terms.items():
-        out[e[0]] = c
+    out = [Fraction(0)] * (p.total_degree() + 1 if p.num else 0)
+    for e, c in p.num.items():
+        out[sum(e)] = Fraction(c, p.den)
     return out
 
 

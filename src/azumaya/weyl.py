@@ -20,7 +20,7 @@ from math import comb, factorial, lcm, prod
 from operator import add, sub
 
 from .errors import DegenerateError, ModeMismatchError, ZeroElementError
-from .poly import ONE, MultiPoly
+from .poly import ONE, MultiPoly, _join
 
 FORMAL = "formal"
 
@@ -85,13 +85,11 @@ class WeylElement:
 
     @staticmethod
     def x(i: int, n: int, lam=FORMAL) -> "WeylElement":
-        a = tuple(1 if j == i else 0 for j in range(n))
-        return WeylElement._trusted(n, _mode(lam), {(a, (0,) * n): ONE})
+        return WeylElement._trusted(n, _mode(lam), {(_unit(i, n), (0,) * n): ONE})
 
     @staticmethod
     def d(i: int, n: int, lam=FORMAL) -> "WeylElement":
-        b = tuple(1 if j == i else 0 for j in range(n))
-        return WeylElement._trusted(n, _mode(lam), {((0,) * n, b): ONE})
+        return WeylElement._trusted(n, _mode(lam), {((0,) * n, _unit(i, n)): ONE})
 
     # -- basics -----------------------------------------------------------
 
@@ -209,6 +207,13 @@ class WeylElement:
         return f"WeylElement({str(self)!r})"
 
 
+def _unit(i: int, n: int) -> tuple:
+    """The exponent tuple of the i-th generator of rank n, i in 0..n-1."""
+    if not 0 <= i < n:
+        raise ValueError(f"generator index {i} is outside 0..{n - 1}")
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
 def _mode(lam):
     """``FORMAL``, or the fixed lam as a Fraction."""
     return lam if isinstance(lam, Fraction) or lam == FORMAL else Fraction(lam)
@@ -226,7 +231,7 @@ def _coefficient(c, lam) -> MultiPoly:
 
 def _coeff_str(c: MultiPoly) -> str:
     """Signed coefficient rendering; multi-term coefficients parenthesized."""
-    if len(c.terms) > 1:
+    if len(c.num) > 1:
         return f"+({c})"
     s = str(c)
     return s if s.startswith("-") else f"+{s}"
@@ -239,11 +244,11 @@ def weyl_mul(d1: WeylElement, d2: WeylElement) -> WeylElement:
         d^m x^n = sum_k C(m,k) C(n,k) k! lam^k x^(n-k) d^(m-k),
     which keeps term counts O(min(m,n)) instead of walking single steps.
     Coefficients are summed on integer numerators, as {lam power: int} over
-    one common denominator, and each output coefficient becomes a Fraction
-    once, at the end.  A fixed lam = p/q is multiplied in as the integer
-    weight p^t q^(T-t) of a contraction total t, where T bounds every total,
-    so the denominator gains q^T and only power 0 occurs; at lam = 0 every
-    t > 0 term drops.
+    one common denominator, and each output coefficient is normalised once,
+    at the end.  A fixed lam = p/q is multiplied in as the integer weight
+    p^t q^(T-t) of a contraction total t, where T bounds every total, so the
+    denominator gains q^T and only power 0 occurs; at lam = 0 every t > 0
+    term drops.
     """
     d1._check_compatible(d2)
     n, lam = d1.n, d1.lam
@@ -284,22 +289,20 @@ def weyl_mul(d1: WeylElement, d2: WeylElement) -> WeylElement:
                     acc = out[key] = {}
                 for e, x in base.items():
                     acc[e + tot] = acc.get(e + tot, 0) + x * f
+    names = ("lam",) if formal else ()
     terms = {}
     for key, acc in out.items():
-        acc = {(e,): Fraction(x, den) for e, x in acc.items() if x}
-        if list(acc) == [(0,)]:
-            terms[key] = MultiPoly._trusted((), {(): acc[(0,)]})
-        elif acc:
-            terms[key] = MultiPoly._trusted(("lam",), acc)
+        c = _join(names, {(e,) if formal else (): x for e, x in acc.items()}, den)
+        if c.num:
+            terms[key] = c
     return WeylElement._trusted(n, lam, terms)
 
 
 def _int_terms(d: WeylElement):
     """The terms of ``d`` as (a, b, {lam power: int}) and their least positive
     common denominator ``den``: each coefficient is that map over ``den``."""
-    den = lcm(*{x.denominator for c in d.terms.values() for x in c.terms.values()})
-    return [(a, b, {e[0] if e else 0: x.numerator * (den // x.denominator)
-                    for e, x in c.terms.items()})
+    den = lcm(*{c.den for c in d.terms.values()})
+    return [(a, b, {e[0] if e else 0: x * (den // c.den) for e, x in c.num.items()})
             for (a, b), c in d.terms.items()], den
 
 
@@ -324,7 +327,7 @@ def act_on_polynomial(d: WeylElement, f: MultiPoly) -> MultiPoly:
         for i, k in enumerate(a):
             if k:
                 g = g * MultiPoly.var(xs[i]) ** k
-        out = out + c.as_fraction() * g
+        out = out + c * g
     return out
 
 
@@ -346,12 +349,8 @@ def specialize_lambda(d: WeylElement, c) -> WeylElement:
     if d.lam != FORMAL:
         raise ModeMismatchError("element is already specialized")
     c = c if isinstance(c, Fraction) else Fraction(c)
-    terms = {}
-    for key, coeff in d.terms.items():
-        val = coeff.subs({"lam": c})
-        if not val.is_zero():
-            terms[key] = val
-    return WeylElement(d.n, c, terms)
+    # the constructor drops the coefficients that vanish at lam = c
+    return WeylElement(d.n, c, {key: coeff.subs({"lam": c}) for key, coeff in d.terms.items()})
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,28 @@ def test_weyl_normal_form(capsys):
     assert doc["data"]["normal_form"] == "x*d + 1"
 
 
+@pytest.mark.parametrize("argv, joined", [
+    (("nf", "--expr", "-x*d", "--lam", "1"), ("nf", "--expr=-x*d", "--lam", "1")),
+    (("nf", "--expr", "x", "--lam", "-2/3"), ("nf", "--expr", "x", "--lam=-2/3")),
+    (("act", "--expr", "x*d", "--poly", "-x^2", "--lam", "1"),
+     ("act", "--expr", "x*d", "--poly=-x^2", "--lam", "1")),
+    (("reduce", "--lam", "-1", "--expr", "-x^2*d"), ("reduce", "--lam=-1", "--expr=-x^2*d")),
+])
+def test_flag_value_with_a_leading_minus(capsys, argv, joined):
+    # argparse alone reads such a value as an option and reports a missing argument
+    code, out = run(capsys, "weyl", *argv)
+    assert (code, out) == run(capsys, "weyl", *joined)
+    assert code == 0 and json.loads(out)["status"] == "ok"
+
+
+def test_flag_without_its_value_is_still_an_input_error(capsys):
+    for argv in (("--expr", "--lam", "1"), ("--lam", "--expr", "x"), ("--expr", "x", "--lam"),
+                 ("--expr", "--la", "1"), ("--expr", "--lam=1"), ("--expr", "-h")):
+        code, doc = run_json(capsys, "weyl", "nf", *argv)
+        assert code == 1 and doc["data"]["code"] == "E_INPUT"
+        assert "expected one argument" in doc["diagnostics"][0]
+
+
 def test_weyl_action_and_reduce(capsys):
     code, doc = run_json(capsys, "weyl", "act", "--expr", "x*d", "--poly",
                          "x^2 + 1", "--lam", "1")

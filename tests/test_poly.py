@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from azumaya.poly import (MultiPoly, dense_gcd, exact_div, from_dense, parse_poly,
-                          to_dense, var_sort_key)
+                          poly_content, to_dense, var_sort_key)
 
 
 z = MultiPoly.var("z")
@@ -141,11 +142,17 @@ def test_unused_variables_are_dropped():
 
 
 def assert_canonical(r):
-    """What every MultiPoly holds, however it was built."""
+    """What every MultiPoly holds, however it was built: nonzero integer
+    numerators over one positive denominator, coprime to them all, and the
+    variables that occur, sorted."""
     assert r == MultiPoly(r.vars, r.terms)
+    assert hash(r) == hash(MultiPoly(r.vars, r.terms))
     assert list(r.vars) == sorted(r.vars, key=var_sort_key)
-    assert all(any(e[i] for e in r.terms) for i in range(len(r.vars)))
-    assert all(len(e) == len(r.vars) for e in r.terms)
+    assert all(any(e[i] for e in r.num) for i in range(len(r.vars)))
+    assert all(len(e) == len(r.vars) for e in r.num)
+    assert all(type(c) is int and c != 0 for c in r.num.values())
+    assert type(r.den) is int and r.den > 0
+    assert math.gcd(r.den, *r.num.values()) == 1
     assert all(isinstance(c, Fraction) and c != 0 for c in r.terms.values())
 
 
@@ -169,7 +176,8 @@ def test_arithmetic_results_are_canonical_random():
                             rand_poly(rng, tuple(rng.sample(names, 2)), deg=2)])
         results = [a + b, b + a, a - b, b - a, a - a, a * b, b * a, -a, -b,
                    a ** rng.randint(0, 3), b ** 2, 2 + a, a * 0, 1 - b,
-                   a.derivative(name), b.derivative(name), a.subs({name: value})]
+                   a.derivative(name), b.derivative(name), a.subs({name: value}),
+                   *a.coefficients_in(name), *b.coefficients_in(name)]
         for r in results:
             assert_canonical(r)
 
@@ -207,8 +215,7 @@ def fraction_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         for e2, c2 in y.items():
             e = tuple(i + j for i, j in zip(e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
-    out = {e: c for e, c in out.items() if c}
-    return MultiPoly._trusted(merged if out else (), out)
+    return MultiPoly(merged, out)
 
 
 def heap_exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly:
@@ -339,3 +346,26 @@ def test_constant_factor_products_match_fraction_path():
         assert p * 1 is p
         if p.vars:
             assert MultiPoly.const(1) * p is p
+
+
+def fraction_content(*polys) -> Fraction:
+    """The rational content taken coefficient by coefficient, as Fractions."""
+    num, den = 0, 1
+    for p in polys:
+        for c in p.terms.values():
+            num = math.gcd(num, c.numerator)
+            den = math.lcm(den, c.denominator)
+    return Fraction(num, den)
+
+
+def test_poly_content_matches_fraction_path():
+    rng = random.Random(79)
+    assert poly_content() == poly_content(MultiPoly.zero(), MultiPoly.zero()) == 0
+    assert poly_content(z * Fraction(1, 4) + Fraction(3, 2), 6 * v) == Fraction(1, 4)
+    assert poly_content(z * Fraction(-2, 3), MultiPoly.const(Fraction(4, 9))) == Fraction(2, 9)
+    for _ in range(300):
+        polys = [kernel_operand(rng, tuple(rng.sample(KERNEL_NAMES, rng.randint(1, 3))))
+                 for _ in range(rng.randint(1, 4))]
+        content = poly_content(*polys)
+        assert content == fraction_content(*polys) and content >= 0
+        assert (content == 0) == all(p.is_zero() for p in polys)

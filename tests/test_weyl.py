@@ -14,6 +14,7 @@ from azumaya.suites import rand_position_poly, rand_weyl
 from azumaya.weyl import (FORMAL, WeylElement, act_on_polynomial, fourier,
                           parse_weyl, position_vars, reduce_to_scalar,
                           specialize_lambda, weyl_mul)
+from test_poly import assert_canonical
 
 x = WeylElement.x(0, 1)
 d = WeylElement.d(0, 1)
@@ -205,6 +206,15 @@ def test_generator_index_below_one_is_refused():
             parse_weyl(text, n=n, lam=Fraction(1))
 
 
+def test_generator_constructors_refuse_an_index_out_of_range():
+    # an index outside 0..n-1 used to build the unit
+    for i, n in ((5, 2), (2, 2), (-1, 1), (-1, 3), (0, 0)):
+        for make in (WeylElement.x, WeylElement.d):
+            with pytest.raises(ValueError, match="outside"):
+                make(i, n)
+    assert str(WeylElement.x(1, 2)) == "x2" and str(WeylElement.d(0, 2, 1)) == "d1"
+
+
 @pytest.mark.parametrize("lam", [FORMAL, Fraction(1), Fraction(-2)])
 def test_weyl_power(lam):
     xe, de = WeylElement.x(0, 1, lam), WeylElement.d(0, 1, lam)
@@ -383,11 +393,9 @@ def fraction_weyl_mul(d1, d2):
                     acc[p + tot] = acc.get(p + tot, 0) + v * f
     terms = {}
     for key, acc in out.items():
-        acc = {(p,): v for p, v in acc.items() if v}
-        if list(acc) == [(0,)]:
-            terms[key] = MultiPoly._trusted((), {(): acc[(0,)]})
-        elif acc:
-            terms[key] = MultiPoly._trusted(("lam",), acc)
+        c = MultiPoly(("lam",), {(p,): v for p, v in acc.items()})
+        if not c.is_zero():
+            terms[key] = c
     return WeylElement._trusted(n, lam, terms)
 
 
@@ -417,9 +425,7 @@ def check_weyl_pair(e1, e2):
     fast, slow = weyl_mul(e1, e2), fraction_weyl_mul(e1, e2)
     assert fast.terms == slow.terms and str(fast) == str(slow)
     for c in fast.terms.values():
-        # the normalising constructor keeps exactly these variables and terms
-        assert c == MultiPoly(c.vars, c.terms)
-        assert all(isinstance(v, Fraction) and v for v in c.terms.values())
+        assert_canonical(c)
 
 
 @pytest.mark.parametrize("lam", LAMS)
