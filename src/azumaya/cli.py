@@ -326,9 +326,15 @@ def cochain_from_json(payload, key: str):
     else:
         raise InvalidInputError(f"unknown group {name!r}")
     nerve = twisted.CoverNerve(_int(_field(payload, "indices"), "indices"))
-    convert = Fraction if name == "qstar" else int
+    convert, wire = (Fraction, str) if name == "qstar" else (int, int)
     values = {}
     for item in _list(payload.get("values", []), "values"):
+        # one test for a well-formed item; the helpers report a malformed one
+        t = item.get(key) if type(item) is dict else None
+        if (type(t) is list and len(t) == len(key) and item.keys() == {key, "v"}
+                and {*map(type, t)} == {int} and type(item["v"]) is wire):
+            values[tuple(t)] = _convert(convert, item["v"], "values")
+            continue
         _take(item, required=(key, "v"))
         values[_indices(item[key], key, len(key))] = _exact(item["v"], convert, "values")
     cochain = twisted.UnitCochain2 if len(key) == 3 else twisted.Cochain1

@@ -21,6 +21,8 @@ from .linalg import rref
 from .poly import MultiPoly
 from .zmod import solve_mod
 
+_ONE = Fraction(1)     # the identity of Qstar, built once
+
 
 # ---------------------------------------------------------------------------
 # value groups
@@ -33,7 +35,7 @@ class Qstar:
 
     @staticmethod
     def identity():
-        return Fraction(1)
+        return _ONE
 
     @staticmethod
     def op(a, b):
@@ -165,18 +167,19 @@ class UnitCochain2:
     def __init__(self, nerve: CoverNerve, group, values=None):
         self.nerve = nerve
         self.group = group
+        size, one = nerve.index_count, group.identity()
         store = {}
         for key, val in (values or {}).items():
             i, j, k = key
-            if not all(0 <= t < nerve.index_count for t in key):
+            if not (0 <= i < size and 0 <= j < size and 0 <= k < size):
                 raise InvalidInputError(f"index out of range: {key}")
             val = group.validate(val)
-            if len({i, j, k}) < 3:
-                if val != group.identity():
+            if i == j or j == k or i == k:
+                if val != one:
                     raise InvalidInputError(
                         "values on tuples with repeated indices must be the identity")
                 continue
-            if val != group.identity():
+            if val != one:
                 store[(i, j, k)] = val
         self.values = store
 
@@ -187,12 +190,9 @@ class UnitCochain2:
         return not self.values
 
     def __eq__(self, other):
-        if not isinstance(other, UnitCochain2):
-            return False
-        if self.nerve != other.nerve or self.group != other.group:
-            return False
-        return all(self.value(*t) == other.value(*t)
-                   for t in product(self.nerve.indices(), repeat=3))
+        # the stored maps are canonical: identity values are never stored
+        return (isinstance(other, UnitCochain2) and self.nerve == other.nerve
+                and self.group == other.group and self.values == other.values)
 
     @staticmethod
     def trivial(nerve: CoverNerve, group) -> "UnitCochain2":
@@ -211,6 +211,30 @@ class CheckResult:
         return self.ok
 
 
+def _cone_offender(alpha: UnitCochain2):
+    """The first (j, k, l) in lexicographic order where alpha_jkl differs from
+    (d beta)_jkl for beta_jk = alpha_0jk, or None: alpha_jkl - b_kl + b_jl -
+    b_jk = 0 mod n, or alpha_jkl b_jl = b_kl b_jk on numerators and denominators.
+    """
+    idx, get = alpha.nerve.indices(), alpha.values.get
+    if isinstance(alpha.group, Mu):
+        n = alpha.group.n
+        b = [[get((0, j, k), 0) for k in idx] for j in idx]
+        for j, k, l in product(idx, repeat=3):
+            if (get((j, k, l), 0) - b[k][l] + b[j][l] - b[j][k]) % n:
+                return (j, k, l)
+        return None
+    b = [[get((0, j, k), _ONE) for k in idx] for j in idx]
+    num = [[c.numerator for c in row] for row in b]
+    den = [[c.denominator for c in row] for row in b]
+    for j, k, l in product(idx, repeat=3):
+        a = get((j, k, l), _ONE)
+        if (a.numerator * num[j][l] * den[k][l] * den[j][k]
+                != num[k][l] * num[j][k] * a.denominator * den[j][l]):
+            return (j, k, l)
+    return None
+
+
 def check_2cocycle(alpha: UnitCochain2) -> CheckResult:
     """a_jkl * a_ikl^-1 * a_ijl * a_ijk^-1 = 1 on every quadruple.
 
@@ -223,14 +247,10 @@ def check_2cocycle(alpha: UnitCochain2) -> CheckResult:
     precede all others, so the reported first offender is the one a scan
     of all N^4 quadruples would report.
     """
-    g = alpha.group
-    for j, k, l in product(alpha.nerve.indices(), repeat=3):
-        word = g.op(g.op(alpha.value(j, k, l), g.inv(alpha.value(0, k, l))),
-                    g.op(alpha.value(0, j, l), g.inv(alpha.value(0, j, k))))
-        if word != g.identity():
-            return CheckResult(False, (0, j, k, l),
-                               f"cocycle identity fails on {(0, j, k, l)}")
-    return CheckResult(True)
+    where = _cone_offender(alpha)
+    if where is None:
+        return CheckResult(True)
+    return CheckResult(False, (0, *where), f"cocycle identity fails on {(0, *where)}")
 
 
 def coboundary(beta: Cochain1) -> UnitCochain2:
@@ -248,19 +268,18 @@ def coboundary(beta: Cochain1) -> UnitCochain2:
 
 def is_coboundary(alpha: UnitCochain2):
     """Decide d beta = alpha in mu_n mode; returns (True, witness) or
-    (False, None).  The witness replays exactly through ``coboundary``."""
+    (False, None).  The witness replays exactly through ``coboundary``.
+
+    The cone decides: if alpha = d gamma, then beta_jk = alpha_0jk differs
+    from gamma by d of j -> gamma_0j, so alpha = d beta.  The Smith normal
+    form of the d system on sorted triples only builds the witness.
+    """
     if not isinstance(alpha.group, Mu):
         raise UndecidableGroupError("coboundary testing needs the mu_n mode")
+    if _cone_offender(alpha) is not None:
+        return (False, None)
     n = alpha.group.n
     idx = list(alpha.nerve.indices())
-    # coboundaries are alternating; reject other cochains outright
-    for i, j, k in product(idx, repeat=3):
-        if len({i, j, k}) < 3:
-            continue
-        if alpha.value(i, j, k) != (-alpha.value(i, k, j)) % n:
-            return (False, None)
-        if alpha.value(i, j, k) != (-alpha.value(j, i, k)) % n:
-            return (False, None)
     pairs = [(i, j) for i in idx for j in idx if i < j]
     pos = {p: c for c, p in enumerate(pairs)}
     rows, rhs = [], []
@@ -271,14 +290,7 @@ def is_coboundary(alpha: UnitCochain2):
         row[pos[(i, j)]] += 1
         rows.append([c % n for c in row])
         rhs.append(alpha.value(i, j, k))
-    if rows:
-        sol = solve_mod(rows, rhs, n)
-        if sol is None:
-            return (False, None)
-    else:
-        sol = []
-    witness = Cochain1(alpha.nerve, alpha.group,
-                       {p: s for p, s in zip(pairs, sol)})
+    witness = Cochain1(alpha.nerve, alpha.group, dict(zip(pairs, solve_mod(rows, rhs, n))))
     assert coboundary(witness) == alpha
     return (True, witness)
 
@@ -325,9 +337,12 @@ def twist_matching_check(alpha_pullback: UnitCochain2,
     if (alpha_pullback.nerve != alphab_pullback.nerve
             or alpha_pullback.group != alphab_pullback.group):
         raise CoverMismatchError("twists live on different covers or groups")
-    for t in product(alpha_pullback.nerve.indices(), repeat=3):
-        if alpha_pullback.value(*t) != alphab_pullback.value(*t):
-            return CheckResult(False, t, f"twists disagree on {t}")
+    # identity values are never stored, so the stored maps differ where the cochains do
+    left, right = alpha_pullback.values, alphab_pullback.values
+    t = min((t for t in left.keys() | right.keys() if left.get(t) != right.get(t)),
+            default=None)
+    if t is not None:
+        return CheckResult(False, t, f"twists disagree on {t}")
     return CheckResult(True)
 
 

@@ -1,32 +1,41 @@
 """Integer Smith normal form and linear solving modulo n.
 
-Small and deterministic; sizes here are nerve-scale (tens of rows), so the
-classical pivot-and-reduce algorithm is plenty.
+The classical pivot-and-reduce algorithm, deterministic and cubic in the
+matrix size.  The coboundary systems of ``twisted`` have N(N-1)(N-2)/6 rows
+for N indices, so there it only builds witnesses; the cone test decides.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 
-def smith_normal_form(mat):
+
+def smith_normal_form(mat, u=None, v=None):
     """U @ M @ V = S with U, V unimodular and S diagonal with divisibility.
 
-    Returns (U, S, V) as lists of lists of ints.
+    Returns (U, S, V) as lists of lists of ints.  Row operations act on
+    ``u`` and column operations on ``v``, by default the identities; given,
+    they return U @ u and v @ V, so ``u = [[b_0], ..., [b_m-1]]`` gives U b.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
     s = [list(row) for row in mat]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    u = [[int(i == j) for j in range(m)] for i in range(m)] if u is None else list(map(list, u))
+    v = [[int(i == j) for j in range(n)] for i in range(n)] if v is None else list(map(list, v))
 
+    # The matrices are sparse: row and column operations touch only the
+    # entries where the source row or column is nonzero.
     def row_op(i, j, q):           # row_i -= q * row_j
-        s[i] = [a - q * b for a, b in zip(s[i], s[j])]
+        si, sj = s[i], s[j]
+        for c in compress(range(n), sj):
+            si[c] -= q * sj[c]
         u[i] = [a - q * b for a, b in zip(u[i], u[j])]
 
     def col_op(i, j, q):           # col_i -= q * col_j
-        for row in s:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
+        for rows in (s, v):
+            for row in rows:
+                if row[j]:
+                    row[i] -= q * row[j]
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
@@ -40,16 +49,19 @@ def smith_normal_form(mat):
 
     t = 0
     while t < min(m, n):
-        # find the smallest nonzero entry in the remaining block
-        best = None
+        # the first entry of least absolute value in row-major order; a unit
+        # ends the search, and rows t.. are scanned whole as they start with 0s
+        best, least = None, 0
         for i in range(t, m):
-            for j in range(t, n):
-                if s[i][j] and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
-                    best = (i, j)
+            low = min(map(abs, filter(None, s[i])), default=0)
+            if low and (best is None or low < least):
+                best, least = i, low
+                if low == 1:
+                    break
         if best is None:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
+        swap_rows(t, best)
+        swap_cols(t, min(s[t].index(x) for x in (least, -least) if x in s[t]))
         dirty = True
         while dirty:
             dirty = False
@@ -70,20 +82,16 @@ def smith_normal_form(mat):
         if s[t][t] < 0:
             s[t] = [-a for a in s[t]]
             u[t] = [-a for a in u[t]]
-        # enforce divisibility into the trailing block
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if s[i][j] % s[t][t]:
-                    # fold row i into row t and restart this pivot
-                    row_op(t, i, -1)
-                    break
-            else:
+        # enforce divisibility into the trailing block, which holds every
+        # nonzero entry of the rows below t
+        p = s[t][t]
+        if p != 1:
+            fold = next((i for i in range(t + 1, m)
+                         if any(map(p.__rmod__, filter(None, s[i])))), None)
+            if fold is not None:
+                row_op(t, fold, -1)    # fold that row into row t and restart this pivot
                 continue
-            break
-        else:
-            t += 1
-            continue
-        # restart the same t after the fold
+        t += 1
     return u, s, v
 
 
@@ -97,16 +105,17 @@ def solve_mod(a, b, n: int):
     aug = [list(row) + [n if i == j else 0 for j in range(m)]
            for i, row in enumerate(a)]
     total = cols + m
-    u, s, v = smith_normal_form(aug)
-    ub = [sum(u[i][k] * b[k] for k in range(m)) for i in range(m)]
+    # U b and the first cols rows of V are all that the solution reads
+    ub, s, v = smith_normal_form(
+        aug, [[x] for x in b], [[int(i == j) for j in range(total)] for i in range(cols)])
     y = [0] * total
-    for i in range(m):
+    for i, (c,) in enumerate(ub):
         d = s[i][i] if i < total else 0
         if d:
-            if ub[i] % d:
+            if c % d:
                 return None
-            y[i] = ub[i] // d
-        elif ub[i]:
+            y[i] = c // d
+        elif c:
             return None
     x = [sum(v[i][k] * y[k] for k in range(total)) % n for i in range(cols)]
     return x

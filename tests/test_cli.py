@@ -441,6 +441,51 @@ def test_counts_accept_ints_and_integer_strings(capsys, tmp_path):
         assert code == 0 and doc["data"] == {"cocycle": True}
 
 
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _beta_mu3(v, ij=(0, 1)):
+    return {"beta": {"group": "mu", "n": 3, "indices": 3, "values": [{"ij": list(ij), "v": v}]}}
+
+
+_INPUT = '{"data":{"code":"E_INPUT"},"diagnostics":["%s"],"status":"error"}'
+_INVALID = '{"data":{"code":"E_INVALID_INPUT"},"diagnostics":["E_INVALID_INPUT: %s"],"status":"error"}'
+_D_BETA_MU3 = ('{"data":{"coboundary":{"group":"mu","indices":3,"n":3,"values":['
+               '{"ijk":[0,1,2],"v":2},{"ijk":[0,2,1],"v":1},{"ijk":[1,0,2],"v":1},'
+               '{"ijk":[1,2,0],"v":2},{"ijk":[2,0,1],"v":2},{"ijk":[2,1,0],"v":1}]}},'
+               '"diagnostics":[],"status":"ok"}')
+
+
+@pytest.mark.parametrize("command, payload, status, report", [
+    ("coc check", _without(_MU, "indices"), 1, _INPUT % "missing payload fields: ['indices']"),
+    ("coc check", dict(_MU, indices=0), 1, _INVALID % "a cover needs at least one index"),
+    ("coc check", _without(_MU, "n"), 1, _INPUT % "missing payload fields: ['n']"),
+    ("coc check", dict(_MU, n=0), 1, _INVALID % "mu requires n >= 1"),
+    ("coc check", dict(_MU, values=_MU["values"][0]), 1,
+     _INPUT % "bad values: {'ijk': [0, 1, 2], 'v': 1} (expected a JSON array)"),
+    ("coc check", dict(_MU, values=[[0, 1, 2]]), 1, _INPUT % "expected a JSON object, got [0, 1, 2]"),
+    ("coc check", _with_value(_MU, w=1), 1, _INPUT % "unknown payload fields: ['w']"),
+    ("coc check", _with_value(_MU, ijk=[0, 1]), 1, _INPUT % "bad ijk: [0, 1] (expected 3 entries)"),
+    ("coc check", _with_value(_MU, ijk=[0, True, 2]), 1,
+     _INPUT % "bad ijk: [0, True, 2] (entries must be integers)"),
+    ("coc check", _with_value(_MU, ijk=[0, 1, 3]), 1, _INVALID % "index out of range: (0, 1, 3)"),
+    ("coc check", _with_value(_QSTAR, v=0.5), 1,
+     _INVALID % "floating-point values are not exact; send rationals as strings"),
+    ("coc check", _with_value(_QSTAR, v=True), 1, _INPUT % "bad values: True (expected a number)"),
+    ("coc check", _with_value(_QSTAR, v="1/0"), 1, _INPUT % "bad values: '1/0' (Fraction(1, 0))"),
+    ("coc coboundary", _beta_mu3(2, ij=(1, 1)), 1, _INVALID % "diagonal values must be the identity"),
+    ("coc coboundary", _beta_mu3("2"), 0, _D_BETA_MU3),
+    ("coc coboundary", _beta_mu3(2), 0, _D_BETA_MU3),
+])
+def test_cochain_codec_reports(capsys, tmp_path, command, payload, status, report):
+    # the exact report for each malformed cochain, and a mu value "2" read as 2
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"version": 1, "command": command, "payload": payload}))
+    code, out = run(capsys, *command.split(), str(f))
+    assert (code, out) == (status, report + "\n")
+
+
 # -- the parser is built once per process and shared by every main() call ----------
 
 def _fresh(argv, cwd):

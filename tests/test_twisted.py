@@ -20,6 +20,7 @@ from azumaya.twisted import (CheckResult, Cochain1, CoverNerve, Mu, Qstar,
                              twist_matching_check, twist_of_hom,
                              twist_of_tensor, twist_inverse,
                              twisted_gluing_check)
+from azumaya.zmod import solve_mod
 
 N4 = CoverNerve(4)
 N3 = CoverNerve(3)
@@ -210,6 +211,22 @@ def test_matching_cohomologous_but_unequal():
     assert is_coboundary(twist_of_hom(alpha, shifted))[0]   # same class
     res = twist_matching_check(alpha, shifted)
     assert not res.ok and res.where is not None
+
+
+def test_matching_and_equality_agree_with_full_scan():
+    # the first differing triple and ==, against a comparison of all N^3 values
+    rng = random.Random(257)
+    for _ in range(200):
+        size = rng.randint(1, 5)
+        group = rng.choice([Mu(1), Mu(2), Mu(6), Qstar()])
+        nerve = CoverNerve(size)
+        left = coboundary(rand_cochain1(rng, nerve, group))
+        triples = distinct_triples(size)
+        right = perturbed(left, rng.sample(triples, min(len(triples), rng.randint(0, 2))), rng)
+        diff = [t for t in product(range(size), repeat=3) if left.value(*t) != right.value(*t)]
+        res = twist_matching_check(left, right)
+        assert (res.ok, res.where) == ((True, None) if not diff else (False, diff[0]))
+        assert (left == right) == (right == left) == (not diff)
 
 
 # -- twisted bundles -------------------------------------------------------------------
@@ -527,6 +544,47 @@ def test_gluing_slice_matches_full_scan_hypothesis(group, size, rank, kind, seed
     assert_same(twisted_gluing_check, full_scan_gluing, e)
 
 
+def coboundary_cases(rng):
+    """mu_n cochains: coboundaries, perturbed coboundaries, cochains that are
+    not alternating, and single triples."""
+    for _ in range(230):
+        size = rng.randint(1, 6)
+        group = Mu(rng.choice([1, 2, 3, 4, 5, 6, 8, 12]))
+        nerve = CoverNerve(size)
+        triples = distinct_triples(size)
+        alpha = coboundary(rand_cochain1(rng, nerve, group))
+        yield alpha
+        if triples:
+            yield perturbed(alpha, rng.sample(triples, rng.randint(1, min(3, len(triples)))),
+                            rng)
+            t = rng.choice(triples)   # one value moved off its alternating images
+            values = dict(alpha.values)
+            values[t] = rng.randrange(group.n)
+            yield UnitCochain2(nerve, group, values)
+            yield UnitCochain2(nerve, group, {t: rng.randrange(group.n)})
+
+
+def test_coboundary_decision_matches_cocycle_check(monkeypatch):
+    # over a simplex's nerve, mu_n 2-cocycles and 2-coboundaries coincide;
+    # the Smith normal form runs only to build the witness of a coboundary
+    solves = []
+    monkeypatch.setattr(twisted, "solve_mod", lambda *a: solves.append(1) or solve_mod(*a))
+    cases = list(coboundary_cases(random.Random(251)))
+    assert len(cases) >= 600
+    verdicts = []
+    for alpha in cases:
+        solves.clear()
+        ok, witness = is_coboundary(alpha)
+        assert ok == check_2cocycle(alpha).ok
+        assert len(solves) == ok
+        if ok:
+            assert coboundary(witness) == alpha
+        else:
+            assert witness is None
+        verdicts.append(ok)
+    assert 100 <= sum(verdicts) <= len(cases) - 100
+
+
 def test_mu3_twist_raises_exactly_when_inverses_hold():
     rng = random.Random(227)
     for kind in FAULTS:
@@ -552,14 +610,30 @@ def test_gluing_check_matrix_products_are_quadratic(monkeypatch, size, rank):
     assert len(calls) <= size * (size - 1) // 2 + 2 * (size - 1) * (size - 2)
 
 
+class CountingDict(dict):
+    """A stored value map that records every lookup."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = []
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+
 @pytest.mark.parametrize("size", [1, 2, 5, 8])
 def test_cocycle_check_evaluates_cubic_words(size):
-    alpha = coboundary(rand_cochain1(random.Random(233), CoverNerve(size), Qstar()))
-    reads = []
-    value = alpha.value
-    alpha.value = lambda *t: reads.append(t) or value(*t)
-    assert check_2cocycle(alpha).ok
-    assert len(reads) == 4 * size ** 3    # four values per word
+    for group in (Qstar(), Mu(6)):
+        alpha = coboundary(rand_cochain1(random.Random(233), CoverNerve(size), group))
+        alpha.values = CountingDict(alpha.values)
+        assert check_2cocycle(alpha).ok
+        # one read per word on (0, j, k, l), plus the table of the alpha_0jk
+        assert len(alpha.values.reads) <= size ** 3 + size ** 2
 
 
 # -- Hilbert polynomials -----------------------------------------------------------------

@@ -1,0 +1,201 @@
+"""The Smith normal form and ``solve_mod`` against the classical algorithm.
+
+``oracle_smith_normal_form`` and ``oracle_solve_mod`` are the plain
+pivot-and-reduce algorithm, with the full pivot search, the divisibility
+scan after every pivot, dense row and column operations and an explicit U.
+The library skips work that cannot change a value, so it must return the
+same (U, S, V) and the same solutions.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from azumaya.zmod import smith_normal_form, solve_mod
+
+
+def oracle_smith_normal_form(mat):
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    s = [list(row) for row in mat]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_op(i, j, q):           # row_i -= q * row_j
+        s[i] = [a - q * b for a, b in zip(s[i], s[j])]
+        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+
+    def col_op(i, j, q):           # col_i -= q * col_j
+        for row in s:
+            row[i] -= q * row[j]
+        for row in v:
+            row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in s:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < min(m, n):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if s[i][j] and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, m):
+                if s[i][t]:
+                    q = s[i][t] // s[t][t]
+                    row_op(i, t, q)
+                    if s[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, n):
+                if s[t][j]:
+                    q = s[t][j] // s[t][t]
+                    col_op(j, t, q)
+                    if s[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+        if s[t][t] < 0:
+            s[t] = [-a for a in s[t]]
+            u[t] = [-a for a in u[t]]
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if s[i][j] % s[t][t]:
+                    row_op(t, i, -1)
+                    break
+            else:
+                continue
+            break
+        else:
+            t += 1
+            continue
+    return u, s, v
+
+
+def oracle_solve_mod(a, b, n):
+    m = len(a)
+    cols = len(a[0]) if m else 0
+    aug = [list(row) + [n if i == j else 0 for j in range(m)]
+           for i, row in enumerate(a)]
+    total = cols + m
+    u, s, v = oracle_smith_normal_form(aug)
+    ub = [sum(u[i][k] * b[k] for k in range(m)) for i in range(m)]
+    y = [0] * total
+    for i in range(m):
+        d = s[i][i] if i < total else 0
+        if d:
+            if ub[i] % d:
+                return None
+            y[i] = ub[i] // d
+        elif ub[i]:
+            return None
+    return [sum(v[i][k] * y[k] for k in range(total)) % n for i in range(cols)]
+
+
+def coboundary_system(size, n):
+    """The d system of ``twisted.is_coboundary``: one row per sorted triple,
+    one column per sorted pair, entries reduced mod n."""
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    pos = {p: c for c, p in enumerate(pairs)}
+    rows = []
+    for i in range(size):
+        for j in range(i + 1, size):
+            for k in range(j + 1, size):
+                row = [0] * len(pairs)
+                row[pos[(j, k)]] += 1
+                row[pos[(i, k)]] -= 1
+                row[pos[(i, j)]] += 1
+                rows.append([c % n for c in row])
+    return rows
+
+
+def assert_same(mat, b, n):
+    assert smith_normal_form(mat) == oracle_smith_normal_form(mat)
+    amod = [[x % n for x in row] for row in mat]
+    assert solve_mod(amod, b, n) == oracle_solve_mod(amod, b, n)
+
+
+def test_coboundary_systems_match_oracle():
+    rng = random.Random(239)
+    solvable = 0
+    for size in range(3, 9):
+        for n in range(2, 13):
+            rows = coboundary_system(size, n)
+            # a right-hand side from a 1-cochain is solvable, a random one rarely
+            beta = [rng.randrange(n) for _ in rows[0]]
+            consistent = [sum(r * x for r, x in zip(row, beta)) % n for row in rows]
+            for b in (consistent, [rng.randrange(n) for _ in rows]):
+                sol = solve_mod(rows, b, n)
+                assert sol == oracle_solve_mod(rows, b, n)
+                solvable += sol is not None
+            if size <= 6:
+                aug = [row + [n * (i == j) for j in range(len(rows))]
+                       for i, row in enumerate(rows)]
+                assert smith_normal_form(aug) == oracle_smith_normal_form(aug)
+            assert smith_normal_form(rows) == oracle_smith_normal_form(rows)
+    assert solvable >= 66
+
+
+def test_small_integer_matrices_match_oracle():
+    rng = random.Random(241)
+    for _ in range(600):
+        m, c = rng.randint(1, 4), rng.randint(1, 5)
+        mat = [[rng.randint(-6, 6) if rng.random() < 0.7 else 0 for _ in range(c)]
+               for _ in range(m)]
+        n = rng.randint(1, 12)
+        assert_same(mat, [rng.randrange(n) for _ in range(m)], n)
+
+
+@st.composite
+def small_systems(draw):
+    m, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    mat = draw(st.lists(st.lists(st.integers(-5, 5), min_size=c, max_size=c),
+                        min_size=m, max_size=m))
+    n = draw(st.integers(1, 12))
+    b = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    return mat, b, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems())
+def test_small_integer_matrices_match_oracle_hypothesis(system):
+    assert_same(*system)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 8), st.integers(2, 12), st.integers(0, 2 ** 32))
+def test_coboundary_systems_match_oracle_hypothesis(size, n, seed):
+    rng = random.Random(seed)
+    rows = coboundary_system(size, n)
+    beta = [rng.randrange(n) for _ in rows[0]]
+    b = [(sum(r * x for r, x in zip(row, beta)) + (rng.random() < 0.3)) % n
+         for row in rows]
+    assert solve_mod(rows, b, n) == oracle_solve_mod(rows, b, n)
+
+
+def test_left_and_right_factors_are_carried():
+    # U @ u and v @ V from the same operations as U and V themselves
+    mat = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+    u, s, v = smith_normal_form(mat)
+    b = [3, -1, 7]
+    ub, s2, v2 = smith_normal_form(mat, [[x] for x in b], [[1, 0, 0], [0, 1, 0]])
+    assert s2 == s
+    assert ub == [[sum(u[i][k] * b[k] for k in range(3))] for i in range(3)]
+    assert v2 == v[:2]
+    assert [[sum(u[i][k] * mat[k][l] * v[l][j] for k in range(3) for l in range(3))
+             for j in range(3)] for i in range(3)] == s
