@@ -6,8 +6,14 @@ a polynomial base ring Q[z] (or Q[w1, w2, ...]) there is one elimination,
 integer numerator maps that ``MultiPoly`` stores, so its divisions are
 exact and it takes no gcds.  The span tests run on it, and so do
 ``min_poly`` and ``kernel_saturated``, through one relation path
-(``_relations``) that saturates and signs each dependency it finds.  ``PolyMatrix`` products sum
-each entry in one integer map over the two matrices' common denominators.
+(``_relations``) that saturates and signs each dependency it finds.
+``PolyMatrix`` products sum each entry in one integer map over the two
+matrices' common denominators.
+
+Every gcd in one variable over the fraction field of the others runs one
+primitive pseudo-remainder sequence (Collins 1967, Brown 1971) on the same
+integer maps: the saturation in ``_relations``, ``vector_is_primitive``,
+``squarefree_in_v`` and ``divides_in_v``.
 
 Everything is deterministic: elimination always picks the first usable
 pivot, nullspace bases are in the standard reduced-echelon form (free
@@ -18,13 +24,13 @@ are primitive with a fixed sign convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ShapeError
 from .poly import (MultiPoly, ONE, ZERO, _as_fraction, _int_addmul, _int_quo, _join,
-                   _layout, _relayout, _split, dense_gcd, exact_div, from_dense,
-                   poly_content, to_dense)
+                   _layout, _relayout, _split, exact_div, poly_content)
 
 
 def rref(rows):
@@ -382,11 +388,11 @@ def _relations(vectors, n, var: str):
         rel = echelon.insert(polys, [ONE if j == i else ZERO for j in range(n)])
         if rel is None:
             continue
-        g = _dense_gcd_of(rel)
-        if len(g) > 1:
-            rel = [exact_div(p, from_dense(g, var)) for p in rel]
+        g = _gcd_in(rel, var)
+        if g.degree_in(var) > 0:
+            rel = [exact_div(p, g) for p in rel]
         c = poly_content(*rel)
-        if to_dense(rel[i])[-1] < 0:
+        if rel[i].num[max(rel[i].num)] < 0:
             c = -c
         yield tuple(p * (1 / c) for p in rel)
 
@@ -428,68 +434,84 @@ def kernel_saturated(m: PolyMatrix):
     return list(_relations(columns, m.cols, _base_var(m)))
 
 
-def _dense_gcd_of(polys):
-    """Monic gcd over Q of univariate polynomials, as a dense list."""
-    g = []
-    for p in polys:
-        g = dense_gcd(g, to_dense(p))
-    return g
-
-
 def vector_is_primitive(vec) -> bool:
-    """True when the entries have trivial polynomial gcd and coprime
-    integer coefficients (content 1)."""
-    return len(_dense_gcd_of(vec)) == 1 and poly_content(*vec) == 1
+    """True when the entries (in at most one variable) have trivial
+    polynomial gcd and coprime integer coefficients (content 1)."""
+    name, = _layout(vec) or ("z",)
+    return _gcd_in(vec, name).degree_in(name) == 0 and poly_content(*vec) == 1
 
 
 # ---------------------------------------------------------------------------
-# polynomials in v with polynomial coefficients (pseudo-remainders)
+# primitive pseudo-remainder sequences in one variable
 # ---------------------------------------------------------------------------
 
-def _v_degree(coeffs):
-    d = -1
-    for k, c in enumerate(coeffs):
-        if not c.is_zero():
-            d = k
-    return d
+def _in_var(polys, name):
+    """``(names, lists)``: the layout ``names`` of ``polys`` and ``name``, and
+    each poly times the common denominator as a list of integer maps over
+    the other variables, indexed by the power of ``name`` (empty for 0)."""
+    names = _layout(polys, (name,))
+    i = names.index(name)
+    lists = []
+    for num in _split(polys, names)[0]:
+        coeffs = [{} for _ in range(max((e[i] + 1 for e in num), default=0))]
+        for e, c in num.items():
+            coeffs[e[i]][e[:i] + e[i + 1:]] = c
+        lists.append(coeffs)
+    return names, lists
 
 
-def pseudo_rem(f, g):
-    """Pseudo-remainder of coefficient lists in the main variable."""
-    f = list(f)
-    df, dg = _v_degree(f), _v_degree(g)
-    lg = g[dg]
-    while df >= dg and df >= 0:
-        lf = f[df]
-        f = [c * lg for c in f]
-        for i in range(dg + 1):
-            f[df - dg + i] = f[df - dg + i] - lf * g[i]
-        while f and f[-1].is_zero():
+def _prem(f, g):
+    """The pseudo-remainder of f by g (nonzero) in the main variable,
+    divided by the gcd of its integer coefficients: lc(g) * f - lc(f) *
+    name^k * g, repeated while deg f >= deg g."""
+    lg, dg = g[-1], len(g) - 1
+    while len(f) > dg:
+        lf, k = f[-1], len(f) - 1 - dg
+        f = [_int_addmul({}, lg, a) for a in f[:-1]]
+        neg = {e: -c for e, c in lf.items()}
+        for a, b in zip(f[k:], g):
+            _int_addmul(a, neg, b)
+        f = [{e: c for e, c in a.items() if c} for a in f]
+        while f and not f[-1]:
             f.pop()
-        df = _v_degree(f)
+    content = math.gcd(*[c for a in f for c in a.values()])
+    return [{e: c // content for e, c in a.items()} for a in f] if content > 1 else f
+
+
+def _prs(f, g):
+    """The last nonzero remainder of the primitive pseudo-remainder sequence
+    of f and g: their gcd over the fraction field of the other variables,
+    up to a unit."""
+    while g:
+        f, g = g, _prem(f, g)
     return f
 
 
-def squarefree_in_v(p: MultiPoly, name: str = "v") -> bool:
-    """Squarefree test in the main variable over the base fraction field:
-    gcd(p, dp/dv) must have degree 0 in v (pseudo-remainder Euclid, each
-    remainder divided by its rational content)."""
-    f = p.coefficients_in(name)
-    g = p.derivative(name).coefficients_in(name)
-    while _v_degree(g) > 0:
-        rem = pseudo_rem(f, g)
-        c = poly_content(*rem)
-        f, g = g, ([x * (1 / c) for x in rem] if c else rem)
-    if _v_degree(g) < 0:
-        return _v_degree(f) <= 0
-    return True
+def _gcd_in(polys, name) -> MultiPoly:
+    """A gcd of ``polys`` as polynomials in ``name`` over the fraction field
+    of the other variables (0 when all are 0), folded from the lowest degree
+    up and stopped once it is free of ``name``."""
+    names, lists = _in_var(polys, name)
+    g = []
+    for f in sorted(filter(None, lists), key=len):
+        g = _prs(f, g)
+        if len(g) == 1:
+            break
+    i = names.index(name)
+    return _join(names, {e[:i] + (k,) + e[i:]: c
+                         for k, a in enumerate(g) for e, c in a.items()})
 
 
-def divides_in_v(d: MultiPoly, p: MultiPoly, name: str = "v") -> bool:
+def squarefree_in_v(p: MultiPoly) -> bool:
+    """Squarefree test in v over the base fraction field: gcd(p, dp/dv)
+    must be free of v."""
+    f, g = _in_var((p, p.derivative("v")), "v")[1]
+    return len(_prs(f, g)) <= 1
+
+
+def divides_in_v(d: MultiPoly, p: MultiPoly) -> bool:
     """Exact divisibility in (base fraction field)[v]: a nonzero ``d``
     divides ``p`` exactly when the pseudo-remainder of p by d is zero.
     Works over any number of base variables."""
-    dc = d.coefficients_in(name)
-    if _v_degree(dc) < 0:
-        return False
-    return _v_degree(pseudo_rem(p.coefficients_in(name), dc)) < 0
+    dl, pl = _in_var((d, p), "v")[1]
+    return bool(dl) and not _prem(pl, dl)

@@ -16,8 +16,8 @@ Every result passes through one normaliser, ``_normal`` (wrapped by
 gcd of the denominator and the numerators.  ``_int_addmul`` multiplies and
 ``_int_quo`` exactly divides numerator maps; ``_split`` puts several
 polynomials over one layout and denominator, for ``linalg``'s matrix
-products and fraction-free elimination.  A constant factor skips the
-kernel (see ``_scale``).
+products, fraction-free elimination and pseudo-remainder sequences.  A
+constant factor skips the kernel (see ``_scale``).
 """
 
 from __future__ import annotations
@@ -467,10 +467,10 @@ def _tokenize(s: str):
 
 
 class _Parser:
-    def __init__(self, tokens, var_hook=None):
+    def __init__(self, tokens, var_hook=MultiPoly.var):
         self.tokens = tokens
         self.i = 0
-        self.var_hook = var_hook or MultiPoly.var
+        self.var_hook = var_hook
 
     def peek(self):
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -533,59 +533,10 @@ class _Parser:
         raise ValueError(f"unexpected token {kind}")
 
 
-def parse_poly(s: str, var_hook=None):
+def parse_poly(s: str):
     """Parse the canonical text form (sums of rational-coefficient monomials)."""
-    parser = _Parser(_tokenize(s), var_hook)
+    parser = _Parser(_tokenize(s))
     out = parser.parse_expr()
     if parser.i != len(parser.tokens):
         raise ValueError(f"trailing input in {s!r}")
     return out
-
-
-# ---------------------------------------------------------------------------
-# univariate helpers
-# ---------------------------------------------------------------------------
-
-def to_dense(p: MultiPoly):
-    """Univariate polynomial as [c0, c1, ...] of Fractions (empty = zero)."""
-    if len(p.vars) > 1:
-        raise ValueError(f"not univariate: {sorted(p.vars)}")
-    out = [Fraction(0)] * (p.total_degree() + 1 if p.num else 0)
-    for e, c in p.num.items():
-        out[sum(e)] = Fraction(c, p.den)
-    return out
-
-
-def from_dense(coeffs, name: str) -> MultiPoly:
-    return MultiPoly((name,), {(i,): c for i, c in enumerate(coeffs) if c})
-
-
-def _dense_rem(a, b):
-    """Remainder of a divided by b over Q (dense lists)."""
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    b = list(b)
-    while b and b[-1] == 0:
-        b.pop()
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    while len(a) >= len(b):
-        f = a[-1] / b[-1]
-        k = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[k + i] -= f * bc
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def dense_gcd(a, b):
-    """Monic gcd over Q (dense lists)."""
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _dense_rem(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a

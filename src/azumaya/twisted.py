@@ -107,15 +107,10 @@ class CoverNerve:
     """Finite index set standing in for an open/etale cover."""
 
     index_count: int
-    labels: tuple = ()
 
     def __post_init__(self):
         if self.index_count < 1:
             raise InvalidInputError("a cover needs at least one index")
-        labels = tuple(self.labels) or tuple(f"U{i}" for i in range(self.index_count))
-        if len(labels) != self.index_count:
-            raise InvalidInputError("one label per index")
-        object.__setattr__(self, "labels", labels)
 
     def indices(self):
         return range(self.index_count)

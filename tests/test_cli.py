@@ -573,3 +573,88 @@ def test_weyl_commands_fuzzed(sub, text, lam, n, poly):
     assert code in (0, 1, 2) and code == cli.EXIT_BY_STATUS[doc["status"]]
     # E_INTERNAL is the code of a defect, not of malformed text
     assert doc["data"].get("code") != "E_INTERNAL", doc
+
+
+# -- report paths no other test reaches, pinned byte for byte -------------------
+
+def _ok(data):
+    return '{"data":%s,"diagnostics":[],"status":"ok"}\n' % data
+
+
+_MU2_TWO_TRIPLES = {"group": "mu", "n": 2, "indices": 3, "values": [
+    {"ijk": [0, 1, 2], "v": 1}, {"ijk": [1, 2, 0], "v": 1}]}
+
+
+@pytest.mark.parametrize("command, payload, status, report", [
+    ("spec curvature", {"rank": 2, "gammas": [[["w2", "0"], ["0", "1"]],
+                                              [["w1", "1"], ["0", "w2"]]]},
+     0, _ok('{"components":{"0,1":[["0","w2 - 1"],["0","0"]]},"flat":false}')),
+    ("spec curvature", {"rank": 2, "gammas": [[["1", "0"], ["0", "2"]],
+                                              [["3", "0"], ["0", "w2"]]]},
+     0, _ok('{"components":{"0,1":[["0","0"],["0","0"]]},"flat":true}')),
+    ("spec family", {"rank": 2, "phis": [[["0", "z"], ["1", "0"]]], "lambda": "0"},
+     0, _ok('{"cover":"v^2 - z","image_ideal":"v^2 - z","lambda":"0","reduced":true}')),
+    ("spec admissible", {"rank": 2, "phis": [[["0", "z"], ["1", "0"]],
+                                             [["1", "z"], ["1", "1"]]]},
+     0, _ok('{"admissible":true,"subalgebra_basis":'
+            '[[["1","0"],["0","1"]],[["0","z"],["1","0"]]]}')),
+    ("azu classify", {"B": [["1", "z"], ["0", "2"]]},
+     0, _ok('{"case":"DistinctEigen","components":[{"basis":[["1","0"]],"eigenvalue":"1",'
+            '"rank":1},{"basis":[["z","1"]],"eigenvalue":"2","rank":1}],"eigenvalues":'
+            '["1","2"],"filtration":false,"kernel_ideal":"v^2 - 3*v + 2"}')),
+    ("azu classify", {"B": [["0", "z"], ["0", "0"]]},
+     0, _ok('{"case":"RepeatedNilpotent","components":[{"basis":[["1","0"]],'
+            '"eigenvalue":"0","rank":1}],"eigenvalues":["0"],"filtration":true,'
+            '"kernel_ideal":"v^2"}')),
+    ("coc coboundary", {"alpha": {"group": "mu", "n": 3, "indices": 4,
+                                  "values": [{"ijk": [0, 1, 2], "v": 1}]}},
+     0, _ok('{"is_coboundary":false}')),
+    ("coc glue", {"rank": 1, "indices": 3, "gluing": [
+        {"ij": [0, 1], "g": [["2"]]}, {"ij": [1, 0], "g": [["1/2"]]},
+        {"ij": [0, 2], "g": [["3"]]}, {"ij": [2, 0], "g": [["1/3"]]},
+        {"ij": [1, 2], "g": [["5"]]}, {"ij": [2, 1], "g": [["1/5"]]}]},
+     2, '{"data":{"glued":false,"violation":[0,1,2]},"diagnostics":'
+        '["twisted cocycle condition fails on (0, 1, 2)"],"status":"violation"}\n'),
+    ("coc match", {"left": _MU2_TWO_TRIPLES,
+                   "right": dict(_MU2_TWO_TRIPLES, values=_MU2_TWO_TRIPLES["values"][::-1])},
+     0, _ok('{"match":true}')),
+])
+def test_report_paths_pinned(capsys, tmp_path, command, payload, status, report):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"version": 1, "command": command, "payload": payload}))
+    assert run(capsys, *command.split(), str(f)) == (status, report)
+
+
+def test_azu_report_with_degree_bound_pinned(capsys):
+    assert run(capsys, "azu", "report", "--a", '[["0","1"],["0","0"]]', "--lambda", "1",
+               "--bhat", "1,0,0,2", "--deg-bound", "2") == (0, _ok(
+        '{"case":"DistinctEigen","components":[{"basis":[["1","0"]],"eigenvalue":"1",'
+        '"rank":1},{"basis":[["-z","1"]],"eigenvalue":"2","rank":1}],"deg_bound":2,'
+        '"eigenvalues":["1","2"],"filtration":false,"kernel_ideal":"v^2 - 3*v + 2",'
+        '"solve_dimension":4}'))
+
+
+def _text(*lines):
+    return "\n".join(lines) + "\n"
+
+
+def test_text_mode_nests_lists_and_objects(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("AZK_COLOR", "never")
+    f = tmp_path / "b.json"
+    f.write_text(json.dumps({"version": 1, "command": "coc coboundary", "payload": {
+        "beta": {"group": "mu", "n": 3, "indices": 3, "values": [{"ij": [0, 1], "v": 1}]}}}))
+    triples = []
+    for ijk, v in (("012", 1), ("021", 2), ("102", 2), ("120", 1), ("201", 1), ("210", 2)):
+        triples += ["    -", "      ijk:", *(f"        - {i}" for i in ijk), f"      v: {v}"]
+    assert run(capsys, "coc", "coboundary", "--text", str(f)) == (0, _text(
+        "status: ok", "coboundary:", "  group: mu", "  indices: 3", "  n: 3", "  values:",
+        *triples))
+
+    def matrix(*rows):
+        return ["  -", *(line for row in rows for line in ("    -", *(f"      - {x}" for x in row)))]
+
+    assert run(capsys, "azu", "basis", "--a", '[["0","1"],["0","0"]]', "--lambda", "1",
+               "--text") == (0, _text(
+        "status: ok", "basis:", *matrix(("1", "z"), ("0", "0")), *matrix(("0", "1"), ("0", "0")),
+        *matrix(("-z", "-z^2"), ("1", "z")), *matrix(("0", "-z"), ("0", "1")),
+        "discriminant: 0"))

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from itertools import product
@@ -11,6 +12,7 @@ from azumaya.linalg import (PolyMatrix, SpanBasis, char_poly, divides_in_v,
                             eval_poly_at_matrix, kernel_saturated,
                             linear_solve_exact, min_poly, nullspace_from_rref,
                             rref, squarefree_in_v, vector_is_primitive)
+from azumaya.linalg import _gcd_in
 from azumaya.poly import ONE, ZERO, MultiPoly, exact_div, parse_poly
 
 z = MultiPoly.var("z")
@@ -390,6 +392,80 @@ def test_squarefree_multivariate_base():
     assert squarefree_in_v((v - w1) * (v - w2))
     assert not squarefree_in_v((v - w1) ** 2 * (v - w2))
     assert squarefree_in_v(v ** 2 - w1 * w2)
+
+
+
+def test_edge_cases_of_the_remainder_tests():
+    w1 = MultiPoly.var("w1")
+    assert not divides_in_v(ZERO, v - 1)
+    assert not divides_in_v(ZERO, ZERO)
+    assert divides_in_v(z + 2, (v - 1) * z)        # free of v: a unit over Q(z)
+    assert squarefree_in_v(ZERO)
+    assert squarefree_in_v((z - 1) ** 2 * w1)      # free of v
+    assert squarefree_in_v(MultiPoly.const(Fraction(-3, 2)))
+    assert not vector_is_primitive([(z + 1) * (z - 2), (z + 1) * 3, ZERO])
+    assert not vector_is_primitive([2 * z, 4 * z + 2])
+    assert not vector_is_primitive([ZERO, ZERO])
+    assert vector_is_primitive([2 * z, 3 * z + 1])
+
+
+# -- the pseudo-remainder routine against sympy over the base fraction field ----
+
+REMAINDER_LAYOUTS = (("z", ()), ("v", ()), ("v", ("z",)), ("v", ("w1", "w2")))
+
+
+def rand_factor(rng, main, base, deg):
+    """A nonzero polynomial with rational, not necessarily monic coefficients."""
+    names = (main,) + base
+    terms = {tuple(rng.randint(0, deg) for _ in names):
+             Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 4, 7]), rng.choice([1, 2, 3, 7]))
+             for _ in range(rng.randint(1, 3))}
+    return MultiPoly(names, terms)
+
+
+def remainder_case(rng, main, base):
+    """Polys in ``main`` sharing a factor, often repeated, with constants and zeros."""
+    c, a, b = (rand_factor(rng, main, base, rng.randint(0, 2)) for _ in range(3))
+    const = MultiPoly.const(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+    return rng.choice([
+        [a * c, b * c],
+        [a * c ** 2, b * c],
+        [a * c, b * c ** 2, (a + b) * c],
+        [c ** 2, c],
+        [a * c, ZERO],
+        [ZERO, ZERO],
+        [const, a * c],
+        [a, b],
+    ]), a * c ** rng.randint(1, 2), c
+
+
+def test_gcd_squarefree_divides_against_sympy():
+    rng = random.Random(41)
+    for n in range(320):
+        main, base = REMAINDER_LAYOUTS[n % len(REMAINDER_LAYOUTS)]
+        gens = [sympy.Symbol(g) for g in base]
+        domain = sympy.QQ.frac_field(*gens) if gens else sympy.QQ
+        x = sympy.Symbol(main)
+
+        @functools.cache
+        def poly(p):
+            return sympy.Poly(sympy_poly(p), x, domain=domain)
+
+        polys, p, d = remainder_case(rng, main, base)
+        want = poly(ZERO)
+        for q in polys:
+            want = want.gcd(poly(q))
+        got = poly(_gcd_in(polys, main))
+        assert got.degree() == want.degree(), polys
+        if not want.is_zero:
+            assert want.rem(got).is_zero and got.rem(want).is_zero, polys
+        if main != "v":
+            continue
+        for f in (p, *polys):
+            sf = f.degree_in("v") <= 0 or poly(f).gcd(poly(f.derivative("v"))).degree() == 0
+            assert squarefree_in_v(f) == sf, f
+        for div, f in ((d, p), (p, d), *zip(polys, polys[::-1])):
+            assert divides_in_v(div, f) == (not div.is_zero() and poly(f).rem(poly(div)).is_zero)
 
 
 def test_span_dimension_over_two_base_variables():
