@@ -169,12 +169,12 @@ def mixed_mul(p: MixedOperator, q: MixedOperator) -> MixedOperator:
 # the commutation constraint and its polynomial solution space
 # ---------------------------------------------------------------------------
 
-def commutation_constraint(a: PolyMatrix, b: PolyMatrix, lam, var: str = "z") -> PolyMatrix:
+def commutation_constraint(a: PolyMatrix, b: PolyMatrix, lam) -> PolyMatrix:
     """lam * dB/dz + A*B - B*A; the D^0 coefficient of [lam*D + A, B]."""
     if not a.is_square() or a.shape() != b.shape():
         raise ShapeError("matrices must be square and of equal size")
     lam_p = lam if isinstance(lam, MultiPoly) else MultiPoly.const(lam)
-    return b.derivative(var).scale(lam_p) + a.commutator(b)
+    return b.derivative("z").scale(lam_p) + a.commutator(b)
 
 
 def default_degree_bound(a: PolyMatrix) -> int:
@@ -194,13 +194,13 @@ def _bracket_into(out, aj, b, r):
                 out[l * r + m] -= b[l * r + i] * c
 
 
-def _recurrence(a: PolyMatrix, lam: Fraction, deg_bound: int, var: str):
+def _recurrence(a: PolyMatrix, lam: Fraction, deg_bound: int):
     """For each elementary B_0 = E_u, u in row-major order, the pair
     (B_0..B_D, residuals): B_{k+1} = -sum_j [A_j, B_{k-j}] / (lam (k+1)) for
     k < D = deg_bound, then sum_j [A_j, B_{k-j}] for k = D..D + deg A,
     concatenated.  Matrices are row-major lists of Fractions."""
     r = a.rows
-    coeffs = [[c.as_fraction() for c in e.coefficients_in(var)] for e in a.entries]
+    coeffs = [[c.as_fraction() for c in e.coefficients_in("z")] for e in a.entries]
     # A_j as its nonzero entries (i, m, c)
     a_terms = [[(idx // r, idx % r, cs[j]) for idx, cs in enumerate(coeffs)
                 if j < len(cs) and cs[j]]
@@ -222,7 +222,7 @@ def _recurrence(a: PolyMatrix, lam: Fraction, deg_bound: int, var: str):
     return out
 
 
-def solve_commutation(a: PolyMatrix, lam, deg_bound: int = None, var: str = "z"):
+def solve_commutation(a: PolyMatrix, lam, deg_bound: int = None):
     """Rational basis of {B : deg entries <= deg_bound, lam B' + [A,B] = 0}.
 
     With A = sum_j A_j z^j and B = sum_k B_k z^k, k <= D = deg_bound, the z^k
@@ -242,8 +242,8 @@ def solve_commutation(a: PolyMatrix, lam, deg_bound: int = None, var: str = "z")
         raise ZeroLambdaError("lam must be nonzero")
     if not a.is_square():
         raise ShapeError("A must be square")
-    if not set(a.variables()) <= {var}:
-        raise ShapeError(f"entries of A must lie in the base ring Q[{var}]")
+    if not set(a.variables()) <= {"z"}:
+        raise ShapeError("entries of A must lie in the base ring Q[z]")
     if deg_bound is None:
         deg_bound = default_degree_bound(a)
     if deg_bound < 0:
@@ -251,14 +251,14 @@ def solve_commutation(a: PolyMatrix, lam, deg_bound: int = None, var: str = "z")
     r, n = a.rows, deg_bound + 1
     zero = Fraction(0)
     # series[u][k] = B_k and columns[u] = the residuals when B_0 = E_u
-    series, columns = zip(*_recurrence(a, lam, deg_bound, var))
+    series, columns = zip(*_recurrence(a, lam, deg_bound))
     red, pivots = rref(list(zip(*columns)))
     # the kernel vectors expanded into ansatz coordinates, read backwards
     expanded = [[sum((c * series[u][d][idx] for u, c in enumerate(vec) if c), zero)
                  for idx in reversed(range(r * r)) for d in reversed(range(n))]
                 for vec in nullspace_from_rref(red, pivots, r * r)]
     echelon, pivots = rref(expanded)
-    return [PolyMatrix(r, r, [MultiPoly((var,), {(d,): row[-1 - idx * n - d] for d in range(n)})
+    return [PolyMatrix(r, r, [MultiPoly(("z",), {(d,): row[-1 - idx * n - d] for d in range(n)})
                               for idx in range(r * r)])
             for row in reversed(echelon[:len(pivots)])]
 
@@ -271,7 +271,7 @@ def discriminant(a: PolyMatrix) -> MultiPoly:
     return (a1 - a4) ** 2 + 4 * a2 * a3
 
 
-def fundamental_solutions(a: PolyMatrix, lam, var: str = "z"):
+def fundamental_solutions(a: PolyMatrix, lam):
     """The closed-form solution quadruple B1..B4 of lam B' + [A,B] = 0.
 
     Requires a constant 2x2 A with vanishing discriminant.  Then ad_A^3 = 0,
@@ -291,11 +291,11 @@ def fundamental_solutions(a: PolyMatrix, lam, var: str = "z"):
     if not discriminant(a).is_zero():
         raise PreconditionError("discriminant (a1-a4)^2 + 4 a2 a3 must vanish")
     basis = []
-    for bs, residuals in _recurrence(a, lam, 2, var):
+    for bs, residuals in _recurrence(a, lam, 2):
         if any(residuals):
             raise AssertionError("the series of a zero-discriminant A "
                                  "does not stop at z^2")
-        basis.append(PolyMatrix(2, 2, [MultiPoly((var,), {(d,): b[idx] for d, b in enumerate(bs)})
+        basis.append(PolyMatrix(2, 2, [MultiPoly(("z",), {(d,): b[idx] for d, b in enumerate(bs)})
                                        for idx in range(4)]))
     return basis
 
@@ -395,11 +395,11 @@ def classify_higgsing(b: PolyMatrix) -> HiggsingReport:
     return HiggsingReport(tag, (nu,), mp, comps, nilpotent)
 
 
-def pushforward_report(a: PolyMatrix, bhat, lam, var: str = "z") -> HiggsingReport:
+def pushforward_report(a: PolyMatrix, bhat, lam) -> HiggsingReport:
     """Classify B = sum_i bhat_i B_i built from the fundamental quadruple."""
     if len(bhat) != 4:
         raise ShapeError("bhat must have four coordinates")
-    basis = fundamental_solutions(a, lam, var)
+    basis = fundamental_solutions(a, lam)
     bhat = [c if isinstance(c, Fraction) else Fraction(c) for c in bhat]
     b = PolyMatrix.zeros(2)
     for c, mat in zip(bhat, basis):

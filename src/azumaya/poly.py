@@ -493,8 +493,7 @@ class _Parser:
         while self.peek() in ("plus", "minus"):
             op = self.take(self.peek())
             term = self.parse_term()
-            # not ``out - term``: WeylElement has no __rsub__ for a MultiPoly ``out``
-            out = out + (term if op == "+" else -term)
+            out = out + term if op == "+" else out - term
         return out
 
     def parse_term(self):

@@ -214,8 +214,7 @@ class LeibnizCheck:
     entry: tuple = None
 
 
-def lambda_connection_check(fam: LambdaConnectionFamily, phi: PolyMatrix,
-                            var: str = "z") -> LeibnizCheck:
+def lambda_connection_check(fam: LambdaConnectionFamily, phi: PolyMatrix) -> LeibnizCheck:
     """Verify nabla = lam*D + A restricts to phi at lam = 0 and satisfies
     the lam-scaled Leibniz identity on generic sections."""
     if phi.shape() != (fam.r, fam.r):
@@ -230,10 +229,10 @@ def lambda_connection_check(fam: LambdaConnectionFamily, phi: PolyMatrix,
                     f"{at_zero[i, j]} vs {phi[i, j]}",
                     (i, j))
     lam = MultiPoly.var("lam")
-    zpoly = MultiPoly.var(var)
+    zpoly = MultiPoly.var("z")
 
     def nabla(section):
-        return [lam * s.derivative(var) +
+        return [lam * s.derivative("z") +
                 sum((fam.a[i, j] * section[j] for j in range(fam.r)), MultiPoly.zero())
                 for i, s in enumerate(section)]
 

@@ -1,7 +1,10 @@
 """The Weyl algebra A_n and its one-parameter deformation family.
 
-Elements are stored normal-ordered (position factors left of momentum
-factors); the single stored form makes equality and printing canonical.
+An element is stored as its normal-ordered symbol: one ``MultiPoly`` in the
+position names (``x`` or x1..xn), the momentum names (``d`` or d1..dn) and,
+in formal mode only, ``lam``, whose monomial x^a d^b lam^k stands for
+lam^k * x^a d^b with every position factor left of every momentum factor.
+That single canonical form makes equality, hashing and printing canonical.
 The deformation parameter enters through the relation  d_i*x_i = x_i*d_i + lam;
 ``lam`` is either a genuine polynomial coefficient variable (formal mode) or
 a fixed rational.  At lam = 1 this is the classical algebra of polynomial
@@ -15,124 +18,151 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from math import comb, factorial, lcm, prod
-from operator import add, sub
+from math import comb, factorial, prod
+from operator import add
 
 from .errors import DegenerateError, ModeMismatchError, ZeroElementError
-from .poly import ONE, MultiPoly, _join
+from .poly import ONE, ZERO, MultiPoly, _join, _relayout, var_sort_key
 
 FORMAL = "formal"
 
 _LAM = MultiPoly.var("lam")
 
 
+def _names(n: int):
+    """Position and momentum names: ``x``, ``d`` for n = 1, else x1..xn, d1..dn."""
+    if n == 1:
+        return ("x",), ("d",)
+    return tuple(f"x{i + 1}" for i in range(n)), tuple(f"d{i + 1}" for i in range(n))
+
+
 def position_vars(n: int):
     """Names of the position variables: ``x`` for n = 1, else x1..xn."""
-    return ("x",) if n == 1 else tuple(f"x{i + 1}" for i in range(n))
+    return _names(n)[0]
+
+
+@lru_cache(maxsize=16)
+def _layout(n: int):
+    """The sorted names of a rank-n symbol with ``lam`` and the places of the
+    positions, of the momenta and of ``lam`` in them."""
+    xs, ds = _names(n)
+    names = tuple(sorted(xs + ds + ("lam",), key=var_sort_key))
+    return names, [names.index(v) for v in xs], [names.index(v) for v in ds], names.index("lam")
 
 
 class WeylElement:
-    """Normal-ordered element of the rank-n Weyl algebra.
+    """Element of the rank-n Weyl algebra, stored as its normal-ordered
+    ``symbol`` (see the module docstring).
 
-    ``terms`` maps (a, b), the exponent tuples over positions and momenta,
-    to a nonzero coefficient polynomial in ``lam`` (constant in fixed mode).
+    The constructor takes ``terms``, a map from (a, b), the exponent tuples
+    over positions and momenta, to a coefficient in ``lam`` (a constant in
+    fixed mode); the ``terms`` property gives that map back.
     """
 
-    __slots__ = ("n", "lam", "terms")
+    __slots__ = ("n", "lam", "symbol")
 
     def __init__(self, n: int, lam, terms=None):
         lam = _mode(lam)
-        clean = {}
+        xs, ds = _names(n)
+        flat = {}
         for (a, b), c in (terms or {}).items():
-            c = _coefficient(c, lam)
-            if not c.is_zero():
-                key = (tuple(a), tuple(b))
-                if len(key[0]) != n or len(key[1]) != n:
+            for e, v in _coefficient(c, lam).terms.items():
+                if len(a) != n or len(b) != n:
                     raise ModeMismatchError("exponent tuple length != n")
-                clean[key] = clean.get(key, MultiPoly.zero()) + c
-        clean = {k: c for k, c in clean.items() if not c.is_zero()}
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "terms", clean)
+                key = tuple(a) + tuple(b) + (e or (0,))
+                flat[key] = flat.get(key, 0) + v
+        for slot, value in zip(self.__slots__, (n, lam, MultiPoly(xs + ds + ("lam",), flat))):
+            object.__setattr__(self, slot, value)
 
     @staticmethod
-    def _trusted(n: int, lam, terms: dict) -> "WeylElement":
-        """Wrap terms that are already clean: exponent keys of length n and
-        nonzero coefficients in the ring of the mode."""
+    def _trusted(n: int, lam, symbol: MultiPoly) -> "WeylElement":
+        """Wrap a symbol that is already clean: a MultiPoly in the names of
+        rank n, with ``lam`` only in formal mode."""
         self = object.__new__(WeylElement)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "symbol", symbol)
         return self
 
     def __setattr__(self, *_):
         raise AttributeError("WeylElement is immutable")
 
+    @property
+    def terms(self) -> dict:
+        """A fresh map from (a, b) to the nonzero coefficient of x^a d^b, a
+        MultiPoly in ``lam``."""
+        return {key: _join(("lam",), num, self.symbol.den) for key, num in self._groups().items()}
+
+    def _groups(self) -> dict:
+        """The symbol's numerators by (a, b): {(lam power,): int} over its den."""
+        n, groups = self.n, {}
+        # over the layout (lam, positions, momenta) the keys are slices
+        for e, c in _relayout(self.symbol.num, self.symbol.vars, sum(_names(n), ("lam",))).items():
+            groups.setdefault((e[1:n + 1], e[n + 1:]), {})[e[:1]] = c
+        return groups
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(n: int, lam=FORMAL) -> "WeylElement":
-        return WeylElement(n, lam, {})
+        return WeylElement._trusted(n, _mode(lam), ZERO)
 
     @staticmethod
     def one(n: int, lam=FORMAL) -> "WeylElement":
-        return WeylElement._trusted(n, _mode(lam), {((0,) * n, (0,) * n): ONE})
+        return WeylElement._trusted(n, _mode(lam), ONE)
 
     @staticmethod
     def scalar(c, n: int, lam=FORMAL) -> "WeylElement":
-        return WeylElement(n, lam, {((0,) * n, (0,) * n): c})
+        lam = _mode(lam)
+        return WeylElement._trusted(n, lam, _coefficient(c, lam))
 
     @staticmethod
     def x(i: int, n: int, lam=FORMAL) -> "WeylElement":
-        return WeylElement._trusted(n, _mode(lam), {(_unit(i, n), (0,) * n): ONE})
+        return WeylElement._trusted(n, _mode(lam), MultiPoly.var(_names(n)[0][_index(i, n)]))
 
     @staticmethod
     def d(i: int, n: int, lam=FORMAL) -> "WeylElement":
-        return WeylElement._trusted(n, _mode(lam), {((0,) * n, _unit(i, n)): ONE})
+        return WeylElement._trusted(n, _mode(lam), MultiPoly.var(_names(n)[1][_index(i, n)]))
 
     # -- basics -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.symbol.is_zero()
 
     def _check_compatible(self, other: "WeylElement"):
         if self.n != other.n or self.lam != other.lam:
             raise ModeMismatchError(
                 f"rank/mode mismatch: ({self.n}, {self.lam}) vs ({other.n}, {other.lam})")
 
-    def __add__(self, other):
+    def _symbol_of(self, other) -> MultiPoly:
+        """The symbol of ``other``: a coefficient, or an element of the same
+        rank and mode."""
         if isinstance(other, (int, Fraction, MultiPoly)):
-            other = WeylElement.scalar(other, self.n, self.lam)
+            return _coefficient(other, self.lam)
         self._check_compatible(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-                continue
-            s = s + c
-            if s.is_zero():
-                del out[k]
-            else:
-                out[k] = s
-        return WeylElement._trusted(self.n, self.lam, out)
+        return other.symbol
+
+    def _with(self, symbol: MultiPoly) -> "WeylElement":
+        return WeylElement._trusted(self.n, self.lam, symbol)
+
+    def __add__(self, other):
+        return self._with(self.symbol + self._symbol_of(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeylElement._trusted(self.n, self.lam, {k: -c for k, c in self.terms.items()})
+        return self._with(-self.symbol)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            other = WeylElement.scalar(other, self.n, self.lam)
-        return self + (-other)
+        return self._with(self.symbol - self._symbol_of(other))
+
+    def __rsub__(self, other):
+        return self._with(self._symbol_of(other) - self.symbol)
 
     def scale(self, c) -> "WeylElement":
-        c = _coefficient(c, self.lam)
-        # Q[lam] has no zero divisors, so only a zero scalar drops terms
-        terms = {k: c * v for k, v in self.terms.items()} if not c.is_zero() else {}
-        return WeylElement._trusted(self.n, self.lam, terms)
+        return self._with(self.symbol * _coefficient(c, self.lam))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):
@@ -154,64 +184,50 @@ class WeylElement:
 
     def __eq__(self, other):
         return (isinstance(other, WeylElement) and self.n == other.n
-                and self.lam == other.lam and self.terms == other.terms)
+                and self.lam == other.lam and self.symbol == other.symbol)
 
     def __hash__(self):
-        return hash((self.n, self.lam, frozenset(self.terms.items())))
+        return hash((self.n, self.lam, self.symbol))
 
     def commutator(self, other) -> "WeylElement":
         return weyl_mul(self, other) - weyl_mul(other, self)
 
     def bidegree(self):
         """(max total x-degree, max total d-degree)."""
-        ax = max((sum(a) for a, _ in self.terms), default=0)
-        bd = max((sum(b) for _, b in self.terms), default=0)
-        return (ax, bd)
+        keys = self.terms.keys()
+        return (max((sum(a) for a, _ in keys), default=0),
+                max((sum(b) for _, b in keys), default=0))
 
     # -- canonical text -----------------------------------------------------
 
-    def _names(self):
-        if self.n == 1:
-            return ("x",), ("d",)
-        return (tuple(f"x{i+1}" for i in range(self.n)),
-                tuple(f"d{i+1}" for i in range(self.n)))
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        xs, ds = self._names()
-        items = sorted(self.terms.items(),
-                       key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]), kv[0]),
-                       reverse=True)
-        pieces = []
-        for idx, ((a, b), c) in enumerate(items):
-            mono = "*".join(
-                [f"{nm}^{k}" if k > 1 else nm for nm, k in zip(xs, a) if k] +
-                [f"{nm}^{k}" if k > 1 else nm for nm, k in zip(ds, b) if k])
-            coeff = _coeff_str(c)
-            if coeff == "+1" and mono:
-                body, neg = mono, False
-            elif coeff == "-1" and mono:
-                body, neg = mono, True
+        """Terms by descending total degree, then exponents; a coefficient
+        of more than one term in lam is parenthesized."""
+        names, den = sum(_names(self.n), ()), self.symbol.den
+        text = ""
+        for (a, b), num in sorted(self._groups().items(), reverse=True,
+                                  key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]), kv[0])):
+            if len(num) > 1:
+                sign, parts = "+", [f"({_join(('lam',), num, den)})"]
             else:
-                neg = coeff.startswith("-")
-                mag = coeff[1:]
-                body = f"{mag}*{mono}" if mono else mag
-            if idx == 0:
-                pieces.append(f"-{body}" if neg else body)
-            else:
-                pieces.append(f" - {body}" if neg else f" + {body}")
-        return "".join(pieces)
+                ((k,), c), = num.items()
+                sign = "-" if c < 0 else "+"
+                parts = [str(Fraction(abs(c), den)) if abs(c) != den else "",
+                         f"lam^{k}" if k > 1 else "lam" if k else ""]
+            parts += [f"{nm}^{k}" if k > 1 else nm for nm, k in zip(names, a + b) if k]
+            text += f" {sign} {'*'.join(filter(None, parts)) or '1'}"
+        # the first term carries its sign without the surrounding spaces
+        return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self):
         return f"WeylElement({str(self)!r})"
 
 
-def _unit(i: int, n: int) -> tuple:
-    """The exponent tuple of the i-th generator of rank n, i in 0..n-1."""
+def _index(i: int, n: int) -> int:
+    """The generator index i, checked to lie in 0..n-1."""
     if not 0 <= i < n:
         raise ValueError(f"generator index {i} is outside 0..{n - 1}")
-    return tuple(1 if j == i else 0 for j in range(n))
+    return i
 
 
 def _mode(lam):
@@ -229,81 +245,64 @@ def _coefficient(c, lam) -> MultiPoly:
     return c
 
 
-def _coeff_str(c: MultiPoly) -> str:
-    """Signed coefficient rendering; multi-term coefficients parenthesized."""
-    if len(c.num) > 1:
-        return f"+({c})"
-    s = str(c)
-    return s if s.startswith("-") else f"+{s}"
-
-
 def weyl_mul(d1: WeylElement, d2: WeylElement) -> WeylElement:
     """Normal-ordered product.
 
     Per variable the reordering is the closed form
         d^m x^n = sum_k C(m,k) C(n,k) k! lam^k x^(n-k) d^(m-k),
     which keeps term counts O(min(m,n)) instead of walking single steps.
-    Coefficients are summed on integer numerators, as {lam power: int} over
-    one common denominator, and each output coefficient is normalised once,
-    at the end.  A fixed lam = p/q is multiplied in as the integer weight
-    p^t q^(T-t) of a contraction total t, where T bounds every total, so the
-    denominator gains q^T and only power 0 occurs; at lam = 0 every t > 0
-    term drops.
+    Both symbols are put over the full layout of rank n and summed as
+    integer numerators over the product of their denominators; the result
+    is normalised once, at the end.  A fixed lam = p/q is multiplied in as
+    the integer weight p^t q^(T-t) of a contraction total t, where T bounds
+    every total, so the denominator gains q^T and no lam power occurs; at
+    lam = 0 every t > 0 term drops.
     """
     d1._check_compatible(d2)
     n, lam = d1.n, d1.lam
-    formal = lam == FORMAL
-    left, den1 = _int_terms(d1)
-    right, den2 = _int_terms(d2)
-    den = den1 * den2
-    if not formal:
-        top = sum(min(max((b[i] for _, b, _ in left), default=0),
-                      max((a[i] for a, _, _ in right), default=0)) for i in range(n))
+    names, xpos, dpos, _ = _layout(n)
+    s1, s2 = d1.symbol, d2.symbol
+    den = s1.den * s2.den
+    weights = None
+    if lam != FORMAL:
+        top = sum(min(s1.degree_in(names[pd]), s2.degree_in(names[px]))
+                  for px, pd in zip(xpos, dpos))
         p, q = lam.numerator, lam.denominator
-        weights = [p ** t * q ** (top - t) for t in range(top + 1)]
+        weights = tuple(p ** t * q ** (top - t) for t in range(top + 1))
         den *= q ** top
+    right = [(e, c, tuple(e[p] for p in xpos))
+             for e, c in _relayout(s2.num, s2.vars, names).items()]
     out = {}
-    for a1, b1, c1 in left:
-        for a2, b2, c2 in right:
-            base = {}
-            for p1, x1 in c1.items():
-                for p2, x2 in c2.items():
-                    base[p1 + p2] = base.get(p1 + p2, 0) + x1 * x2
-            a, b = tuple(map(add, a1, a2)), tuple(map(add, b1, b2))
-            # distribute over per-variable contraction orders
-            for ks in product(*[range(min(i, j) + 1) for i, j in zip(b1, a2)]):
-                tot = sum(ks)
-                if tot:
-                    f = prod(comb(i, k) * comb(j, k) * factorial(k)
-                             for i, j, k in zip(b1, a2, ks))
-                    key = (tuple(map(sub, a, ks)), tuple(map(sub, b, ks)))
-                else:
-                    f, key = 1, (a, b)
-                if not formal:
-                    f *= weights[tot]
-                    if not f:
-                        continue
-                    tot = 0
-                acc = out.get(key)
-                if acc is None:
-                    acc = out[key] = {}
-                for e, x in base.items():
-                    acc[e + tot] = acc.get(e + tot, 0) + x * f
-    names = ("lam",) if formal else ()
-    terms = {}
-    for key, acc in out.items():
-        c = _join(names, {(e,) if formal else (): x for e, x in acc.items()}, den)
-        if c.num:
-            terms[key] = c
-    return WeylElement._trusted(n, lam, terms)
+    for e1, c1 in _relayout(s1.num, s1.vars, names).items():
+        b1 = tuple(e1[p] for p in dpos)
+        for e2, c2, a2 in right:
+            e, c = tuple(map(add, e1, e2)), c1 * c2
+            for shift, f in _contractions(n, b1, a2, weights):
+                m = tuple(map(add, e, shift))
+                out[m] = out.get(m, 0) + c * f
+    return WeylElement._trusted(n, lam, _join(names, out, den))
 
 
-def _int_terms(d: WeylElement):
-    """The terms of ``d`` as (a, b, {lam power: int}) and their least positive
-    common denominator ``den``: each coefficient is that map over ``den``."""
-    den = lcm(*{c.den for c in d.terms.values()})
-    return [(a, b, {e[0] if e else 0: x * (den // c.den) for e, x in c.num.items()})
-            for (a, b), c in d.terms.items()], den
+@lru_cache(maxsize=4096)
+def _contractions(n: int, b: tuple, a: tuple, weights) -> tuple:
+    """The normal ordering of d^b x^a as ((shift, f), ...), one pair for each
+    contraction (k_1..k_n): the shift from x^a d^b over the rank-n layout
+    and the integer factor, with a fixed lam weighted in by ``weights``."""
+    names, xpos, dpos, lpos = _layout(n)
+    out = []
+    for ks in product(*[range(min(i, j) + 1) for i, j in zip(b, a)]):
+        f = prod(comb(i, k) * comb(j, k) * factorial(k) for i, j, k in zip(b, a, ks))
+        shift = [0] * len(names)
+        for px, pd, k in zip(xpos, dpos, ks):
+            shift[px] = shift[pd] = -k
+        if weights is None:
+            shift[lpos] = sum(ks)
+        else:
+            f *= weights[sum(ks)]
+            if not f:
+                continue
+        out.append((tuple(shift), f))
+    return tuple(out)
 
 
 def act_on_polynomial(d: WeylElement, f: MultiPoly) -> MultiPoly:
@@ -317,29 +316,21 @@ def act_on_polynomial(d: WeylElement, f: MultiPoly) -> MultiPoly:
     out = MultiPoly.zero()
     for (a, b), c in d.terms.items():
         g = f
-        for i, k in enumerate(b):
+        for v, k in zip(xs, b):
             for _ in range(k):
-                g = g.derivative(xs[i]) * d.lam
-            if g.is_zero():
-                break
-        if g.is_zero():
-            continue
-        for i, k in enumerate(a):
-            if k:
-                g = g * MultiPoly.var(xs[i]) ** k
-        out = out + c * g
+                g = g.derivative(v) * d.lam
+        out = out + c * MultiPoly(xs, {a: 1}) * g
     return out
 
 
 def fourier(d: WeylElement) -> WeylElement:
     """Algebra automorphism generated by x_i -> d_i, d_i -> -x_i,
     re-normal-ordered.  Has order four."""
+    xs, ds = _names(d.n)
     out = WeylElement.zero(d.n, d.lam)
-    zero = (0,) * d.n
     for (a, b), c in d.terms.items():
-        sign = -1 if sum(b) % 2 else 1
-        left = WeylElement(d.n, d.lam, {(zero, a): MultiPoly.const(1)})
-        right = WeylElement(d.n, d.lam, {(b, zero): c * sign})
+        left = d._with(MultiPoly(ds, {a: 1}))
+        right = d._with(MultiPoly(xs, {b: (-1) ** sum(b)}) * c)
         out = out + weyl_mul(left, right)
     return out
 
@@ -349,8 +340,7 @@ def specialize_lambda(d: WeylElement, c) -> WeylElement:
     if d.lam != FORMAL:
         raise ModeMismatchError("element is already specialized")
     c = c if isinstance(c, Fraction) else Fraction(c)
-    # the constructor drops the coefficients that vanish at lam = c
-    return WeylElement(d.n, c, {key: coeff.subs({"lam": c}) for key, coeff in d.terms.items()})
+    return WeylElement._trusted(d.n, c, d.symbol.subs({"lam": c}))
 
 
 @dataclass(frozen=True)
@@ -387,16 +377,16 @@ def reduce_to_scalar(d: WeylElement) -> SimplicityCertificate:
         raise DegenerateError("the commutative fiber (lam = 0) is not simple")
     steps = []
     cur = d
-    for i in range(d.n):
-        while max((a[i] for a, _ in cur.terms), default=0) > 0:
+    xs, ds = _names(d.n)
+    for i, v in enumerate(xs):
+        while cur.symbol.degree_in(v):
             cur = WeylElement.d(i, d.n, d.lam).commutator(cur)
             steps.append(("d", i, "left"))
-    for i in range(d.n):
-        while max((b[i] for _, b in cur.terms), default=0) > 0:
+    for i, v in enumerate(ds):
+        while cur.symbol.degree_in(v):
             cur = cur.commutator(WeylElement.x(i, d.n, d.lam))
             steps.append(("x", i, "right"))
-    scalar = cur.terms[((0,) * d.n, (0,) * d.n)]
-    return SimplicityCertificate(tuple(steps), scalar)
+    return SimplicityCertificate(tuple(steps), cur.symbol)
 
 
 # ---------------------------------------------------------------------------

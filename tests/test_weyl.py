@@ -20,6 +20,18 @@ x = WeylElement.x(0, 1)
 d = WeylElement.d(0, 1)
 
 
+def assert_weyl_canonical(e):
+    """What every WeylElement holds, however it was built: one canonical
+    symbol in the position and momentum names of its rank (and ``lam`` in
+    formal mode only), which its terms rebuild."""
+    assert_canonical(e.symbol)
+    xs = position_vars(e.n)
+    allowed = set(xs) | {"d" + v[1:] for v in xs} | ({"lam"} if e.lam == FORMAL else set())
+    assert set(e.symbol.vars) <= allowed
+    again = WeylElement(e.n, e.lam, e.terms)
+    assert again == e and hash(again) == hash(e)
+
+
 def test_commutation_relation():
     assert str(weyl_mul(d, x)) == "x*d + lam"
 
@@ -92,6 +104,8 @@ def test_associativity_random():
 def test_fourier_generators():
     assert str(fourier(x)) == "d"
     assert str(fourier(d)) == "-x"
+    for e in (x, d):
+        assert_weyl_canonical(fourier(e))
 
 
 def test_fourier_order_four():
@@ -99,6 +113,7 @@ def test_fourier_order_four():
     out = e
     for _ in range(4):
         out = fourier(out)
+        assert_weyl_canonical(out)
     assert out == e
 
 
@@ -111,6 +126,7 @@ def test_fourier_multiplicative_random():
         out = a
         for _ in range(4):
             out = fourier(out)
+            assert_weyl_canonical(out)
         assert out == a
 
 
@@ -120,6 +136,8 @@ def test_specialize_lambda():
         WeylElement(1, Fraction(0), {((1,), (1,)): Fraction(1)})
     assert specialize_lambda(p, 0) == specialize_lambda(weyl_mul(x, d), 0)
     assert str(specialize_lambda(p, 1)) == "x*d + 1"
+    for c in (0, 1, Fraction(-2, 3)):
+        assert_weyl_canonical(specialize_lambda(p, c))
 
 
 def test_lambda_zero_fiber_commutes_random():
@@ -128,6 +146,8 @@ def test_lambda_zero_fiber_commutes_random():
         n = rng.choice([1, 2])
         a = specialize_lambda(rand_weyl(rng, n, with_lam=True), 0)
         b = specialize_lambda(rand_weyl(rng, n, with_lam=True), 0)
+        assert_weyl_canonical(a)
+        assert_weyl_canonical(b)
         assert weyl_mul(a, b) == weyl_mul(b, a)
 
 
@@ -141,6 +161,7 @@ def test_no_lambda_torsion_random():
         for k in range(3):
             c = c + Fraction(rng.randint(-2, 2)) * lam ** k
         assert dd.scale(c).is_zero() == (c.is_zero() or dd.is_zero())
+        assert_weyl_canonical(dd.scale(c))
 
 
 def test_reduce_identity():
@@ -313,7 +334,18 @@ def test_products_match_slow_rewriter(lam):
         assert prod.terms == expected
         scalar = e2.terms.get(((0,) * n, (0,) * n), MultiPoly.const(3))
         for r in (prod, e1 + e2, e1 - e2, e1 - e1, -e1, e1.scale(scalar)):
-            assert r == WeylElement(n, lam, r.terms)
+            assert_weyl_canonical(r)
+
+
+def test_scalars_add_and_subtract_on_either_side():
+    assert 1 - x == -(x - 1)
+    assert str(1 - x) == "-x + 1"
+    lam = MultiPoly.var("lam")
+    for r in (1 - x, Fraction(1, 2) - d, lam - x, 2 + x, x + lam, x - Fraction(3)):
+        assert_weyl_canonical(r)
+    assert lam - d == -(d - lam) and Fraction(1, 2) - d == -(d - Fraction(1, 2))
+    with pytest.raises(ModeMismatchError):
+        lam - WeylElement.x(0, 1, 1)
 
 
 def test_coefficients_live_in_q_lam():
@@ -391,12 +423,8 @@ def fraction_weyl_mul(d1, d2):
                 acc = out.setdefault(key, {})
                 for p, v in base.items():
                     acc[p + tot] = acc.get(p + tot, 0) + v * f
-    terms = {}
-    for key, acc in out.items():
-        c = MultiPoly(("lam",), {(p,): v for p, v in acc.items()})
-        if not c.is_zero():
-            terms[key] = c
-    return WeylElement._trusted(n, lam, terms)
+    return WeylElement(n, lam, {key: MultiPoly(("lam",), {(p,): v for p, v in acc.items()})
+                                for key, acc in out.items()})
 
 
 LAMS = [FORMAL, Fraction(0), Fraction(1), Fraction(-1), Fraction(-2, 3), Fraction(5, 7)]
@@ -424,6 +452,8 @@ def weyl_operand(rng, n, lam):
 def check_weyl_pair(e1, e2):
     fast, slow = weyl_mul(e1, e2), fraction_weyl_mul(e1, e2)
     assert fast.terms == slow.terms and str(fast) == str(slow)
+    for r in (e1, e2, fast, slow):
+        assert_weyl_canonical(r)
     for c in fast.terms.values():
         assert_canonical(c)
 
