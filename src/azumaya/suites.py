@@ -173,7 +173,8 @@ def weyl_reduce(rng):
         if not d.is_zero():
             break
     cert = weyl.reduce_to_scalar(d)
-    ok = not cert.final_scalar.is_zero() and cert.replay(d).symbol == cert.final_scalar
+    s = cert.final_scalar
+    ok = not s.is_zero() and set(s.vars) <= {"lam"} and cert.replay(d).symbol == s
     return ok, lambda: f"{d}"
 
 

@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial
 from operator import add
 
 from .errors import DegenerateError, ModeMismatchError, ZeroElementError
@@ -194,7 +193,7 @@ class WeylElement:
 
     def bidegree(self):
         """(max total x-degree, max total d-degree)."""
-        keys = self.terms.keys()
+        keys = self._groups().keys()
         return (max((sum(a) for a, _ in keys), default=0),
                 max((sum(b) for _, b in keys), default=0))
 
@@ -263,46 +262,52 @@ def weyl_mul(d1: WeylElement, d2: WeylElement) -> WeylElement:
     names, xpos, dpos, _ = _layout(n)
     s1, s2 = d1.symbol, d2.symbol
     den = s1.den * s2.den
-    weights = None
+    top = 0
     if lam != FORMAL:
         top = sum(min(s1.degree_in(names[pd]), s2.degree_in(names[px]))
                   for px, pd in zip(xpos, dpos))
-        p, q = lam.numerator, lam.denominator
-        weights = tuple(p ** t * q ** (top - t) for t in range(top + 1))
-        den *= q ** top
-    right = [(e, c, tuple(e[p] for p in xpos))
-             for e, c in _relayout(s2.num, s2.vars, names).items()]
-    out = {}
-    for e1, c1 in _relayout(s1.num, s1.vars, names).items():
-        b1 = tuple(e1[p] for p in dpos)
-        for e2, c2, a2 in right:
-            e, c = tuple(map(add, e1, e2)), c1 * c2
-            for shift, f in _contractions(n, b1, a2, weights):
-                m = tuple(map(add, e, shift))
-                out[m] = out.get(m, 0) + c * f
+        den *= lam.denominator ** top
+    # group the left terms by momenta and the right ones by positions, so
+    # each pair of groups is normal-ordered once
+    left, right, out = {}, {}, {}
+    for e, c in _relayout(s1.num, s1.vars, names).items():
+        left.setdefault(tuple(e[p] for p in dpos), []).append((e, c))
+    for e, c in _relayout(s2.num, s2.vars, names).items():
+        right.setdefault(tuple(e[p] for p in xpos), []).append((e, c))
+    for b1, lterms in left.items():
+        for a2, rterms in right.items():
+            moves = _contractions(n, b1, a2, lam, top)
+            for e1, c1 in lterms:
+                for e2, c2 in rterms:
+                    e, c = tuple(map(add, e1, e2)), c1 * c2
+                    for shift, f in moves:
+                        m = tuple(map(add, e, shift))
+                        out[m] = out.get(m, 0) + c * f
     return WeylElement._trusted(n, lam, _join(names, out, den))
 
 
-@lru_cache(maxsize=4096)
-def _contractions(n: int, b: tuple, a: tuple, weights) -> tuple:
-    """The normal ordering of d^b x^a as ((shift, f), ...), one pair for each
-    contraction (k_1..k_n): the shift from x^a d^b over the rank-n layout
-    and the integer factor, with a fixed lam weighted in by ``weights``."""
+def _contractions(n: int, b: tuple, a: tuple, lam, top: int) -> list:
+    """The normal ordering of d^b x^a as [(shift, f), ...], one pair for each
+    contraction (k_1..k_n) with a nonzero factor: the shift from x^a d^b over
+    the rank-n layout and the integer factor.  A fixed lam = p/q enters as
+    the weight p^t q^(top-t) of the contraction total t <= top."""
     names, xpos, dpos, lpos = _layout(n)
-    out = []
-    for ks in product(*[range(min(i, j) + 1) for i, j in zip(b, a)]):
-        f = prod(comb(i, k) * comb(j, k) * factorial(k) for i, j, k in zip(b, a, ks))
-        shift = [0] * len(names)
-        for px, pd, k in zip(xpos, dpos, ks):
-            shift[px] = shift[pd] = -k
-        if weights is None:
-            shift[lpos] = sum(ks)
-        else:
-            f *= weights[sum(ks)]
-            if not f:
-                continue
-        out.append((tuple(shift), f))
-    return tuple(out)
+    formal = lam == FORMAL
+    p, q = (1, 1) if formal else (lam.numerator, lam.denominator)
+    moves = [([0] * len(names), q ** top)]
+    for px, pd, i, j in zip(xpos, dpos, b, a):
+        more = []
+        for k in range(1, min(i, j) + 1):
+            c = comb(i, k) * comb(j, k) * factorial(k) * p ** k
+            for shift, f in moves:
+                s = shift.copy()
+                s[px] -= k
+                s[pd] -= k
+                s[lpos] += k if formal else 0
+                # f holds q^(top-t) for its total t so far, and t + k <= top
+                more.append((s, f * c // q ** k))
+        moves += more
+    return [(tuple(s), f) for s, f in moves if f]
 
 
 def act_on_polynomial(d: WeylElement, f: MultiPoly) -> MultiPoly:
@@ -340,7 +345,10 @@ def specialize_lambda(d: WeylElement, c) -> WeylElement:
     if d.lam != FORMAL:
         raise ModeMismatchError("element is already specialized")
     c = c if isinstance(c, Fraction) else Fraction(c)
-    return WeylElement._trusted(d.n, c, d.symbol.subs({"lam": c}))
+    out = ZERO
+    for k, coef in enumerate(d.symbol.coefficients_in("lam")):
+        out = out + coef * c ** k
+    return WeylElement._trusted(d.n, c, out)
 
 
 @dataclass(frozen=True)

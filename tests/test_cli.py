@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from azumaya import cli, suites
+from azumaya import cli, suites, weyl
 from azumaya.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "example-5-1-11.json"
@@ -294,6 +294,16 @@ def test_suite_reports_failures_and_first_counterexample(monkeypatch):
     assert (res.passes, res.failures) == (40 - len(failing), len(failing)) and failing
     assert described == [failing[0]]            # only the first failure is described
     assert res.to_json()["first_counterexample"] == f"case {failing[0]}"
+
+
+def test_weyl_reduce_suite_requires_a_scalar(monkeypatch):
+    # a certificate that replays to its own non-scalar input is still refused
+    def no_steps(d):
+        return weyl.SimplicityCertificate((), d.symbol)
+
+    assert suites.run_suite("weyl-reduce", 3, 20).ok
+    monkeypatch.setattr(weyl, "reduce_to_scalar", no_steps)
+    assert suites.run_suite("weyl-reduce", 3, 20).failures > 0
 
 
 def test_unknown_suite(capsys):

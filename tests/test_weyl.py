@@ -140,6 +140,17 @@ def test_specialize_lambda():
         assert_weyl_canonical(specialize_lambda(p, c))
 
 
+def test_specialize_lambda_matches_coefficientwise_substitution():
+    rng = random.Random(59)
+    for _ in range(40):
+        n = rng.choice([1, 2])
+        e = rand_weyl(rng, n, nterms=6, with_lam=True)
+        for c in (0, 1, Fraction(-2, 3), 5):
+            s = specialize_lambda(e, c)
+            assert_weyl_canonical(s)
+            assert s == WeylElement(n, c, {k: v.subs({"lam": c}) for k, v in e.terms.items()})
+
+
 def test_lambda_zero_fiber_commutes_random():
     rng = random.Random(43)
     for _ in range(50):
