@@ -53,7 +53,7 @@ for i in range(4):
 bundle = TwistedBundle(2, nerve, gluing, alpha_q)
 print("twisted gluing check:", twisted_gluing_check(bundle).ok)
 
-bad = {k: [list(row) for row in m] for k, m in bundle.gluing.items()}
+bad = {k: [list(m.row(i)) for i in range(m.rows)] for k, m in bundle.gluing.items()}
 bad[(0, 1)][0][1] = Fraction(9)
 res = twisted_gluing_check(TwistedBundle(2, nerve, bad, alpha_q))
 print("perturbing one entry is caught at", res.where, "->", res.detail)

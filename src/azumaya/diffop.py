@@ -8,10 +8,11 @@ connection matrix Gamma is supported on a one-variable base, where the
 normal form is unconditionally well defined.
 
 The rank-2 suite solves  lam * B' + [A, B] = 0  for polynomial B by its
-z-power recurrence, builds the closed-form fundamental solution quadruple
-available when (a1-a4)^2 + 4 a2 a3 = 0 (the same recurrence, which stops at
-z^2 because ad_A^3 = 0 for such a constant A), and classifies the induced
-module decomposition by the eigenvalue pattern of the degree-0 term.
+z-power recurrence and one reduced echelon form over Q, builds the
+closed-form fundamental solution quadruple available when (a1-a4)^2 +
+4 a2 a3 = 0 (the same recurrence, which stops at z^2 because ad_A^3 = 0
+for such a constant A), and classifies the induced module decomposition by
+the eigenvalue pattern of the degree-0 term.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from math import comb
 
 from .errors import (NonConstantError, NotSplitError, PreconditionError,
                      ShapeError, ZeroLambdaError)
-from .linalg import (PolyMatrix, char_poly, kernel_saturated, min_poly,
-                     nullspace_from_rref, rref)
+from .linalg import PolyMatrix, char_poly, kernel_saturated, min_poly, rref
 from .poly import MultiPoly
 
 
@@ -228,14 +228,17 @@ def solve_commutation(a: PolyMatrix, lam, deg_bound: int = None):
     With A = sum_j A_j z^j and B = sum_k B_k z^k, k <= D = deg_bound, the z^k
     coefficient of the constraint is lam (k+1) B_{k+1} + sum_j [A_j, B_{k-j}].
     For k < D this recurrence fixes B_{k+1}, so every solution is linear in
-    the r^2 entries of B_0 (``_recurrence``); the residual equations
-    sum_j [A_j, B_{k-j}] = 0, k = D..D + deg A, are solved for B_0 by ``rref``.
+    the r^2 entries of B_0 (``_recurrence``) and must make the residuals
+    sum_j [A_j, B_{k-j}], k = D..D + deg A, vanish.
 
     The basis is the reduced-echelon nullspace (free coordinate 1) of the
     coefficient ansatz ordered entry-major then z-degree ascending, so output
     is deterministic.  It is the reduced echelon form of the solution space
-    with coordinates read backwards, so one ``rref`` of the expanded kernel
-    vectors, reversed, gives it back.
+    with coordinates read backwards.  One ``rref`` finds it: the row for
+    B_0 = E_u holds its residuals, then its series read backwards, and the
+    reduced rows that vanish on the residual block are the reduced echelon
+    form of the series whose residuals vanish (the form is unique), returned
+    in reverse order.
     """
     lam = lam if isinstance(lam, Fraction) else Fraction(lam)
     if lam == 0:
@@ -249,18 +252,15 @@ def solve_commutation(a: PolyMatrix, lam, deg_bound: int = None):
     if deg_bound < 0:
         raise ShapeError("deg_bound must be nonnegative")
     r, n = a.rows, deg_bound + 1
-    zero = Fraction(0)
-    # series[u][k] = B_k and columns[u] = the residuals when B_0 = E_u
-    series, columns = zip(*_recurrence(a, lam, deg_bound))
-    red, pivots = rref(list(zip(*columns)))
-    # the kernel vectors expanded into ansatz coordinates, read backwards
-    expanded = [[sum((c * series[u][d][idx] for u, c in enumerate(vec) if c), zero)
-                 for idx in reversed(range(r * r)) for d in reversed(range(n))]
-                for vec in nullspace_from_rref(red, pivots, r * r)]
-    echelon, pivots = rref(expanded)
+    rows = [residuals + [bs[d][idx] for idx in reversed(range(r * r))
+                         for d in reversed(range(n))]
+            for bs, residuals in _recurrence(a, lam, deg_bound)]
+    echelon, pivots = rref(rows)
+    width = len(rows[0]) - r * r * n   # the residual block's
+    start = sum(pc < width for pc in pivots)
     return [PolyMatrix(r, r, [MultiPoly(("z",), {(d,): row[-1 - idx * n - d] for d in range(n)})
                               for idx in range(r * r)])
-            for row in reversed(echelon[:len(pivots)])]
+            for row in reversed(echelon[start:len(pivots)])]
 
 
 def discriminant(a: PolyMatrix) -> MultiPoly:

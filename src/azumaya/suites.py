@@ -296,19 +296,21 @@ def endo_cocycle(rng):
     nerve = twisted.CoverNerve(size)
     beta = rand_cochain1(rng, nerve, twisted.Qstar())
     alpha = twisted.coboundary(beta)
-    tries = []
+    frames = []   # (F, F^-1), the inverse by the adjugate
     for _ in range(size):
         while True:
             p = [[Fraction(rng.randint(-2, 2)) for _ in range(2)] for _ in range(2)]
-            if twisted.mat_inv(p) is not None:
-                tries.append(tuple(tuple(row) for row in p))
+            (a, b), (c, d) = p
+            det = a * d - b * c
+            if det:
+                frames.append((PolyMatrix.from_rows(p),
+                               PolyMatrix.from_rows([[d, -b], [-c, a]]).scale(1 / det)))
                 break
     gluing = {}
     for i in range(size):
         for j in range(size):
             if i != j:
-                g = twisted.mat_mul(tries[j], twisted.mat_inv(tries[i]))
-                gluing[(i, j)] = twisted.mat_scale(g, beta.value(i, j))
+                gluing[(i, j)] = (frames[j][0] * frames[i][1]).scale(beta.value(i, j))
     bundle = twisted.TwistedBundle(2, nerve, gluing, alpha)
     if not twisted.twisted_gluing_check(bundle).ok:
         return False, lambda: "construction failed the twisted check"

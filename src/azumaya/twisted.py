@@ -17,7 +17,7 @@ from itertools import product
 
 from .errors import (CoverMismatchError, InvalidInputError,
                      UndecidableGroupError)
-from .linalg import rref
+from .linalg import PolyMatrix
 from .poly import MultiPoly
 from .zmod import solve_mod
 
@@ -249,15 +249,12 @@ def check_2cocycle(alpha: UnitCochain2) -> CheckResult:
 
 
 def coboundary(beta: Cochain1) -> UnitCochain2:
-    """(d beta)_ijk = b_jk * b_ik^-1 * b_ij; always a 2-cocycle."""
-    g = beta.group
-    values = {}
-    for t in product(beta.nerve.indices(), repeat=3):
-        i, j, k = t
-        if len({i, j, k}) < 3:
-            continue
-        values[t] = g.op(g.op(beta.value(j, k), g.inv(beta.value(i, k))),
-                         beta.value(i, j))
+    """(d beta)_ijk = b_jk * b_ik^-1 * b_ij; always a 2-cocycle.  beta is
+    read once into a table, and b_ik^-1 is b_ki by antisymmetry."""
+    g, idx = beta.group, beta.nerve.indices()
+    b = [[beta.value(i, j) for j in idx] for i in idx]
+    values = {(i, j, k): g.op(g.op(b[j][k], b[k][i]), b[i][j])
+              for i, j, k in product(idx, repeat=3) if i != j != k != i}
     return UnitCochain2(beta.nerve, g, values)
 
 
@@ -345,35 +342,25 @@ def twist_matching_check(alpha_pullback: UnitCochain2,
 # twisted bundles with rational gluing matrices
 # ---------------------------------------------------------------------------
 
-def mat_identity(r):
-    return tuple(tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r))
+def _exact_entry(x) -> MultiPoly:
+    """A gluing entry as a constant ``MultiPoly``; only exact rationals pass:
+    ints, Fractions, rational strings and constant polynomials."""
+    if isinstance(x, MultiPoly):
+        if x.is_const():
+            return x
+    elif not isinstance(x, bool):
+        try:
+            return MultiPoly.const(x)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise InvalidInputError(f"gluing entries must be exact rationals, got {x!r}")
 
 
-def mat_mul(a, b):
-    r = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(r)) for j in range(r))
-                 for i in range(r))
-
-
-def mat_scale(a, c):
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_inv(a):
-    """Inverse read off the reduced form of [A | I]; None when singular,
-    that is when the left block lacks a pivot."""
-    r = len(a)
-    red, pivots = rref([list(row) + list(e) for row, e in zip(a, mat_identity(r))])
-    if pivots != list(range(r)):
-        return None
-    return tuple(tuple(row[r:]) for row in red)
-
-
-def _as_qmatrix(rows, r):
-    rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
+def _as_qmatrix(mat, r) -> PolyMatrix:
+    rows = [mat.row(i) for i in range(mat.rows)] if isinstance(mat, PolyMatrix) else mat
     if len(rows) != r or any(len(row) != r for row in rows):
         raise InvalidInputError(f"expected an {r}x{r} matrix")
-    return tuple(tuple(row) for row in rows)
+    return PolyMatrix(r, r, [_exact_entry(x) for row in rows for x in row])
 
 
 class TwistedBundle:
@@ -398,7 +385,7 @@ class TwistedBundle:
             self.gluing[(i, j)] = _as_qmatrix(mat, rank)
 
     def g(self, i, j):
-        return self.gluing.get((i, j), mat_identity(self.rank))
+        return self.gluing.get((i, j)) or PolyMatrix.identity(self.rank)
 
     def scalar_twist(self, i, j, k):
         """Twist value as a rational scalar (faithful only for qstar, mu_1, mu_2)."""
@@ -432,19 +419,18 @@ def twisted_gluing_check(e: TwistedBundle) -> CheckResult:
     mu_n twist with n > 2 raises ``InvalidInputError`` exactly when (1)
     and (2) hold.
     """
-    ident = mat_identity(e.rank)
+    ident = PolyMatrix.identity(e.rank)
     idx = e.nerve.indices()
     for i in idx:
         if e.g(i, i) != ident:
             return CheckResult(False, (i, i), f"g_{i}{i} is not the identity")
     for i, j in product(idx, repeat=2):
-        if i < j and mat_mul(e.g(i, j), e.g(j, i)) != ident:
+        if i < j and e.g(i, j) * e.g(j, i) != ident:
             return CheckResult(False, (i, j), f"g_{i}{j} is not inverse to g_{j}{i}")
     cone = {(j, k): e.scalar_twist(0, j, k) for j, k in product(idx, repeat=2)}
     for i, j, k in product(idx, repeat=3):
         if i == 0 and len({0, j, k}) == 3:
-            lhs = mat_mul(e.g(k, 0), mat_mul(e.g(j, k), e.g(0, j)))
-            holds = lhs == mat_scale(ident, cone[j, k])
+            holds = e.g(k, 0) * (e.g(j, k) * e.g(0, j)) == ident.scale(cone[j, k])
         else:
             holds = cone[k, i] * cone[j, k] * cone[i, j] == e.scalar_twist(i, j, k)
         if not holds:
@@ -466,9 +452,10 @@ def endomorphism_azumaya(e: TwistedBundle) -> TwistedBundle:
     gluing = {}
     for (i, j), g in e.gluing.items():
         ginv = e.g(j, i)  # the check above proved g_ij g_ji = I
-        # h = g (x) ginv^T: vec(g M ginv)[(p, q)] = sum g[p][a] * ginv[b][q] * M[a][b]
-        gluing[(i, j)] = tuple(tuple(g[p][a] * ginv[b][q] for a in range(r) for b in range(r))
-                               for p in range(r) for q in range(r))
+        # h = g (x) ginv^T: vec(g M ginv)[(p, q)] = sum g[p, a] * ginv[b, q] * M[a][b]
+        gluing[(i, j)] = PolyMatrix(r * r, r * r, [g[p, a] * ginv[b, q]
+                                                   for p in range(r) for q in range(r)
+                                                   for a in range(r) for b in range(r)])
     trivial = UnitCochain2.trivial(e.nerve, e.twist.group)
     return TwistedBundle(r * r, e.nerve, gluing, trivial)
 

@@ -233,20 +233,23 @@ def test_criterion_7_cocycle_suites():
         nerve = twisted.CoverNerve(size)
         beta = rand_cochain1(rng, nerve, twisted.Qstar())
         alpha = twisted.coboundary(beta)
-        frames = []
+        frames = []   # (F, F^-1), the inverse by the adjugate
         for _ in range(size):
             while True:
                 p = [[Fraction(rng.randint(-2, 2)) for _ in range(2)]
                      for _ in range(2)]
-                if twisted.mat_inv(p) is not None:
-                    frames.append(tuple(tuple(row) for row in p))
+                (a, b), (c, d) = p
+                det = a * d - b * c
+                if det:
+                    frames.append((PolyMatrix.from_rows(p),
+                                   PolyMatrix.from_rows([[d, -b], [-c, a]]).scale(1 / det)))
                     break
         gluing = {}
         for i in range(size):
             for j in range(size):
                 if i != j:
-                    base = twisted.mat_mul(frames[j], twisted.mat_inv(frames[i]))
-                    gluing[(i, j)] = twisted.mat_scale(base, beta.value(i, j))
+                    base = frames[j][0] * frames[i][1]
+                    gluing[(i, j)] = base.scale(beta.value(i, j))
         bundle = twisted.TwistedBundle(2, nerve, gluing, alpha)
         assert twisted.twisted_gluing_check(bundle).ok
         endo = twisted.endomorphism_azumaya(bundle)

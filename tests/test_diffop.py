@@ -227,6 +227,7 @@ def _ansatz_basis(a, lam, deg_bound):
 
 def test_solver_matches_ansatz_elimination():
     rng = random.Random(131)
+    cases = []   # (A, lam, deg_bound, whether A is scalar)
     for t in range(15):
         r = 2 + t % 2
         a = rand_poly_matrix(rng, r, ("z",), deg=rng.randint(0, 4 - r))
@@ -235,16 +236,23 @@ def test_solver_matches_ansatz_elimination():
             a = PolyMatrix.identity(r).scale(a[0, 0])
         for lam in (Fraction(1), Fraction(-2, 3)):
             for bound in (rng.randint(0, 8 - 2 * r), None):
-                basis = solve_commutation(a, lam, bound)
-                expected = _ansatz_basis(
-                    a, lam, default_degree_bound(a) if bound is None else bound)
-                assert [b.to_strings() for b in basis] == [b.to_strings() for b in expected]
-                assert basis == expected
-                assert all(commutation_constraint(a, b, lam).is_zero() for b in basis)
-                if scalar:
-                    # every constant B solves: the canonical basis is the unit matrices
-                    assert basis == [PolyMatrix(r, r, [int(k == u) for k in range(r * r)])
-                                     for u in range(r * r)]
+                cases.append((a, lam, bound, scalar))
+    # A = 0 leaves no residual equations, and deg_bound 0 no recurrence
+    for r in (1, 2, 3):
+        for bound in (0, 3, None):
+            cases.append((PolyMatrix.zeros(r), Fraction(3, 2), bound, True))
+        cases.append((rand_poly_matrix(rng, r, ("z",), deg=1), Fraction(5), 0, False))
+    for a, lam, bound, scalar in cases:
+        basis = solve_commutation(a, lam, bound)
+        expected = _ansatz_basis(a, lam, default_degree_bound(a) if bound is None else bound)
+        assert [b.to_strings() for b in basis] == [b.to_strings() for b in expected]
+        assert basis == expected
+        assert all(commutation_constraint(a, b, lam).is_zero() for b in basis)
+        if scalar:
+            # every constant B solves: the canonical basis is the unit matrices
+            r = a.rows
+            assert basis == [PolyMatrix(r, r, [int(k == u) for k in range(r * r)])
+                             for u in range(r * r)]
 
 
 # -- discriminant and the closed-form quadruple -----------------------------------

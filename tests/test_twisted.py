@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,12 +11,13 @@ from azumaya import twisted
 from azumaya.cli import cochain_from_json, cochain_to_json
 from azumaya.errors import (CoverMismatchError, InvalidInputError,
                             UndecidableGroupError)
+from azumaya.linalg import PolyMatrix, rref
+from azumaya.poly import MultiPoly
 from azumaya.suites import rand_cochain1
 from azumaya.twisted import (CheckResult, Cochain1, CoverNerve, Mu, Qstar,
                              SheafOnP1, TwistedBundle, UnitCochain2,
                              check_2cocycle, coboundary, endomorphism_azumaya,
-                             hilbert_poly, is_coboundary, mat_identity,
-                             mat_inv, mat_mul, mat_scale,
+                             hilbert_poly, is_coboundary,
                              morphism_hilbert_poly, refine,
                              twist_matching_check, twist_of_hom,
                              twist_of_tensor, twist_inverse,
@@ -261,7 +263,7 @@ def test_single_entry_perturbation_rejected():
     for _ in range(25):
         bundle, _ = scalar_bundle(rng, N4)
         pair = rng.choice([(0, 1), (1, 2), (2, 3)])
-        bad = {k: [list(row) for row in m] for k, m in bundle.gluing.items()}
+        bad = {k: [list(m.row(i)) for i in range(m.rows)] for k, m in bundle.gluing.items()}
         bad[pair][rng.randrange(2)][rng.randrange(2)] += Fraction(1, 3)
         res = twisted_gluing_check(TwistedBundle(2, N4, bad, bundle.twist))
         assert not res.ok and res.where is not None
@@ -289,7 +291,7 @@ def test_endomorphism_rank_one_trivializes():
     bundle, beta = scalar_bundle(rng, N4, rank=1)
     endo = endomorphism_azumaya(bundle)
     assert endo.rank == 1
-    assert all(endo.g(i, j) == mat_identity(1)
+    assert all(endo.g(i, j) == PolyMatrix.identity(1)
                for i in range(4) for j in range(4))
 
 
@@ -310,24 +312,44 @@ def rational_scalar(group, val):
     return Fraction(-1) ** val if group.n == 2 else Fraction(1)
 
 
+def inverse(m):
+    """The inverse of a constant square PolyMatrix, read off the reduced form
+    of [M | I]; None when M is singular."""
+    r = m.rows
+    red, pivots = rref([[e.as_fraction() for e in m.row(i)]
+                        + [Fraction(int(i == j)) for j in range(r)] for i in range(r)])
+    if pivots != list(range(r)):
+        return None
+    return PolyMatrix.from_rows([row[r:] for row in red])
+
+
+def sympy_inverse(m):
+    """The inverse of a constant invertible square PolyMatrix, by sympy."""
+    fracs = [e.as_fraction() for e in m.entries]
+    inv = sympy.Matrix(m.rows, m.cols, [sympy.Rational(c.numerator, c.denominator)
+                                        for c in fracs]).inv()
+    return PolyMatrix(m.rows, m.cols, [Fraction(int(c.p), int(c.q)) for c in inv])
+
+
 def frame_bundle(rng, nerve, rank=2, group=Qstar()):
     """A valid bundle twisted by a coboundary: g_ij = beta_ij F_j F_i^-1
     for random invertible integer frames F_i."""
     beta = rand_cochain1(rng, nerve, group)
     alpha = coboundary(beta)
-    frames = []
+    frames = []   # (F, F^-1)
     for _ in nerve.indices():
         while True:
-            p = [[Fraction(rng.randint(-3, 3)) for _ in range(rank)] for _ in range(rank)]
-            if mat_inv(p) is not None:
-                frames.append(tuple(tuple(r) for r in p))
+            p = PolyMatrix.from_rows([[Fraction(rng.randint(-3, 3)) for _ in range(rank)]
+                                      for _ in range(rank)])
+            if inverse(p) is not None:
+                frames.append((p, inverse(p)))
                 break
     gluing = {}
     for i in nerve.indices():
         for j in nerve.indices():
             if i != j:
-                base = mat_mul(frames[j], mat_inv(frames[i]))
-                gluing[(i, j)] = mat_scale(base, rational_scalar(group, beta.value(i, j)))
+                base = frames[j][0] * frames[i][1]
+                gluing[(i, j)] = base.scale(rational_scalar(group, beta.value(i, j)))
     return TwistedBundle(rank, nerve, gluing, alpha)
 
 
@@ -341,25 +363,42 @@ def test_endomorphism_generic_rank_two():
 
 
 def test_endomorphism_gluing_is_conjugation():
-    # h_ij vec(M) = vec(g_ij M g_ij^-1), with the inverse computed by mat_inv
+    # h_ij vec(M) = vec(g_ij M g_ij^-1), with the inverse computed by sympy
     rng = random.Random(181)
     for t in range(12):
         rank, nerve = 1 + t % 3, (N3, N4)[t % 2]
         bundle = frame_bundle(rng, nerve, rank)
         endo = endomorphism_azumaya(bundle)
-        units = [tuple(tuple(Fraction(int((p, q) == (a, b))) for q in range(rank))
-                       for p in range(rank)) for a in range(rank) for b in range(rank)]
+        units = [PolyMatrix(rank, rank, [int((p, q) == (a, b))
+                                         for p in range(rank) for q in range(rank)])
+                 for a in range(rank) for b in range(rank)]
         for (i, j), g in bundle.gluing.items():
-            h = endo.g(i, j)
+            h, ginv = endo.g(i, j), sympy_inverse(g)
             for col, m in enumerate(units):
-                conj = mat_mul(mat_mul(g, m), mat_inv(g))
-                assert [row[col] for row in h] == [x for row in conj for x in row]
+                conj = g * m * ginv
+                assert [h[row, col] for row in range(h.rows)] == list(conj.entries)
 
 
 @pytest.mark.parametrize("rank", [0, -1, True, 1.0, "2"])
 def test_bundle_rank_must_be_a_positive_int(rank):
     with pytest.raises(InvalidInputError):
         TwistedBundle(rank, N3, {}, UnitCochain2.trivial(N3, Qstar()))
+
+
+@pytest.mark.parametrize("entry", [0.1, 2.0, "abc", "1/0", True, None, MultiPoly.var("z")])
+def test_bundle_entries_must_be_exact_rationals(entry):
+    with pytest.raises(InvalidInputError):
+        TwistedBundle(1, N3, {(0, 1): [[entry]]}, UnitCochain2.trivial(N3, Qstar()))
+
+
+def test_bundle_stores_constant_polymatrices():
+    trivial = UnitCochain2.trivial(N3, Qstar())
+    bundle = TwistedBundle(1, N3, {(0, 1): [[MultiPoly.const(Fraction(2, 3))]],
+                                   (1, 0): [["3/2"]], (1, 2): [[-1]]}, trivial)
+    assert bundle.gluing == {(0, 1): PolyMatrix.from_rows([[Fraction(2, 3)]]),
+                             (1, 0): PolyMatrix.from_rows([[Fraction(3, 2)]]),
+                             (1, 2): PolyMatrix.from_rows([[-1]])}
+    assert all(type(m) is PolyMatrix for m in bundle.gluing.values())
 
 
 def test_endomorphism_requires_valid_input():
@@ -388,16 +427,16 @@ def full_scan_2cocycle(alpha):
 
 
 def full_scan_gluing(e):
-    ident = mat_identity(e.rank)
+    ident = PolyMatrix.identity(e.rank)
     for i in e.nerve.indices():
         if e.g(i, i) != ident:
             return CheckResult(False, (i, i), f"g_{i}{i} is not the identity")
     for i, j in product(e.nerve.indices(), repeat=2):
-        if i != j and mat_mul(e.g(i, j), e.g(j, i)) != ident:
+        if i != j and e.g(i, j) * e.g(j, i) != ident:
             return CheckResult(False, (i, j), f"g_{i}{j} is not inverse to g_{j}{i}")
     for i, j, k in product(e.nerve.indices(), repeat=3):
-        lhs = mat_mul(e.g(k, i), mat_mul(e.g(j, k), e.g(i, j)))
-        rhs = mat_scale(ident, e.scalar_twist(i, j, k))
+        lhs = e.g(k, i) * (e.g(j, k) * e.g(i, j))
+        rhs = ident.scale(e.scalar_twist(i, j, k))
         if lhs != rhs:
             return CheckResult(False, (i, j, k),
                                f"twisted cocycle condition fails on {(i, j, k)}")
@@ -498,20 +537,20 @@ def faulted(rng, bundle, kind):
     i, j = rng.sample(range(size), 2) if size >= 2 else (0, 0)
     if kind == "diagonal":
         k = rng.randrange(size)
-        gluing[(k, k)] = mat_scale(mat_identity(rank), Fraction(rng.choice([2, -1])))
+        gluing[(k, k)] = PolyMatrix.identity(rank).scale(Fraction(rng.choice([2, -1])))
     elif kind == "inverse" and i != j:
-        gluing[(i, j)] = mat_scale(gluing[(i, j)], Fraction(rng.choice([2, -1, 3])))
+        gluing[(i, j)] = gluing[(i, j)].scale(Fraction(rng.choice([2, -1, 3])))
     elif kind in ("entry", "non-scalar") and i != j:
         if kind == "entry":
-            g = [list(row) for row in gluing[(i, j)]]
+            g = [list(gluing[(i, j)].row(p)) for p in range(rank)]
             g[rng.randrange(rank)][rng.randrange(rank)] += Fraction(1, rng.choice([1, 2, 3]))
-            g = tuple(tuple(row) for row in g)
+            g = PolyMatrix.from_rows(g)
         else:
-            p = tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in range(rank))
-                      for _ in range(rank))
-            g = mat_mul(gluing[(i, j)], p)
-        if mat_inv(g) is not None:   # keep g_ij g_ji = I, so (3) must catch it
-            gluing[(i, j)], gluing[(j, i)] = g, mat_inv(g)
+            p = PolyMatrix.from_rows([[Fraction(rng.randint(-2, 2)) for _ in range(rank)]
+                                      for _ in range(rank)])
+            g = gluing[(i, j)] * p
+        if inverse(g) is not None:   # keep g_ij g_ji = I, so (3) must catch it
+            gluing[(i, j)], gluing[(j, i)] = g, inverse(g)
     elif kind == "twist" and size >= 3:
         twist = perturbed(twist, [rng.choice(distinct_triples(size))], rng)
     return TwistedBundle(rank, bundle.nerve, gluing, twist)
@@ -600,12 +639,13 @@ def test_mu3_twist_raises_exactly_when_inverses_hold():
 def test_gluing_check_matrix_products_are_quadratic(monkeypatch, size, rank):
     bundle = frame_bundle(random.Random(229), CoverNerve(size), rank)
     calls = []
+    mul = PolyMatrix.__mul__
 
-    def counting_mat_mul(a, b):
+    def counting_mul(a, b):
         calls.append(1)
-        return mat_mul(a, b)
+        return mul(a, b)
 
-    monkeypatch.setattr(twisted, "mat_mul", counting_mat_mul)
+    monkeypatch.setattr(PolyMatrix, "__mul__", counting_mul)
     assert twisted_gluing_check(bundle).ok
     assert len(calls) <= size * (size - 1) // 2 + 2 * (size - 1) * (size - 2)
 
