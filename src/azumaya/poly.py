@@ -267,13 +267,12 @@ class MultiPoly:
         items = sorted(self.num.items(), key=lambda kv: self._term_sort_key(kv[0]), reverse=True)
         for idx, (e, c) in enumerate(items):
             mono = self._monomial_str(e)
-            mag = Fraction(abs(c), self.den)
-            if mono and mag == 1:
+            if mono and abs(c) == self.den:
                 body = mono
             elif mono:
-                body = f"{mag}*{mono}"
+                body = f"{_ratio_str(abs(c), self.den)}*{mono}"
             else:
-                body = str(mag)
+                body = _ratio_str(abs(c), self.den)
             if idx == 0:
                 pieces.append(body if c > 0 else f"-{body}")
             else:
@@ -282,6 +281,13 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({str(self)!r})"
+
+
+def _ratio_str(c: int, den: int) -> str:
+    """``str(Fraction(c, den))`` for c >= 0 and den > 0, read off the
+    integers without building the Fraction."""
+    g = math.gcd(c, den)
+    return str(c // g) if g == den else f"{c // g}/{den // g}"
 
 
 def _coerce(x):

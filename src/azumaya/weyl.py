@@ -23,7 +23,7 @@ from math import comb, factorial
 from operator import add
 
 from .errors import DegenerateError, ModeMismatchError, ZeroElementError
-from .poly import ONE, ZERO, MultiPoly, _join, _relayout, var_sort_key
+from .poly import ONE, ZERO, MultiPoly, _join, _ratio_str, _relayout, var_sort_key
 
 FORMAL = "formal"
 
@@ -211,7 +211,7 @@ class WeylElement:
             else:
                 ((k,), c), = num.items()
                 sign = "-" if c < 0 else "+"
-                parts = [str(Fraction(abs(c), den)) if abs(c) != den else "",
+                parts = [_ratio_str(abs(c), den) if abs(c) != den else "",
                          f"lam^{k}" if k > 1 else "lam" if k else ""]
             parts += [f"{nm}^{k}" if k > 1 else nm for nm, k in zip(names, a + b) if k]
             text += f" {sign} {'*'.join(filter(None, parts)) or '1'}"
@@ -250,17 +250,21 @@ def weyl_mul(d1: WeylElement, d2: WeylElement) -> WeylElement:
     Per variable the reordering is the closed form
         d^m x^n = sum_k C(m,k) C(n,k) k! lam^k x^(n-k) d^(m-k),
     which keeps term counts O(min(m,n)) instead of walking single steps.
-    Both symbols are put over the full layout of rank n and summed as
-    integer numerators over the product of their denominators; the result
-    is normalised once, at the end.  A fixed lam = p/q is multiplied in as
-    the integer weight p^t q^(T-t) of a contraction total t, where T bounds
-    every total, so the denominator gains q^T and no lam power occurs; at
-    lam = 0 every t > 0 term drops.
+    When no d_i of the left symbol meets an x_i of the right one, nothing
+    is reordered and the symbols multiply as commuting polynomials, in
+    every mode.  Otherwise both symbols are put over the full layout of
+    rank n and summed as integer numerators over the product of their
+    denominators; the result is normalised once, at the end.  A fixed
+    lam = p/q is multiplied in as the integer weight p^t q^(T-t) of a
+    contraction total t, where T bounds every total, so the denominator
+    gains q^T and no lam power occurs; at lam = 0 every t > 0 term drops.
     """
     d1._check_compatible(d2)
     n, lam = d1.n, d1.lam
-    names, xpos, dpos, _ = _layout(n)
     s1, s2 = d1.symbol, d2.symbol
+    if not any(dv in s1.vars and xv in s2.vars for xv, dv in zip(*_names(n))):
+        return WeylElement._trusted(n, lam, s1 * s2)
+    names, xpos, dpos, _ = _layout(n)
     den = s1.den * s2.den
     top = 0
     if lam != FORMAL:

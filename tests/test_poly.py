@@ -4,11 +4,12 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from azumaya.linalg import _gcd_in
-from azumaya.poly import MultiPoly, exact_div, parse_poly, poly_content, var_sort_key
+from azumaya.poly import (MultiPoly, _ratio_str, exact_div, parse_poly, poly_content,
+                         var_sort_key)
 
 
 z = MultiPoly.var("z")
@@ -368,3 +369,46 @@ def test_poly_content_matches_fraction_path():
         content = poly_content(*polys)
         assert content == fraction_content(*polys) and content >= 0
         assert (content == 0) == all(p.is_zero() for p in polys)
+
+
+# -- printing from integer numerators against the Fraction-per-term renderer -----
+
+def fraction_str(p: MultiPoly) -> str:
+    """The canonical text rendered from one Fraction per term."""
+    pieces = []
+    for e, c in sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
+        mono = "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(p.vars, e) if k)
+        body = mono if mono and abs(c) == 1 else f"{abs(c)}*{mono}" if mono else str(abs(c))
+        sign = "-" if c < 0 else "" if not pieces else "+"
+        pieces.append(f"{sign}{body}" if not pieces else f" {sign} {body}")
+    return "".join(pieces) or "0"
+
+
+def test_ratio_str_matches_fraction():
+    for c in range(0, 60):
+        for d in range(1, 60):
+            assert _ratio_str(c, d) == str(Fraction(c, d))
+    for c, d in ((2 ** 70 * 3, 2 ** 65 * 9), (10 ** 30, 1), (7, 10 ** 30), (0, 10 ** 30)):
+        assert _ratio_str(c, d) == str(Fraction(c, d))
+
+
+PRINT_COEFFS = st.one_of(st.sampled_from([1, -1]),
+                         st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 2, 3, 5, 12])))
+
+
+@st.composite
+def printed_polys(draw):
+    names = draw(st.lists(st.sampled_from(KERNEL_NAMES + ("t",)), min_size=1, max_size=3, unique=True))
+    exps = st.tuples(*[st.integers(0, 3)] * len(names))
+    p = MultiPoly(names, draw(st.dictionaries(exps, PRINT_COEFFS, max_size=5)))
+    return p * draw(st.sampled_from([1, -1, 6, Fraction(1, 4), Fraction(-5, 6)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(printed_polys())
+@example(MultiPoly(("z",), {(1,): -1, (0,): Fraction(1, 2)}))
+@example(MultiPoly(("z", "v"), {(1, 1): Fraction(-3, 4), (0, 1): 1, (0, 0): -1}))
+@example(MultiPoly.const(Fraction(-7, 3)))
+@example(MultiPoly.zero())
+def test_str_matches_fraction_renderer(p):
+    assert str(p) == fraction_str(p)

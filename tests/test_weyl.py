@@ -4,9 +4,10 @@ from itertools import product
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from azumaya import weyl
 from azumaya.errors import (DegenerateError, ModeMismatchError,
                             ZeroElementError)
 from azumaya.poly import MultiPoly
@@ -14,7 +15,7 @@ from azumaya.suites import rand_position_poly, rand_weyl
 from azumaya.weyl import (FORMAL, WeylElement, act_on_polynomial, fourier,
                           parse_weyl, position_vars, reduce_to_scalar,
                           specialize_lambda, weyl_mul)
-from test_poly import assert_canonical
+from test_poly import PRINT_COEFFS, assert_canonical, fraction_str
 
 x = WeylElement.x(0, 1)
 d = WeylElement.d(0, 1)
@@ -442,9 +443,10 @@ LAMS = [FORMAL, Fraction(0), Fraction(1), Fraction(-1), Fraction(-2, 3), Fractio
 _LAM = MultiPoly.var("lam")
 
 
-def weyl_operand(rng, n, lam):
+def weyl_operand(rng, n, lam, xs=None, ds=None):
     """Zero, a scalar, or up to four terms with mixed denominators (and lam
-    powers in formal mode)."""
+    powers in formal mode).  ``xs`` and ``ds`` list the indices whose
+    positions and momenta may occur; all by default."""
     kind = rng.random()
     if kind < 0.1:
         return WeylElement.zero(n, lam)
@@ -452,7 +454,8 @@ def weyl_operand(rng, n, lam):
         return WeylElement.scalar(Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)), n, lam)
     terms = {}
     for _ in range(rng.randint(1, 4)):
-        key = tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in "ab")
+        key = tuple(tuple(rng.randint(0, 3) if allowed is None or i in allowed else 0
+                          for i in range(n)) for allowed in (xs, ds))
         c = MultiPoly.const(Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6, 7])))
         if lam == FORMAL and rng.random() < 0.5:
             c = c * _LAM ** rng.randint(1, 2) + Fraction(rng.randint(-3, 3), rng.choice([1, 5]))
@@ -504,3 +507,106 @@ def test_integer_product_matches_fraction_path_hypothesis(pair):
     e1, e2 = pair
     check_weyl_pair(e1, e2)
     check_weyl_pair(e2, e1)
+
+
+# -- commuting factors multiply as polynomials -------------------------------------
+
+def slow_terms(e1, e2):
+    """``slow_product`` in the mode of the factors: a fixed lam substituted."""
+    out = slow_product(e1, e2, e1.n)
+    if e1.lam != FORMAL:
+        out = {k: c.subs({"lam": e1.lam}) for k, c in out.items()}
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def commuting_pair(rng, n, lam):
+    """Two operands that commute index by index: the left one carries
+    momenta only at the indices in ``meet``, the right one positions only
+    elsewhere (none, all, or a disjoint mix such as d1 against x2)."""
+    meet = rng.sample(range(n), rng.randint(0, n))
+    left = weyl_operand(rng, n, lam, ds=meet)
+    right = weyl_operand(rng, n, lam, xs=[i for i in range(n) if i not in meet])
+    return left, right
+
+
+def meeting_pair(rng, n, lam):
+    """Two operands where d_i^4 on the left meets x_i^4 on the right."""
+    i, zero = rng.randrange(n), (0,) * n
+    power = tuple(4 if j == i else 0 for j in range(n))
+    return (weyl_operand(rng, n, lam) + WeylElement(n, lam, {(zero, power): 1}),
+            weyl_operand(rng, n, lam) + WeylElement(n, lam, {(power, zero): 1}))
+
+
+@pytest.mark.parametrize("lam", LAMS)
+def test_commuting_products_skip_the_reordering(lam, monkeypatch):
+    rng = random.Random(89)
+    pairs = [commuting_pair(rng, rng.randint(1, 3), lam) for _ in range(60)]
+    for n in (1, 2, 3):
+        x1, d1 = WeylElement.x(0, n, lam), WeylElement.d(n - 1, n, lam)
+        pairs += [(WeylElement.zero(n, lam), d1), (x1, WeylElement.zero(n, lam)),
+                  (WeylElement.scalar(Fraction(-2, 3), n, lam), d1 + x1),
+                  (d1 + x1, WeylElement.scalar(5, n, lam)), (x1, d1)]
+    expected = [(fraction_weyl_mul(e1, e2), slow_terms(e1, e2)) for e1, e2 in pairs]
+    meeting = [meeting_pair(rng, rng.randint(1, 3), lam) for _ in range(10)]
+
+    def refuse(*args):
+        raise AssertionError("commuting factors were reordered")
+
+    monkeypatch.setattr(weyl, "_contractions", refuse)
+    for (e1, e2), (slow, rewritten) in zip(pairs, expected):
+        product = weyl_mul(e1, e2)
+        assert product == slow and str(product) == str(slow)
+        assert product.terms == rewritten
+        assert_weyl_canonical(product)
+    for e1, e2 in meeting:
+        with pytest.raises(AssertionError, match="reordered"):
+            weyl_mul(e1, e2)
+    monkeypatch.undo()
+    for e1, e2 in meeting:
+        check_weyl_pair(e1, e2)
+        assert weyl_mul(e1, e2).terms == slow_terms(e1, e2)
+
+
+# -- printing from integer numerators against the Fraction-per-term renderer -----
+
+def fraction_weyl_str(e):
+    """The canonical text rendered from ``terms``, one Fraction per
+    coefficient of a single lam power."""
+    names = position_vars(e.n) + tuple("d" + v[1:] for v in position_vars(e.n))
+    pieces = []
+    for (a, b), c in sorted(e.terms.items(), reverse=True,
+                            key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]), kv[0])):
+        if len(c.terms) > 1:
+            sign, parts = "+", [f"({fraction_str(c)})"]
+        else:
+            ((k, f),) = c.terms.items()
+            k = k[0] if k else 0
+            sign = "-" if f < 0 else "+"
+            parts = [str(abs(f)) if abs(f) != 1 else "",
+                     "lam" if k == 1 else f"lam^{k}" if k else ""]
+        parts += [nm if k == 1 else f"{nm}^{k}" for nm, k in zip(names, a + b) if k]
+        body = "*".join(p for p in parts if p) or "1"
+        pieces.append(("-" if sign == "-" else "") + body if not pieces else f" {sign} {body}")
+    return "".join(pieces) or "0"
+
+
+@st.composite
+def weyl_elements(draw):
+    """Elements whose formal lam coefficients may have several terms."""
+    n = draw(st.integers(1, 3))
+    lam = draw(st.sampled_from(LAMS))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    powers = st.integers(0, 2) if lam == FORMAL else st.just(0)
+    coeffs = st.dictionaries(powers, PRINT_COEFFS, min_size=1, max_size=3)
+    terms = draw(st.dictionaries(st.tuples(exps, exps), coeffs, max_size=4))
+    return WeylElement(n, lam, {k: sum((c * _LAM ** p for p, c in cs.items()), MultiPoly.zero())
+                                for k, cs in terms.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(weyl_elements())
+@example(parse_weyl("-(lam - 1/2)*x*d + 2/3*lam^2*x - d + 1"))
+@example(parse_weyl("-1/4*x1^2*d2 + x1 - 6", lam=Fraction(5, 7)))
+@example(WeylElement.zero(2))
+def test_str_matches_fraction_renderer(e):
+    assert str(e) == fraction_weyl_str(e)
