@@ -8,23 +8,24 @@ connection matrix Gamma is supported on a one-variable base, where the
 normal form is unconditionally well defined.
 
 The rank-2 suite solves  lam * B' + [A, B] = 0  for polynomial B by its
-z-power recurrence and one reduced echelon form over Q, builds the
-closed-form fundamental solution quadruple available when (a1-a4)^2 +
-4 a2 a3 = 0 (the same recurrence, which stops at z^2 because ad_A^3 = 0
-for such a constant A), and classifies the induced module decomposition by
-the eigenvalue pattern of the degree-0 term.
+z-power recurrence on integer matrices and one fraction-free elimination
+over Q (``linalg.echelon``), builds the closed-form fundamental solution
+quadruple available when (a1-a4)^2 + 4 a2 a3 = 0 (the same recurrence,
+which stops at z^2 because ad_A^3 = 0 for such a constant A), and
+classifies the induced module decomposition by the eigenvalue pattern of
+the degree-0 term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import (NonConstantError, NotSplitError, PreconditionError,
                      ShapeError, ZeroLambdaError)
-from .linalg import PolyMatrix, char_poly, kernel_saturated, min_poly, rref
-from .poly import MultiPoly
+from .linalg import PolyMatrix, char_poly, echelon, kernel_saturated, min_poly
+from .poly import MultiPoly, _join
 
 
 class MixedOperator:
@@ -184,8 +185,8 @@ def default_degree_bound(a: PolyMatrix) -> int:
 
 
 def _bracket_into(out, aj, b, r):
-    """out += [Aj, B] for r x r matrices flattened row-major to lists of
-    Fractions, Aj given by its nonzero entries (i, m, c)."""
+    """out += [Aj, B] for r x r integer matrices flattened row-major to
+    lists, Aj given by its nonzero entries (i, m, c)."""
     for i, m, c in aj:
         for l in range(r):
             if b[m * r + l]:
@@ -196,26 +197,32 @@ def _bracket_into(out, aj, b, r):
 
 def _recurrence(a: PolyMatrix, lam: Fraction, deg_bound: int):
     """For each elementary B_0 = E_u, u in row-major order, the pair
-    (B_0..B_D, residuals): B_{k+1} = -sum_j [A_j, B_{k-j}] / (lam (k+1)) for
-    k < D = deg_bound, then sum_j [A_j, B_{k-j}] for k = D..D + deg A,
-    concatenated.  Matrices are row-major lists of Fractions."""
-    r = a.rows
-    coeffs = [[c.as_fraction() for c in e.coefficients_in("z")] for e in a.entries]
+    (B_0..B_D, residuals) of row-major integer lists.  B_0..B_D share one
+    positive denominator, B_0[u].
+
+    A is scaled to integer matrices A_j (A = sum_j A_j z^j / a_den, a_den
+    the lcm of its entries' denominators).  For k < D = deg_bound,
+    B_{k+1} = -sum_j [A_j, B_{k-j}] / (lam (k+1) a_den): with lam = p/q,
+    every earlier B is multiplied by |p| (k+1) a_den and B_{k+1} is
+    -sign(p) q times the sum.  The residuals sum_j [A_j, B_{k-j}], k = D..D
+    + deg A, concatenated, then sit over B_0[u] * a_den."""
+    r, a_den = a.rows, lcm(*(e.den for e in a.entries))
+    coeffs = [[int(c.as_fraction() * a_den) for c in e.coefficients_in("z")] for e in a.entries]
     # A_j as its nonzero entries (i, m, c)
     a_terms = [[(idx // r, idx % r, cs[j]) for idx, cs in enumerate(coeffs)
                 if j < len(cs) and cs[j]]
                for j in range(max(map(len, coeffs), default=0))]
-    zero = Fraction(0)
+    p, q = lam.numerator, lam.denominator
     out = []
     for u in range(r * r):
-        bs, residuals = [[Fraction(int(e == u)) for e in range(r * r)]], []
+        bs, residuals = [[int(e == u) for e in range(r * r)]], []
         for k in range(deg_bound + len(a_terms)):
-            acc = [zero] * (r * r)
+            acc = [0] * (r * r)
             for j in range(max(0, k - deg_bound), min(k + 1, len(a_terms))):
                 _bracket_into(acc, a_terms[j], bs[k - j], r)
             if k < deg_bound:
-                f = -1 / (lam * (k + 1))
-                bs.append([f * x for x in acc])
+                s, f = abs(p) * (k + 1) * a_den, -q if p > 0 else q
+                bs = [[s * x for x in b] for b in bs] + [[f * x for x in acc]]
             else:
                 residuals += acc
         out.append((bs, residuals))
@@ -234,11 +241,12 @@ def solve_commutation(a: PolyMatrix, lam, deg_bound: int = None):
     The basis is the reduced-echelon nullspace (free coordinate 1) of the
     coefficient ansatz ordered entry-major then z-degree ascending, so output
     is deterministic.  It is the reduced echelon form of the solution space
-    with coordinates read backwards.  One ``rref`` finds it: the row for
-    B_0 = E_u holds its residuals, then its series read backwards, and the
-    reduced rows that vanish on the residual block are the reduced echelon
-    form of the series whose residuals vanish (the form is unique), returned
-    in reverse order.
+    with coordinates read backwards.  One fraction-free ``echelon`` of the
+    integer rows finds it: the row for B_0 = E_u holds its residuals, then
+    its series read backwards.  The echelon rows that vanish on the residual
+    block span the series whose residuals vanish, and back substitution
+    among them alone gives their reduced echelon form (the form is unique),
+    each row over its pivot, returned in reverse order.
     """
     lam = lam if isinstance(lam, Fraction) else Fraction(lam)
     if lam == 0:
@@ -255,12 +263,11 @@ def solve_commutation(a: PolyMatrix, lam, deg_bound: int = None):
     rows = [residuals + [bs[d][idx] for idx in reversed(range(r * r))
                          for d in reversed(range(n))]
             for bs, residuals in _recurrence(a, lam, deg_bound)]
-    echelon, pivots = rref(rows)
     width = len(rows[0]) - r * r * n   # the residual block's
-    start = sum(pc < width for pc in pivots)
-    return [PolyMatrix(r, r, [MultiPoly(("z",), {(d,): row[-1 - idx * n - d] for d in range(n)})
-                              for idx in range(r * r)])
-            for row in reversed(echelon[start:len(pivots)])]
+    pivots = echelon(rows, width)
+    return [PolyMatrix(r, r, [_join(("z",), {(d,): row[-1 - i * n - d] for d in range(n)}, row[pc])
+                              for i in range(r * r)])
+            for row, pc in reversed(list(zip(rows, pivots))) if pc >= width]
 
 
 def discriminant(a: PolyMatrix) -> MultiPoly:
@@ -291,12 +298,12 @@ def fundamental_solutions(a: PolyMatrix, lam):
     if not discriminant(a).is_zero():
         raise PreconditionError("discriminant (a1-a4)^2 + 4 a2 a3 must vanish")
     basis = []
-    for bs, residuals in _recurrence(a, lam, 2):
+    for u, (bs, residuals) in enumerate(_recurrence(a, lam, 2)):
         if any(residuals):
             raise AssertionError("the series of a zero-discriminant A "
                                  "does not stop at z^2")
-        basis.append(PolyMatrix(2, 2, [MultiPoly(("z",), {(d,): b[idx] for d, b in enumerate(bs)})
-                                       for idx in range(4)]))
+        series = [{(d,): b[idx] for d, b in enumerate(bs)} for idx in range(4)]
+        basis.append(PolyMatrix(2, 2, [_join(("z",), num, bs[0][u]) for num in series]))
     return basis
 
 

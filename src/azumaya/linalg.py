@@ -1,7 +1,11 @@
 """Exact linear algebra: rational matrices, polynomial matrices, kernels.
 
-Over Q, ``rref`` is Gauss-Jordan on Fractions.  Over the fraction field of
-a polynomial base ring Q[z] (or Q[w1, w2, ...]) there is one elimination,
+Over Q there is one elimination, ``echelon``: Bareiss (1968) on integer
+rows, so every division is exact, with back substitution only among the
+rows past a given column.  ``rref`` clears each row's denominators, runs it
+and divides each row by its pivot; the commutation solver calls it on its
+integer rows directly.  Over the fraction field of a polynomial base ring
+Q[z] (or Q[w1, w2, ...]) there is one elimination too,
 ``SpanBasis``: Bareiss over Z[base] after clearing denominators, on the
 integer numerator maps that ``MultiPoly`` stores, so its divisions are
 exact and it takes no gcds.  The span tests run on it, and so do
@@ -33,35 +37,54 @@ from .poly import (MultiPoly, ONE, ZERO, _as_fraction, _int_addmul, _int_quo, _j
                    _layout, _relayout, _split, exact_div, poly_content)
 
 
-def rref(rows):
-    """Reduced row echelon form over Q (Fraction entries), copying its input.
+def echelon(rows, first=0):
+    """Fraction-free row echelon form of integer rows, in place; returns the
+    pivot columns, one per leading row.
 
-    Returns (reduced rows, pivot column list).
+    The forward pass is Bareiss (1968): each pivot row is made positive, and
+    every row below it becomes (p * row - f * pivot row) // previous pivot,
+    also when f is 0, so that its entries stay minors and the divisions
+    exact.  The rows below the rank end up zero.  Back substitution then
+    runs only among the rows whose pivot column is at least ``first``: it
+    clears each such pivot column in the earlier such rows and divides each
+    changed row by its content.  Those rows, each divided by its pivot, are
+    then the reduced echelon form of the part of the row space that vanishes
+    before column ``first``; with ``first = 0``, of the whole row space.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [x / inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows, pivots
+    pivots, prev = [], 1
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        i = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if i is not None:
+            row = rows[i] if rows[i][col] > 0 else [-x for x in rows[i]]
+            rows[i], rows[rank] = rows[rank], row
+            for low in rows[rank + 1:]:
+                f = low[col]
+                low[col:] = [(row[col] * a - f * b) // prev for a, b in zip(low[col:], row[col:])]
+            pivots.append(col)
+            prev = row[col]
+    tail = [(row, pc) for row, pc in zip(rows, pivots) if pc >= first]
+    for k, (row, pc) in enumerate(tail):
+        for other, lead in tail[:k]:
+            f = other[pc]
+            if f:
+                new = [row[pc] * a - f * b for a, b in zip(other[lead:], row[lead:])]
+                g = math.gcd(*new)
+                other[lead:] = [x // g for x in new]
+    return pivots
+
+
+def rref(rows):
+    """Reduced row echelon form over Q, copying its input: (reduced rows as
+    Fractions, trailing zero rows included, pivot column list).
+
+    Each row is cleared of its denominators and the integer rows go through
+    ``echelon``; each row is then divided by its first nonzero entry, its
+    pivot (zero rows by 1).
+    """
+    ints = [[int(x * d) for x in r] for r in rows for d in [math.lcm(*(x.denominator for x in r))]]
+    pivots = echelon(ints)
+    return [[Fraction(x, d) for x in r] for r in ints for d in [next(filter(None, r), 1)]], pivots
 
 
 @dataclass(frozen=True)

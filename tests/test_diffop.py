@@ -13,10 +13,10 @@ from azumaya.diffop import (CASE_DISTINCT, CASE_NILPOTENT, CASE_SEMISIMPLE,
                             pushforward_report, solve_commutation)
 from azumaya.errors import (NonConstantError, NotSplitError, PreconditionError,
                             ShapeError, ZeroLambdaError)
-from azumaya.linalg import (PolyMatrix, SpanBasis, char_poly, nullspace_from_rref,
-                            rref)
+from azumaya.linalg import PolyMatrix, SpanBasis, char_poly, nullspace_from_rref
 from azumaya.poly import MultiPoly
 from azumaya.suites import rand_discriminant_zero, rand_poly_matrix
+from test_linalg import fraction_rref
 
 z = MultiPoly.var("z")
 v = MultiPoly.var("v")
@@ -203,7 +203,8 @@ def test_solvability_dichotomy():
 def _ansatz_basis(a, lam, deg_bound):
     """Reference solver: one unknown per coefficient of B (entry-major, then
     z-degree ascending), one equation per (entry, power of z) of the
-    constraint, and the reduced-echelon nullspace of that whole system."""
+    constraint, and the reduced-echelon nullspace of that whole system, by
+    Gauss-Jordan on Fractions."""
     r = a.rows
     unknowns = [(i, j, d) for i in range(r) for j in range(r) for d in range(deg_bound + 1)]
     equations = {}
@@ -215,7 +216,7 @@ def _ansatz_basis(a, lam, deg_bound):
                 if not c.is_zero():
                     row = equations.setdefault((key, power), [Fraction(0)] * len(unknowns))
                     row[u] = c.as_fraction()
-    red, pivots = rref(list(equations.values()))
+    red, pivots = fraction_rref(list(equations.values()))
     basis = []
     for vec in nullspace_from_rref(red, pivots, len(unknowns)):
         entries = [MultiPoly.zero()] * (r * r)
@@ -242,6 +243,14 @@ def test_solver_matches_ansatz_elimination():
         for bound in (0, 3, None):
             cases.append((PolyMatrix.zeros(r), Fraction(3, 2), bound, True))
         cases.append((rand_poly_matrix(rng, r, ("z",), deg=1), Fraction(5), 0, False))
+    # coefficients of A over 2, 3 and 6, and lam with a numerator other than 1
+    for r in (1, 2, 3):
+        for lam in (Fraction(-3, 2), Fraction(5, 7), Fraction(-5)):
+            a = PolyMatrix(r, r, [MultiPoly(("z",), {(k,): Fraction(rng.randint(-3, 3),
+                                                                    rng.choice([1, 2, 3, 6]))
+                                                     for k in range(rng.randint(1, 4 - r))})
+                                  for _ in range(r * r)])
+            cases.append((a, lam, rng.choice([rng.randint(0, 8 - 2 * r), None]), False))
     for a, lam, bound, scalar in cases:
         basis = solve_commutation(a, lam, bound)
         expected = _ansatz_basis(a, lam, default_degree_bound(a) if bound is None else bound)
@@ -329,6 +338,10 @@ def test_fundamental_solutions_match_the_typed_closed_forms():
     lams = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2, 3), Fraction(3, 2)]
     cases = [PolyMatrix.zeros(2), PolyMatrix.identity(2).scale(3), E12]
     cases += [rand_discriminant_zero(rng) for _ in range(200)]
+    for _ in range(40):
+        # c I + N with N = (a, b)^T (b, -a) nilpotent, over denominators 2, 3, 6
+        c, a, b = (Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 6])) for _ in range(3))
+        cases.append(PolyMatrix.from_rows([[c + a * b, -a * a], [b * b, c - a * b]]))
     for t, a in enumerate(cases):
         lam = lams[t % len(lams)]
         basis, expected = fundamental_solutions(a, lam), _closed_form_quadruple(a, lam)

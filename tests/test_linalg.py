@@ -1,14 +1,17 @@
 import functools
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from azumaya.errors import ShapeError
-from azumaya.linalg import (PolyMatrix, SpanBasis, char_poly, divides_in_v,
+from azumaya.linalg import (PolyMatrix, SpanBasis, char_poly, divides_in_v, echelon,
                             eval_poly_at_matrix, kernel_saturated,
                             linear_solve_exact, min_poly, nullspace_from_rref,
                             rref, squarefree_in_v, vector_is_primitive)
@@ -207,6 +210,88 @@ def test_modp_enumeration_containment():
                 hom = all(sum(m[i][j] * red[j] for j in range(cols)) % p == 0
                           for i in range(rows))
                 assert hom
+
+
+# -- rref against Gauss-Jordan on Fractions -----------------------------------
+
+def fraction_rref(rows):
+    """Reference: Gauss-Jordan on Fractions (the first nonzero entry of each
+    column as pivot, every other row cleared at once), copying its input.
+
+    Returns (reduced rows, pivot column list).
+    """
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(rank, len(rows)):
+            if rows[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        inv = rows[rank][col]
+        rows[rank] = [x / inv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    return rows, pivots
+
+
+@st.composite
+def fraction_rows(draw):
+    """Tall, wide, 1 x n and n x 1 shapes (0 x n too), entries p/q with
+    q <= 6, many zeros, and rows repeated up to such a factor."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    for i in range(1, nrows):
+        if draw(st.booleans()):
+            rows[i] = [draw(entry) * x for x in rows[draw(st.integers(0, i - 1))]]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(fraction_rows())
+@example([])
+@example([[], []])
+@example([[Fraction(0)] * 3, [Fraction(0)] * 3])
+@example([[Fraction(0), Fraction(-2), Fraction(1, 6)], [Fraction(0), Fraction(3, 4), Fraction(0)]])
+@example([[Fraction(-5, 6), Fraction(5, 3), Fraction(0), Fraction(1)]])
+@example([[Fraction(-1, 2)], [Fraction(0)], [Fraction(2, 3)], [Fraction(-6)]])
+@example([[Fraction(-3), Fraction(1)], [Fraction(2), Fraction(0)],
+          [Fraction(-1, 5), Fraction(1, 6)], [Fraction(0), Fraction(-4)]])
+def test_rref_matches_fraction_gauss_jordan(rows):
+    red, pivots = rref(rows)
+    want, want_pivots = fraction_rref(rows)
+    assert pivots == want_pivots
+    assert red == want and all(type(x) is Fraction for row in red for x in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_rows(), st.integers(0, 8))
+def test_echelon_past_first_is_the_reduced_form_there(rows, first):
+    # the reduced rows with pivot column >= first are the reduced echelon
+    # form of the row space's part that vanishes before first
+    dens = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    ints = [[int(x * d) for x in row] for row, d in zip(rows, dens)]
+    pivots = echelon(ints, first)
+    want, want_pivots = fraction_rref(rows)
+    assert pivots == want_pivots
+    tail = [[Fraction(x, row[pc]) for x in row]
+            for row, pc in zip(ints, pivots) if pc >= first]
+    assert tail == [row for row, pc in zip(want, want_pivots) if pc >= first]
+    assert all(not any(row) for row in ints[len(pivots):])
 
 
 # -- char_poly ----------------------------------------------------------------
