@@ -316,7 +316,11 @@ def _exact(raw, convert, what):
 
 def cochain_from_json(payload, key: str):
     """Read the wire form of a cochain whose tuples are keyed ``key``: "ijk"
-    for a 2-cochain, "ij" for a 1-cochain."""
+    for a 2-cochain, "ij" for a 1-cochain.
+
+    A well-formed item passes one test, and each distinct value literal is
+    converted once per call (a cochain repeats few values many times); a
+    malformed item goes through the helpers, which report it."""
     _take(payload, optional=("group", "n", "indices", "values"))
     name = payload.get("group")
     if name == "qstar":
@@ -327,16 +331,19 @@ def cochain_from_json(payload, key: str):
         raise InvalidInputError(f"unknown group {name!r}")
     nerve = twisted.CoverNerve(_int(_field(payload, "indices"), "indices"))
     convert, wire = (Fraction, str) if name == "qstar" else (int, int)
-    values = {}
+    fields, ints, size = {key, "v"}, {int}, len(key)
+    values, seen = {}, {}
     for item in _list(payload.get("values", []), "values"):
-        # one test for a well-formed item; the helpers report a malformed one
         t = item.get(key) if type(item) is dict else None
-        if (type(t) is list and len(t) == len(key) and item.keys() == {key, "v"}
-                and {*map(type, t)} == {int} and type(item["v"]) is wire):
-            values[tuple(t)] = _convert(convert, item["v"], "values")
+        if (type(t) is list and len(t) == size and item.keys() == fields
+                and {*map(type, t)} == ints and type(v := item["v"]) is wire):
+            x = seen.get(v)
+            if x is None:
+                x = seen[v] = _convert(convert, v, "values")
+            values[tuple(t)] = x
             continue
         _take(item, required=(key, "v"))
-        values[_indices(item[key], key, len(key))] = _exact(item["v"], convert, "values")
+        values[_indices(item[key], key, size)] = _exact(item["v"], convert, "values")
     cochain = twisted.UnitCochain2 if len(key) == 3 else twisted.Cochain1
     return cochain(nerve, group, values)
 

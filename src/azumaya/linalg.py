@@ -12,7 +12,8 @@ exact and it takes no gcds.  The span tests run on it, and so do
 ``min_poly`` and ``kernel_saturated``, through one relation path
 (``_relations``) that saturates and signs each dependency it finds.
 ``PolyMatrix`` products sum each entry in one integer map over the two
-matrices' common denominators.
+matrices' common denominators; when every entry is constant, in one
+integer dot product.
 
 Every gcd in one variable over the fraction field of the others runs one
 primitive pseudo-remainder sequence (Collins 1967, Brown 1971) on the same
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import ShapeError
 from .poly import (MultiPoly, ONE, ZERO, _as_fraction, _int_addmul, _int_quo, _join,
@@ -220,6 +222,15 @@ class PolyMatrix:
             b, db = _split(other.entries, names)
             n, m = self.cols, other.cols
             out = []
+            if not names:
+                # every entry constant: plain dot products of the numerators
+                a = [x.get((), 0) for x in a]
+                cols = [[x.get((), 0) for x in b[j::m]] for j in range(m)]
+                for i in range(0, self.rows * n, n):
+                    row = a[i:i + n]
+                    out.extend(_join((), {(): sum(map(mul, row, col))}, da * db)
+                               for col in cols)
+                return PolyMatrix(self.rows, m, out)
             for i in range(self.rows):
                 row = a[i * n:(i + 1) * n]
                 for j in range(m):

@@ -48,7 +48,7 @@ class Qstar:
     @staticmethod
     def validate(a):
         a = a if isinstance(a, Fraction) else Fraction(a)
-        if a == 0:
+        if not a:
             raise InvalidInputError("0 is not a unit")
         return a
 
@@ -127,19 +127,20 @@ class Cochain1:
     def __init__(self, nerve: CoverNerve, group, values=None):
         self.nerve = nerve
         self.group = group
+        size, one, valid = nerve.index_count, int(group.identity()), group.validate
         store = {}
         for (i, j), val in (values or {}).items():
-            if not (0 <= i < nerve.index_count and 0 <= j < nerve.index_count):
+            if not (0 <= i < size and 0 <= j < size):
                 raise InvalidInputError(f"index out of range: {(i, j)}")
-            val = group.validate(val)
+            val = valid(val)
             if i == j:
-                if val != group.identity():
+                if val != one:
                     raise InvalidInputError("diagonal values must be the identity")
                 continue
             key, v = ((i, j), val) if i < j else ((j, i), group.inv(val))
-            if key in store and store[key] != v:
+            old = store.setdefault(key, v)
+            if old is not v and old != v:
                 raise InvalidInputError(f"conflicting values for pair {key}")
-            store[key] = v
         self.values = store
 
     def value(self, i, j):
@@ -162,20 +163,21 @@ class UnitCochain2:
     def __init__(self, nerve: CoverNerve, group, values=None):
         self.nerve = nerve
         self.group = group
-        size, one = nerve.index_count, group.identity()
+        # the identity as an int: a Fraction compares with an int without
+        # the numbers.Rational path that a Fraction == Fraction takes
+        size, one, valid = nerve.index_count, int(group.identity()), group.validate
         store = {}
         for key, val in (values or {}).items():
             i, j, k = key
             if not (0 <= i < size and 0 <= j < size and 0 <= k < size):
                 raise InvalidInputError(f"index out of range: {key}")
-            val = group.validate(val)
-            if i == j or j == k or i == k:
-                if val != one:
-                    raise InvalidInputError(
-                        "values on tuples with repeated indices must be the identity")
+            val = valid(val)
+            if val == one:
                 continue
-            if val != one:
-                store[(i, j, k)] = val
+            if i == j or j == k or i == k:
+                raise InvalidInputError(
+                    "values on tuples with repeated indices must be the identity")
+            store[(i, j, k)] = val
         self.values = store
 
     def value(self, i, j, k):
@@ -249,12 +251,24 @@ def check_2cocycle(alpha: UnitCochain2) -> CheckResult:
 
 
 def coboundary(beta: Cochain1) -> UnitCochain2:
-    """(d beta)_ijk = b_jk * b_ik^-1 * b_ij; always a 2-cocycle.  beta is
-    read once into a table, and b_ik^-1 is b_ki by antisymmetry."""
+    """(d beta)_ijk = b_jk * b_ik^-1 * b_ij; always a 2-cocycle.
+
+    beta is read once into a table, and b_ik^-1 is b_ki by antisymmetry.
+    As in ``_cone_offender``, each triple then costs one ``% n`` of a sum
+    of residues in mu_n, and in qstar one ``Fraction`` of the products of
+    numerators and of denominators."""
     g, idx = beta.group, beta.nerve.indices()
     b = [[beta.value(i, j) for j in idx] for i in idx]
-    values = {(i, j, k): g.op(g.op(b[j][k], b[k][i]), b[i][j])
-              for i, j, k in product(idx, repeat=3) if i != j != k != i}
+    triples = [(i, j, k) for i, j, k in product(idx, repeat=3) if i != j != k != i]
+    if isinstance(g, Mu):
+        n = g.n
+        values = {(i, j, k): (b[j][k] + b[k][i] + b[i][j]) % n for i, j, k in triples}
+    else:
+        num = [[c.numerator for c in row] for row in b]
+        den = [[c.denominator for c in row] for row in b]
+        values = {(i, j, k): Fraction(num[j][k] * num[k][i] * num[i][j],
+                                      den[j][k] * den[k][i] * den[i][j])
+                  for i, j, k in triples}
     return UnitCochain2(beta.nerve, g, values)
 
 
@@ -357,10 +371,15 @@ def _exact_entry(x) -> MultiPoly:
 
 
 def _as_qmatrix(mat, r) -> PolyMatrix:
-    rows = [mat.row(i) for i in range(mat.rows)] if isinstance(mat, PolyMatrix) else mat
-    if len(rows) != r or any(len(row) != r for row in rows):
+    """``mat`` as an r x r constant ``PolyMatrix``; one that is already
+    that is kept as it is."""
+    if isinstance(mat, PolyMatrix):
+        if mat.shape() == (r, r) and mat.is_constant():
+            return mat
+        mat = [mat.row(i) for i in range(mat.rows)]
+    if len(mat) != r or any(len(row) != r for row in mat):
         raise InvalidInputError(f"expected an {r}x{r} matrix")
-    return PolyMatrix(r, r, [_exact_entry(x) for row in rows for x in row])
+    return PolyMatrix(r, r, [_exact_entry(x) for row in mat for x in row])
 
 
 class TwistedBundle:

@@ -5,13 +5,14 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from azumaya import cli, suites, weyl
+from azumaya import cli, suites, twisted, weyl
 from azumaya.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "example-5-1-11.json"
@@ -494,6 +495,61 @@ def test_cochain_codec_reports(capsys, tmp_path, command, payload, status, repor
     f.write_text(json.dumps({"version": 1, "command": command, "payload": payload}))
     code, out = run(capsys, *command.split(), str(f))
     assert (code, out) == (status, report + "\n")
+
+
+# -- the reader converts each distinct literal once ---------------------------------
+
+def _item_by_item(payload, key):
+    """The cochain with each item's literal converted on its own."""
+    group = twisted.Qstar() if payload["group"] == "qstar" else twisted.Mu(payload["n"])
+    convert = Fraction if payload["group"] == "qstar" else int
+    values = {tuple(item[key]): convert(item["v"]) for item in payload["values"]}
+    cochain = twisted.UnitCochain2 if key == "ijk" else twisted.Cochain1
+    return cochain(twisted.CoverNerve(payload["indices"]), group, values)
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"group": "qstar", "indices": 4, "values": [
+        {"ijk": [0, 1, 2], "v": "1/2"}, {"ijk": [0, 2, 1], "v": "2/4"},
+        {"ijk": [1, 0, 2], "v": "-3"}, {"ijk": [1, 2, 0], "v": "-3/1"},
+        {"ijk": [2, 0, 1], "v": "1/2"}, {"ijk": [2, 1, 0], "v": "-3"},
+        {"ijk": [3, 3, 1], "v": "1"}, {"ijk": [0, 1, 3], "v": "4/4"},
+        {"ijk": [1, 2, 3], "v": "6/4"}, {"ijk": [0, 1, 2], "v": "5"}]}, "ijk"),
+    ({"group": "qstar", "indices": 4, "values": [
+        {"ij": [0, 1], "v": "1/2"}, {"ij": [1, 0], "v": "2"}, {"ij": [0, 2], "v": "-3"},
+        {"ij": [2, 3], "v": "-3/1"}, {"ij": [3, 2], "v": "-1/3"}, {"ij": [1, 1], "v": "1"}]}, "ij"),
+    ({"group": "mu", "n": 4, "indices": 3, "values": [
+        {"ijk": [0, 1, 2], "v": 6}, {"ijk": [0, 2, 1], "v": 2}, {"ijk": [1, 0, 2], "v": -2},
+        {"ijk": [1, 2, 0], "v": 6}, {"ijk": [2, 0, 1], "v": 0}]}, "ijk"),
+])
+def test_cochain_reader_shares_converted_literals(payload, key):
+    # equal values written differently and repeated literals read as the
+    # item-by-item conversion does, down to the wire form written back
+    got, want = cli.cochain_from_json(payload, key), _item_by_item(payload, key)
+    assert got.values == want.values and got.nerve == want.nerve and got.group == want.group
+    assert cli.cochain_to_json(got) == cli.cochain_to_json(want)
+
+
+_HALF_TWO = [{"ijk": [0, 1, 2], "v": "1/2"}, {"ijk": [0, 2, 1], "v": "2"},
+             {"ijk": [1, 0, 2], "v": "1/2"}]
+
+
+@pytest.mark.parametrize("item, report", [
+    ({"ijk": [1, 2, 0], "v": "1/2", "w": 1}, _INPUT % "unknown payload fields: ['w']"),
+    ({"ijk": [1, True, 0], "v": "1/2"}, _INPUT % "bad ijk: [1, True, 0] (entries must be integers)"),
+    ({"ijk": [1, 2], "v": "2"}, _INPUT % "bad ijk: [1, 2] (expected 3 entries)"),
+    ({"ijk": [1, 2, 3], "v": "2"}, _INVALID % "index out of range: (1, 2, 3)"),
+    ({"ijk": [1, 1, 0], "v": "1/2"},
+     _INVALID % "values on tuples with repeated indices must be the identity"),
+    ({"ijk": [1, 2, 0], "v": 0.5},
+     _INVALID % "floating-point values are not exact; send rationals as strings"),
+])
+def test_malformed_item_after_converted_literals(capsys, tmp_path, item, report):
+    # an item refused after well-formed items whose literal it repeats
+    payload = {"group": "qstar", "indices": 3, "values": _HALF_TWO + [item]}
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"version": 1, "command": "coc check", "payload": payload}))
+    assert run(capsys, "coc", "check", str(f)) == (1, report + "\n")
 
 
 # -- the parser is built once per process and shared by every main() call ----------

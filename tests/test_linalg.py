@@ -294,6 +294,46 @@ def test_echelon_past_first_is_the_reduced_form_there(rows, first):
     assert all(not any(row) for row in ints[len(pivots):])
 
 
+# -- PolyMatrix products ------------------------------------------------------------
+
+@st.composite
+def constant_factors(draw):
+    """An r x k and a k x c matrix of Fractions, 1 <= r, k, c <= 4, with
+    denominators up to 6 and many zeros."""
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+    return tuple(draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+                 for n, m in ((r, k), (k, c)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(constant_factors())
+@example(([[Fraction(1), Fraction(1)]], [[Fraction(1)], [Fraction(-1)]]))
+@example(([[Fraction(1, 2), Fraction(1, 3)], [Fraction(0), Fraction(5)]],
+          [[Fraction(2, 3), Fraction(-1, 2)], [Fraction(-1), Fraction(3, 4)]]))
+@example(([[Fraction(3, 2)]], [[Fraction(2, 3), Fraction(0), Fraction(-4, 9)]]))
+def test_constant_product_is_the_fraction_product(factors):
+    a, b = factors
+    want = [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a]
+    got = PolyMatrix.from_rows(a) * PolyMatrix.from_rows(b)
+    assert got.shape() == (len(a), len(b[0]))
+    assert got == PolyMatrix.from_rows(want)
+    assert [[got[i, j].as_fraction() for j in range(got.cols)] for i in range(got.rows)] == want
+
+
+def test_mixed_constant_and_polynomial_product():
+    # one polynomial entry sends the product through the integer-map path
+    a = PolyMatrix.from_rows([[z, Fraction(1, 2)], [0, 3]])
+    b = PolyMatrix.from_rows([[2, Fraction(1, 3)], [z - 1, -1]])
+    got = a * b
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert got == PolyMatrix.from_rows([[z * 2 + (z - 1) * half, z * third - half],
+                                        [(z - 1) * 3, -3]])
+    assert got.to_strings() == [["5/2*z - 1/2", "1/3*z - 1/2"], ["3*z - 3", "-3"]]
+
+
 # -- char_poly ----------------------------------------------------------------
 
 def test_char_poly_zero_matrix():

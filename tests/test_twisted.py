@@ -67,6 +67,36 @@ def test_constant_beta_on_sorted_triples():
         assert alpha.value(*t) == c
 
 
+@st.composite
+def cochains1(draw):
+    """Mu(n) for n = 1..6 or Qstar (negative values, denominators up to 7)
+    on 1..7 indices, with values on pairs in either order."""
+    size = draw(st.integers(1, 7))
+    group = draw(st.one_of(st.builds(Mu, st.integers(1, 6)), st.just(Qstar())))
+    unit = (st.integers(-12, 12) if isinstance(group, Mu)
+            else st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 7)))
+    pairs = [(i, j) for i in range(size) for j in range(size) if i < j]
+    values = {}
+    for i, j in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ():
+        values[(j, i) if draw(st.booleans()) else (i, j)] = draw(unit)
+    return Cochain1(CoverNerve(size), group, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cochains1())
+def test_coboundary_is_the_triple_product(beta):
+    # the tables of numerators, denominators and residues against group.op/inv
+    g, idx = beta.group, beta.nerve.indices()
+    want = {}
+    for i, j, k in product(idx, repeat=3):
+        v = g.op(g.op(beta.value(j, k), g.inv(beta.value(i, k))), beta.value(i, j))
+        if len({i, j, k}) == 3 and v != g.identity():
+            want[(i, j, k)] = v
+    got = coboundary(beta).values
+    assert got == want
+    assert all(type(v) is (int if isinstance(g, Mu) else Fraction) for v in got.values())
+
+
 def test_perturbed_coboundary_reported():
     g = Mu(3)
     beta = Cochain1(N4, g, {(0, 1): 1, (1, 2): 2, (0, 3): 1})
@@ -399,6 +429,16 @@ def test_bundle_stores_constant_polymatrices():
                              (1, 0): PolyMatrix.from_rows([[Fraction(3, 2)]]),
                              (1, 2): PolyMatrix.from_rows([[-1]])}
     assert all(type(m) is PolyMatrix for m in bundle.gluing.values())
+
+
+def test_bundle_keeps_constant_polymatrices_and_refuses_others():
+    trivial = UnitCochain2.trivial(N3, Qstar())
+    g = PolyMatrix.from_rows([[2, Fraction(1, 3)], [0, -1]])
+    assert TwistedBundle(2, N3, {(0, 1): g}, trivial).gluing[(0, 1)] is g
+    for bad in (PolyMatrix.identity(3), PolyMatrix(2, 1, [1, 2]),
+                PolyMatrix.from_rows([[MultiPoly.var("z"), 0], [0, 1]])):
+        with pytest.raises(InvalidInputError):
+            TwistedBundle(2, N3, {(0, 1): bad}, trivial)
 
 
 def test_endomorphism_requires_valid_input():
