@@ -252,7 +252,7 @@ def cmd_spec_cover(payload):
     _take(payload, required=("rank", "phis"), optional=("base_vars",))
     pair = _higgs_pair(payload)
     cover = spectral.spectral_cover(pair)
-    ideal = spectral.image_ideal(pair)
+    ideal = spectral.image_ideal(pair, cover.poly)
     return "ok", {"cover": str(cover.poly), "reduced": cover.reduced,
                   "image_ideal": str(ideal),
                   "image_equals_cover": ideal == cover.poly}, []

@@ -385,7 +385,7 @@ def classify_higgsing(b: PolyMatrix) -> HiggsingReport:
         raise NotSplitError(f"v^2 - {tr}v + {det} does not split over Q")
     nu_minus = (tr - root) / 2
     nu_plus = (tr + root) / 2
-    mp = min_poly(b)
+    mp = min_poly(b, cp)
     ident = PolyMatrix.identity(2)
 
     def component(nu):

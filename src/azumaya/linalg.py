@@ -8,12 +8,20 @@ integer rows directly.  Over the fraction field of a polynomial base ring
 Q[z] (or Q[w1, w2, ...]) there is one elimination too,
 ``SpanBasis``: Bareiss over Z[base] after clearing denominators, on the
 integer numerator maps that ``MultiPoly`` stores, so its divisions are
-exact and it takes no gcds.  The span tests run on it, and so do
-``min_poly`` and ``kernel_saturated``, through one relation path
-(``_relations``) that saturates and signs each dependency it finds.
+exact and it takes no gcds.  The span tests run on it, and so does
+``kernel_saturated``, through one relation path (``_relations``) that
+saturates and signs each dependency it finds.
 ``PolyMatrix`` products sum each entry in one integer map over the two
 matrices' common denominators; when every entry is constant, in one
 integer dot product.
+
+``min_poly`` and ``squarefree_in_v`` first try a certificate at the
+integer base points ``_POINTS`` (the homomorphism method: every base
+variable is set to z0 and the question is asked over Q).  A constant
+matrix M(z0) with r independent powers proves that the minimal polynomial
+is the characteristic one; a squarefree p(z0, v) of full degree proves p
+squarefree.  When no point decides, they fall back to ``_relations`` and
+to the pseudo-remainder sequence below.
 
 Every gcd in one variable over the fraction field of the others runs one
 primitive pseudo-remainder sequence (Collins 1967, Brown 1971) on the same
@@ -35,7 +43,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import ShapeError
-from .poly import (MultiPoly, ONE, ZERO, _as_fraction, _int_addmul, _int_quo, _join,
+from .poly import (MultiPoly, ONE, ZERO, _as_fraction, _const, _int_addmul, _int_quo, _join,
                    _layout, _relayout, _split, exact_div, poly_content)
 
 
@@ -228,8 +236,7 @@ class PolyMatrix:
                 cols = [[x.get((), 0) for x in b[j::m]] for j in range(m)]
                 for i in range(0, self.rows * n, n):
                     row = a[i:i + n]
-                    out.extend(_join((), {(): sum(map(mul, row, col))}, da * db)
-                               for col in cols)
+                    out.extend(_const(sum(map(mul, row, col)), da * db) for col in cols)
                 return PolyMatrix(self.rows, m, out)
             for i in range(self.rows):
                 row = a[i * n:(i + 1) * n]
@@ -431,17 +438,53 @@ def _relations(vectors, n, var: str):
         yield tuple(p * (1 / c) for p in rel)
 
 
-def min_poly(m: PolyMatrix) -> MultiPoly:
+# base points of the evaluation certificates in ``min_poly`` and
+# ``squarefree_in_v``, tried in this order
+_POINTS = (0, 1, -1, 2, -2)
+
+
+def _at(num: dict, z0: int) -> int:
+    """The integer map ``num`` evaluated with every variable set to z0."""
+    return sum(c * z0 ** sum(e) for e, c in num.items())
+
+
+def min_poly(m: PolyMatrix, chi: MultiPoly = None) -> MultiPoly:
     """Least-degree annihilating polynomial over the fraction field, made
     primitive over the base ring with a positive leading coefficient.
 
-    The first relation (``_relations``) among vec(I), vec(M), vec(M^2), ...
-    gives the coefficients.  Always divides ``char_poly(m)``.
+    ``chi`` is ``char_poly(m)``, computed here when not given.  If I, M(z0),
+    ..., M(z0)^(r-1) are independent over Q at some z0 in ``_POINTS``, the
+    answer is chi made primitive: m_M is primitive, so m_M(z0, v) is a
+    nonzero annihilator of M(z0), and deg m_M >= deg m_{M(z0)} = r.  Otherwise
+    the first relation (``_relations``) among vec(I), vec(M), vec(M^2), ...
+    gives the coefficients.  Either answer is checked: chi(M(z0)) = 0, or
+    m(M) = 0 and m divides chi.
     """
     if not m.is_square():
         raise ShapeError("minimal polynomial of non-square matrix")
     var = _base_var(m)
+    if var == "v":
+        raise ShapeError("entries must not use v, the variable of the minimal polynomial")
+    chi = char_poly(m) if chi is None else chi
     r = m.rows
+    entries, den = _split(m.entries, _layout(m.entries))
+    ident = [int(i == j) for i in range(r) for j in range(r)]
+    for z0 in _POINTS:
+        # N = den * M(z0) and its powers I, N, ..., N^r, flattened row-major
+        n = [_at(x, z0) for x in entries]
+        pows = [ident]
+        for _ in range(r):
+            p = pows[-1]
+            pows.append([sum(n[i + k] * p[k * r + j] for k in range(r))
+                         for i in range(0, r * r, r) for j in range(r)])
+        if len(echelon([list(p) for p in pows[:r]])) < r:
+            continue
+        # den^r * chi(M(z0)) = sum_k chi_k(z0) * den^(r - k) * N^k must vanish
+        coeffs = [_at(a, z0) for a in _in_var((chi,), "v")[1][0]]
+        terms = [[c * den ** (r - k) * x for x in p] for k, (c, p) in enumerate(zip(coeffs, pows))]
+        if len(coeffs) != r + 1 or any(map(sum, zip(*terms))):
+            raise AssertionError("the characteristic polynomial does not annihilate M(z0)")
+        return chi * (1 / poly_content(chi))
 
     def powers():
         power = PolyMatrix.identity(r)
@@ -453,7 +496,12 @@ def min_poly(m: PolyMatrix) -> MultiPoly:
     if rel is None:
         raise AssertionError("Cayley-Hamilton violated")  # unreachable
     v = MultiPoly.var("v")
-    return sum((c * v ** j for j, c in enumerate(rel)), ZERO)
+    out = sum((c * v ** j for j, c in enumerate(rel)), ZERO)
+    if not eval_poly_at_matrix(out, "v", m).is_zero():
+        raise AssertionError("the minimal polynomial does not annihilate M")
+    if not divides_in_v(out, chi):
+        raise AssertionError("the minimal polynomial does not divide chi")
+    return out
 
 
 def kernel_saturated(m: PolyMatrix):
@@ -538,8 +586,19 @@ def _gcd_in(polys, name) -> MultiPoly:
 
 def squarefree_in_v(p: MultiPoly) -> bool:
     """Squarefree test in v over the base fraction field: gcd(p, dp/dv)
-    must be free of v."""
+    must be free of v.
+
+    If p has positive degree in v and, at some z0 in ``_POINTS`` given to
+    every base variable, keeps its leading coefficient and p(z0, v) is
+    squarefree over Q, p is squarefree: the discriminant of p specializes
+    to that of p(z0, v), which is nonzero.  Otherwise the primitive PRS
+    decides.
+    """
     f, g = _in_var((p, p.derivative("v")), "v")[1]
+    for z0 in _POINTS if len(f) > 1 else ():
+        f0, g0 = ([{(): c} if c else {} for c in (_at(a, z0) for a in h)] for h in (f, g))
+        if f0[-1] and len(_prs(f0, g0)) == 1:
+            return True
     return len(_prs(f, g)) <= 1
 
 

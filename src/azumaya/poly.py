@@ -391,6 +391,12 @@ def _join(names, num: dict, den: int = 1) -> MultiPoly:
     return MultiPoly._trusted(*_normal(names, num, den))
 
 
+def _const(num: int, den: int) -> MultiPoly:
+    """The constant MultiPoly ``num / den`` (``den > 0``), normalised."""
+    g = math.gcd(num, den)
+    return MultiPoly._trusted((), {(): num // g}, den // g) if num else ZERO
+
+
 def _int_addmul(out: dict, a: dict, b: dict) -> dict:
     """Add the product of the integer maps ``a`` and ``b`` into ``out`` (all
     over one layout) and return it; cancelled terms stay as zeros."""

@@ -7,7 +7,7 @@ images under products inside the matrix algebra (over the base fraction
 field, so the closure stabilizes after at most r^2 steps).  For a single
 generator the characteristic polynomial cuts out the spectral cover; the
 minimal polynomial cuts out the image ideal, and the two agree exactly
-when the cover is squarefree.
+when the generator is non-derogatory (so whenever the cover is squarefree).
 """
 
 from __future__ import annotations
@@ -132,12 +132,13 @@ def spectral_cover(h: HiggsPair) -> SpectralCover:
     return SpectralCover(p, squarefree_in_v(p))
 
 
-def image_ideal(h: HiggsPair) -> MultiPoly:
+def image_ideal(h: HiggsPair, chi: MultiPoly = None) -> MultiPoly:
     """Minimal polynomial of the generator, denominators cleared; divides
-    the cover polynomial, with equality when the cover is squarefree."""
+    the cover polynomial ``chi`` (computed when not given), with equality
+    exactly when the generator is non-derogatory."""
     if len(h.phis) != 1:
         raise ShapeError("image ideal needs exactly one generator")
-    return min_poly(h.phis[0])
+    return min_poly(h.phis[0], chi)
 
 
 def subalgebra_closed(m: MorphismPresentation) -> bool:
@@ -281,7 +282,8 @@ class LambdaFamily:
         self.var = h.base_vars[0]
 
     def classical_fiber(self):
-        return {"cover": spectral_cover(self.pair), "image_ideal": image_ideal(self.pair)}
+        cover = spectral_cover(self.pair)
+        return {"cover": cover, "image_ideal": image_ideal(self.pair, cover.poly)}
 
     def probe(self, lam, degree: int = 3) -> KernelProbe:
         """Injectivity of w^a p^b -> z^a (lam*D + Phi)^b for a + b <= degree,
@@ -332,5 +334,5 @@ def lambda_family(h: HiggsPair) -> LambdaFamily:
 def image_divides_cover(h: HiggsPair) -> bool:
     """Exact divisibility of the cover by the image ideal (univariate base)."""
     cover = spectral_cover(h).poly
-    ideal = image_ideal(h)
+    ideal = image_ideal(h, cover)
     return divides_in_v(ideal, cover)

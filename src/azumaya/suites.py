@@ -243,7 +243,7 @@ def spectral_divides(rng):
     phi = rand_poly_matrix(rng, r, ("z",), deg=2)
     pair = spectral.HiggsPair(r, [phi])
     cover = spectral.spectral_cover(pair)
-    ideal = spectral.image_ideal(pair)
+    ideal = spectral.image_ideal(pair, cover.poly)
     divides = linalg.divides_in_v(ideal, cover.poly)
     equality_when_reduced = (not cover.reduced) or (ideal == cover.poly)
     return divides and equality_when_reduced, lambda: f"phi = {phi}"
@@ -352,7 +352,7 @@ def hilbert_constancy(rng):
 def cayley_hamilton(rng):
     m = rand_poly_matrix(rng, rng.choice([2, 3]), ("z",), deg=2)
     cp = char_poly(m)
-    mp = linalg.min_poly(m)
+    mp = linalg.min_poly(m, cp)
     ok = (eval_poly_at_matrix(cp, "v", m).is_zero()
           and linalg.divides_in_v(mp, cp))
     return ok, lambda: f"M = {m}"

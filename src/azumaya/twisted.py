@@ -18,7 +18,7 @@ from itertools import product
 from .errors import (CoverMismatchError, InvalidInputError,
                      UndecidableGroupError)
 from .linalg import PolyMatrix
-from .poly import MultiPoly
+from .poly import MultiPoly, _const, _split
 from .zmod import solve_mod
 
 _ONE = Fraction(1)     # the identity of Qstar, built once
@@ -470,11 +470,14 @@ def endomorphism_azumaya(e: TwistedBundle) -> TwistedBundle:
     r = e.rank
     gluing = {}
     for (i, j), g in e.gluing.items():
-        ginv = e.g(j, i)  # the check above proved g_ij g_ji = I
-        # h = g (x) ginv^T: vec(g M ginv)[(p, q)] = sum g[p, a] * ginv[b, q] * M[a][b]
-        gluing[(i, j)] = PolyMatrix(r * r, r * r, [g[p, a] * ginv[b, q]
-                                                   for p in range(r) for q in range(r)
-                                                   for a in range(r) for b in range(r)])
+        # the check above proved g_ij g_ji = I; both are constant: integer
+        # numerators over one denominator each, flattened row-major
+        (a, da), (b, db) = (_split(x.entries, ()) for x in (g, e.g(j, i)))
+        a, b = ([x.get((), 0) for x in y] for y in (a, b))
+        # h = g (x) ginv^T: vec(g M ginv)[(p, q)] = sum g[p, s] * ginv[t, q] * M[s][t]
+        gluing[(i, j)] = PolyMatrix(r * r, r * r, [_const(a[p + s] * b[t + q], da * db)
+                                                   for p in range(0, r * r, r) for q in range(r)
+                                                   for s in range(r) for t in range(0, r * r, r)])
     trivial = UnitCochain2.trivial(e.nerve, e.twist.group)
     return TwistedBundle(r * r, e.nerve, gluing, trivial)
 

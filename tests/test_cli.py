@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from azumaya import cli, suites, twisted, weyl
+from azumaya import cli, spectral, suites, twisted, weyl
 from azumaya.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "example-5-1-11.json"
@@ -151,6 +151,27 @@ def test_classify_refuses_the_eigenvalue_variable(capsys, tmp_path, b):
     assert code == 1
     rep = json.loads(out)   # exactly one report
     assert rep["status"] == "error" and rep["data"]["code"] == "E_SHAPE"
+
+
+def _spec_cover(tmp_path, payload):
+    f = tmp_path / "cover.json"
+    f.write_text(json.dumps({"version": 1, "command": "spec cover", "payload": payload}))
+    return str(f)
+
+
+def test_spec_cover_refuses_the_eigenvalue_variable(capsys, tmp_path):
+    f = _spec_cover(tmp_path, {"rank": 2, "base_vars": ["v"], "phis": [[["v", "1"], ["0", "v"]]]})
+    code, rep = run_json(capsys, "spec", "cover", f)
+    assert code == 1 and rep["data"]["code"] == "E_SHAPE"
+
+
+def test_a_wrong_cover_fails_the_image_ideal_certificate(capsys, tmp_path, monkeypatch):
+    char_poly = spectral.char_poly
+    monkeypatch.setattr(spectral, "char_poly", lambda m: char_poly(m) + 1)
+    f = _spec_cover(tmp_path, {"rank": 3, "phis": [[["0", "0", "z"], ["1", "0", "1"], ["0", "1", "0"]]]})
+    code, rep = run_json(capsys, "spec", "cover", f)
+    assert code == 1 and rep["data"]["code"] == "E_INTERNAL"
+    assert "does not annihilate" in rep["diagnostics"][0]
 
 
 def test_azu_report(capsys):

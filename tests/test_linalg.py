@@ -10,13 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from azumaya import linalg
 from azumaya.errors import ShapeError
 from azumaya.linalg import (PolyMatrix, SpanBasis, char_poly, divides_in_v, echelon,
                             eval_poly_at_matrix, kernel_saturated,
                             linear_solve_exact, min_poly, nullspace_from_rref,
                             rref, squarefree_in_v, vector_is_primitive)
 from azumaya.linalg import _gcd_in
-from azumaya.poly import ONE, ZERO, MultiPoly, exact_div, parse_poly
+from azumaya.poly import ONE, ZERO, MultiPoly, exact_div, parse_poly, poly_content
 
 z = MultiPoly.var("z")
 v = MultiPoly.var("v")
@@ -418,6 +419,104 @@ def test_min_poly_against_sympy():
         mine = min_poly(m)
         assert sympy.expand(sympy_poly(mine) - sympy_min_poly(m).as_expr()) == 0
         assert eval_poly_at_matrix(mine, "v", m).is_zero()
+
+
+# -- the evaluation certificates against the forced fallback -------------------
+
+def certificate_case(rng):
+    """A random, scalar, derogatory, rational-entry or constant matrix, or
+    one over the base variable w."""
+    root = lambda: z * rng.randint(-2, 2) + rng.randint(-3, 3)
+    r, kind = rng.randint(1, 4), rng.randrange(6)
+    if kind == 0:
+        return rand_matrix(rng, r, deg=rng.randint(1, 2))
+    if kind == 1:
+        return PolyMatrix.identity(r).scale(root())
+    if kind == 2:
+        # a repeated eigenvalue, with or without a Jordan block
+        a, b, r = root(), root(), max(r, 2)
+        return conjugated([a, a] + [b] * (r - 2), [rng.randint(0, 1)] + [0] * (r - 2), rng)
+    if kind == 3:
+        return rand_rational_matrix(rng, r, deg=rng.randint(0, 2))
+    if kind == 4:
+        return rand_matrix(rng, r, deg=0)
+    return rand_matrix(rng, r, deg=1).subs({"z": MultiPoly.var("w")})
+
+
+def test_certificates_match_the_forced_fallback(monkeypatch):
+    rng = random.Random(43)
+    cases = [certificate_case(rng) for _ in range(520)]
+    chis = [char_poly(m) for m in cases]
+    certified = [(min_poly(m, chi), squarefree_in_v(chi)) for m, chi in zip(cases, chis)]
+    monkeypatch.setattr(linalg, "_POINTS", ())
+    fallback = [(min_poly(m, chi), squarefree_in_v(chi)) for m, chi in zip(cases, chis)]
+    assert certified == fallback
+    # both answers of both tests occur
+    assert {mp == chi * (1 / poly_content(chi)) for (mp, _), chi in zip(certified, chis)} \
+        == {True, False}
+    assert {sf for _, sf in certified} == {True, False}
+
+
+def spy_on_relations(monkeypatch):
+    calls = []
+    relations = linalg._relations
+
+    def spy(*args):
+        calls.append(args)
+        return relations(*args)
+    monkeypatch.setattr(linalg, "_relations", spy)
+    return calls
+
+
+def test_a_derogatory_point_is_skipped(monkeypatch):
+    # diag(z, 0) is 0 at z0 = 0, so that point decides nothing; z0 = 1 does
+    m = PolyMatrix.from_rows([[z, 0], [0, 0]])
+    calls = spy_on_relations(monkeypatch)
+    monkeypatch.setattr(linalg, "_POINTS", (0,))
+    assert min_poly(m) == v ** 2 - z * v and len(calls) == 1
+    monkeypatch.setattr(linalg, "_POINTS", (0, 1))
+    assert min_poly(m) == v ** 2 - z * v and len(calls) == 1
+
+
+def test_a_derogatory_matrix_reaches_the_fallback(monkeypatch):
+    m = PolyMatrix.from_rows([[z, 0, 0], [0, z, 0], [0, 0, 1]])
+    calls = spy_on_relations(monkeypatch)
+    assert str(min_poly(m)) == "-z*v + v^2 + z - v" and len(calls) == 1
+
+
+def test_squarefree_decided_by_the_remainder_sequence():
+    # at every point the leading coefficient or the discriminant vanishes,
+    # so only the remainder sequence over Q(z) decides
+    q = z * (z - 1) * (z + 1) * (z - 2) * (z + 2)
+    vs = sympy.Symbol("v")
+    for p, sf in ((v ** 2 - q, True), (q * v ** 2 + v, True), ((v - z) ** 2, False)):
+        for z0 in linalg._POINTS:
+            f = sympy.Poly(sympy_poly(p.subs({"z": z0})), vs)
+            assert f.degree() < 2 or f.gcd(f.diff(vs)).degree() > 0
+        assert squarefree_in_v(p) == sf
+
+
+def test_a_wrong_characteristic_polynomial_trips_the_certificate(monkeypatch):
+    m = PolyMatrix.from_rows([[0, 0, z], [1, 0, 1], [0, 1, 0]])
+    monkeypatch.setattr(linalg, "char_poly", lambda m: v ** 3 - z * v - 1)
+    with pytest.raises(AssertionError, match="characteristic polynomial does not annihilate"):
+        min_poly(m)
+
+
+def test_a_wrong_relation_trips_the_fallback_checks(monkeypatch):
+    m = PolyMatrix.from_rows([[z, 0, 0], [0, z, 0], [0, 0, 1]])
+    right = min_poly(m)
+    # a perturbed coefficient, and the relation times v + 5 (of degree r + 1)
+    for wrong, check in ((right + 1, "does not annihilate M"), (right * (v + 5), "does not divide chi")):
+        rel = tuple(wrong.coefficients_in("v"))
+        monkeypatch.setattr(linalg, "_relations", lambda *args, rel=rel: iter([rel]))
+        with pytest.raises(AssertionError, match=check):
+            min_poly(m)
+
+
+def test_min_poly_refuses_the_eigenvalue_variable():
+    with pytest.raises(ShapeError):
+        min_poly(PolyMatrix.from_rows([[v, 1], [0, v]]))
 
 
 # -- kernel_saturated ---------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from azumaya.linalg import _gcd_in
-from azumaya.poly import (MultiPoly, _ratio_str, exact_div, parse_poly, poly_content,
+from azumaya.poly import (MultiPoly, _const, _ratio_str, exact_div, parse_poly, poly_content,
                          var_sort_key)
 
 
@@ -390,6 +390,13 @@ def test_ratio_str_matches_fraction():
             assert _ratio_str(c, d) == str(Fraction(c, d))
     for c, d in ((2 ** 70 * 3, 2 ** 65 * 9), (10 ** 30, 1), (7, 10 ** 30), (0, 10 ** 30)):
         assert _ratio_str(c, d) == str(Fraction(c, d))
+
+
+def test_const_is_the_canonical_constant():
+    for c in range(-30, 31):
+        for d in range(1, 30):
+            got, want = _const(c, d), MultiPoly.const(Fraction(c, d))
+            assert (got.vars, got.num, got.den) == (want.vars, want.num, want.den)
 
 
 PRINT_COEFFS = st.one_of(st.sampled_from([1, -1]),
