@@ -13,7 +13,10 @@ exact and it takes no gcds.  The span tests run on it, and so does
 saturates and signs each dependency it finds.
 ``PolyMatrix`` products sum each entry in one integer map over the two
 matrices' common denominators; when every entry is constant, in one
-integer dot product.
+integer dot product.  ``char_poly`` runs the Faddeev-LeVerrier recursion
+without divisions on the same integer maps, with M = A / d over one layout:
+each step is one product by A, a scaling by k and the trace subtracted on
+the diagonal, and chi is put over d^r * r! once at the end.
 
 ``min_poly`` and ``squarefree_in_v`` first try a certificate at the
 integer base points ``_POINTS`` (the homomorphism method: every base
@@ -159,6 +162,14 @@ def _as_poly(x) -> MultiPoly:
     raise TypeError(f"not a polynomial entry: {x!r}")
 
 
+def _dot(row, col) -> dict:
+    """The sum of the products of the integer maps in ``row`` and ``col``."""
+    acc = {}
+    for x, y in zip(row, col):
+        _int_addmul(acc, x, y)
+    return acc
+
+
 class PolyMatrix:
     """Dense matrix of MultiPoly entries (row-major)."""
 
@@ -238,13 +249,10 @@ class PolyMatrix:
                     row = a[i:i + n]
                     out.extend(_const(sum(map(mul, row, col)), da * db) for col in cols)
                 return PolyMatrix(self.rows, m, out)
-            for i in range(self.rows):
-                row = a[i * n:(i + 1) * n]
-                for j in range(m):
-                    acc = {}
-                    for k, x in enumerate(row):
-                        _int_addmul(acc, x, b[k * m + j])
-                    out.append(_join(names, acc, da * db))
+            cols = [b[j::m] for j in range(m)]
+            for i in range(0, self.rows * n, n):
+                row = a[i:i + n]
+                out.extend(_join(names, _dot(row, col), da * db) for col in cols)
             return PolyMatrix(self.rows, m, out)
         return self.scale(other)
 
@@ -309,30 +317,56 @@ class PolyMatrix:
 
 
 def char_poly(m: PolyMatrix) -> MultiPoly:
-    """det(v*I - M), monic of degree r in v (Faddeev-LeVerrier recursion)."""
+    """det(v*I - M), monic of degree r in v.
+
+    Faddeev-LeVerrier without divisions, on integer maps: with M = A / d
+    over one layout (``_split``), Q_0 = I and Q_k = k * A * Q_(k-1) - t_k * I
+    with t_k = tr(A * Q_(k-1)).  Q_k is d^k * k! times the classical
+    iterate, so the coefficient of v^(r-k) is -t_k / (d^k * k!), and chi is
+    one integer map over d^r * r!, built by one ``_join``.  The layout holds
+    v, so entries that use v or any other name are placed exactly too.
+    """
     if not m.is_square():
         raise ShapeError("characteristic polynomial of non-square matrix")
     r = m.rows
-    v = MultiPoly.var("v")
-    coeffs = [ONE]
-    n = PolyMatrix.identity(r)
+    names = _layout(m.entries, ("v",))
+    a, d = _split(m.entries, names)
+    rows = [a[i:i + r] for i in range(0, r * r, r)]
+    iv = names.index("v")
+    den = d ** r * math.factorial(r)
+    chi = {tuple(r if i == iv else 0 for i in range(len(names))): den}
+    aq = a  # A * Q_0
     for k in range(1, r + 1):
-        mn = m * n
-        ck = mn.trace() * Fraction(-1, k)
-        coeffs.append(ck)
-        n = mn + PolyMatrix.identity(r).scale(ck)
-    out = MultiPoly.zero()
-    for k, c in enumerate(coeffs):
-        out = out + c * v ** (r - k)
-    return out
+        t = {}
+        for x in aq[::r + 1]:
+            for e, c in x.items():
+                t[e] = t.get(e, 0) + c
+        scale = d ** (r - k) * (math.factorial(r) // math.factorial(k))
+        for e, c in t.items():
+            e = e[:iv] + (e[iv] + r - k,) + e[iv + 1:]
+            chi[e] = chi.get(e, 0) - c * scale
+        if k == r:
+            break
+        q = [{e: k * c for e, c in x.items() if c} for x in aq]
+        for x in q[::r + 1]:
+            for e, c in t.items():
+                x[e] = x.get(e, 0) - c
+        cols = [q[j::r] for j in range(r)]
+        # the last product, A * Q_(r-1), is read only on its diagonal
+        aq = [_dot(row, col) if k + 1 < r or i == j else None
+              for i, row in enumerate(rows) for j, col in enumerate(cols)]
+    return _join(names, chi, den)
 
 
 def eval_poly_at_matrix(p: MultiPoly, name: str, m: PolyMatrix) -> PolyMatrix:
-    """Evaluate a polynomial at a square matrix (Horner in ``name``)."""
-    coeffs = p.coefficients_in(name)
+    """Evaluate a polynomial at a square matrix (Horner in ``name``, each
+    coefficient added on the diagonal only)."""
     out = PolyMatrix.zeros(m.rows, m.cols)
-    for c in reversed(coeffs):
-        out = m * out + PolyMatrix.identity(m.rows).scale(c)
+    for c in reversed(p.coefficients_in(name)):
+        entries = list((m * out).entries)
+        for i in range(0, len(entries), m.cols + 1):
+            entries[i] = entries[i] + c
+        out = PolyMatrix(m.rows, m.cols, entries)
     return out
 
 

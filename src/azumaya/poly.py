@@ -18,6 +18,12 @@ gcd of the denominator and the numerators.  ``_int_addmul`` multiplies and
 polynomials over one layout and denominator, for ``linalg``'s matrix
 products, fraction-free elimination and pseudo-remainder sequences.  A
 constant factor skips the kernel (see ``_scale``).
+
+``parse_poly`` reads canonical text (a signed sum of monomials, each an
+optional integer or p/q and then ``name`` or ``name^k`` factors joined by
+``*``) in one pass into one integer numerator map over one denominator;
+any other text goes to the recursive-descent ``_Parser``, which also gives
+every error message.
 """
 
 from __future__ import annotations
@@ -544,8 +550,51 @@ class _Parser:
         raise ValueError(f"unexpected token {kind}")
 
 
+# one monomial of canonical text (see parse_poly), its sign and trailing
+# whitespace; a p/q with q = 0 does not match
+_NAME = r"[A-Za-z][A-Za-z0-9]*"
+_FACTORS = rf"{_NAME}(?:\s*\^\s*[0-9]+)?(?:\s*\*\s*{_NAME}(?:\s*\^\s*[0-9]+)?)*"
+_MONOMIAL = re.compile(rf"\s*([+-]?)\s*(?:([0-9]+)(?:/([0-9]*[1-9][0-9]*))?"
+                       rf"(?:\s*\*\s*({_FACTORS}))?|({_FACTORS}))\s*")
+_POWER = re.compile(rf"({_NAME})(?:\s*\^\s*([0-9]+))?")
+
+
 def parse_poly(s: str):
-    """Parse the canonical text form (sums of rational-coefficient monomials)."""
+    """Parse the canonical text form (sums of rational-coefficient monomials).
+
+    Canonical text, ``_MONOMIAL`` repeated to the end with a sign before
+    every monomial but the first, is read in one pass into one integer
+    numerator map over one denominator.  Anything else (parentheses,
+    repeated signs, ``^`` on a number, a zero denominator, ...) goes through
+    ``_Parser``, which gives every other result and every error message.
+    """
+    terms, names, den, pos = [], set(), 1, 0
+    try:
+        while pos < len(s):
+            mono = _MONOMIAL.match(s, pos)
+            if mono is None or (pos and not mono[1]):
+                break
+            sign, p, q, factors, alone = mono.groups()
+            c, q = int(p or 1), int(q or 1)
+            powers = [(name, int(k or 1)) for name, k in _POWER.findall(factors or alone or "")]
+            names.update(name for name, _ in powers)
+            terms.append((-c if sign == "-" else c, q, powers))
+            den = math.lcm(den, q)
+            pos = mono.end()
+        else:
+            if terms:
+                layout = tuple(sorted(names, key=var_sort_key))
+                index = {name: i for i, name in enumerate(layout)}
+                num = {}
+                for c, q, powers in terms:
+                    e = [0] * len(layout)
+                    for name, k in powers:
+                        e[index[name]] += k
+                    e = tuple(e)
+                    num[e] = num.get(e, 0) + c * (den // q)
+                return _join(layout, num, den)
+    except ValueError:
+        pass  # a number too long for int(): _Parser reports it
     parser = _Parser(_tokenize(s))
     out = parser.parse_expr()
     if parser.i != len(parser.tokens):

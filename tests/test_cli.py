@@ -165,6 +165,21 @@ def test_spec_cover_refuses_the_eigenvalue_variable(capsys, tmp_path):
     assert code == 1 and rep["data"]["code"] == "E_SHAPE"
 
 
+@pytest.mark.parametrize("entry, why", [
+    ("1/0", "zero denominator in '1/0'"), ("3/00", "zero denominator in '3/00'"),
+    ("z +", "unexpected token None"), ("2 ** z", "unexpected token mul"),
+    ("x y", "trailing input in 'x y'"), ("1/2/3", "bad token at '/3'"),
+    ("(z", "expected rpar, got None"), ("", "unexpected token None"),
+    ("z^-1", "expected num, got minus"),
+    ("1/2*z^1/2", "invalid literal for int() with base 10: '1/2'"), (0.5, "bad token at '.5'"),
+])
+def test_matrix_entry_reports(capsys, tmp_path, entry, why):
+    # every malformed entry is reported by the recursive-descent parser
+    f = _spec_cover(tmp_path, {"rank": 2, "phis": [[["0", entry], ["1", "0"]]]})
+    code, out = run(capsys, "spec", "cover", f)
+    assert (code, out) == (1, _INPUT % f"bad phi: {entry!r} ({why})" + "\n")
+
+
 def test_a_wrong_cover_fails_the_image_ideal_certificate(capsys, tmp_path, monkeypatch):
     char_poly = spectral.char_poly
     monkeypatch.setattr(spectral, "char_poly", lambda m: char_poly(m) + 1)

@@ -371,6 +371,68 @@ def test_char_poly_shape_error():
         char_poly(PolyMatrix(1, 2, [z, z]))
 
 
+def faddeev_leverrier(m: PolyMatrix) -> MultiPoly:
+    """Reference: the Faddeev-LeVerrier recursion on PolyMatrix values, with
+    a division by k and a full c_k * I matrix added at each step."""
+    r = m.rows
+    coeffs, n = [ONE], PolyMatrix.identity(r)
+    for k in range(1, r + 1):
+        mn = m * n
+        ck = mn.trace() * Fraction(-1, k)
+        coeffs.append(ck)
+        n = mn + PolyMatrix.identity(r).scale(ck)
+    return sum((c * v ** (r - k) for k, c in enumerate(coeffs)), ZERO)
+
+
+# base variables of the seeded char_poly cases: one or two base variables,
+# names that sort after v, and entries that use v itself
+CHARPOLY_NAMES = [("z",), ("w1", "w2"), ("lam",), ("m",), ("a",), ("z", "lam"),
+                  ("v",), ("z", "v"), ("w1", "v", "m")]
+
+
+def charpoly_case(rng, r, kind, names):
+    """An r x r matrix: zero, constant (integer or p/q), or with entries of
+    degree <= 2 (<= 1 from rank 5 on) over ``names``, integer or p/q."""
+    if kind == "zero":
+        return PolyMatrix.zeros(r)
+    deg = 0 if kind.startswith("constant") else 2 if r < 5 else 1
+    dens = [1, 2, 3, 4, 7] if kind.endswith("rational") else [1]
+    ents = []
+    for _ in range(r * r):
+        terms = {tuple(rng.randint(0, deg) for _ in names):
+                 Fraction(rng.randint(-4, 4), rng.choice(dens)) for _ in range(rng.randint(0, 3))}
+        ents.append(MultiPoly(names, terms))
+    return PolyMatrix(r, r, ents)
+
+
+def charpoly_cases():
+    rng = random.Random(20)
+    cases = []
+    for r in range(1, 7):
+        cases.append(charpoly_case(rng, r, "zero", ()))
+        cases += [charpoly_case(rng, r, kind, ()) for kind in ("constant", "constant rational")
+                  for _ in range(3)]
+        cases += [charpoly_case(rng, r, kind, names) for kind in ("poly", "poly rational")
+                  for names in CHARPOLY_NAMES for _ in range(3)]
+    return cases
+
+
+def test_char_poly_matches_the_matrix_recursion_and_sympy():
+    cases = charpoly_cases()
+    assert len(cases) >= 300
+    with pytest.raises(ShapeError):
+        PolyMatrix(0, 0, [])  # rank 0 has no matrix to ask
+    for m in cases:
+        assert str(char_poly(m)) == str(faddeev_leverrier(m))
+    for m in cases:
+        if "v" not in m.variables():
+            entries = [sympy_poly(e) for e in m.entries]
+            dm = DomainMatrix.from_Matrix(sympy.Matrix(m.rows, m.cols, entries))
+            want = [dm.domain.to_sympy(c) for c in reversed(dm.charpoly())]
+            got = [sympy_poly(c) for c in char_poly(m).coefficients_in("v")]
+            assert len(got) == len(want) and all(sympy.expand(a - b) == 0 for a, b in zip(got, want))
+
+
 # -- min_poly -----------------------------------------------------------------
 
 def test_min_poly_scalar_matrix():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
@@ -8,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from azumaya.linalg import _gcd_in
-from azumaya.poly import (MultiPoly, _const, _ratio_str, exact_div, parse_poly, poly_content,
-                         var_sort_key)
+from azumaya.poly import (MultiPoly, _const, _Parser, _ratio_str, _tokenize, exact_div, parse_poly,
+                         poly_content, var_sort_key)
 
 
 z = MultiPoly.var("z")
@@ -419,3 +420,52 @@ def printed_polys(draw):
 @example(MultiPoly.zero())
 def test_str_matches_fraction_renderer(p):
     assert str(p) == fraction_str(p)
+
+
+# -- parse_poly: the one-pass reader against the recursive-descent parser -------
+
+def descent_parse(s: str):
+    """Reference: the recursive-descent parser alone, on every input."""
+    parser = _Parser(_tokenize(s))
+    out = parser.parse_expr()
+    if parser.i != len(parser.tokens):
+        raise ValueError(f"trailing input in {s!r}")
+    return out
+
+
+def parsed(fn, s):
+    """The stored form of fn(s), or the text of the ValueError it raises."""
+    try:
+        p = fn(s)
+    except ValueError as exc:
+        return str(exc)
+    return (p.vars, p.num, p.den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(printed_polys())
+@example(MultiPoly(("lam", "m", "v", "w1"), {(1, 1, 0, 2): Fraction(-7, 6), (0, 0, 2, 0): 3}))
+def test_reader_round_trips_printed_polynomials(p):
+    assert parse_poly(str(p)) == p == descent_parse(str(p))
+
+
+@pytest.mark.parametrize("text", [
+    "+x", "- -x", "x - -y", "x y", "2^3", "x^2^3", "z*2", "x*x", "0*z", "1/0", "3/00", "1/2/3",
+    "007", "x\t+\ty", "x\n- 2/4*z ^ 2", "\t-3\n", "w2*w1 + lam*m*v", "x^0 - 1", "", " ",
+    "-", "(z+1)*(z-1)", "z^-1", "z^1/2", "2z", "z/2", "1 /2", "0.5", "x\u00a0+ 1"])
+def test_reader_agrees_with_the_descent_parser(text):
+    assert parsed(parse_poly, text) == parsed(descent_parse, text)
+
+
+PARSE_PIECES = ["0", "1", "07", "3/4", "/", "/0", "z", "x1", "w2", "lam", "m", "v", "^", "^2",
+                "^0", "*", "+", "-", " - ", " + ", " ", "\t", "\n", "\u00a0", "(", ")", ".",
+                "\u0663"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(PARSE_PIECES), max_size=10).map("".join)
+       .filter(lambda s: not re.search(r"\^\s*[0-9]{2}", s)))
+def test_reader_agrees_with_the_descent_parser_on_token_runs(text):
+    # runs of tokens, whitespace and stray characters; exponents of one digit
+    # keep the powers of parenthesized sums small
+    assert parsed(parse_poly, text) == parsed(descent_parse, text)
