@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import diffop, spectral, suites, twisted, weyl
 from .errors import (E_INPUT, E_INTERNAL, AzumayaError, CoverMismatchError,
-                     InvalidInputError)
+                     InvalidInputError, ShapeError)
 from .linalg import PolyMatrix, SpanBasis, char_poly
 from .poly import MultiPoly, parse_poly
 
@@ -296,7 +296,10 @@ def cmd_spec_curvature(payload):
     payload = dict(payload)
     _check_mode(payload, "curvature")
     _take(payload, required=("rank", "gammas"), optional=("base_vars",))
+    rank = _int(payload["rank"], "rank")
     gammas = [_matrix(g, "gamma") for g in _list(payload["gammas"], "gammas")]
+    if any(g.shape() != (rank, rank) for g in gammas):
+        raise ShapeError(f"connection matrices must be {rank} x {rank}")
     base_vars = _names(payload.get("base_vars", []), "base_vars")
     field = spectral.curvature(gammas, base_vars)
     comps = {f"{i},{j}": m.to_strings() for (i, j), m in sorted(field.items())}

@@ -47,7 +47,7 @@ class MixedOperator:
             if m.shape() != (r, r):
                 raise ShapeError("coefficient matrix has wrong shape")
             if not m.is_zero():
-                clean[k] = clean.get(k, PolyMatrix.zeros(r)) + m
+                clean[k] = clean[k] + m if k in clean else m
         clean = {k: m for k, m in clean.items() if not m.is_zero()}
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "base_vars", base_vars)
@@ -79,7 +79,7 @@ class MixedOperator:
         self._same_context(other)
         out = dict(self.coeffs)
         for k, m in other.coeffs.items():
-            out[k] = out.get(k, PolyMatrix.zeros(self.r)) + m
+            out[k] = out[k] + m if k in out else m
         return MixedOperator(self.r, self.base_vars, out, self.gamma)
 
     def __neg__(self):
@@ -162,7 +162,7 @@ def mixed_mul(p: MixedOperator, q: MixedOperator) -> MixedOperator:
             for rem, mat in pieces:
                 key = tuple(r + k for r, k in zip(rem, kk))
                 acc = m * mat
-                out[key] = out.get(key, PolyMatrix.zeros(p.r)) + acc
+                out[key] = out[key] + acc if key in out else acc
     return MixedOperator(p.r, p.base_vars, out, p.gamma)
 
 

@@ -28,8 +28,8 @@ to the pseudo-remainder sequence below.
 
 Every gcd in one variable over the fraction field of the others runs one
 primitive pseudo-remainder sequence (Collins 1967, Brown 1971) on the same
-integer maps: the saturation in ``_relations``, ``vector_is_primitive``,
-``squarefree_in_v`` and ``divides_in_v``.
+integer maps: the saturation in ``_relations``, ``squarefree_in_v`` and
+``divides_in_v``.
 
 Everything is deterministic: elimination always picks the first usable
 pivot, nullspace bases are in the standard reduced-echelon form (free
@@ -548,13 +548,6 @@ def kernel_saturated(m: PolyMatrix):
     """
     columns = ([m[i, j] for i in range(m.rows)] for j in range(m.cols))
     return list(_relations(columns, m.cols, _base_var(m)))
-
-
-def vector_is_primitive(vec) -> bool:
-    """True when the entries (in at most one variable) have trivial
-    polynomial gcd and coprime integer coefficients (content 1)."""
-    name, = _layout(vec) or ("z",)
-    return _gcd_in(vec, name).degree_in(name) == 0 and poly_content(*vec) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -254,9 +254,6 @@ class MultiPoly:
     def _term_sort_key(e):
         return (sum(e), e)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: self._term_sort_key(kv[0]), reverse=True)
-
     def _monomial_str(self, e) -> str:
         parts = []
         for name, k in zip(self.vars, e):

@@ -452,6 +452,11 @@ def _with_value(doc, **item):
     ("weyl nf", {"expr": "3/0*x"}, "E_INPUT"),
     ("weyl nf", {"expr": "x0*d0", "lam": "1"}, "E_INPUT"),
     ("weyl act", {"expr": "d0", "poly": "x", "lam": "1"}, "E_INPUT"),
+    ("spec curvature", {"rank": "abc", "gammas": [[["w2", "0"], ["0", "1"]],
+                                                  [["w1", "1"], ["0", "w2"]]]}, "E_INPUT"),
+    ("spec curvature", {"rank": 3, "gammas": [[["w2", "0"], ["0", "1"]],
+                                              [["w1", "1"], ["0", "w2"]]]}, "E_SHAPE"),
+    ("spec curvature", {"rank": 2, "gammas": []}, "E_SHAPE"),
 ])
 def test_malformed_payload_reports_one_error(capsys, tmp_path, command, payload, code):
     # a payload of None: the command line alone is the malformed input

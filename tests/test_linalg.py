@@ -15,7 +15,7 @@ from azumaya.errors import ShapeError
 from azumaya.linalg import (PolyMatrix, SpanBasis, char_poly, divides_in_v, echelon,
                             eval_poly_at_matrix, kernel_saturated,
                             linear_solve_exact, min_poly, nullspace_from_rref,
-                            rref, squarefree_in_v, vector_is_primitive)
+                            rref, squarefree_in_v)
 from azumaya.linalg import _gcd_in
 from azumaya.poly import ONE, ZERO, MultiPoly, exact_div, parse_poly, poly_content
 
@@ -599,6 +599,16 @@ def test_kernel_denominator_cleared():
     assert [[str(x) for x in vec] for vec in ks] == [["-z", "1"]]
 
 
+def sympy_is_primitive(vec):
+    """True when the entries, polynomials in z, have a gcd of degree 0 and
+    integer coefficients with no common factor (content 1), by sympy."""
+    zs = sympy.Symbol("z")
+    entries = [sympy_poly(x) for x in vec]
+    coeffs = [c for e in entries for c in sympy.Poly(e, zs).coeffs()]
+    return (sympy.degree(functools.reduce(sympy.gcd, entries), zs) == 0
+            and sympy.gcd_list(coeffs) == 1)
+
+
 def check_saturated_kernel(m: PolyMatrix):
     ks = kernel_saturated(m)
     assert len(ks) == m.cols - sympy_rank([m.row(i) for i in range(m.rows)], "z")
@@ -606,10 +616,10 @@ def check_saturated_kernel(m: PolyMatrix):
         image = [sum((m[i, j] * vec[j] for j in range(m.cols)), MultiPoly.zero())
                  for i in range(m.rows)]
         assert all(e.is_zero() for e in image)
-        assert vector_is_primitive(vec)
+        assert sympy_is_primitive(vec)
         # the free coordinate is the last nonzero one
         free = [x for x in vec if not x.is_zero()][-1]
-        assert free.sorted_terms()[0][1] > 0
+        assert sympy.Poly(sympy_poly(free), sympy.Symbol("z")).LC() > 0
     return ks
 
 
@@ -670,7 +680,7 @@ def test_kernel_of_wide_matrix_clears_denominators():
     m = PolyMatrix(1, 2, [z, parse_poly("1")])
     ks = kernel_saturated(m)
     assert [[str(x) for x in vec] for vec in ks] == [["-1", "z"]]
-    assert all(vector_is_primitive(vec) for vec in ks)
+    assert all(sympy_is_primitive(vec) for vec in ks)
 
 
 def test_squarefree_multivariate_base():
@@ -689,10 +699,12 @@ def test_edge_cases_of_the_remainder_tests():
     assert squarefree_in_v(ZERO)
     assert squarefree_in_v((z - 1) ** 2 * w1)      # free of v
     assert squarefree_in_v(MultiPoly.const(Fraction(-3, 2)))
-    assert not vector_is_primitive([(z + 1) * (z - 2), (z + 1) * 3, ZERO])
-    assert not vector_is_primitive([2 * z, 4 * z + 2])
-    assert not vector_is_primitive([ZERO, ZERO])
-    assert vector_is_primitive([2 * z, 3 * z + 1])
+    # the gcd and the content that saturate a kernel vector
+    assert _gcd_in([(z + 1) * (z - 2), (z + 1) * 3, ZERO], "z").degree_in("z") == 1
+    assert _gcd_in([ZERO, ZERO], "z").is_zero()
+    assert _gcd_in([2 * z, 4 * z + 2], "z").degree_in("z") == 0
+    assert poly_content(2 * z, 4 * z + 2) == 2
+    assert poly_content(2 * z, 3 * z + 1) == 1
 
 
 # -- the pseudo-remainder routine against sympy over the base fraction field ----

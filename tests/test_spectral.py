@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from azumaya import spectral
 from azumaya.diffop import MixedOperator, mixed_mul
 from azumaya.errors import NotAdmissibleError, ShapeError
 from azumaya.linalg import PolyMatrix, divides_in_v, nullspace_from_rref, rref
@@ -11,8 +12,8 @@ from azumaya.poly import MultiPoly, parse_poly
 from azumaya.spectral import (HiggsPair, KernelProbe, LambdaConnectionFamily,
                               MorphismPresentation, commutativity_admissible,
                               curvature, curvature_via_operators,
-                              higgs_to_morphism, image_divides_cover,
-                              image_ideal, is_flat, lambda_connection_check,
+                              higgs_to_morphism, image_ideal,
+                              lambda_connection_check,
                               lambda_family, morphism_to_higgs, spectral_cover,
                               subalgebra_closed)
 from azumaya.suites import rand_commuting_pair, rand_poly_matrix
@@ -169,8 +170,7 @@ def test_curvature_one_variable_empty():
 
 def test_curvature_zero_connections():
     field = curvature([PolyMatrix.zeros(2), PolyMatrix.zeros(2)])
-    assert field[(0, 1)].is_zero()
-    assert is_flat([PolyMatrix.zeros(2), PolyMatrix.zeros(2)])
+    assert list(field) == [(0, 1)] and field[(0, 1)].is_zero()
 
 
 def test_curvature_known_value():
@@ -192,7 +192,7 @@ def test_flat_iff_commuting_operators():
     # flat abelian pair: both diagonal with matching cross-derivatives
     flat_pair = [PolyMatrix.from_rows([[w2, 0], [0, w1]]),
                  PolyMatrix.from_rows([[w1, 0], [0, w2]])]
-    assert is_flat(flat_pair)
+    assert all(m.is_zero() for m in curvature(flat_pair).values())
     assert all(m.is_zero() for m in curvature_via_operators(flat_pair).values())
     # curved pair: unmatched derivative
     curved = [PolyMatrix.from_rows([[w2, 0], [0, 0]]), PolyMatrix.zeros(2)]
@@ -280,10 +280,11 @@ def _probe_by_elimination(phi, lam, degree):
 
 def test_probe_matches_elimination_oracle():
     rng = random.Random(113)
-    for t in range(12):
-        r = 2 + t % 2
+    for t in range(15):
+        r = 1 + t % 3
         phi = rand_poly_matrix(rng, r, ("z",), deg=rng.randint(0, 2))
-        lam = Fraction(rng.choice([1, -1, 2]))
+        lam = rng.choice([Fraction(1), Fraction(-1), Fraction(2),
+                          Fraction(-2, 3), Fraction(1, 2)])
         degree = rng.randint(1, 7 - r)
         probe = lambda_family(HiggsPair(r, [phi])).probe(lam, degree)
         assert probe == _probe_by_elimination(phi, lam, degree)
@@ -296,12 +297,31 @@ def test_probe_degree_zero_and_negative():
         fam.probe(1, -1)
 
 
-def test_probe_refuses_coinciding_leading_terms(monkeypatch):
-    # with p^b computed wrongly as I for every b, the images of 1 and p share
-    # their leading monomial: the certificate must fail, not report injective
-    monkeypatch.setattr(spectral, "mixed_mul", lambda p, q: p)
-    with pytest.raises(AssertionError):
-        lambda_family(HiggsPair(2, [companion(z)])).probe(1, 1)
+@st.composite
+def families(draw):
+    """An r x r matrix, r = 1..4, of polynomials in z of degree <= 2 with
+    coefficients p/q, q <= 3, and a rational lam != 0."""
+    r = draw(st.integers(1, 4))
+    coeff = st.fractions(-3, 3, max_denominator=3)
+    entries = [MultiPoly(("z",), {(k,): c for k, c in enumerate(draw(st.lists(coeff, max_size=3)))})
+               for _ in range(r * r)]
+    lam = draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+    return PolyMatrix(r, r, entries), lam
+
+
+@settings(max_examples=20, deadline=None)
+@given(families(), st.integers(0, 6))
+def test_powers_of_p_lead_with_lam_power_times_identity(family, top):
+    # the theorem behind LambdaFamily.probe: (lam*D + Phi)^b has D-degree b
+    # and top coefficient lam^b * I, whatever Phi is
+    phi, lam = family
+    r = phi.rows
+    pop = MixedOperator.derivation(0, r) * lam + MixedOperator.from_matrix(phi)
+    power = MixedOperator.from_matrix(PolyMatrix.identity(r))
+    for b in range(top + 1):
+        assert max(power.coeffs) == (b,)
+        assert power.coeffs[(b,)] == PolyMatrix.identity(r).scale(lam ** b)
+        power = mixed_mul(power, pop)
 
 
 def test_family_needs_single_generator():
@@ -310,7 +330,8 @@ def test_family_needs_single_generator():
 
 
 def test_image_divides_cover_helper():
-    assert image_divides_cover(HiggsPair(2, [companion(z)]))
+    pair = HiggsPair(2, [companion(z)])
+    assert divides_in_v(image_ideal(pair), spectral_cover(pair).poly)
 
 
 def test_cover_poly_annihilates_generator():
