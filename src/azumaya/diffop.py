@@ -184,10 +184,11 @@ def default_degree_bound(a: PolyMatrix) -> int:
     return 2 * max((e.total_degree() for e in a.entries), default=0) + 2
 
 
-def _bracket_into(out, aj, b, r):
-    """out += [Aj, B] for r x r integer matrices flattened row-major to
+def _bracket_into(out, aj, b, r, t):
+    """out += t [Aj, B] for r x r integer matrices flattened row-major to
     lists, Aj given by its nonzero entries (i, m, c)."""
     for i, m, c in aj:
+        c *= t
         for l in range(r):
             if b[m * r + l]:
                 out[i * r + l] += c * b[m * r + l]
@@ -203,9 +204,12 @@ def _recurrence(a: PolyMatrix, lam: Fraction, deg_bound: int):
     A is scaled to integer matrices A_j (A = sum_j A_j z^j / a_den, a_den
     the lcm of its entries' denominators).  For k < D = deg_bound,
     B_{k+1} = -sum_j [A_j, B_{k-j}] / (lam (k+1) a_den): with lam = p/q,
-    every earlier B is multiplied by |p| (k+1) a_den and B_{k+1} is
-    -sign(p) q times the sum.  The residuals sum_j [A_j, B_{k-j}], k = D..D
-    + deg A, concatenated, then sit over B_0[u] * a_den."""
+    B_{k+1} is -sign(p) q times the sum over the denominator of B_k times
+    |p| (k+1) a_den.  Each B_k keeps the denominator it was made over, so a
+    step brings only the deg A + 1 terms that enter it to the newest one's
+    (each divides the next), by scaling the A_j; the series is put over the
+    last denominator once, at the end.  The residuals sum_j [A_j, B_{k-j}],
+    k = D..D + deg A, concatenated, then sit over B_0[u] * a_den."""
     r, a_den = a.rows, lcm(*(e.den for e in a.entries))
     coeffs = [[int(c.as_fraction() * a_den) for c in e.coefficients_in("z")] for e in a.entries]
     # A_j as its nonzero entries (i, m, c)
@@ -213,19 +217,20 @@ def _recurrence(a: PolyMatrix, lam: Fraction, deg_bound: int):
                 if j < len(cs) and cs[j]]
                for j in range(max(map(len, coeffs), default=0))]
     p, q = lam.numerator, lam.denominator
+    f, s = -q if p > 0 else q, abs(p) * a_den
     out = []
     for u in range(r * r):
-        bs, residuals = [[int(e == u) for e in range(r * r)]], []
+        bs, dens, residuals = [[int(e == u) for e in range(r * r)]], [1], []
         for k in range(deg_bound + len(a_terms)):
-            acc = [0] * (r * r)
+            acc, top = [0] * (r * r), dens[-1]   # the newest B's denominator
             for j in range(max(0, k - deg_bound), min(k + 1, len(a_terms))):
-                _bracket_into(acc, a_terms[j], bs[k - j], r)
+                _bracket_into(acc, a_terms[j], bs[k - j], r, top // dens[k - j])
             if k < deg_bound:
-                s, f = abs(p) * (k + 1) * a_den, -q if p > 0 else q
-                bs = [[s * x for x in b] for b in bs] + [[f * x for x in acc]]
+                bs.append([f * x for x in acc])
+                dens.append(top * s * (k + 1))
             else:
                 residuals += acc
-        out.append((bs, residuals))
+        out.append(([[dens[-1] // d * x for x in b] for b, d in zip(bs, dens)], residuals))
     return out
 
 

@@ -21,10 +21,11 @@ the diagonal, and chi is put over d^r * r! once at the end.
 ``min_poly`` and ``squarefree_in_v`` first try a certificate at the
 integer base points ``_POINTS`` (the homomorphism method: every base
 variable is set to z0 and the question is asked over Q).  A constant
-matrix M(z0) with r independent powers proves that the minimal polynomial
-is the characteristic one; a squarefree p(z0, v) of full degree proves p
-squarefree.  When no point decides, they fall back to ``_relations`` and
-to the pseudo-remainder sequence below.
+matrix M(z0) with r independent powers (``nonderogatory_point``, which the
+subalgebra closure in ``spectral`` shares) proves that the minimal
+polynomial is the characteristic one; a squarefree p(z0, v) of full degree
+proves p squarefree.  When no point decides, they fall back to
+``_relations`` and to the pseudo-remainder sequence below.
 
 Every gcd in one variable over the fraction field of the others runs one
 primitive pseudo-remainder sequence (Collins 1967, Brown 1971) on the same
@@ -472,8 +473,7 @@ def _relations(vectors, n, var: str):
         yield tuple(p * (1 / c) for p in rel)
 
 
-# base points of the evaluation certificates in ``min_poly`` and
-# ``squarefree_in_v``, tried in this order
+# base points of the evaluation certificates, tried in this order
 _POINTS = (0, 1, -1, 2, -2)
 
 
@@ -482,12 +482,49 @@ def _at(num: dict, z0: int) -> int:
     return sum(c * z0 ** sum(e) for e, c in num.items())
 
 
+def evaluate(m: PolyMatrix, z0: int) -> list:
+    """den * M(z0) flattened row-major, with every base variable set to z0
+    and den the lcm of the entries' denominators."""
+    return [_at(x, z0) for x in _split(m.entries, _layout(m.entries))[0]]
+
+
+def independent(vectors) -> bool:
+    """True when the integer vectors are linearly independent over Q.
+
+    Vectors of polynomials that are dependent over the base fraction field
+    have all their maximal minors identically zero, so they are dependent
+    at every point: independence at one point proves it over the field."""
+    return len(echelon([list(x) for x in vectors])) == len(vectors)
+
+
+def nonderogatory_point(m: PolyMatrix):
+    """The certificate that the square M is non-derogatory over the base
+    fraction field: ``(z0, den, powers)`` for the first z0 in ``_POINTS`` at
+    which I, N, ..., N^(r-1) are independent over Q (``independent``), with
+    N = den * M(z0) and ``powers`` I, N, ..., N^r flattened row-major; None
+    when no point certifies.  Then I, M, ..., M^(r-1) are independent, so
+    the minimal polynomial of M has degree r."""
+    r = m.rows
+    entries, den = _split(m.entries, _layout(m.entries))
+    ident = [int(i == j) for i in range(r) for j in range(r)]
+    for z0 in _POINTS:
+        n = [_at(x, z0) for x in entries]
+        pows = [ident]
+        for _ in range(r):
+            p = pows[-1]
+            pows.append([sum(n[i + k] * p[k * r + j] for k in range(r))
+                         for i in range(0, r * r, r) for j in range(r)])
+        if independent(pows[:r]):
+            return z0, den, pows
+    return None
+
+
 def min_poly(m: PolyMatrix, chi: MultiPoly = None) -> MultiPoly:
     """Least-degree annihilating polynomial over the fraction field, made
     primitive over the base ring with a positive leading coefficient.
 
-    ``chi`` is ``char_poly(m)``, computed here when not given.  If I, M(z0),
-    ..., M(z0)^(r-1) are independent over Q at some z0 in ``_POINTS``, the
+    ``chi`` is ``char_poly(m)``, computed here when not given.  If M is
+    certified non-derogatory at a point z0 (``nonderogatory_point``), the
     answer is chi made primitive: m_M is primitive, so m_M(z0, v) is a
     nonzero annihilator of M(z0), and deg m_M >= deg m_{M(z0)} = r.  Otherwise
     the first relation (``_relations``) among vec(I), vec(M), vec(M^2), ...
@@ -501,18 +538,9 @@ def min_poly(m: PolyMatrix, chi: MultiPoly = None) -> MultiPoly:
         raise ShapeError("entries must not use v, the variable of the minimal polynomial")
     chi = char_poly(m) if chi is None else chi
     r = m.rows
-    entries, den = _split(m.entries, _layout(m.entries))
-    ident = [int(i == j) for i in range(r) for j in range(r)]
-    for z0 in _POINTS:
-        # N = den * M(z0) and its powers I, N, ..., N^r, flattened row-major
-        n = [_at(x, z0) for x in entries]
-        pows = [ident]
-        for _ in range(r):
-            p = pows[-1]
-            pows.append([sum(n[i + k] * p[k * r + j] for k in range(r))
-                         for i in range(0, r * r, r) for j in range(r)])
-        if len(echelon([list(p) for p in pows[:r]])) < r:
-            continue
+    cert = nonderogatory_point(m)
+    if cert is not None:
+        z0, den, pows = cert
         # den^r * chi(M(z0)) = sum_k chi_k(z0) * den^(r - k) * N^k must vanish
         coeffs = [_at(a, z0) for a in _in_var((chi,), "v")[1][0]]
         terms = [[c * den ** (r - k) * x for x in p] for k, (c, p) in enumerate(zip(coeffs, pows))]

@@ -3,21 +3,28 @@ one-parameter quantum family.
 
 A Higgs pair is a tuple of commuting square matrices over an affine base
 ring; it corresponds to a morphism presentation by closing the generator
-images under products inside the matrix algebra (over the base fraction
-field, so the closure stabilizes after at most r^2 steps).  For a single
-generator the characteristic polynomial cuts out the spectral cover; the
-minimal polynomial cuts out the image ideal, and the two agree exactly
-when the generator is non-derogatory (so whenever the cover is squarefree).
+images under products inside the matrix algebra, over the base fraction
+field K.  Each product is decided at an integer base point z0 where it can
+be; once a generator Phi is certified non-derogatory at z0, the closure is
+K[Phi] and complete at r elements, and a product dependent at z0 below
+that bound goes to the exact elimination over K (``higgs_to_morphism``).
+For a single generator the characteristic polynomial cuts out the spectral
+cover; the minimal polynomial cuts out the image ideal, and the two agree
+exactly when the generator is non-derogatory (so whenever the cover is
+squarefree).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 
 from .diffop import MixedOperator
 from .errors import NotAdmissibleError, ShapeError
-from .linalg import PolyMatrix, SpanBasis, char_poly, min_poly, squarefree_in_v
+from . import linalg
+from .linalg import (PolyMatrix, SpanBasis, char_poly, evaluate, independent, min_poly,
+                     nonderogatory_point, squarefree_in_v)
 from .poly import MultiPoly
 
 
@@ -85,29 +92,68 @@ def _flatten(m: PolyMatrix):
     return list(m.entries)
 
 
+def _certified(phis):
+    """``(Phi, z0)`` for the first Phi certified non-derogatory at z0, or None."""
+    for phi in phis:
+        cert = nonderogatory_point(phi)
+        if cert is not None:
+            return phi, cert[0]
+    return None
+
+
 def higgs_to_morphism(h: HiggsPair) -> MorphismPresentation:
-    """Close {I, Phi_1, ..., Phi_k} under products until the span over the
-    base fraction field stabilizes (at most r^2 rounds)."""
+    """Close {I, Phi_1, ..., Phi_k} under products over the base fraction
+    field K: keep each candidate (I, the generators, then b * Phi_j for each
+    kept b != I in turn) that is independent over K of the ones kept before
+    it.
+
+    Zero and repeats of kept elements are dependent.  Otherwise, if the
+    kept elements and the candidate, evaluated at z0 (``linalg.evaluate``),
+    are independent over Q, they are independent over K; with constant
+    generators dependence at z0 is exact too.  Any other candidate goes to a
+    ``SpanBasis`` over K, filled lazily with the kept elements; once it
+    keeps one, z0 certifies nothing more.  z0 is the point at which a
+    generator Phi is certified non-derogatory (``_certified``), if one is:
+    everything commuting with Phi is then a polynomial in it, so the
+    closure is K[Phi] and complete at r elements.
+    """
     if not commutativity_admissible(h):
         raise NotAdmissibleError("generator images do not commute")
-    ident = PolyMatrix.identity(h.r)
-    span = SpanBasis()
-    basis = []
-    for cand in (ident,) + h.phis:
-        if span.add(_flatten(cand)):
-            basis.append(cand)
-    frontier = list(basis)
-    rounds = 0
-    while frontier and rounds < h.r * h.r:
-        rounds += 1
-        new_frontier = []
-        for b in frontier:
+    cert = _certified(h.phis)
+    bound = h.r if cert else h.r * h.r
+    z0 = cert[1] if cert else next(iter(linalg._POINTS), None)
+    exact = all(g.is_constant() for g in h.phis)
+    basis, points, span = [], [], SpanBasis()
+
+    def enlarges(cand):
+        nonlocal z0
+        if cand.is_zero() or cand in basis:
+            return False
+        if z0 is not None:
+            points.append(evaluate(cand, z0))
+            if independent(points):
+                return True
+            points.pop()
+            if exact:
+                return False
+        for b in basis[span.dimension():]:
+            span.add(_flatten(b))
+        if not span.add(_flatten(cand)):
+            return False
+        z0 = None  # cand is dependent at z0, which certifies nothing more
+        return True
+
+    def products():
+        # the basis grows while it is walked; I * Phi_j repeats Phi_j
+        for b in islice(basis, 1, None):
             for g in h.phis:
-                prod = b * g
-                if span.add(_flatten(prod)):
-                    basis.append(prod)
-                    new_frontier.append(prod)
-        frontier = new_frontier
+                yield b * g
+
+    for cand in chain((PolyMatrix.identity(h.r),), h.phis, products()):
+        if len(basis) == bound:
+            break
+        if enlarges(cand):
+            basis.append(cand)
     return MorphismPresentation(h.phis, tuple(basis))
 
 
@@ -141,12 +187,25 @@ def image_ideal(h: HiggsPair, chi: MultiPoly = None) -> MultiPoly:
 
 
 def subalgebra_closed(m: MorphismPresentation) -> bool:
-    """Verify products of basis elements stay in the fraction-field span."""
+    """Verify products of basis elements stay in the fraction-field span.
+
+    If a generator Phi is certified non-derogatory at z0 (``_certified``),
+    and the basis holds r elements that commute with Phi and are
+    independent at z0, the span is K[Phi], which is closed.  Otherwise each
+    of the d^2 products is tested for membership in the span.
+    """
+    basis = m.subalgebra_basis
+    cert = _certified(m.generator_images)
+    if cert is not None:
+        phi, z0 = cert
+        if (len(basis) == phi.rows and independent([evaluate(b, z0) for b in basis])
+                and all(b.shape() == phi.shape() and b * phi == phi * b for b in basis)):
+            return True
     span = SpanBasis()
-    for b in m.subalgebra_basis:
+    for b in basis:
         span.add(_flatten(b))
-    for a in m.subalgebra_basis:
-        for b in m.subalgebra_basis:
+    for a in basis:
+        for b in basis:
             if not span.contains(_flatten(a * b)):
                 return False
     return True

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -262,6 +263,50 @@ def test_solver_matches_ansatz_elimination():
             r = a.rows
             assert basis == [PolyMatrix(r, r, [int(k == u) for k in range(r * r)])
                              for u in range(r * r)]
+
+
+def rescaling_recurrence(a, lam, deg_bound):
+    """The z-power recurrence with every earlier B_k rescaled at each step,
+    so that the series always shares one denominator: the oracle for
+    ``diffop._recurrence``, which keeps each B_k over its own."""
+    r, a_den = a.rows, lcm(*(e.den for e in a.entries))
+    coeffs = [[int(c.as_fraction() * a_den) for c in e.coefficients_in("z")] for e in a.entries]
+    a_terms = [[(idx // r, idx % r, cs[j]) for idx, cs in enumerate(coeffs)
+                if j < len(cs) and cs[j]]
+               for j in range(max(map(len, coeffs), default=0))]
+    p, q = lam.numerator, lam.denominator
+    out = []
+    for u in range(r * r):
+        bs, residuals = [[int(e == u) for e in range(r * r)]], []
+        for k in range(deg_bound + len(a_terms)):
+            acc = [0] * (r * r)
+            for j in range(max(0, k - deg_bound), min(k + 1, len(a_terms))):
+                diffop._bracket_into(acc, a_terms[j], bs[k - j], r, 1)
+            if k < deg_bound:
+                s, f = abs(p) * (k + 1) * a_den, -q if p > 0 else q
+                bs = [[s * x for x in b] for b in bs] + [[f * x for x in acc]]
+            else:
+                residuals += acc
+        out.append((bs, residuals))
+    return out
+
+
+def test_recurrence_matches_the_rescaling_oracle(monkeypatch):
+    rng = random.Random(137)
+    cases = [(E12, Fraction(1), 240), (E12, Fraction(-2, 3), 97),
+             (PolyMatrix.zeros(2), Fraction(3, 4), 5)]
+    for _ in range(60):
+        r = rng.randint(1, 3)
+        a = rand_poly_matrix(rng, r, ("z",), deg=rng.randint(0, 2))
+        if rng.random() < 0.5:
+            a = a.scale(Fraction(rng.randint(1, 5), rng.choice([2, 3, 7])))
+        lam = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+        cases.append((a, lam, rng.choice([0, 1, 2, rng.randint(3, 40)])))
+    for a, lam, bound in cases:
+        assert diffop._recurrence(a, lam, bound) == rescaling_recurrence(a, lam, bound)
+    bases = [solve_commutation(a, lam, bound) for a, lam, bound in cases]
+    monkeypatch.setattr(diffop, "_recurrence", rescaling_recurrence)
+    assert bases == [solve_commutation(a, lam, bound) for a, lam, bound in cases]
 
 
 # -- discriminant and the closed-form quadruple -----------------------------------

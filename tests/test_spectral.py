@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from azumaya.diffop import MixedOperator, mixed_mul
 from azumaya.errors import NotAdmissibleError, ShapeError
-from azumaya.linalg import PolyMatrix, divides_in_v, nullspace_from_rref, rref
+from azumaya import linalg
+from azumaya.linalg import PolyMatrix, SpanBasis, divides_in_v, nullspace_from_rref, rref
 from azumaya.poly import MultiPoly, parse_poly
 from azumaya.spectral import (HiggsPair, KernelProbe, LambdaConnectionFamily,
                               MorphismPresentation, commutativity_admissible,
@@ -77,6 +78,146 @@ def test_closure_random_is_closed():
         pres = higgs_to_morphism(pair)
         assert subalgebra_closed(pres)
         assert len(pres.subalgebra_basis) <= r * r
+
+
+# -- the closure and closedness certificates against the forced fallback -----------
+
+def diag(*entries):
+    return PolyMatrix.from_rows([[e if i == j else 0 for j in range(len(entries))]
+                                 for i, e in enumerate(entries)])
+
+
+def conjugate(mats, rng):
+    """P * M * P^-1 for each M, with one random unimodular integer P."""
+    r = mats[0].rows
+    p = q = PolyMatrix.identity(r)
+    for _ in range(3 if r > 1 else 0):
+        i, j = rng.sample(range(r), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        e = [[int(a == b) for b in range(r)] for a in range(r)]
+        e[i][j] = c
+        p = p * PolyMatrix.from_rows(e)
+        e[i][j] = -c
+        q = PolyMatrix.from_rows(e) * q
+    return [p * m * q for m in mats]
+
+
+def closure_case(rng):
+    """(r, commuting generators, base variables): random, derogatory, scalar,
+    zero, block-repeated, rational, over two base variables, a generator
+    z * e_1 beside e_1 (dependent over Q(z), independent at z0 = 0), or the
+    units of the upper right 2 x 2 block at r = 4, whose closure has
+    dimension 5 > r."""
+    kind = rng.randrange(10)
+    root = lambda: z * rng.randint(-2, 2) + rng.randint(-2, 2)
+    if kind == 0:
+        r = rng.choice([1, 2, 3])
+        return r, rand_commuting_pair(rng, r), ("z",)
+    if kind == 1:
+        r = rng.randint(1, 3)
+        return r, [rand_poly_matrix(rng, r, ("z",), deg=rng.randint(0, 2))], ("z",)
+    if kind == 2:
+        # diagonal with a repeated entry, and a second diagonal generator
+        r = rng.randint(2, 4)
+        a, b = root(), root()
+        first = diag(*([a, a] + [b] * (r - 2)))
+        return r, conjugate([first, diag(*(root() for _ in range(r)))], rng), ("z",)
+    if kind == 3:
+        r = rng.randint(1, 3)
+        scalar = PolyMatrix.identity(r).scale(root())
+        return r, [scalar] + [rand_poly_matrix(rng, r, ("z",), deg=1)] * rng.randint(0, 1), ("z",)
+    if kind == 4:
+        r = rng.randint(1, 3)
+        phi = rand_poly_matrix(rng, r, ("z",), deg=1)
+        return r, rng.choice([[PolyMatrix.zeros(r)], [phi, PolyMatrix.zeros(r)]]), ("z",)
+    if kind == 5:
+        # diag(X, X) commutes with the block swap; or a generator listed twice
+        x = rand_poly_matrix(rng, 2, ("z",), deg=1)
+        block = PolyMatrix.from_rows([[x[i % 2, j % 2] if i // 2 == j // 2 else 0
+                                       for j in range(4)] for i in range(4)])
+        swap = PolyMatrix.from_rows([[int((i + 2) % 4 == j) for j in range(4)] for i in range(4)])
+        return 4, rng.choice([[block, swap], [block, block], [swap, swap]]), ("z",)
+    if kind == 6:
+        r = rng.randint(2, 3)
+        phi, psi = rand_commuting_pair(rng, r)
+        return r, [phi.scale(Fraction(rng.randint(1, 5), rng.choice([2, 3, 7]))), psi], ("z",)
+    if kind == 7:
+        r = rng.randint(2, 3)
+        phi = rand_poly_matrix(rng, r, ("w", "z"), deg=1)
+        return r, [phi, phi * phi + phi.scale(rng.randint(-2, 2))], ("w", "z")
+    if kind == 8:
+        r = rng.randint(2, 3)
+        return r, conjugate([diag(*([z * root()] + [0] * (r - 1))),
+                             diag(*([1] + [0] * (r - 1)))], rng), ("z",)
+    units = [PolyMatrix.from_rows([[root() if (i, j) == (a, b) else 0 for j in range(4)]
+                                   for i in range(4)]) for a in (0, 1) for b in (2, 3)]
+    return 4, conjugate(rng.sample(units, rng.randint(2, 4)), rng), ("z",)
+
+
+def hand_built(pres, rng):
+    """A presentation built by hand from ``pres``, mostly not closed: the
+    basis cut short, its last element replaced by a multiple of the one
+    before it or by a random matrix, or the generators replaced by one."""
+    basis, gens = pres.subalgebra_basis, pres.generator_images
+    x = rand_poly_matrix(rng, basis[0].rows, ("z",), deg=1)
+    kind = rng.randrange(4) if len(basis) > 1 else 3
+    if kind == 3:
+        return MorphismPresentation((x,), basis)
+    last = (), (basis[-2].scale(2),), (x,)
+    return MorphismPresentation(gens, basis[:-1] + last[kind])
+
+
+def test_closure_and_closedness_match_the_forced_fallback(monkeypatch):
+    rng = random.Random(107)
+    cases = [closure_case(rng) for _ in range(520)]
+
+    def answers():
+        rng = random.Random(109)
+        out = []
+        for r, phis, base_vars in cases:
+            pres = higgs_to_morphism(HiggsPair(r, phis, base_vars))
+            out.append((pres.subalgebra_basis, subalgebra_closed(pres),
+                        subalgebra_closed(hand_built(pres, rng))))
+        return out
+    certified = answers()
+    monkeypatch.setattr(linalg, "_POINTS", ())
+    assert certified == answers()
+    assert all(closed for _, closed, _ in certified)
+    # every basis is independent and spans the generators
+    for (_, phis, _), (basis, _, _) in zip(cases, certified):
+        span = SpanBasis()
+        assert all(span.add(list(b.entries)) for b in basis)
+        assert all(span.contains(list(g.entries)) for g in phis)
+    # both answers occur on hand-built presentations
+    assert {closed for _, _, closed in certified} == {True, False}
+
+
+def test_a_certified_generator_needs_no_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("exact elimination reached")
+    monkeypatch.setattr(SpanBasis, "add", refuse)
+    monkeypatch.setattr(SpanBasis, "contains", refuse)
+    # z I + N for a conjugated nilpotent Jordan block N: certified at z0 = 0;
+    # the product phi * phi repeats the generator phi^2
+    n, = conjugate([PolyMatrix.from_rows([[int(i == j + 1) for j in range(5)]
+                                          for i in range(5)])], random.Random(113))
+    phi = n + PolyMatrix.identity(5).scale(z)
+    powers = [PolyMatrix.identity(5)]
+    for _ in range(4):
+        powers.append(powers[-1] * phi)
+    pres = higgs_to_morphism(HiggsPair(5, [phi, powers[2]]))
+    assert pres.subalgebra_basis == tuple(powers)
+    assert subalgebra_closed(pres)
+
+
+def test_a_point_spoiled_by_the_fallback_certifies_nothing_more(monkeypatch):
+    # z * e_1 is 0 at z0 = 0, so the elimination keeps it; e_1 then enlarges
+    # the span at z0 = 0 but depends on z * e_1 over Q(z)
+    monkeypatch.setattr(linalg, "_POINTS", (0,))
+    ze1, e1 = diag(z, 0, 0), diag(1, 0, 0)
+    pres = higgs_to_morphism(HiggsPair(3, [ze1, e1]))
+    assert pres.subalgebra_basis == (PolyMatrix.identity(3), ze1)
+    assert subalgebra_closed(pres)
 
 
 # -- round trip ---------------------------------------------------------------------
