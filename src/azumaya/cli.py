@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import diffop, spectral, suites, twisted, weyl
 from .errors import (E_INPUT, E_INTERNAL, AzumayaError, CoverMismatchError,
-                     InvalidInputError, ShapeError)
+                     InvalidInputError, NotAdmissibleError, ShapeError)
 from .linalg import PolyMatrix, SpanBasis, char_poly
 from .poly import MultiPoly, parse_poly
 
@@ -262,11 +262,10 @@ def cmd_spec_admissible(payload):
     payload = dict(payload)
     _check_mode(payload, "admissible")
     _take(payload, required=("rank", "phis"), optional=("base_vars",))
-    pair = _higgs_pair(payload)
-    ok = spectral.commutativity_admissible(pair)
-    if not ok:
+    try:
+        pres = spectral.higgs_to_morphism(_higgs_pair(payload))
+    except NotAdmissibleError:
         return "violation", {"admissible": False}, ["generator images do not commute"]
-    pres = spectral.higgs_to_morphism(pair)
     return "ok", {"admissible": True,
                   "subalgebra_basis": [b.to_strings() for b in pres.subalgebra_basis]}, []
 

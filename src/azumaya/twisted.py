@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .errors import (CoverMismatchError, InvalidInputError,
                      UndecidableGroupError)
 from .linalg import PolyMatrix
 from .poly import MultiPoly, _const, _split
-from .zmod import solve_mod
+from .zmod import smith_normal_form
 
 _ONE = Fraction(1)     # the identity of Qstar, built once
 
@@ -272,31 +273,71 @@ def coboundary(beta: Cochain1) -> UnitCochain2:
     return UnitCochain2(beta.nerve, g, values)
 
 
+@lru_cache(maxsize=128)
+def _witness_map(size: int, n: int):
+    """The map alpha -> (beta_01, ..., beta_0,size-1) of the mu_n witness,
+    one row of (sorted triple, weight) pairs per j, nonzero weights only.
+
+    A is the d system on sorted triples, one column per sorted pair, the
+    (0, j) first.  The Smith normal form U [A | nI] V = S has m = #triples
+    nonzero d_i = S_ii, each dividing n since the nI block spans nZ^m, and
+    beta = V diag(1/d_i) U alpha mod n is the solution it gives.  So with
+    W = V diag(n/d_i) U mod n^2, beta_0j = (W_j . alpha mod n^2) // n, and
+    only the first size - 1 rows of V are carried.  Every pivot and row and
+    column operation depends on A alone, so the form runs once per (size, n).
+    """
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    triples = [(i, j, k) for i, j in pairs for k in range(j + 1, size)]
+    pos = {p: c for c, p in enumerate(pairs)}
+    m, total = len(triples), len(pairs) + len(triples)
+    aug = []
+    for r, (i, j, k) in enumerate(triples):
+        row = [0] * total
+        row[pos[(j, k)]] = row[pos[(i, j)]] = 1 % n
+        row[pos[(i, k)]] = -1 % n
+        row[len(pairs) + r] = n
+        aug.append(row)
+    ops = []
+    _, s, v = smith_normal_form(
+        aug, [[]] * m, [[int(i == j) for j in range(total)] for i in range(size - 1)], ops)
+    # the columns of V diag(n/d_i), then U's row operations, last first, as
+    # column operations: W = V diag(n/d_i) U without forming U
+    nn = n * n
+    cols = [[vj[i] * (n // s[i][i]) % nn for vj in v] for i in range(m)]
+    for i, j, q in reversed(ops):
+        if q is None:
+            cols[i], cols[j] = cols[j], cols[i]
+        else:
+            cols[j] = [(a - q * b) % nn for a, b in zip(cols[j], cols[i])]
+    return tuple(tuple((t, c[r]) for t, c in zip(triples, cols) if c[r])
+                 for r in range(size - 1))
+
+
 def is_coboundary(alpha: UnitCochain2):
     """Decide d beta = alpha in mu_n mode; returns (True, witness) or
     (False, None).  The witness replays exactly through ``coboundary``.
 
     The cone decides: if alpha = d gamma, then beta_jk = alpha_0jk differs
-    from gamma by d of j -> gamma_0j, so alpha = d beta.  The Smith normal
-    form of the d system on sorted triples only builds the witness.
+    from gamma by d of j -> gamma_0j, so alpha = d beta.  The witness is the
+    solution the Smith normal form of the d system on sorted triples gives.
+    The form runs once per (N, n) per process (``_witness_map``) and gives
+    the witness's first row beta_0j; every solution is the cone one plus
+    d of a 0-cochain, so the cone relation beta_jk = alpha_0jk + beta_0k -
+    beta_0j reads off the rest.  With N <= 2 the witness is empty.
     """
     if not isinstance(alpha.group, Mu):
         raise UndecidableGroupError("coboundary testing needs the mu_n mode")
     if _cone_offender(alpha) is not None:
         return (False, None)
-    n = alpha.group.n
-    idx = list(alpha.nerve.indices())
-    pairs = [(i, j) for i in idx for j in idx if i < j]
-    pos = {p: c for c, p in enumerate(pairs)}
-    rows, rhs = [], []
-    for i, j, k in ((i, j, k) for i in idx for j in idx for k in idx if i < j < k):
-        row = [0] * len(pairs)
-        row[pos[(j, k)]] += 1
-        row[pos[(i, k)]] -= 1
-        row[pos[(i, j)]] += 1
-        rows.append([c % n for c in row])
-        rhs.append(alpha.value(i, j, k))
-    witness = Cochain1(alpha.nerve, alpha.group, dict(zip(pairs, solve_mod(rows, rhs, n))))
+    n, size = alpha.group.n, alpha.nerve.index_count
+    values = {}
+    if size > 2:
+        get, nn = alpha.values.get, n * n
+        first = [0] + [sum(w * get(t, 0) for t, w in row) % nn // n
+                       for row in _witness_map(size, n)]
+        values = {(j, k): (get((0, j, k), 0) + first[k] - first[j]) % n
+                  for j in range(size) for k in range(j + 1, size)}
+    witness = Cochain1(alpha.nerve, alpha.group, values)
     assert coboundary(witness) == alpha
     return (True, witness)
 

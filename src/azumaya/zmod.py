@@ -1,8 +1,11 @@
-"""Integer Smith normal form and linear solving modulo n.
+"""Integer Smith normal form.
 
 The classical pivot-and-reduce algorithm, deterministic and cubic in the
-matrix size.  The coboundary systems of ``twisted`` have N(N-1)(N-2)/6 rows
-for N indices, so there it only builds witnesses; the cone test decides.
+matrix size.  ``twisted`` factors the mu_n coboundary system of N indices,
+N(N-1)(N-2)/6 rows, once per (N, n) per process: S, the first N - 1 rows of
+V and the logged row operations give the first row beta_0j of a witness,
+and the cone relation reads the rest of the witness off that row.  The cone
+test decides; the form only builds witnesses.
 """
 
 from __future__ import annotations
@@ -10,12 +13,15 @@ from __future__ import annotations
 from itertools import compress
 
 
-def smith_normal_form(mat, u=None, v=None):
+def smith_normal_form(mat, u=None, v=None, log=None):
     """U @ M @ V = S with U, V unimodular and S diagonal with divisibility.
 
     Returns (U, S, V) as lists of lists of ints.  Row operations act on
     ``u`` and column operations on ``v``, by default the identities; given,
     they return U @ u and v @ V, so ``u = [[b_0], ..., [b_m-1]]`` gives U b.
+    A list ``log`` receives the row operations in order, U's factors:
+    (i, j, q) for row_i -= q * row_j, so (t, t, 2) negates row t, and
+    (i, j, None) for a swap.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
@@ -25,11 +31,15 @@ def smith_normal_form(mat, u=None, v=None):
 
     # The matrices are sparse: row and column operations touch only the
     # entries where the source row or column is nonzero.
+    spans = ((s, range(n)), (u, range(len(u[0]) if u else 0)))
+    record = (lambda op: None) if log is None else log.append
+
     def row_op(i, j, q):           # row_i -= q * row_j
-        si, sj = s[i], s[j]
-        for c in compress(range(n), sj):
-            si[c] -= q * sj[c]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+        record((i, j, q))
+        for rows, cols in spans:
+            ri, rj = rows[i], rows[j]
+            for c in compress(cols, rj):
+                ri[c] -= q * rj[c]
 
     def col_op(i, j, q):           # col_i -= q * col_j
         for rows in (s, v):
@@ -38,6 +48,7 @@ def smith_normal_form(mat, u=None, v=None):
                     row[i] -= q * row[j]
 
     def swap_rows(i, j):
+        record((i, j, None))
         s[i], s[j] = s[j], s[i]
         u[i], u[j] = u[j], u[i]
 
@@ -80,6 +91,7 @@ def smith_normal_form(mat, u=None, v=None):
                         swap_cols(t, j)
                         dirty = True
         if s[t][t] < 0:
+            record((t, t, 2))
             s[t] = [-a for a in s[t]]
             u[t] = [-a for a in u[t]]
         # enforce divisibility into the trailing block, which holds every
@@ -93,29 +105,3 @@ def smith_normal_form(mat, u=None, v=None):
                 continue
         t += 1
     return u, s, v
-
-
-def solve_mod(a, b, n: int):
-    """One solution x of A x = b (mod n), or None.
-
-    Solves A x + n t = b over the integers via Smith normal form.
-    """
-    m = len(a)
-    cols = len(a[0]) if m else 0
-    aug = [list(row) + [n if i == j else 0 for j in range(m)]
-           for i, row in enumerate(a)]
-    total = cols + m
-    # U b and the first cols rows of V are all that the solution reads
-    ub, s, v = smith_normal_form(
-        aug, [[x] for x in b], [[int(i == j) for j in range(total)] for i in range(cols)])
-    y = [0] * total
-    for i, (c,) in enumerate(ub):
-        d = s[i][i] if i < total else 0
-        if d:
-            if c % d:
-                return None
-            y[i] = c // d
-        elif c:
-            return None
-    x = [sum(v[i][k] * y[k] for k in range(total)) % n for i in range(cols)]
-    return x

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from azumaya import cli, spectral, suites, twisted, weyl
 from azumaya.cli import main
+from azumaya.linalg import PolyMatrix
 
 GOLDEN = Path(__file__).parent / "golden" / "example-5-1-11.json"
 
@@ -227,6 +228,34 @@ def test_spec_commands(capsys, tmp_path):
                                                   [["0", "0"], ["1", "0"]]]}}))
     code, doc = run_json(capsys, "spec", "admissible", str(f))
     assert code == 2 and doc["data"]["admissible"] is False
+
+
+@pytest.mark.parametrize("phis,formed,code", [
+    # e12 and e21: the first pair fails
+    ([[["0", "1"], ["0", "0"]], [["0", "0"], ["1", "0"]]], 1, 2),
+    # Phi and I + Phi commute, e12 commutes with neither
+    ([[["0", "z"], ["1", "0"]], [["1", "z"], ["1", "1"]], [["0", "1"], ["0", "0"]]], 2, 2),
+    # Phi, Phi^2 and I + Phi pairwise commute
+    ([[["0", "z"], ["1", "0"]], [["z", "0"], ["0", "z"]], [["1", "z"], ["1", "1"]]], 3, 0),
+])
+def test_spec_admissible_forms_each_commutator_once(capsys, tmp_path, monkeypatch,
+                                                    phis, formed, code):
+    # the closure checks commutativity itself; the command does not check first
+    calls = []
+    commutator = PolyMatrix.commutator
+    monkeypatch.setattr(PolyMatrix, "commutator",
+                        lambda a, b: calls.append(1) or commutator(a, b))
+    f = tmp_path / "a.json"
+    f.write_text(json.dumps({"version": 1, "command": "spec admissible",
+                             "payload": {"rank": 2, "phis": phis}}))
+    got, out = run(capsys, "spec", "admissible", str(f))
+    assert (got, len(calls)) == (code, formed)
+    if code:
+        assert out == ('{"data":{"admissible":false},'
+                       '"diagnostics":["generator images do not commute"],'
+                       '"status":"violation"}\n')
+    else:
+        assert json.loads(out)["data"]["admissible"] is True
 
 
 def test_coc_coboundary_both_directions(capsys, tmp_path):

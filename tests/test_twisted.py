@@ -22,7 +22,6 @@ from azumaya.twisted import (CheckResult, Cochain1, CoverNerve, Mu, Qstar,
                              twist_matching_check, twist_of_hom,
                              twist_of_tensor, twist_inverse,
                              twisted_gluing_check)
-from azumaya.zmod import solve_mod
 
 N4 = CoverNerve(4)
 N3 = CoverNerve(3)
@@ -645,23 +644,32 @@ def coboundary_cases(rng):
 
 def test_coboundary_decision_matches_cocycle_check(monkeypatch):
     # over a simplex's nerve, mu_n 2-cocycles and 2-coboundaries coincide;
-    # the Smith normal form runs only to build the witness of a coboundary
-    solves = []
-    monkeypatch.setattr(twisted, "solve_mod", lambda *a: solves.append(1) or solve_mod(*a))
+    # the witness map is looked up only after a positive decision, and its
+    # Smith normal form runs at most once per (nerve size, n)
+    cached = twisted._witness_map
+    cached.cache_clear()
+    lookups = []
+    monkeypatch.setattr(twisted, "_witness_map",
+                        lambda size, n: lookups.append((size, n)) or cached(size, n))
     cases = list(coboundary_cases(random.Random(251)))
     assert len(cases) >= 600
-    verdicts = []
+    verdicts, keys = [], set()
     for alpha in cases:
-        solves.clear()
+        lookups.clear()
+        builds = cached.cache_info().misses
         ok, witness = is_coboundary(alpha)
         assert ok == check_2cocycle(alpha).ok
-        assert len(solves) == ok
+        key = (alpha.nerve.index_count, alpha.group.n)
+        assert lookups == ([key] if ok and key[0] > 2 else [])
+        assert cached.cache_info().misses - builds == (bool(lookups) and key not in keys)
+        keys.update(lookups)
         if ok:
             assert coboundary(witness) == alpha
         else:
             assert witness is None
         verdicts.append(ok)
     assert 100 <= sum(verdicts) <= len(cases) - 100
+    assert cached.cache_info().misses == len(keys) >= 20
 
 
 def test_mu3_twist_raises_exactly_when_inverses_hold():

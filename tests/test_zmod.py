@@ -1,10 +1,14 @@
-"""The Smith normal form and ``solve_mod`` against the classical algorithm.
+"""The Smith normal form against the classical algorithm, and the mu_n
+coboundary witness against a solve of its whole system.
 
 ``oracle_smith_normal_form`` and ``oracle_solve_mod`` are the plain
 pivot-and-reduce algorithm, with the full pivot search, the divisibility
 scan after every pivot, dense row and column operations and an explicit U.
 The library skips work that cannot change a value, so it must return the
-same (U, S, V) and the same solutions.
+same (U, S, V).  ``solve_mod`` solves through the library's form, carrying
+U b and the needed rows of V; it must give the oracle's solutions, and
+``twisted.is_coboundary`` must give its solution of the d system on sorted
+triples.
 """
 
 import random
@@ -12,7 +16,36 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from azumaya.zmod import smith_normal_form, solve_mod
+from azumaya import twisted
+from azumaya.cli import cochain_to_json, serialize_report
+from azumaya.suites import rand_cochain1
+from azumaya.twisted import Cochain1, CoverNerve, Mu, coboundary, is_coboundary
+from azumaya.zmod import smith_normal_form
+
+
+def solve_mod(a, b, n: int):
+    """One solution x of A x = b (mod n), or None.
+
+    Solves A x + n t = b over the integers via Smith normal form.
+    """
+    m = len(a)
+    cols = len(a[0]) if m else 0
+    aug = [list(row) + [n if i == j else 0 for j in range(m)]
+           for i, row in enumerate(a)]
+    total = cols + m
+    # U b and the first cols rows of V are all that the solution reads
+    ub, s, v = smith_normal_form(
+        aug, [[x] for x in b], [[int(i == j) for j in range(total)] for i in range(cols)])
+    y = [0] * total
+    for i, (c,) in enumerate(ub):
+        d = s[i][i] if i < total else 0
+        if d:
+            if c % d:
+                return None
+            y[i] = c // d
+        elif c:
+            return None
+    return [sum(v[i][k] * y[k] for k in range(total)) % n for i in range(cols)]
 
 
 def oracle_smith_normal_form(mat):
@@ -108,8 +141,8 @@ def oracle_solve_mod(a, b, n):
 
 
 def coboundary_system(size, n):
-    """The d system of ``twisted.is_coboundary``: one row per sorted triple,
-    one column per sorted pair, entries reduced mod n."""
+    """The d system whose solution ``twisted.is_coboundary`` returns: one
+    row per sorted triple, one column per sorted pair, entries reduced mod n."""
     pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
     pos = {p: c for c, p in enumerate(pairs)}
     rows = []
@@ -199,3 +232,53 @@ def test_left_and_right_factors_are_carried():
     assert v2 == v[:2]
     assert [[sum(u[i][k] * mat[k][l] * v[l][j] for k in range(3) for l in range(3))
              for j in range(3)] for i in range(3)] == s
+
+
+def test_the_row_operation_log_replays_to_u():
+    # the logged operations applied in order to the identity give U
+    rng = random.Random(263)
+    for _ in range(300):
+        m, c = rng.randint(1, 5), rng.randint(1, 5)
+        mat = [[rng.randint(-6, 6) if rng.random() < 0.7 else 0 for _ in range(c)]
+               for _ in range(m)]
+        log = []
+        u, s, v = smith_normal_form(mat, log=log)
+        assert (u, s, v) == smith_normal_form(mat)
+        replay = [[int(i == j) for j in range(m)] for i in range(m)]
+        for i, j, q in log:
+            if q is None:
+                replay[i], replay[j] = replay[j], replay[i]
+            else:
+                replay[i] = [a - q * b for a, b in zip(replay[i], replay[j])]
+        assert replay == u
+
+def test_cached_witness_is_the_solve_mod_solution():
+    # the witness map is built once per (size, n) from one Smith normal form
+    # and read with the cone relation; it must give, zeros included and in
+    # the same bytes, the solution of the whole sorted-triple system
+    rng = random.Random(257)
+    groups = (1, 2, 3, 4, 5, 6, 8, 12, 30)
+    cases = [coboundary(rand_cochain1(rng, CoverNerve(size), Mu(n)))
+             for size in range(1, 11) for n in groups for _ in range(7 if size < 8 else 3)]
+    assert len(cases) >= 500
+    twisted._witness_map.cache_clear()
+    witnesses = []
+    for alpha in cases:
+        size, n = alpha.nerve.index_count, alpha.group.n
+        pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+        triples = [(i, j, k) for i, j in pairs for k in range(j + 1, size)]
+        rhs = [alpha.value(*t) for t in triples]
+        expected = dict(zip(pairs, solve_mod(coboundary_system(size, n), rhs, n)))
+        ok, witness = is_coboundary(alpha)
+        assert ok
+        assert list(witness.values.items()) == list(expected.items())
+        assert (serialize_report(cochain_to_json(witness))
+                == serialize_report(cochain_to_json(Cochain1(alpha.nerve, alpha.group,
+                                                             expected))))
+        witnesses.append(witness.values)
+    # one build per (size, n) with size >= 3; every repeat is a cache hit
+    info = twisted._witness_map.cache_info()
+    assert info.misses == 8 * len(groups)
+    assert info.hits + info.misses == sum(alpha.nerve.index_count > 2 for alpha in cases)
+    twisted._witness_map.cache_clear()
+    assert [is_coboundary(alpha)[1].values for alpha in cases] == witnesses
