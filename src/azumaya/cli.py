@@ -170,24 +170,20 @@ def _weyl_element(payload):
 
 
 def cmd_weyl_nf(payload):
-    _take(payload, required=("expr",), optional=("lam", "n"))
     return "ok", {"normal_form": str(_weyl_element(payload))}, []
 
 
 def cmd_weyl_act(payload):
-    _take(payload, required=("expr", "poly", "lam"), optional=("n",))
     elem = _weyl_element(payload)
     f = _poly(payload["poly"])
     return "ok", {"result": str(weyl.act_on_polynomial(elem, f))}, []
 
 
 def cmd_weyl_fourier(payload):
-    _take(payload, required=("expr",), optional=("lam", "n"))
     return "ok", {"result": str(weyl.fourier(_weyl_element(payload)))}, []
 
 
 def cmd_weyl_reduce(payload):
-    _take(payload, required=("expr",), optional=("lam", "n"))
     cert = weyl.reduce_to_scalar(_weyl_element(payload))
     steps = [{"generator": f"{kind}{i + 1}", "side": side}
              for kind, i, side in cert.steps]
@@ -195,7 +191,6 @@ def cmd_weyl_reduce(payload):
 
 
 def cmd_azu_solve(payload):
-    _take(payload, required=("A", "lambda"), optional=("deg_bound",))
     a = _matrix(payload["A"], "A")
     lam = _fraction(payload["lambda"], "lambda")
     bound = _count(payload.get("deg_bound", diffop.default_degree_bound(a)), "deg_bound")
@@ -205,7 +200,6 @@ def cmd_azu_solve(payload):
 
 
 def cmd_azu_basis(payload):
-    _take(payload, required=("A", "lambda"))
     a = _matrix(payload["A"], "A")
     lam = _fraction(payload["lambda"], "lambda")
     basis = diffop.fundamental_solutions(a, lam)
@@ -214,13 +208,11 @@ def cmd_azu_basis(payload):
 
 
 def cmd_azu_classify(payload):
-    _take(payload, required=("B",))
     rep = diffop.classify_higgsing(_matrix(payload["B"], "B"))
     return "ok", rep.to_json(), []
 
 
 def cmd_azu_report(payload):
-    _take(payload, required=("A", "lambda", "bhat"), optional=("deg_bound",))
     a = _matrix(payload["A"], "A")
     lam = _fraction(payload["lambda"], "lambda")
     bhat = [_fraction(c, "bhat entry") for c in _list(payload["bhat"], "bhat")]
@@ -241,15 +233,13 @@ def _higgs_pair(payload):
 
 
 def _check_mode(payload, expected):
-    mode = payload.pop("mode", None)
+    mode = payload.get("mode")
     if mode is not None and mode != expected:
         raise UsageError(f"payload mode {mode!r} does not match subcommand {expected!r}")
 
 
 def cmd_spec_cover(payload):
-    payload = dict(payload)
     _check_mode(payload, "cover")
-    _take(payload, required=("rank", "phis"), optional=("base_vars",))
     pair = _higgs_pair(payload)
     cover = spectral.spectral_cover(pair)
     ideal = spectral.image_ideal(pair, cover.poly)
@@ -259,9 +249,7 @@ def cmd_spec_cover(payload):
 
 
 def cmd_spec_admissible(payload):
-    payload = dict(payload)
     _check_mode(payload, "admissible")
-    _take(payload, required=("rank", "phis"), optional=("base_vars",))
     try:
         pres = spectral.higgs_to_morphism(_higgs_pair(payload))
     except NotAdmissibleError:
@@ -271,10 +259,7 @@ def cmd_spec_admissible(payload):
 
 
 def cmd_spec_family(payload):
-    payload = dict(payload)
     _check_mode(payload, "family")
-    _take(payload, required=("rank", "phis", "lambda"),
-          optional=("base_vars", "degree"))
     lam = _fraction(payload["lambda"], "lambda")
     degree = _count(payload.get("degree", 3), "degree")
     fam = spectral.lambda_family(_higgs_pair(payload))
@@ -292,9 +277,7 @@ def cmd_spec_family(payload):
 
 
 def cmd_spec_curvature(payload):
-    payload = dict(payload)
     _check_mode(payload, "curvature")
-    _take(payload, required=("rank", "gammas"), optional=("base_vars",))
     rank = _int(payload["rank"], "rank")
     gammas = [_matrix(g, "gamma") for g in _list(payload["gammas"], "gammas")]
     if any(g.shape() != (rank, rank) for g in gammas):
@@ -316,6 +299,9 @@ def _exact(raw, convert, what):
     return _convert(convert, raw, what)
 
 
+COCHAIN = ("group", "n", "indices", "values")   # the fields of a cochain's wire form
+
+
 def cochain_from_json(payload, key: str):
     """Read the wire form of a cochain whose tuples are keyed ``key``: "ijk"
     for a 2-cochain, "ij" for a 1-cochain.
@@ -323,7 +309,7 @@ def cochain_from_json(payload, key: str):
     A well-formed item passes one test, and each distinct value literal is
     converted once per call (a cochain repeats few values many times); a
     malformed item goes through the helpers, which report it."""
-    _take(payload, optional=("group", "n", "indices", "values"))
+    _take(payload, optional=COCHAIN)
     name = payload.get("group")
     if name == "qstar":
         group = twisted.Qstar()
@@ -387,7 +373,6 @@ def cmd_coc_check(payload):
 
 
 def cmd_coc_coboundary(payload):
-    _take(payload, optional=("beta", "alpha"))
     if ("beta" in payload) == ("alpha" in payload):
         raise UsageError("provide exactly one of 'beta' (build d beta) "
                          "or 'alpha' (decide coboundary)")
@@ -401,8 +386,6 @@ def cmd_coc_coboundary(payload):
 
 
 def cmd_coc_glue(payload):
-    _take(payload, required=("rank", "indices", "gluing"),
-          optional=("twist", "descend_endomorphisms"))
     bundle = _bundle(payload)
     res = twisted.twisted_gluing_check(bundle)
     if not res.ok:
@@ -419,7 +402,6 @@ def cmd_coc_glue(payload):
 
 
 def cmd_coc_match(payload):
-    _take(payload, required=("left", "right"))
     left = cochain_from_json(payload["left"], "ijk")
     right = cochain_from_json(payload["right"], "ijk")
     res = twisted.twist_matching_check(left, right)
@@ -429,7 +411,6 @@ def cmd_coc_match(payload):
 
 
 def cmd_hilb_sheaf(payload):
-    _take(payload, required=("summands",), optional=("torsion", "g_rank", "g_summands"))
     sheaf = twisted.SheafOnP1(
         tuple(_int(a, "summand") for a in _list(payload["summands"], "summands")),
         _int(payload.get("torsion", 0), "torsion"))
@@ -441,7 +422,6 @@ def cmd_hilb_sheaf(payload):
 
 
 def cmd_hilb_morphism(payload):
-    _take(payload, required=("summands",))
     summands = [tuple(_int(x, "summand") for x in _list(pair, "summand", 2))
                 for pair in _list(payload["summands"], "summands")]
     p = twisted.morphism_hilbert_poly(summands)
@@ -453,24 +433,21 @@ def cmd_hilb_morphism(payload):
 CANONICAL_DEMO = "example-5-1-11"
 
 
-def commutation_demo_report(a: PolyMatrix, lam: Fraction, bhat, deg_bound=None):
+def commutation_demo_report(a: PolyMatrix, lam: Fraction, bhat):
     """Full rank-2 commutation walk-through: closed-form quadruple, solver
     span comparison, degree-0 and characteristic-polynomial checks, and the
     eigen-decomposition report for the chosen combination."""
     basis = diffop.fundamental_solutions(a, lam)
     residuals_zero = all(diffop.commutation_constraint(a, b, lam).is_zero()
                          for b in basis)
-    if deg_bound is None:
-        deg_bound = diffop.default_degree_bound(a)
+    deg_bound = diffop.default_degree_bound(a)
     solved = diffop.solve_commutation(a, lam, deg_bound)
     span = SpanBasis()
     for m in solved:
         span.add(list(m.entries))
     span_match = (len(solved) == 4
                   and all(span.contains(list(b.entries)) for b in basis))
-    b = PolyMatrix.zeros(2)
-    for c, m in zip(bhat, basis):
-        b = b + m.scale(c)
+    b = diffop.combination(bhat, basis)
     b0 = PolyMatrix.from_rows([[bhat[0], bhat[1]], [bhat[2], bhat[3]]])
     cp_b, cp_b0 = char_poly(b), char_poly(b0)
     report = diffop.classify_higgsing(b)
@@ -518,20 +495,6 @@ def cmd_suite(name, payload):
 # the command table, parsing, dispatch and serialization
 # ---------------------------------------------------------------------------
 
-# A flag is (payload key, option, add_argument keywords): the parsed value,
-# when given, goes to that payload key, through _FLAG_READERS if listed.
-EXPR, POLY, LAM = ("expr", "--expr", {}), ("poly", "--poly", {}), ("lam", "--lam", {})
-N = ("n", "--n", {"type": int})
-WEYL_FLAGS = (EXPR, LAM, N)
-LAMBDA = ("lambda", "--lambda", {"metavar": "Q", "help": "rational value, or 'formal'"})
-A_MATRIX = ("A", "--a", {"metavar": "JSON", "help": "matrix as a JSON list of rows"})
-DEG_BOUND = ("deg_bound", "--deg-bound", {"type": int})
-DEMO_FLAGS = (("bhat", "--bhat", {"metavar": "Q,Q,Q,Q"}),
-              ("lambda", "--lambda", {"metavar": "Q"}), ("A", "--a", {"metavar": "JSON"}))
-SUITE_FLAGS = (("seed", "--seed", {"type": int, "default": 0}),
-               ("count", "--count", {"type": int, "default": 100}))
-
-
 def _json_flag(text):
     try:
         return json.loads(text)
@@ -539,38 +502,56 @@ def _json_flag(text):
         raise UsageError(f"bad --a matrix: {exc}")
 
 
-_FLAG_READERS = {"bhat": lambda text: [c.strip() for c in text.split(",")],
-                 "A": _json_flag}
+# payload key -> (option, add_argument keywords), the flag that sets the key and,
+# as its type, the flag's text reader.  A command has the flags of its keys, but
+# "coc" reads cochains (whose "n" is not weyl's) and bundles from files only.
+FLAGS = {
+    "expr": ("--expr", {}),
+    "poly": ("--poly", {}),
+    "lam": ("--lam", {"help": "rational value, or 'formal'"}),
+    "n": ("--n", {"type": int}),
+    "lambda": ("--lambda", {"metavar": "Q", "help": "rational value"}),
+    "A": ("--a", {"metavar": "JSON", "type": _json_flag, "help": "matrix as a JSON list of rows"}),
+    "deg_bound": ("--deg-bound", {"type": int}),
+    "bhat": ("--bhat", {"metavar": "Q,Q,Q,Q",
+                        "type": lambda text: [c.strip() for c in text.split(",")]}),
+    "degree": ("--degree", {"type": int}),
+    "seed": ("--seed", {"type": int, "default": 0}),
+    "count": ("--count", {"type": int, "default": 100}),
+}
 
-# (group, subcommand) -> (handler, flags); the only list of commands.  The
+_SPEC = ("base_vars", "mode")
+# (group, subcommand) -> (handler, required payload keys, optional payload
+# keys); the only list of commands and of the keys each accepts.  The
 # commands of the "demo" group take no problem file.
 COMMANDS = {
-    ("weyl", "nf"): (cmd_weyl_nf, WEYL_FLAGS),
-    ("weyl", "act"): (cmd_weyl_act, (EXPR, POLY, LAM, N)),
-    ("weyl", "fourier"): (cmd_weyl_fourier, WEYL_FLAGS),
-    ("weyl", "reduce"): (cmd_weyl_reduce, WEYL_FLAGS),
-    ("azu", "solve"): (cmd_azu_solve, (LAMBDA, DEG_BOUND, A_MATRIX)),
-    ("azu", "basis"): (cmd_azu_basis, (LAMBDA, A_MATRIX)),
-    ("azu", "classify"): (cmd_azu_classify, ()),
-    ("azu", "report"): (cmd_azu_report, (LAMBDA, DEG_BOUND, ("bhat", "--bhat", {}), A_MATRIX)),
-    ("spec", "cover"): (cmd_spec_cover, ()),
-    ("spec", "admissible"): (cmd_spec_admissible, ()),
-    ("spec", "family"): (cmd_spec_family, (LAMBDA, ("degree", "--degree", {"type": int}))),
-    ("spec", "curvature"): (cmd_spec_curvature, ()),
-    ("coc", "check"): (cmd_coc_check, ()),
-    ("coc", "coboundary"): (cmd_coc_coboundary, ()),
-    ("coc", "glue"): (cmd_coc_glue, ()),
-    ("coc", "match"): (cmd_coc_match, ()),
-    ("hilb", "sheaf"): (cmd_hilb_sheaf, ()),
-    ("hilb", "morphism"): (cmd_hilb_morphism, ()),
-    ("demo", CANONICAL_DEMO): (cmd_canonical_demo, DEMO_FLAGS),
-    **{("demo", name): (functools.partial(cmd_suite, name), SUITE_FLAGS)
+    ("weyl", "nf"): (cmd_weyl_nf, ("expr",), ("lam", "n")),
+    ("weyl", "act"): (cmd_weyl_act, ("expr", "poly", "lam"), ("n",)),
+    ("weyl", "fourier"): (cmd_weyl_fourier, ("expr",), ("lam", "n")),
+    ("weyl", "reduce"): (cmd_weyl_reduce, ("expr",), ("lam", "n")),
+    ("azu", "solve"): (cmd_azu_solve, ("A", "lambda"), ("deg_bound",)),
+    ("azu", "basis"): (cmd_azu_basis, ("A", "lambda"), ()),
+    ("azu", "classify"): (cmd_azu_classify, ("B",), ()),
+    ("azu", "report"): (cmd_azu_report, ("A", "lambda", "bhat"), ("deg_bound",)),
+    ("spec", "cover"): (cmd_spec_cover, ("rank", "phis"), _SPEC),
+    ("spec", "admissible"): (cmd_spec_admissible, ("rank", "phis"), _SPEC),
+    ("spec", "family"): (cmd_spec_family, ("rank", "phis", "lambda"), (*_SPEC, "degree")),
+    ("spec", "curvature"): (cmd_spec_curvature, ("rank", "gammas"), _SPEC),
+    ("coc", "check"): (cmd_coc_check, (), COCHAIN),
+    ("coc", "coboundary"): (cmd_coc_coboundary, (), ("beta", "alpha")),
+    ("coc", "glue"): (cmd_coc_glue, ("rank", "indices", "gluing"),
+                      ("twist", "descend_endomorphisms")),
+    ("coc", "match"): (cmd_coc_match, ("left", "right"), ()),
+    ("hilb", "sheaf"): (cmd_hilb_sheaf, ("summands",), ("torsion", "g_rank", "g_summands")),
+    ("hilb", "morphism"): (cmd_hilb_morphism, ("summands",), ()),
+    ("demo", CANONICAL_DEMO): (cmd_canonical_demo, (), ("A", "lambda", "bhat")),
+    **{("demo", name): (functools.partial(cmd_suite, name), (), ("seed", "count"))
        for name in sorted(suites.SUITES)},
 }
 
-HANDLERS = {command: handler for command, (handler, _) in COMMANDS.items()}
+HANDLERS = {command: handler for command, (handler, _, _) in COMMANDS.items()}
 
-_VALUE_OPTIONS = {option for _, flags in COMMANDS.values() for _, option, _ in flags} | {"--out"}
+_VALUE_OPTIONS = {option for option, _ in FLAGS.values()} | {"--out"}
 
 
 def _attach_dash_values(argv: list) -> list:
@@ -601,26 +582,27 @@ def build_parser() -> _Parser:
     parser.add_argument("--out", metavar="FILE", help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="group", metavar="GROUP")
     groups = {}
-    for (group, name), (_, flags) in COMMANDS.items():
+    for (group, name), (_, required, optional) in COMMANDS.items():
         if group not in groups:
             groups[group] = sub.add_parser(group).add_subparsers(
                 dest="sub", metavar="NAME" if group == "demo" else "SUB")
         p = groups[group].add_parser(name, parents=[common])
         if group != "demo":
             p.add_argument("file", nargs="?", help="JSON problem file")
-        for key, option, kwargs in flags:
-            p.add_argument(option, dest=key, **kwargs)
+        for key, (option, kwargs) in FLAGS.items():
+            if key in required + optional and group != "coc":
+                p.add_argument(option, dest=key, **kwargs)
     return parser
 
 
 def _payload_from_args(args, command: str) -> dict:
-    payload = {}
-    if getattr(args, "file", None):
-        payload = _load_problem_file(args.file, command)
-    for key, _, _ in COMMANDS[(args.group, args.sub)][1]:
-        value = getattr(args, key)
+    payload = _load_problem_file(args.file, command) if getattr(args, "file", None) else {}
+    for key in FLAGS:
+        value = getattr(args, key, None)
         if value is not None:
-            payload[key] = _FLAG_READERS.get(key, lambda v: v)(value)
+            payload[key] = value
+    _, required, optional = COMMANDS[(args.group, args.sub)]
+    _take(payload, required, optional)
     return payload
 
 
@@ -690,9 +672,8 @@ def main(argv=None) -> int:
 
 
 def _emit(report, args) -> int:
-    text_mode = bool(getattr(args, "text", False)) if args is not None else False
-    out_path = getattr(args, "out", None) if args is not None else None
-    render = _render_text if text_mode else serialize_report
+    render = _render_text if getattr(args, "text", False) else serialize_report
+    out_path = getattr(args, "out", None)
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:

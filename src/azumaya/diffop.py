@@ -413,7 +413,10 @@ def pushforward_report(a: PolyMatrix, bhat, lam) -> HiggsingReport:
         raise ShapeError("bhat must have four coordinates")
     basis = fundamental_solutions(a, lam)
     bhat = [c if isinstance(c, Fraction) else Fraction(c) for c in bhat]
-    b = PolyMatrix.zeros(2)
-    for c, mat in zip(bhat, basis):
-        b = b + mat.scale(c)
-    return classify_higgsing(b)
+    return classify_higgsing(combination(bhat, basis))
+
+
+def combination(bhat, basis) -> PolyMatrix:
+    """B = sum_i bhat_i B_i, summed from the first term."""
+    terms = [m.scale(c) for c, m in zip(bhat, basis)]
+    return sum(terms[1:], terms[0])

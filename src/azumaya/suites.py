@@ -218,11 +218,8 @@ def charpoly_b0(rng):
     lam = Fraction(rng.choice([1, 2, -1]))
     basis = diffop.fundamental_solutions(a, lam)
     bhat = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
-    b = PolyMatrix.zeros(2)
-    for c, m in zip(bhat, basis):
-        b = b + m.scale(c)
     b0 = PolyMatrix.from_rows([[bhat[0], bhat[1]], [bhat[2], bhat[3]]])
-    cp = char_poly(b)
+    cp = char_poly(diffop.combination(bhat, basis))
     return cp == char_poly(b0) and set(cp.vars) <= {"v"}, lambda: f"bhat = {bhat}"
 
 

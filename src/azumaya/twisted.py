@@ -251,26 +251,31 @@ def check_2cocycle(alpha: UnitCochain2) -> CheckResult:
     return CheckResult(False, (0, *where), f"cocycle identity fails on {(0, *where)}")
 
 
-def coboundary(beta: Cochain1) -> UnitCochain2:
-    """(d beta)_ijk = b_jk * b_ik^-1 * b_ij; always a 2-cocycle.
+def _coboundary_values(beta: Cochain1) -> dict:
+    """The values of d beta other than the identity, the map a
+    ``UnitCochain2`` stores.
 
     beta is read once into a table, and b_ik^-1 is b_ki by antisymmetry.
     As in ``_cone_offender``, each triple then costs one ``% n`` of a sum
-    of residues in mu_n, and in qstar one ``Fraction`` of the products of
-    numerators and of denominators."""
+    of residues in mu_n, and in qstar a comparison of the products of
+    numerators and of denominators, and one ``Fraction`` where they differ."""
     g, idx = beta.group, beta.nerve.indices()
     b = [[beta.value(i, j) for j in idx] for i in idx]
     triples = [(i, j, k) for i, j, k in product(idx, repeat=3) if i != j != k != i]
     if isinstance(g, Mu):
         n = g.n
-        values = {(i, j, k): (b[j][k] + b[k][i] + b[i][j]) % n for i, j, k in triples}
-    else:
-        num = [[c.numerator for c in row] for row in b]
-        den = [[c.denominator for c in row] for row in b]
-        values = {(i, j, k): Fraction(num[j][k] * num[k][i] * num[i][j],
-                                      den[j][k] * den[k][i] * den[i][j])
-                  for i, j, k in triples}
-    return UnitCochain2(beta.nerve, g, values)
+        return {(i, j, k): v for i, j, k in triples
+                if (v := (b[j][k] + b[k][i] + b[i][j]) % n)}
+    num = [[c.numerator for c in row] for row in b]
+    den = [[c.denominator for c in row] for row in b]
+    return {(i, j, k): Fraction(p, q) for i, j, k in triples
+            if (p := num[j][k] * num[k][i] * num[i][j])
+            != (q := den[j][k] * den[k][i] * den[i][j])}
+
+
+def coboundary(beta: Cochain1) -> UnitCochain2:
+    """(d beta)_ijk = b_jk * b_ik^-1 * b_ij; always a 2-cocycle."""
+    return UnitCochain2(beta.nerve, beta.group, _coboundary_values(beta))
 
 
 @lru_cache(maxsize=128)
@@ -298,8 +303,8 @@ def _witness_map(size: int, n: int):
         row[len(pairs) + r] = n
         aug.append(row)
     ops = []
-    _, s, v = smith_normal_form(
-        aug, [[]] * m, [[int(i == j) for j in range(total)] for i in range(size - 1)], ops)
+    s, v = smith_normal_form(
+        aug, [[int(i == j) for j in range(total)] for i in range(size - 1)], ops)
     # the columns of V diag(n/d_i), then U's row operations, last first, as
     # column operations: W = V diag(n/d_i) U without forming U
     nn = n * n
@@ -315,7 +320,8 @@ def _witness_map(size: int, n: int):
 
 def is_coboundary(alpha: UnitCochain2):
     """Decide d beta = alpha in mu_n mode; returns (True, witness) or
-    (False, None).  The witness replays exactly through ``coboundary``.
+    (False, None).  The witness replays exactly through ``coboundary``'s
+    formula, compared with alpha's stored values.
 
     The cone decides: if alpha = d gamma, then beta_jk = alpha_0jk differs
     from gamma by d of j -> gamma_0j, so alpha = d beta.  The witness is the
@@ -338,7 +344,7 @@ def is_coboundary(alpha: UnitCochain2):
         values = {(j, k): (get((0, j, k), 0) + first[k] - first[j]) % n
                   for j in range(size) for k in range(j + 1, size)}
     witness = Cochain1(alpha.nerve, alpha.group, values)
-    assert coboundary(witness) == alpha
+    assert _coboundary_values(witness) == alpha.values
     return (True, witness)
 
 

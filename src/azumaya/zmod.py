@@ -13,33 +13,30 @@ from __future__ import annotations
 from itertools import compress
 
 
-def smith_normal_form(mat, u=None, v=None, log=None):
+def smith_normal_form(mat, v=None, log=None):
     """U @ M @ V = S with U, V unimodular and S diagonal with divisibility.
 
-    Returns (U, S, V) as lists of lists of ints.  Row operations act on
-    ``u`` and column operations on ``v``, by default the identities; given,
-    they return U @ u and v @ V, so ``u = [[b_0], ..., [b_m-1]]`` gives U b.
-    A list ``log`` receives the row operations in order, U's factors:
-    (i, j, q) for row_i -= q * row_j, so (t, t, 2) negates row t, and
-    (i, j, None) for a swap.
+    Returns (S, V) as lists of lists of ints.  Column operations act on
+    ``v``, by default the identity; given, it returns v @ V.  U is not
+    formed: a list ``log`` receives the row operations in order, U's
+    factors: (i, j, q) for row_i -= q * row_j, so (t, t, 2) negates row t,
+    and (i, j, None) for a swap.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
     s = [list(row) for row in mat]
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if u is None else list(map(list, u))
     v = [[int(i == j) for j in range(n)] for i in range(n)] if v is None else list(map(list, v))
 
     # The matrices are sparse: row and column operations touch only the
     # entries where the source row or column is nonzero.
-    spans = ((s, range(n)), (u, range(len(u[0]) if u else 0)))
+    cols = range(n)
     record = (lambda op: None) if log is None else log.append
 
     def row_op(i, j, q):           # row_i -= q * row_j
         record((i, j, q))
-        for rows, cols in spans:
-            ri, rj = rows[i], rows[j]
-            for c in compress(cols, rj):
-                ri[c] -= q * rj[c]
+        si, sj = s[i], s[j]
+        for c in compress(cols, sj):
+            si[c] -= q * sj[c]
 
     def col_op(i, j, q):           # col_i -= q * col_j
         for rows in (s, v):
@@ -50,7 +47,6 @@ def smith_normal_form(mat, u=None, v=None, log=None):
     def swap_rows(i, j):
         record((i, j, None))
         s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in s:
@@ -93,7 +89,6 @@ def smith_normal_form(mat, u=None, v=None, log=None):
         if s[t][t] < 0:
             record((t, t, 2))
             s[t] = [-a for a in s[t]]
-            u[t] = [-a for a in u[t]]
         # enforce divisibility into the trailing block, which holds every
         # nonzero entry of the rows below t
         p = s[t][t]
@@ -104,4 +99,4 @@ def smith_normal_form(mat, u=None, v=None, log=None):
                 row_op(t, fold, -1)    # fold that row into row t and restart this pivot
                 continue
         t += 1
-    return u, s, v
+    return s, v

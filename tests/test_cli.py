@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -230,6 +231,33 @@ def test_spec_commands(capsys, tmp_path):
     assert code == 2 and doc["data"]["admissible"] is False
 
 
+_SPEC_PAYLOADS = {
+    "cover": {"rank": 2, "phis": [[["0", "z"], ["1", "0"]]]},
+    "admissible": {"rank": 2, "phis": [[["0", "z"], ["1", "0"]]]},
+    "family": {"rank": 2, "phis": [[["0", "z"], ["1", "0"]]], "lambda": "1"},
+    "curvature": {"rank": 2, "gammas": [[["w2", "0"], ["0", "1"]]]},
+}
+
+
+@pytest.mark.parametrize("sub", sorted(_SPEC_PAYLOADS))
+def test_spec_mode_must_match_the_subcommand(capsys, tmp_path, sub):
+    payload = _SPEC_PAYLOADS[sub]
+    f = tmp_path / "p.json"
+
+    def report(**extra):
+        f.write_text(json.dumps({"version": 1, "command": f"spec {sub}",
+                                 "payload": dict(payload, **extra)}))
+        return run(capsys, "spec", sub, str(f))
+
+    wrong = "cover" if sub == "family" else "family"
+    assert report(mode=wrong) == (1, _INPUT % (
+        f"payload mode '{wrong}' does not match subcommand '{sub}'") + "\n")
+    plain = report()
+    assert plain[0] == 0 and report(mode=sub) == plain and report(mode=None) == plain
+    # keys are checked before the handler's mode check
+    assert report(mode=wrong, bogus=1) == (1, _INPUT % "unknown payload fields: ['bogus']" + "\n")
+
+
 @pytest.mark.parametrize("phis,formed,code", [
     # e12 and e21: the first pair fails
     ([[["0", "1"], ["0", "0"]], [["0", "0"], ["1", "0"]]], 1, 2),
@@ -336,6 +364,35 @@ def test_every_command_has_help(capsys, command):
         main([*command, "--help"])
     assert exc.value.code == 0
     assert f"usage: azk {' '.join(command)}" in capsys.readouterr().out
+
+
+_WEYL_FLAGS = {"--expr", "--lam", "--n"}
+# the flags each command has; every command not listed has none of its own
+_COMMAND_FLAGS = {
+    **dict.fromkeys([("weyl", "nf"), ("weyl", "fourier"), ("weyl", "reduce")], _WEYL_FLAGS),
+    ("weyl", "act"): _WEYL_FLAGS | {"--poly"},
+    ("azu", "solve"): {"--a", "--lambda", "--deg-bound"},
+    ("azu", "basis"): {"--a", "--lambda"},
+    ("azu", "report"): {"--a", "--lambda", "--deg-bound", "--bhat"},
+    ("spec", "family"): {"--lambda", "--degree"},
+    ("demo", cli.CANONICAL_DEMO): {"--a", "--lambda", "--bhat"},
+    **{("demo", name): {"--seed", "--count"} for name in suites.SUITES},
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS), ids=" ".join)
+def test_help_lists_the_flags_of_the_declared_keys(capsys, command):
+    with pytest.raises(SystemExit):
+        main([*command, "--help"])
+    out = capsys.readouterr().out
+    listed = set(re.findall(r"(?m)^  (--[a-z-]+)", out)) - {"--help", "--text", "--out"}
+    assert listed == _COMMAND_FLAGS.get(command, set())
+    _, required, optional = cli.COMMANDS[command]
+    assert {key for key, (option, _) in cli.FLAGS.items() if option in listed} <= {
+        *required, *optional}
+    # only weyl's --lam takes 'formal'; --lambda is a rational value
+    assert ("formal" in out) == ("--lam" in listed)
+    assert bool(re.search(r"(?m)^  --lambda Q +rational value$", out)) == ("--lambda" in listed)
 
 
 @pytest.mark.parametrize("name", sorted(suites.SUITES))
@@ -709,6 +766,112 @@ def test_weyl_commands_fuzzed(sub, text, lam, n, poly):
     assert code in (0, 1, 2) and code == cli.EXIT_BY_STATUS[doc["status"]]
     # E_INTERNAL is the code of a defect, not of malformed text
     assert doc["data"].get("code") != "E_INTERNAL", doc
+
+
+# -- every command fuzzed from its declared keys ------------------------------------
+
+_MAT = st.sampled_from([[["0", "1"], ["0", "0"]], [["1/2", "1/3"], ["0", "1/2"]],
+                        [["z", "1"], ["0", "z"]], [["0", "z"], ["1", "0"]],
+                        [["0", "2"], ["1", "0"]], [["0", "0", "z"], ["1", "0", "1"], ["0", "1", "0"]]])
+_GAMMA = st.sampled_from([[["w2", "0"], ["0", "1"]], [["w1", "1"], ["0", "w2"]],
+                          [["1", "0"], ["0", "2"]]])
+
+
+@st.composite
+def _cochain(draw, key):
+    """A small mu or qstar cochain in wire form, a 2-cochain for key "ijk";
+    one time in three a 2-cochain is d of a 1-cochain."""
+    if key == "ijk" and draw(st.integers(0, 2)) == 0:
+        group = twisted.Mu(draw(st.integers(1, 8))) if draw(st.booleans()) else twisted.Qstar()
+        beta = suites.rand_cochain1(random.Random(draw(st.integers(0, 99))),
+                                    twisted.CoverNerve(draw(st.integers(1, 5))), group)
+        return cli.cochain_to_json(twisted.coboundary(beta))
+    group, size = draw(st.sampled_from(["mu", "qstar"])), draw(st.integers(1, 4))
+    value = st.integers(0, 7) if group == "mu" else st.sampled_from(["2", "-1/3", "1"])
+    item = st.fixed_dictionaries({key: st.lists(st.integers(0, size - 1), min_size=len(key),
+                                                max_size=len(key)), "v": value})
+    out = {"group": group, "indices": size, "values": draw(st.lists(item, max_size=6))}
+    return dict(out, n=draw(st.integers(1, 8))) if group == "mu" else out
+
+
+_GLUE3 = [{"ij": list(ij), "g": [[g]]} for ij, g in (
+    ((0, 1), "2"), ((1, 0), "1/2"), ((0, 2), "3"), ((2, 0), "1/3"), ((1, 2), "5"), ((2, 1), "1/5"))]
+
+# a well-formed value for each payload key; sizes stay small, and values
+# that suit one command (a rank, a matrix) are often wrong for another
+_VALID = {
+    "expr": st.sampled_from(["x", "D*x", "x1*d2 + x2^2", "(x + d)^3", "lam*d - 2/3"]),
+    "poly": st.sampled_from(["x^2 + 1", "x1*x2 - 3", "2/3*x"]),
+    "lam": st.sampled_from(["1", "0", "-2/3", "formal"]),
+    "n": st.integers(1, 8),
+    "A": _MAT, "B": _MAT,
+    "lambda": st.sampled_from(["1", "-2/3", "0", "2"]),
+    "deg_bound": st.integers(0, 20),
+    "bhat": st.sampled_from([["1", "0", "0", "2"], ["1", "1", "0", "1"], ["2", "0", "0", "2"]]),
+    "rank": st.sampled_from([1, 1, 2, 2, 3, 8]),
+    "phis": st.lists(_MAT, min_size=1, max_size=2),
+    "gammas": st.lists(_GAMMA, min_size=1, max_size=2),
+    "base_vars": st.sampled_from([["z"], ["w1", "w2"], []]),
+    "mode": st.sampled_from([None, "cover", "admissible", "family", "curvature"]),
+    "degree": st.integers(0, 20),
+    "group": st.sampled_from(["mu", "qstar"]),
+    "indices": st.sampled_from([1, 2, 3, 3, 8]),
+    "values": _cochain("ijk").map(lambda c: c["values"]),
+    "beta": _cochain("ij"),
+    **dict.fromkeys(("alpha", "left", "right", "twist"), _cochain("ijk")),
+    "gluing": st.sampled_from([_GLUE3, _GLUE3[:2], _GLUE["gluing"], []]),
+    "descend_endomorphisms": st.booleans(),
+    "summands": st.one_of(st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+                          st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+                                   min_size=1, max_size=3)),
+    "torsion": st.integers(0, 3),
+    "g_rank": st.integers(1, 3),
+    "g_summands": st.lists(st.integers(-2, 2), min_size=1, max_size=3),
+    "seed": st.integers(0, 50),
+    "count": st.integers(0, 1),
+}
+_FUZZ_JUNK = st.sampled_from([
+    True, False, 0.5, -1, 0, None, [], {}, "", "1/0", "v", "formal", [[]],
+    [["1", "2"], ["3"]], [[0.5]], [[True]], [{"ij": [0, 1]}], {"group": "z2"},
+    {"group": "mu", "n": 2, "indices": 3, "values": [{"ijk": [0, 1]}]},
+    {"group": "qstar", "indices": 2, "values": [{"ij": [0, 1], "v": 0.5}]}])
+
+
+def _flag_text(key, value):
+    if key == "bhat" and isinstance(value, list) and all(isinstance(c, str) for c in value):
+        return ",".join(value)
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS), ids=" ".join)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_command_fuzzed(tmp_path_factory, command, data):
+    # a payload of the declared keys, all required and some optional ones,
+    # with up to two values replaced by junk; flags carry what they can.
+    # A suite always gets a count: without one it runs 100 cases
+    _, required, optional = cli.COMMANDS[command]
+    keys = [*required, *(k for k in optional if k == "count" or data.draw(st.booleans()))]
+    payload = {k: data.draw(_VALID[k]) for k in keys}
+    for key in data.draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)) if keys else ():
+        payload[key] = data.draw(_FUZZ_JUNK)
+    argv = list(command)
+    for key in list(payload):
+        if key in cli.FLAGS and command[0] != "coc" and (
+                command[0] == "demo" or data.draw(st.booleans())):
+            argv.append(f"{cli.FLAGS[key][0]}={_flag_text(key, payload.pop(key))}")
+    if command[0] != "demo":
+        f = tmp_path_factory.getbasetemp() / "fuzz.json"
+        f.write_text(json.dumps({"version": 1, "command": " ".join(command), "payload": payload}))
+        argv.append(str(f))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert err.getvalue() == ""
+    assert out.getvalue().count("\n") == 1 and out.getvalue().endswith("\n")
+    doc = json.loads(out.getvalue())
+    assert code in (0, 1, 2) and code == cli.EXIT_BY_STATUS[doc["status"]]
+    assert doc["data"].get("code") != "E_INTERNAL", (argv, payload, doc)
 
 
 # -- report paths no other test reaches, pinned byte for byte -------------------

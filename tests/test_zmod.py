@@ -4,11 +4,12 @@ coboundary witness against a solve of its whole system.
 ``oracle_smith_normal_form`` and ``oracle_solve_mod`` are the plain
 pivot-and-reduce algorithm, with the full pivot search, the divisibility
 scan after every pivot, dense row and column operations and an explicit U.
-The library skips work that cannot change a value, so it must return the
-same (U, S, V).  ``solve_mod`` solves through the library's form, carrying
-U b and the needed rows of V; it must give the oracle's solutions, and
-``twisted.is_coboundary`` must give its solution of the d system on sorted
-triples.
+The library skips work that cannot change a value and never forms U, so it
+must return the same (S, V), and its row-operation log, replayed on the
+identity, must give the same U.  ``solve_mod`` solves through the library's
+form, carrying the needed rows of V and replaying the log onto b; it must
+give the oracle's solutions, and ``twisted.is_coboundary`` must give its
+solution of the d system on sorted triples.
 """
 
 import random
@@ -34,10 +35,10 @@ def solve_mod(a, b, n: int):
            for i, row in enumerate(a)]
     total = cols + m
     # U b and the first cols rows of V are all that the solution reads
-    ub, s, v = smith_normal_form(
-        aug, [[x] for x in b], [[int(i == j) for j in range(total)] for i in range(cols)])
+    log = []
+    s, v = smith_normal_form(aug, [[int(i == j) for j in range(total)] for i in range(cols)], log)
     y = [0] * total
-    for i, (c,) in enumerate(ub):
+    for i, (c,) in enumerate(replay(log, [[x] for x in b])):
         d = s[i][i] if i < total else 0
         if d:
             if c % d:
@@ -46,6 +47,24 @@ def solve_mod(a, b, n: int):
         elif c:
             return None
     return [sum(v[i][k] * y[k] for k in range(total)) % n for i in range(cols)]
+
+
+def replay(log, rows):
+    """U @ rows: the logged row operations applied in order to ``rows``."""
+    rows = [list(row) for row in rows]
+    for i, j, q in log:
+        if q is None:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def smith_with_u(mat):
+    """The library's (U, S, V), U rebuilt from the row-operation log."""
+    log = []
+    s, v = smith_normal_form(mat, log=log)
+    return replay(log, [[int(i == j) for j in range(len(mat))] for i in range(len(mat))]), s, v
 
 
 def oracle_smith_normal_form(mat):
@@ -158,7 +177,7 @@ def coboundary_system(size, n):
 
 
 def assert_same(mat, b, n):
-    assert smith_normal_form(mat) == oracle_smith_normal_form(mat)
+    assert smith_with_u(mat) == oracle_smith_normal_form(mat)
     amod = [[x % n for x in row] for row in mat]
     assert solve_mod(amod, b, n) == oracle_solve_mod(amod, b, n)
 
@@ -179,8 +198,8 @@ def test_coboundary_systems_match_oracle():
             if size <= 6:
                 aug = [row + [n * (i == j) for j in range(len(rows))]
                        for i, row in enumerate(rows)]
-                assert smith_normal_form(aug) == oracle_smith_normal_form(aug)
-            assert smith_normal_form(rows) == oracle_smith_normal_form(rows)
+                assert smith_with_u(aug) == oracle_smith_normal_form(aug)
+            assert smith_with_u(rows) == oracle_smith_normal_form(rows)
     assert solvable >= 66
 
 
@@ -222,35 +241,34 @@ def test_coboundary_systems_match_oracle_hypothesis(size, n, seed):
 
 
 def test_left_and_right_factors_are_carried():
-    # U @ u and v @ V from the same operations as U and V themselves
+    # v @ V from the same column operations as V itself, and U b from the
+    # same row-operation log as U
     mat = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
-    u, s, v = smith_normal_form(mat)
+    u, s, v = smith_with_u(mat)
     b = [3, -1, 7]
-    ub, s2, v2 = smith_normal_form(mat, [[x] for x in b], [[1, 0, 0], [0, 1, 0]])
+    log = []
+    s2, v2 = smith_normal_form(mat, [[1, 0, 0], [0, 1, 0]], log)
     assert s2 == s
-    assert ub == [[sum(u[i][k] * b[k] for k in range(3))] for i in range(3)]
+    assert replay(log, [[x] for x in b]) == [[sum(u[i][k] * b[k] for k in range(3))]
+                                             for i in range(3)]
     assert v2 == v[:2]
     assert [[sum(u[i][k] * mat[k][l] * v[l][j] for k in range(3) for l in range(3))
              for j in range(3)] for i in range(3)] == s
 
 
 def test_the_row_operation_log_replays_to_u():
-    # the logged operations applied in order to the identity give U
+    # the logged operations applied in order to the identity give the
+    # oracle's U, and U M V = S; keeping no log changes nothing
     rng = random.Random(263)
     for _ in range(300):
         m, c = rng.randint(1, 5), rng.randint(1, 5)
         mat = [[rng.randint(-6, 6) if rng.random() < 0.7 else 0 for _ in range(c)]
                for _ in range(m)]
-        log = []
-        u, s, v = smith_normal_form(mat, log=log)
-        assert (u, s, v) == smith_normal_form(mat)
-        replay = [[int(i == j) for j in range(m)] for i in range(m)]
-        for i, j, q in log:
-            if q is None:
-                replay[i], replay[j] = replay[j], replay[i]
-            else:
-                replay[i] = [a - q * b for a, b in zip(replay[i], replay[j])]
-        assert replay == u
+        u, s, v = smith_with_u(mat)
+        assert (s, v) == smith_normal_form(mat)
+        assert u == oracle_smith_normal_form(mat)[0]
+        assert [[sum(u[i][k] * mat[k][l] * v[l][j] for k in range(m) for l in range(c))
+                 for j in range(c)] for i in range(m)] == s
 
 def test_cached_witness_is_the_solve_mod_solution():
     # the witness map is built once per (size, n) from one Smith normal form
