@@ -2,15 +2,15 @@
 
 Over Q there is one elimination, ``echelon``: Bareiss (1968) on integer
 rows, so every division is exact, with back substitution only among the
-rows past a given column.  ``rref`` clears each row's denominators, runs it
-and divides each row by its pivot; the commutation solver calls it on its
-integer rows directly.  Over the fraction field of a polynomial base ring
-Q[z] (or Q[w1, w2, ...]) there is one elimination too,
-``SpanBasis``: Bareiss over Z[base] after clearing denominators, on the
-integer numerator maps that ``MultiPoly`` stores, so its divisions are
-exact and it takes no gcds.  The span tests run on it, and so does
-``kernel_saturated``, through one relation path (``_relations``) that
-saturates and signs each dependency it finds.
+rows past a given column.  ``linear_solve_exact`` runs it on each row's
+cleared numerators and reads its answer off the reduced integer rows; the
+commutation solver runs it on its integer rows directly.  Over the
+fraction field of a polynomial base ring Q[z] (or Q[w1, w2, ...]) there is
+one elimination too, ``SpanBasis``: Bareiss over Z[base] after clearing
+denominators, on the integer numerator maps that ``MultiPoly`` stores, so
+its divisions are exact and it takes no gcds.  The span tests run on it,
+and so does ``kernel_saturated``, through one relation path
+(``_relations``) that saturates and signs each dependency it finds.
 ``PolyMatrix`` products sum each entry in one integer map over the two
 matrices' common denominators; when every entry is constant, in one
 integer dot product.  ``char_poly`` runs the Faddeev-LeVerrier recursion
@@ -88,19 +88,6 @@ def echelon(rows, first=0):
     return pivots
 
 
-def rref(rows):
-    """Reduced row echelon form over Q, copying its input: (reduced rows as
-    Fractions, trailing zero rows included, pivot column list).
-
-    Each row is cleared of its denominators and the integer rows go through
-    ``echelon``; each row is then divided by its first nonzero entry, its
-    pivot (zero rows by 1).
-    """
-    ints = [[int(x * d) for x in r] for r in rows for d in [math.lcm(*(x.denominator for x in r))]]
-    pivots = echelon(ints)
-    return [[Fraction(x, d) for x in r] for r in ints for d in [next(filter(None, r), 1)]], pivots
-
-
 @dataclass(frozen=True)
 class LinearSolution:
     """Affine solution set of an exact linear system."""
@@ -110,42 +97,36 @@ class LinearSolution:
     nullspace: tuple
 
 
-def nullspace_from_rref(rows, pivots, ncols):
-    """Standard-form kernel basis (free coordinate = 1) from a rational RREF."""
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(tuple(vec))
-    return tuple(basis)
-
-
 def linear_solve_exact(matrix, rhs=None) -> LinearSolution:
     """Exact affine solution set of M x = rhs over Q.
 
     Returns a particular solution (free coordinates zero) plus a
-    nullspace basis, or ``consistent=False``.
+    nullspace basis in standard form (free coordinate 1), or
+    ``consistent=False``.  The augmented rows, each cleared of its
+    denominators, go through ``echelon`` once, and both are read off the
+    reduced integer rows, each divided by its pivot.
     """
     m = [[_as_fraction(x) for x in row] for row in matrix]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
+    if any(len(row) != ncols for row in m):
+        raise ShapeError("ragged rows")
     if rhs is None:
         rhs = [Fraction(0)] * nrows
     rhs = [_as_fraction(x) for x in rhs]
     if len(rhs) != nrows:
         raise ShapeError("rhs length does not match row count")
-    red, pivots = rref([row + [b] for row, b in zip(m, rhs)])
+    aug = [row + [b] for row, b in zip(m, rhs)]
+    rows = [[int(x * d) for x in r] for r in aug for d in [math.lcm(*(x.denominator for x in r))]]
+    pivots = echelon(rows)
     if ncols in pivots:
         return LinearSolution(False, None, ())
-    particular = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        particular[pc] = red[r][ncols]
-    body = [row[:ncols] for row in red]
-    nut = nullspace_from_rref(body, pivots, ncols)
-    return LinearSolution(True, tuple(particular), nut)
+    at = dict(zip(pivots, rows))   # pivot column -> its reduced row
+    particular = tuple(Fraction(at[c][ncols], at[c][c]) if c in at else Fraction(0)
+                       for c in range(ncols))
+    nullspace = tuple(tuple(Fraction(-at[c][fc], at[c][c]) if c in at else Fraction(int(c == fc))
+                            for c in range(ncols)) for fc in range(ncols) if fc not in at)
+    return LinearSolution(True, particular, nullspace)
 
 
 # ---------------------------------------------------------------------------

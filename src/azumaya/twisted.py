@@ -479,11 +479,13 @@ def twisted_gluing_check(e: TwistedBundle) -> CheckResult:
     triples (0, j, k), which come first.  Once those hold, (1), (2) and
     the twist's normalization give g_jk = alpha_0jk g_0k g_j0 for all
     j, k (the cone on index 0), hence g_ki g_jk g_ij = alpha_0ki alpha_0jk
-    alpha_0ij I.  So on every other triple (3) is the scalar identity
-    alpha_ijk = alpha_0ki alpha_0jk alpha_0ij, which for i = 0 holds by
-    normalization, as (3) does on any triple with a repeated index.  A
-    mu_n twist with n > 2 raises ``InvalidInputError`` exactly when (1)
-    and (2) hold.
+    alpha_0ij I, and g_jk g_kj = I forces alpha_0kj = alpha_0jk^-1.  So on
+    every other triple (3) is alpha_ijk = alpha_0jk alpha_0ik^-1 alpha_0ij,
+    the cocycle check's cone test (``_cone_offender``), which decides them
+    in the same order; in mu_1 and mu_2 its additive test agrees with the
+    +-1 embedding.  For i = 0 it holds by normalization, as (3) does on any
+    triple with a repeated index.  A mu_n twist with n > 2 raises
+    ``InvalidInputError`` exactly when (1) and (2) hold.
     """
     ident = PolyMatrix.identity(e.rank)
     idx = e.nerve.indices()
@@ -494,15 +496,12 @@ def twisted_gluing_check(e: TwistedBundle) -> CheckResult:
         if i < j and e.g(i, j) * e.g(j, i) != ident:
             return CheckResult(False, (i, j), f"g_{i}{j} is not inverse to g_{j}{i}")
     cone = {(j, k): e.scalar_twist(0, j, k) for j, k in product(idx, repeat=2)}
-    for i, j, k in product(idx, repeat=3):
-        if i == 0 and len({0, j, k}) == 3:
-            holds = e.g(k, 0) * (e.g(j, k) * e.g(0, j)) == ident.scale(cone[j, k])
-        else:
-            holds = cone[k, i] * cone[j, k] * cone[i, j] == e.scalar_twist(i, j, k)
-        if not holds:
-            return CheckResult(False, (i, j, k),
-                               f"twisted cocycle condition fails on {(i, j, k)}")
-    return CheckResult(True)
+    slice_fails = ((0, j, k) for j, k in product(idx, repeat=2) if len({0, j, k}) == 3
+                   and e.g(k, 0) * (e.g(j, k) * e.g(0, j)) != ident.scale(cone[j, k]))
+    where = next(slice_fails, None) or _cone_offender(e.twist)
+    if where is None:
+        return CheckResult(True)
+    return CheckResult(False, where, f"twisted cocycle condition fails on {where}")
 
 
 def endomorphism_azumaya(e: TwistedBundle) -> TwistedBundle:

@@ -14,10 +14,10 @@ from azumaya.diffop import (CASE_DISTINCT, CASE_NILPOTENT, CASE_SEMISIMPLE,
                             pushforward_report, solve_commutation)
 from azumaya.errors import (NonConstantError, NotSplitError, PreconditionError,
                             ShapeError, ZeroLambdaError)
-from azumaya.linalg import PolyMatrix, SpanBasis, char_poly, nullspace_from_rref
+from azumaya.linalg import PolyMatrix, SpanBasis, char_poly
 from azumaya.poly import MultiPoly
 from azumaya.suites import rand_discriminant_zero, rand_poly_matrix
-from test_linalg import fraction_rref
+from test_linalg import fraction_rref, nullspace_from_rref
 
 z = MultiPoly.var("z")
 v = MultiPoly.var("v")

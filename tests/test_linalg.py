@@ -14,8 +14,7 @@ from azumaya import linalg
 from azumaya.errors import ShapeError
 from azumaya.linalg import (PolyMatrix, SpanBasis, char_poly, divides_in_v, echelon,
                             eval_poly_at_matrix, kernel_saturated,
-                            linear_solve_exact, min_poly, nullspace_from_rref,
-                            rref, squarefree_in_v)
+                            linear_solve_exact, min_poly, squarefree_in_v)
 from azumaya.linalg import _gcd_in
 from azumaya.poly import ONE, ZERO, MultiPoly, exact_div, parse_poly, poly_content
 
@@ -122,6 +121,12 @@ def test_inconsistent():
     assert not linear_solve_exact([[1, 1], [1, 1]], [1, 2]).consistent
 
 
+@pytest.mark.parametrize("matrix,rhs", [([[1, 2], [3]], None), ([[1], [3, 4]], [1, 2])])
+def test_ragged_system_is_a_shape_error(matrix, rhs):
+    with pytest.raises(ShapeError):
+        linear_solve_exact(matrix, rhs)
+
+
 def test_against_sympy_random():
     rng = random.Random(10)
     for _ in range(60):
@@ -145,7 +150,8 @@ def test_against_sympy_random():
 def image_kernel(images, var):
     """Rational kernel of the Q-linear map sending unknown u to ``images[u]``
     (a dict of polynomials in ``var``; a missing key is a zero entry): one
-    equation per (key, power of ``var``), then ``rref`` + ``nullspace_from_rref``.
+    equation per (key, power of ``var``), then ``fraction_rref`` +
+    ``nullspace_from_rref``.
     This is the elimination the solver and probe oracles in the other test
     modules are built on."""
     n = len(images)
@@ -156,7 +162,7 @@ def image_kernel(images, var):
                 if not c.is_zero():
                     row = equations.setdefault((key, power), [Fraction(0)] * n)
                     row[u] = c.as_fraction()
-    red, pivots = rref(list(equations.values()))
+    red, pivots = fraction_rref(list(equations.values()))
     return nullspace_from_rref(red, pivots, n)
 
 
@@ -213,7 +219,7 @@ def test_modp_enumeration_containment():
                 assert hom
 
 
-# -- rref against Gauss-Jordan on Fractions -----------------------------------
+# -- echelon and linear_solve_exact against Gauss-Jordan on Fractions ----------
 
 def fraction_rref(rows):
     """Reference: Gauss-Jordan on Fractions (the first nonzero entry of each
@@ -247,6 +253,19 @@ def fraction_rref(rows):
     return rows, pivots
 
 
+def nullspace_from_rref(rows, pivots, ncols):
+    """Reference: the standard-form kernel basis (free coordinate = 1) of
+    reduced rows such as ``fraction_rref`` returns."""
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        basis.append(tuple(vec))
+    return tuple(basis)
+
+
 @st.composite
 def fraction_rows(draw):
     """Tall, wide, 1 x n and n x 1 shapes (0 x n too), entries p/q with
@@ -262,25 +281,16 @@ def fraction_rows(draw):
     return rows
 
 
-@settings(max_examples=300, deadline=None)
-@given(fraction_rows())
-@example([])
-@example([[], []])
-@example([[Fraction(0)] * 3, [Fraction(0)] * 3])
-@example([[Fraction(0), Fraction(-2), Fraction(1, 6)], [Fraction(0), Fraction(3, 4), Fraction(0)]])
-@example([[Fraction(-5, 6), Fraction(5, 3), Fraction(0), Fraction(1)]])
-@example([[Fraction(-1, 2)], [Fraction(0)], [Fraction(2, 3)], [Fraction(-6)]])
-@example([[Fraction(-3), Fraction(1)], [Fraction(2), Fraction(0)],
-          [Fraction(-1, 5), Fraction(1, 6)], [Fraction(0), Fraction(-4)]])
-def test_rref_matches_fraction_gauss_jordan(rows):
-    red, pivots = rref(rows)
-    want, want_pivots = fraction_rref(rows)
-    assert pivots == want_pivots
-    assert red == want and all(type(x) is Fraction for row in red for x in row)
-
-
 @settings(max_examples=200, deadline=None)
 @given(fraction_rows(), st.integers(0, 8))
+@example([], 0)
+@example([[], []], 0)
+@example([[Fraction(0)] * 3, [Fraction(0)] * 3], 0)
+@example([[Fraction(0), Fraction(-2), Fraction(1, 6)], [Fraction(0), Fraction(3, 4), Fraction(0)]], 0)
+@example([[Fraction(-5, 6), Fraction(5, 3), Fraction(0), Fraction(1)]], 0)
+@example([[Fraction(-1, 2)], [Fraction(0)], [Fraction(2, 3)], [Fraction(-6)]], 0)
+@example([[Fraction(-3), Fraction(1)], [Fraction(2), Fraction(0)],
+          [Fraction(-1, 5), Fraction(1, 6)], [Fraction(0), Fraction(-4)]], 0)
 def test_echelon_past_first_is_the_reduced_form_there(rows, first):
     # the reduced rows with pivot column >= first are the reduced echelon
     # form of the row space's part that vanishes before first
@@ -293,6 +303,29 @@ def test_echelon_past_first_is_the_reduced_form_there(rows, first):
             for row, pc in zip(ints, pivots) if pc >= first]
     assert tail == [row for row, pc in zip(want, want_pivots) if pc >= first]
     assert all(not any(row) for row in ints[len(pivots):])
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_rows(), st.data())
+def test_linear_solve_reads_the_reduced_augmented_rows(rows, data):
+    # consistent, particular and nullspace are those of Gauss-Jordan on
+    # [M | b]: the particular solution is the last column at the pivots,
+    # the kernel the standard-form basis of the reduced M
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    rhs = data.draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    ncols = len(rows[0]) if rows else 0
+    red, pivots = fraction_rref([row + [b] for row, b in zip(rows, rhs)])
+    sol = linear_solve_exact(rows, rhs)
+    assert sol.consistent == (ncols not in pivots)
+    if not sol.consistent:
+        assert sol.particular is None and sol.nullspace == ()
+        return
+    particular = [Fraction(0)] * ncols
+    for row, pc in zip(red, pivots):
+        particular[pc] = row[ncols]
+    assert sol.particular == tuple(particular)
+    assert sol.nullspace == nullspace_from_rref([row[:ncols] for row in red], pivots, ncols)
+    assert all(type(x) is Fraction for vec in (sol.particular, *sol.nullspace) for x in vec)
 
 
 # -- PolyMatrix products ------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from azumaya.diffop import MixedOperator, mixed_mul
 from azumaya.errors import NotAdmissibleError, ShapeError
 from azumaya import linalg
-from azumaya.linalg import PolyMatrix, SpanBasis, divides_in_v, nullspace_from_rref, rref
+from azumaya.linalg import PolyMatrix, SpanBasis, divides_in_v
 from azumaya.poly import MultiPoly, parse_poly
 from azumaya.spectral import (HiggsPair, KernelProbe, LambdaConnectionFamily,
                               MorphismPresentation, commutativity_admissible,
@@ -18,6 +18,7 @@ from azumaya.spectral import (HiggsPair, KernelProbe, LambdaConnectionFamily,
                               lambda_family, morphism_to_higgs, spectral_cover,
                               subalgebra_closed)
 from azumaya.suites import rand_commuting_pair, rand_poly_matrix
+from test_linalg import fraction_rref, nullspace_from_rref
 
 z = MultiPoly.var("z")
 v = MultiPoly.var("v")
@@ -414,7 +415,7 @@ def _probe_by_elimination(phi, lam, degree):
                     if not c.is_zero():
                         row = equations.setdefault((k, idx, deg), [Fraction(0)] * len(images))
                         row[u] = c.as_fraction()
-    red, pivots = rref(list(equations.values()))
+    red, pivots = fraction_rref(list(equations.values()))
     kdim = len(nullspace_from_rref(red, pivots, len(images)))
     return KernelProbe(degree, len(images), len(images) - kdim, kdim)
 

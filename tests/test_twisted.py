@@ -11,7 +11,7 @@ from azumaya import twisted
 from azumaya.cli import cochain_from_json, cochain_to_json
 from azumaya.errors import (CoverMismatchError, InvalidInputError,
                             UndecidableGroupError)
-from azumaya.linalg import PolyMatrix, rref
+from azumaya.linalg import PolyMatrix
 from azumaya.poly import MultiPoly
 from azumaya.suites import rand_cochain1
 from azumaya.twisted import (CheckResult, Cochain1, CoverNerve, Mu, Qstar,
@@ -22,6 +22,7 @@ from azumaya.twisted import (CheckResult, Cochain1, CoverNerve, Mu, Qstar,
                              twist_matching_check, twist_of_hom,
                              twist_of_tensor, twist_inverse,
                              twisted_gluing_check)
+from test_linalg import fraction_rref
 
 N4 = CoverNerve(4)
 N3 = CoverNerve(3)
@@ -345,8 +346,8 @@ def inverse(m):
     """The inverse of a constant square PolyMatrix, read off the reduced form
     of [M | I]; None when M is singular."""
     r = m.rows
-    red, pivots = rref([[e.as_fraction() for e in m.row(i)]
-                        + [Fraction(int(i == j)) for j in range(r)] for i in range(r)])
+    red, pivots = fraction_rref([[e.as_fraction() for e in m.row(i)]
+                                 + [Fraction(int(i == j)) for j in range(r)] for i in range(r)])
     if pivots != list(range(r)):
         return None
     return PolyMatrix.from_rows([row[r:] for row in red])
@@ -696,6 +697,24 @@ def test_gluing_check_matrix_products_are_quadratic(monkeypatch, size, rank):
     monkeypatch.setattr(PolyMatrix, "__mul__", counting_mul)
     assert twisted_gluing_check(bundle).ok
     assert len(calls) <= size * (size - 1) // 2 + 2 * (size - 1) * (size - 2)
+
+
+@pytest.mark.parametrize("group", [Qstar(), Mu(1), Mu(2)])
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 7])
+def test_gluing_check_reads_the_twist_quadratically(monkeypatch, size, group):
+    # the twist enters as scalars only on the 0-slice; every other triple is
+    # the cocycle check's cone test on the stored values
+    bundle = frame_bundle(random.Random(229), CoverNerve(size), 2, group)
+    calls = []
+    scalar_twist = TwistedBundle.scalar_twist
+
+    def counting_scalar_twist(e, i, j, k):
+        calls.append((i, j, k))
+        return scalar_twist(e, i, j, k)
+
+    monkeypatch.setattr(TwistedBundle, "scalar_twist", counting_scalar_twist)
+    assert twisted_gluing_check(bundle).ok
+    assert len(calls) <= size * size
 
 
 class CountingDict(dict):
