@@ -462,22 +462,20 @@ def _int_quo(num: dict, div: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([A-Za-z][A-Za-z0-9]*)|(\^)|(\*)|(\+)|(-)|(\()|(\)))")
+# the kind of a token by the number of its group in _TOKEN
+_KINDS = (None, "num", "name", "pow", "mul", "plus", "minus", "lpar", "rpar")
 
 
 def _tokenize(s: str):
     tokens, pos = [], 0
     while pos < len(s):
         m = _TOKEN.match(s, pos)
-        if not m or m.end() == pos:
+        if not m:
             if s[pos:].strip():
                 raise ValueError(f"bad token at {s[pos:]!r}")
             break
         pos = m.end()
-        groups = m.groups()
-        for kind, val in zip(("num", "name", "pow", "mul", "plus", "minus", "lpar", "rpar"), groups):
-            if val is not None:
-                tokens.append((kind, val))
-                break
+        tokens.append((_KINDS[m.lastindex], m[m.lastindex]))
     return tokens
 
 

@@ -12,24 +12,32 @@ differential operators; at lam = 0 the commutative fiber.
 
 Convention: in fixed mode the generator d_i acts on polynomials as
 lam * d/dx_i, consistently with the family's momentum action.
+
+``parse_weyl`` reads normal-ordered text, the form ``str()`` writes, and
+products and powers of it in parentheses in one pass, into one integer
+numerator map over one denominator per factor; any other text goes to the
+recursive-descent ``_parse_general``, which also gives every error message.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from functools import lru_cache, reduce
+from math import comb, factorial, lcm
 from operator import add
 
 from .errors import DegenerateError, ModeMismatchError, ZeroElementError
-from .poly import ONE, ZERO, MultiPoly, _join, _ratio_str, _relayout, var_sort_key
+from .poly import (_FACTORS, _POWER, ONE, ZERO, MultiPoly, _const, _join, _Parser, _ratio_str,
+                   _relayout, _tokenize, parse_poly, var_sort_key)
 
 FORMAL = "formal"
 
 _LAM = MultiPoly.var("lam")
 
 
+@lru_cache(maxsize=16)
 def _names(n: int):
     """Position and momentum names: ``x``, ``d`` for n = 1, else x1..xn, d1..dn."""
     if n == 1:
@@ -410,9 +418,90 @@ def parse_weyl(s: str, n: int = None, lam=FORMAL) -> WeylElement:
 
     Generator names: x / d (rank 1) or x1..xn / d1..dn; capital D accepted.
     The rank is inferred from the largest index unless given.
-    """
-    from .poly import _tokenize, _Parser
 
+    Normal-ordered text (see ``_read_normal_ordered``) is read straight
+    into the symbol of each factor, and only the factors of a product or a
+    power are multiplied; any other text goes to ``_parse_general``.
+    """
+    try:
+        factors = _read_normal_ordered(s, n, _mode(lam))
+    except ValueError:
+        factors = None  # a number too long for int(), a bad coefficient: reported below
+    if factors is None:
+        return _parse_general(s, n, lam)
+    return reduce(weyl_mul, (e if k == 1 else e ** k for e, k in factors))
+
+
+# one term of normal-ordered text and its trailing whitespace: a sign (no -
+# before a parenthesis), an integer, p/q with q > 0 or a parenthesized
+# coefficient, then generator powers joined by *; or the powers alone
+_TERM = re.compile(rf"\s*(\+|-(?!\s*\()|)\s*(?:(?:([0-9]+)(?:/([0-9]*[1-9][0-9]*))?|\(([^()]*)\))"
+                   rf"(?:\s*\*\s*({_FACTORS}))?|({_FACTORS}))\s*")
+# a parenthesized sum, whose coefficients may be parenthesized, and its power
+_FACTOR = re.compile(r"\s*\(((?:[^()]|\([^()]*\))*)\)\s*(?:\^\s*([0-9]+)\s*)?")
+_PRODUCT = re.compile(rf"(?:{_FACTOR.pattern}\*)*{_FACTOR.pattern}")
+
+
+def _read_normal_ordered(s: str, n, lam):
+    """[(element, k), ...] for the factors of normal-ordered text, or None.
+
+    The text is one sum, or a product of parenthesized sums joined by ``*``,
+    each with an optional ``^k``.  A sum is a sequence of signed terms (the
+    first sign optional): a rational or a parenthesized coefficient in Q[lam]
+    (read by ``parse_poly``), then ``lam^k`` and generator powers, every x_i
+    left of every d_i.  Other text, a generator outside ``_names(rank)`` and
+    ``lam`` in fixed mode give None.
+    """
+    factors = _scan(s)
+    if factors is None:
+        return None
+    names = {v for terms, _ in factors for _, powers in terms for v, _ in powers}
+    rank = n or max([1] + [int(v[1:]) for v in names if v[0] in "xd" and v[1:].isdigit()])
+    scalars = {"lam"} if lam == FORMAL else set()
+    if not names <= scalars.union(*_names(rank)):
+        return None
+    layout, _, _, lpos = _layout(rank)
+    where = {v: i for i, v in enumerate(layout)}
+    out = []
+    for terms, k in factors:
+        num, den = {}, lcm(*(coef.den for coef, _ in terms))
+        for coef, powers in terms:
+            if not scalars.issuperset(coef.vars):
+                return None
+            e, momentum = [0] * len(layout), False
+            for v, j in powers:
+                if momentum and v[0] == "x":
+                    return None
+                momentum = momentum or v[0] == "d"
+                e[where[v]] += j
+            for j, c in coef.num.items():
+                key = tuple(e[:lpos] + [e[lpos] + sum(j)] + e[lpos + 1:])
+                num[key] = num.get(key, 0) + c * (den // coef.den)
+        out.append((WeylElement._trusted(rank, lam, _join(layout, num, den)), k))
+    return out
+
+
+def _scan(s: str):
+    """[(terms, k), ...] for the parenthesized sums of a product and their
+    powers, or for the whole text as one sum; None for other text.  A term
+    is (signed coefficient, [(name, k), ...])."""
+    factors = []
+    for text, k in _FACTOR.findall(s) if _PRODUCT.fullmatch(s) else [(s, "")]:
+        terms, pos = [], 0
+        while (m := _TERM.match(text, pos)) and (m[1] or not terms):
+            sign, p, q, paren, powers, alone = m.groups()
+            coef = _const(int(sign + (p or "1")), int(q or 1)) if paren is None else parse_poly(paren)
+            terms.append((coef, [(v, int(j or 1)) for v, j in _POWER.findall(powers or alone or "")]))
+            pos = m.end()
+        if not terms or pos < len(text):
+            return None
+        factors.append((terms, int(k or 1)))
+    return factors
+
+
+def _parse_general(s: str, n: int = None, lam=FORMAL) -> WeylElement:
+    """``parse_weyl`` by recursive descent: products, powers, parentheses,
+    any order of generators, and every error message."""
     tokens = _tokenize(s)
     names = {val.lower() for kind, val in tokens if kind == "name"}
     inferred = 1

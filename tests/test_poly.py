@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from azumaya import poly
 from azumaya.linalg import _gcd_in
 from azumaya.poly import (MultiPoly, _const, _Parser, _ratio_str, _tokenize, exact_div, parse_poly,
                          poly_content, var_sort_key)
@@ -449,10 +450,13 @@ def test_reader_round_trips_printed_polynomials(p):
     assert parse_poly(str(p)) == p == descent_parse(str(p))
 
 
-@pytest.mark.parametrize("text", [
+DESCENT_TEXTS = [
     "+x", "- -x", "x - -y", "x y", "2^3", "x^2^3", "z*2", "x*x", "0*z", "1/0", "3/00", "1/2/3",
     "007", "x\t+\ty", "x\n- 2/4*z ^ 2", "\t-3\n", "w2*w1 + lam*m*v", "x^0 - 1", "", " ",
-    "-", "(z+1)*(z-1)", "z^-1", "z^1/2", "2z", "z/2", "1 /2", "0.5", "x\u00a0+ 1"])
+    "-", "(z+1)*(z-1)", "z^-1", "z^1/2", "2z", "z/2", "1 /2", "0.5", "x\u00a0+ 1"]
+
+
+@pytest.mark.parametrize("text", DESCENT_TEXTS)
 def test_reader_agrees_with_the_descent_parser(text):
     assert parsed(parse_poly, text) == parsed(descent_parse, text)
 
@@ -469,3 +473,43 @@ def test_reader_agrees_with_the_descent_parser_on_token_runs(text):
     # runs of tokens, whitespace and stray characters; exponents of one digit
     # keep the powers of parenthesized sums small
     assert parsed(parse_poly, text) == parsed(descent_parse, text)
+
+
+# -- _tokenize: the token kind from the matched group's number --------------------
+
+def tokenize_by_scanning_groups(s: str):
+    """Reference: the tokenizer that scanned every group of _TOKEN for the
+    one that matched."""
+    tokens, pos = [], 0
+    while pos < len(s):
+        m = poly._TOKEN.match(s, pos)
+        if not m or m.end() == pos:
+            if s[pos:].strip():
+                raise ValueError(f"bad token at {s[pos:]!r}")
+            break
+        pos = m.end()
+        for kind, val in zip(("num", "name", "pow", "mul", "plus", "minus", "lpar", "rpar"), m.groups()):
+            if val is not None:
+                tokens.append((kind, val))
+                break
+    return tokens
+
+
+def tokens_or_error(fn, s):
+    try:
+        return fn(s)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("text", DESCENT_TEXTS + [
+    "z +", "2 ** z", "3/0*z", "z + 0/0", "0/5*z + 2/4", "-2*z^3 + 1/2", "  ", "x + $",
+    "D*x", "x^2*d + 1", "x1*d2", "lam*x - 3", "y*x", "((3/2)*x1^2*d2^1 + (lam)*x1^1)^2"])
+def test_tokenize_matches_the_group_scan(text):
+    assert tokens_or_error(_tokenize, text) == tokens_or_error(tokenize_by_scanning_groups, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(PARSE_PIECES + ["$", "x + $", "A9"]), max_size=12).map("".join))
+def test_tokenize_matches_the_group_scan_on_token_runs(text):
+    assert tokens_or_error(_tokenize, text) == tokens_or_error(tokenize_by_scanning_groups, text)

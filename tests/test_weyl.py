@@ -610,3 +610,131 @@ def weyl_elements(draw):
 @example(WeylElement.zero(2))
 def test_str_matches_fraction_renderer(e):
     assert str(e) == fraction_weyl_str(e)
+
+
+# -- parse_weyl: the one-pass reader against the general parser -------------------
+
+def parse_outcome(fn, text, n, lam):
+    """fn(text, n, lam), or the type and text of the exception it raises."""
+    try:
+        return fn(text, n, lam)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def normal_ordered_texts(draw):
+    """(text, n, lam): a sum of normal-ordered terms, or a product of
+    parenthesized sums with optional powers, spelled as ``str()`` and the
+    benchmark's inputs spell them, with some slack in spacing and ``^1``."""
+    n = draw(st.integers(1, 3))
+    lam = draw(st.sampled_from([FORMAL, Fraction(0), Fraction(1), Fraction(-2, 3)]))
+    xs, ds = weyl._names(n)
+    star = draw(st.sampled_from(["*", " * "]))
+
+    def term(first):
+        kind = draw(st.sampled_from(["none", "rational", "paren"]))
+        sign = draw(st.sampled_from(["", "-"] if first else [" + ", " - ", "+", "-"]))
+        parts = []
+        if kind == "rational":
+            p, q = draw(st.integers(0, 20)), draw(st.sampled_from([1, 1, 2, 3, 12]))
+            parts.append(str(p) if q == 1 else f"{p}/{q}")
+        elif kind == "paren":
+            sign = sign.replace("-", "+")
+            if lam == FORMAL:
+                c = sum((f * _LAM ** k for k, f in draw(st.dictionaries(
+                    st.integers(0, 2), PRINT_COEFFS, min_size=1, max_size=3)).items()), MultiPoly.zero())
+            else:
+                c = draw(PRINT_COEFFS)
+            parts.append(f"({c})")
+        for names in (xs, ds):
+            for name in draw(st.lists(st.sampled_from(names), max_size=2)):
+                k = draw(st.sampled_from([None, 0, 1, 2, 3]))
+                parts.append(name if k is None else f"{name}^{k}")
+        if lam == FORMAL and draw(st.booleans()):
+            parts.insert(draw(st.integers(int(kind != "none"), len(parts))),
+                         draw(st.sampled_from(["lam", "lam^2"])))
+        return sign + (star.join(parts) or "1")
+
+    def sum_text():
+        return "".join(term(i == 0) for i in range(draw(st.integers(1, 3))))
+
+    if draw(st.booleans()):
+        return sum_text(), n, lam
+    factors = [f"({sum_text()})" + draw(st.sampled_from(["", "^0", "^1", "^2", " ^ 2"]))
+               for _ in range(draw(st.integers(1, 2)))]
+    return star.join(factors), n, lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(normal_ordered_texts())
+@example(("((3/2)*x1^2*d2^1 + (lam^2 - 1)*x1^1)*((-1)*d1^1 + (2)*x2^1)", 2, FORMAL))
+@example(("(lam - 1/2)*x*d + 2/3*lam^2*x - d + 1", 1, FORMAL))
+@example(("(x + d)^3", 1, Fraction(1)))
+def test_reader_matches_the_general_parser(case):
+    text, n, lam = case
+    assert weyl._read_normal_ordered(text, n, lam) is not None
+    assert parse_weyl(text, n, lam) == weyl._parse_general(text, n, lam)
+    # with the rank inferred: the largest index, or 1 for bare x and d
+    assert (parse_outcome(parse_weyl, text, None, lam)
+            == parse_outcome(weyl._parse_general, text, None, lam))
+
+
+@pytest.mark.parametrize("text, n, lam, read", [
+    ("D*x", None, Fraction(1), False),
+    ("x1*d1*x1", None, Fraction(1), False),
+    ("x1*d1*x1", 2, Fraction(1), False),
+    ("d*x", None, FORMAL, False),
+    ("lam*x", None, Fraction(1), False),
+    ("(lam + 1)*x", None, Fraction(1), False),
+    ("x^0", None, Fraction(1), True),
+    ("X1*D2", None, FORMAL, False),
+    ("x1*D2", 2, FORMAL, False),
+    ("3/0*x", None, FORMAL, False),
+    ("(1/0)*x", None, FORMAL, False),
+    ("x0*d0", None, Fraction(1), False),
+    ("x00", None, FORMAL, False),
+    ("x01", None, FORMAL, False),
+    ("y", None, FORMAL, False),
+    ("d3", 2, FORMAL, False),
+    ("x + x2", None, FORMAL, False),
+    ("-(x+d)^2", None, FORMAL, False),
+    ("-(lam - 1/2)*x*d + 1", None, FORMAL, False),
+    ("x - (lam)*d", None, FORMAL, False),
+    ("(x + d)*x", None, Fraction(1), False),
+    ("(x + d)*", None, Fraction(1), False),
+    ("", None, FORMAL, False),
+    ("x2*d1 + 1", None, Fraction(-2, 3), True),
+    ("(x + d)^2*(x - d)", None, Fraction(1), True),
+    ("0", 3, FORMAL, True),
+])
+def test_reader_hands_other_text_to_the_general_parser(text, n, lam, read):
+    try:
+        taken = weyl._read_normal_ordered(text, n, lam) is not None
+    except ValueError:  # from parse_poly on a bad coefficient
+        taken = False
+    assert taken == read
+    assert parse_outcome(parse_weyl, text, n, lam) == parse_outcome(weyl._parse_general, text, n, lam)
+
+
+@pytest.mark.parametrize("lam", [FORMAL, Fraction(0), Fraction(1), Fraction(-2, 3)])
+def test_parse_weyl_round_trips_printed_elements(lam):
+    rng = random.Random(11)
+    for _ in range(80):
+        e = rand_weyl(rng, rng.randint(1, 3), lam, bideg=3, nterms=4, with_lam=True)
+        assert weyl._read_normal_ordered(str(e), e.n, e.lam) is not None
+        assert parse_weyl(str(e), e.n, e.lam) == e
+
+
+@settings(max_examples=200, deadline=None)
+@given(weyl_elements())
+def test_parse_weyl_round_trips_several_term_coefficients(e):
+    assert parse_weyl(str(e), e.n, e.lam) == e
+
+
+def test_rank_ten_text_is_not_the_symbol_text():
+    # var_sort_key orders d10 before d2, so the symbol's text cannot stand in
+    # for the Weyl text at rank >= 10
+    e = parse_weyl("d2*d10 + x2*x10 + d2^2", 10, Fraction(1))
+    assert str(e) == "x2*x10 + d2^2 + d2*d10"
+    assert str(e.symbol) == "x2*x10 + d10*d2 + d2^2"
