@@ -306,9 +306,15 @@ def cochain_from_json(payload, key: str):
     """Read the wire form of a cochain whose tuples are keyed ``key``: "ijk"
     for a 2-cochain, "ij" for a 1-cochain.
 
-    A well-formed item passes one test, and each distinct value literal is
-    converted once per call (a cochain repeats few values many times); a
-    malformed item goes through the helpers, which report it."""
+    The payload's fields (``group``, ``n``, ``indices``) are read by the
+    helpers, which report what is wrong with them.  The ``values`` list is
+    then read in one pass (``_wire_store``) that makes every check of the
+    checked constructor once and wraps the result with ``_trusted``.  At
+    the first item that pass does not take, the list is read again from
+    the start: ``_take``, ``_indices`` and ``_exact`` report a malformed
+    item, the checked ``UnitCochain2``/``Cochain1`` constructor a bad index
+    or value, and a tuple listed twice with values that differ as group
+    elements is refused last."""
     _take(payload, optional=COCHAIN)
     name = payload.get("group")
     if name == "qstar":
@@ -318,22 +324,76 @@ def cochain_from_json(payload, key: str):
     else:
         raise InvalidInputError(f"unknown group {name!r}")
     nerve = twisted.CoverNerve(_int(_field(payload, "indices"), "indices"))
-    convert, wire = (Fraction, str) if name == "qstar" else (int, int)
-    fields, ints, size = {key, "v"}, {int}, len(key)
-    values, seen = {}, {}
-    for item in _list(payload.get("values", []), "values"):
-        t = item.get(key) if type(item) is dict else None
-        if (type(t) is list and len(t) == size and item.keys() == fields
-                and {*map(type, t)} == ints and type(v := item["v"]) is wire):
-            x = seen.get(v)
-            if x is None:
-                x = seen[v] = _convert(convert, v, "values")
-            values[tuple(t)] = x
-            continue
-        _take(item, required=(key, "v"))
-        values[_indices(item[key], key, size)] = _exact(item["v"], convert, "values")
+    items = _list(payload.get("values", []), "values")
+    convert = Fraction if name == "qstar" else int
     cochain = twisted.UnitCochain2 if len(key) == 3 else twisted.Cochain1
-    return cochain(nerve, group, values)
+    store = _wire_store(items, key, nerve.index_count, group, convert)
+    if store is not None:
+        return cochain._trusted(nerve, group, store)
+    values, repeats = {}, []
+    for item in items:
+        _take(item, required=(key, "v"))
+        t = _indices(item[key], key, len(key))
+        v = _exact(item["v"], convert, "values")
+        if t in values:
+            repeats.append((t, values[t], v))
+        values[t] = v
+    out = cochain(nerve, group, values)
+    for t, a, b in repeats:
+        if group.validate(a) != group.validate(b):
+            what = f"triple {t}" if len(t) == 3 else f"pair {tuple(sorted(t))}"
+            raise InvalidInputError(f"conflicting values for {what}")
+    return out
+
+
+_SKIP = object()    # a 2-cochain's identity value, which is not stored
+
+
+def _wire_store(items, key, size, group, convert):
+    """The map the checked constructor stores for a well-formed ``values``
+    list, or None at the first item that is not plainly well formed.
+
+    An item is a dict with exactly the keys ``key`` and "v"; its tuple is a
+    list of ints in range(size), with i < j for a 1-cochain, listed once; its
+    value is a string (qstar) or an int (mu), and each distinct literal is
+    converted and validated once.  A 2-cochain skips identity values and
+    gives None for any other value on a tuple with a repeated index."""
+    wire, one, unit = int if convert is int else str, int(group.identity()), len(key) == 3
+    literals, store = {}, {}
+    try:
+        for item in items:
+            if type(item) is not dict or len(item) != 2:
+                return None
+            t, v = item[key], item["v"]
+            if type(t) is not list or type(v) is not wire:
+                return None
+            x = literals.get(v)
+            if x is None:
+                x = group.validate(convert(v))
+                if unit and x == one:
+                    x = _SKIP
+                literals[v] = x
+            if unit:
+                i, j, k = t
+                if not (type(i) is type(j) is type(k) is int
+                        and 0 <= i < size and 0 <= j < size and 0 <= k < size):
+                    return None
+                if (i == j or j == k or i == k) and x is not _SKIP:
+                    return None
+                t = (i, j, k)
+            else:
+                i, j = t
+                if not (type(i) is type(j) is int and 0 <= i < j < size):
+                    return None
+                t = (i, j)
+            # a tuple listed again with the same literal stores the same value
+            if store.setdefault(t, x) is not x:
+                return None
+    except (KeyError, ValueError, ZeroDivisionError, InvalidInputError):
+        return None  # a missing key, a tuple of another length, a bad literal
+    if _SKIP in literals.values():
+        store = {t: x for t, x in store.items() if x is not _SKIP}
+    return store
 
 
 def cochain_to_json(cochain) -> dict:

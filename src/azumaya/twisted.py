@@ -144,6 +144,14 @@ class Cochain1:
                 raise InvalidInputError(f"conflicting values for pair {key}")
         self.values = store
 
+    @staticmethod
+    def _trusted(nerve: CoverNerve, group, store: dict) -> "Cochain1":
+        """Wrap the map ``__init__`` would store as it is: validated values
+        on pairs i < j, in first-listed order."""
+        self = object.__new__(Cochain1)
+        self.nerve, self.group, self.values = nerve, group, store
+        return self
+
     def value(self, i, j):
         if i == j:
             return self.group.identity()
@@ -181,6 +189,14 @@ class UnitCochain2:
             store[(i, j, k)] = val
         self.values = store
 
+    @staticmethod
+    def _trusted(nerve: CoverNerve, group, store: dict) -> "UnitCochain2":
+        """Wrap the map ``__init__`` would store as it is: validated values
+        other than the identity, on triples of distinct indices."""
+        self = object.__new__(UnitCochain2)
+        self.nerve, self.group, self.values = nerve, group, store
+        return self
+
     def value(self, i, j, k):
         return self.values.get((i, j, k), self.group.identity())
 
@@ -194,7 +210,7 @@ class UnitCochain2:
 
     @staticmethod
     def trivial(nerve: CoverNerve, group) -> "UnitCochain2":
-        return UnitCochain2(nerve, group, {})
+        return UnitCochain2._trusted(nerve, group, {})
 
 
 @dataclass(frozen=True)
@@ -275,7 +291,7 @@ def _coboundary_values(beta: Cochain1) -> dict:
 
 def coboundary(beta: Cochain1) -> UnitCochain2:
     """(d beta)_ijk = b_jk * b_ik^-1 * b_ij; always a 2-cocycle."""
-    return UnitCochain2(beta.nerve, beta.group, _coboundary_values(beta))
+    return UnitCochain2._trusted(beta.nerve, beta.group, _coboundary_values(beta))
 
 
 @lru_cache(maxsize=128)
@@ -343,7 +359,7 @@ def is_coboundary(alpha: UnitCochain2):
                        for row in _witness_map(size, n)]
         values = {(j, k): (get((0, j, k), 0) + first[k] - first[j]) % n
                   for j in range(size) for k in range(j + 1, size)}
-    witness = Cochain1(alpha.nerve, alpha.group, values)
+    witness = Cochain1._trusted(alpha.nerve, alpha.group, values)
     assert _coboundary_values(witness) == alpha.values
     return (True, witness)
 

@@ -433,10 +433,12 @@ def parse_weyl(s: str, n: int = None, lam=FORMAL) -> WeylElement:
 
 
 # one term of normal-ordered text and its trailing whitespace: a sign (no -
-# before a parenthesis), an integer, p/q with q > 0 or a parenthesized
-# coefficient, then generator powers joined by *; or the powers alone
-_TERM = re.compile(rf"\s*(\+|-(?!\s*\()|)\s*(?:(?:([0-9]+)(?:/([0-9]*[1-9][0-9]*))?|\(([^()]*)\))"
-                   rf"(?:\s*\*\s*({_FACTORS}))?|({_FACTORS}))\s*")
+# before a parenthesis), an integer or p/q with q > 0, bare or parenthesized
+# with its own sign, or another parenthesized coefficient, then generator
+# powers joined by *; or the powers alone
+_RATIONAL = r"([0-9]+)(?:/([0-9]*[1-9][0-9]*))?"
+_TERM = re.compile(rf"\s*(\+|-(?!\s*\()|)\s*(?:(?:{_RATIONAL}|\((?:\s*([+-]?)\s*{_RATIONAL}\s*\)"
+                   rf"|([^()]*)\)))(?:\s*\*\s*({_FACTORS}))?|({_FACTORS}))\s*")
 # a parenthesized sum, whose coefficients may be parenthesized, and its power
 _FACTOR = re.compile(r"\s*\(((?:[^()]|\([^()]*\))*)\)\s*(?:\^\s*([0-9]+)\s*)?")
 _PRODUCT = re.compile(rf"(?:{_FACTOR.pattern}\*)*{_FACTOR.pattern}")
@@ -447,10 +449,11 @@ def _read_normal_ordered(s: str, n, lam):
 
     The text is one sum, or a product of parenthesized sums joined by ``*``,
     each with an optional ``^k``.  A sum is a sequence of signed terms (the
-    first sign optional): a rational or a parenthesized coefficient in Q[lam]
-    (read by ``parse_poly``), then ``lam^k`` and generator powers, every x_i
-    left of every d_i.  Other text, a generator outside ``_names(rank)`` and
-    ``lam`` in fixed mode give None.
+    first sign optional): a rational, bare or parenthesized, or another
+    parenthesized coefficient in Q[lam] (read by ``parse_poly``), then
+    ``lam^k`` and generator powers, every x_i left of every d_i.  Other
+    text, a generator outside ``_names(rank)`` and ``lam`` in fixed mode
+    give None.
     """
     factors = _scan(s)
     if factors is None:
@@ -489,8 +492,11 @@ def _scan(s: str):
     for text, k in _FACTOR.findall(s) if _PRODUCT.fullmatch(s) else [(s, "")]:
         terms, pos = [], 0
         while (m := _TERM.match(text, pos)) and (m[1] or not terms):
-            sign, p, q, paren, powers, alone = m.groups()
-            coef = _const(int(sign + (p or "1")), int(q or 1)) if paren is None else parse_poly(paren)
+            sign, p, q, inner, pp, pq, paren, powers, alone = m.groups()
+            if paren is not None:
+                coef = parse_poly(paren)
+            else:  # a parenthesized rational's sign is its own: the term's is never -
+                coef = _const(int((inner or sign) + (p or pp or "1")), int(q or pq or 1))
             terms.append((coef, [(v, int(j or 1)) for v, j in _POWER.findall(powers or alone or "")]))
             pos = m.end()
         if not terms or pos < len(text):

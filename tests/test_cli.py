@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -641,7 +642,7 @@ def _item_by_item(payload, key):
         {"ijk": [1, 0, 2], "v": "-3"}, {"ijk": [1, 2, 0], "v": "-3/1"},
         {"ijk": [2, 0, 1], "v": "1/2"}, {"ijk": [2, 1, 0], "v": "-3"},
         {"ijk": [3, 3, 1], "v": "1"}, {"ijk": [0, 1, 3], "v": "4/4"},
-        {"ijk": [1, 2, 3], "v": "6/4"}, {"ijk": [0, 1, 2], "v": "5"}]}, "ijk"),
+        {"ijk": [1, 2, 3], "v": "6/4"}, {"ijk": [0, 1, 2], "v": "4/8"}]}, "ijk"),
     ({"group": "qstar", "indices": 4, "values": [
         {"ij": [0, 1], "v": "1/2"}, {"ij": [1, 0], "v": "2"}, {"ij": [0, 2], "v": "-3"},
         {"ij": [2, 3], "v": "-3/1"}, {"ij": [3, 2], "v": "-1/3"}, {"ij": [1, 1], "v": "1"}]}, "ij"),
@@ -677,6 +678,222 @@ def test_malformed_item_after_converted_literals(capsys, tmp_path, item, report)
     f = tmp_path / "p.json"
     f.write_text(json.dumps({"version": 1, "command": "coc check", "payload": payload}))
     assert run(capsys, "coc", "check", str(f)) == (1, report + "\n")
+
+
+@pytest.mark.parametrize("command, payload, status, report", [
+    ("coc coboundary", {"beta": {"group": "mu", "n": 5, "indices": 3, "values": [
+        {"ij": [0, 1], "v": 2}, {"ij": [0, 1], "v": 3}]}}, 1,
+     _INVALID % "conflicting values for pair (0, 1)"),
+    ("coc coboundary", {"beta": {"group": "qstar", "indices": 3, "values": [
+        {"ij": [1, 0], "v": "2"}, {"ij": [1, 0], "v": "3"}]}}, 1,
+     _INVALID % "conflicting values for pair (0, 1)"),
+    ("coc check", {"group": "mu", "n": 3, "indices": 3, "values": [
+        {"ijk": [0, 1, 2], "v": 1}, {"ijk": [0, 1, 2], "v": 2}]}, 1,
+     _INVALID % "conflicting values for triple (0, 1, 2)"),
+    ("coc check", {"group": "qstar", "indices": 3, "values": [
+        {"ijk": [0, 1, 2], "v": "2"}, {"ijk": [0, 1, 2], "v": "1"}]}, 1,
+     _INVALID % "conflicting values for triple (0, 1, 2)"),
+    # values equal as group elements: 2 and 5 in mu_3, 1/2 and 2/4 in qstar
+    ("coc coboundary", {"beta": {"group": "mu", "n": 3, "indices": 3, "values": [
+        {"ij": [0, 1], "v": 2}, {"ij": [0, 1], "v": 5}]}}, 0, _D_BETA_MU3),
+    ("coc check", {"group": "qstar", "indices": 3, "values": [
+        {"ijk": [0, 1, 2], "v": "1/2"}, {"ijk": [0, 1, 2], "v": "2/4"}]}, 2, None),
+])
+def test_tuple_listed_twice(capsys, tmp_path, command, payload, status, report):
+    # a tuple listed twice is refused unless both values are one group element
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"version": 1, "command": command, "payload": payload}))
+    code, out = run(capsys, *command.split(), str(f))
+    assert code == status and (report is None or out == report + "\n")
+
+
+# -- the one-pass reader against the reader it replaced ------------------------------
+
+def _item_reader(payload, key):
+    """``cochain_from_json`` as it read cochains before the one-pass reader:
+    the helpers, then the checked constructor."""
+    cli._take(payload, optional=cli.COCHAIN)
+    name = payload.get("group")
+    if name == "qstar":
+        group = twisted.Qstar()
+    elif name == "mu":
+        group = twisted.Mu(cli._int(cli._field(payload, "n"), "n"))
+    else:
+        raise twisted.InvalidInputError(f"unknown group {name!r}")
+    nerve = twisted.CoverNerve(cli._int(cli._field(payload, "indices"), "indices"))
+    convert = Fraction if name == "qstar" else int
+    values = {}
+    for item in cli._list(payload.get("values", []), "values"):
+        cli._take(item, required=(key, "v"))
+        values[cli._indices(item[key], key, len(key))] = cli._exact(item["v"], convert, "values")
+    cochain = twisted.UnitCochain2 if len(key) == 3 else twisted.Cochain1
+    cochain = cochain(nerve, group, values)
+    # and a tuple listed again must carry the same group element
+    last = {}
+    for item in payload.get("values", []):
+        t, v = tuple(item[key]), convert(item["v"])
+        if t in last and group.validate(last[t]) != group.validate(v):
+            what = f"triple {t}" if len(t) == 3 else f"pair {tuple(sorted(t))}"
+            raise twisted.InvalidInputError(f"conflicting values for {what}")
+        last[t] = v
+    return cochain
+
+
+def _read_outcome(reader, payload, key):
+    """The cochain ``reader`` reads, as its parts, or the exit code and report
+    bytes of the `azk` command that reads it."""
+    try:
+        c = reader(payload, key)
+        return c.nerve, c.group, list(c.values.items())
+    except Exception:
+        pass
+    command, body = ("check", payload) if key == "ijk" else ("coboundary", {"beta": payload})
+    buf = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "p.json"
+        path.write_text(json.dumps({"version": 1, "command": f"coc {command}", "payload": body}))
+        mp.setattr(cli, "cochain_from_json", reader)
+        with contextlib.redirect_stdout(buf):
+            code = main(["coc", command, str(path)])
+    return code, buf.getvalue()
+
+
+# what a well-formed item may be turned into, one change per cochain
+_BREAKS = ["bool index", "float index", "string index", "index -1", "index N", "short tuple",
+           "long tuple", "tuple as tuple", "extra key", "missing v", "item not a dict",
+           "bool value", "float value", "value 0", "value 1/0", "string mu value",
+           "equal repeat", "different repeat", "reversed pair", "diagonal", "identity"]
+
+
+@st.composite
+def wire_cochains(draw):
+    """(payload, key): a wire cochain of N = 1 to 6 in qstar or mu_n, well
+    formed or with one of ``_BREAKS`` applied to one item."""
+    key = draw(st.sampled_from(["ijk", "ij"]))
+    size = draw(st.integers(1, 6))
+    qstar = draw(st.booleans())
+    n = draw(st.integers(1, 6))
+    if qstar:
+        value = st.sampled_from(["1", "2", "-1/2", "3/4", "2/4", "-1", "1/1", "4/2", "-3"])
+    else:
+        value = st.integers(-n - 1, 2 * n + 1)
+    if key == "ijk":
+        tuples = st.tuples(*[st.integers(0, size - 1)] * 3)
+    else:
+        tuples = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)).filter(
+            lambda t: t[0] < t[1]) if size > 1 else st.nothing()
+    picked = draw(st.lists(tuples, min_size=1, max_size=12, unique=True)) if size > 1 else []
+    items = [{key: list(t), "v": draw(value)} for t in picked]
+    if key == "ijk":
+        # a triple with a repeated index carries the identity
+        for item in items:
+            if len(set(item[key])) < 3:
+                item["v"] = "1" if qstar else n * draw(st.integers(-1, 1))
+    payload = {"group": "qstar" if qstar else "mu", "indices": size, "values": items}
+    if not qstar:
+        payload["n"] = n
+    brk = draw(st.sampled_from([None] * 8 + _BREAKS))
+    if brk is None:
+        return payload, key
+    item = {key: [0] * len(key), "v": "1" if qstar else 0}
+    if items:
+        item = items[draw(st.integers(0, len(items) - 1))]
+    t, pos = item[key], draw(st.integers(0, len(key) - 1))
+    if brk == "bool index":
+        t[pos] = True
+    elif brk == "float index":
+        t[pos] = float(t[pos])
+    elif brk == "string index":
+        t[pos] = str(t[pos])
+    elif brk in ("index -1", "index N"):
+        t[pos] = -1 if brk == "index -1" else size
+    elif brk == "short tuple":
+        t.pop()
+    elif brk == "long tuple":
+        t.append(0)
+    elif brk == "tuple as tuple":
+        item[key] = tuple(t)
+    elif brk == "extra key":
+        item["w"] = 1
+    elif brk == "missing v":
+        del item["v"]
+    elif brk == "item not a dict":
+        items.append(list(t))
+    elif brk == "bool value":
+        item["v"] = True
+    elif brk == "float value":
+        item["v"] = 0.5
+    elif brk == "value 0":
+        item["v"] = "0" if qstar else 0
+    elif brk == "value 1/0":
+        item["v"] = "1/0"
+    elif brk == "string mu value":
+        item["v"] = str(item["v"])
+    elif brk == "equal repeat":
+        v = item["v"]
+        twin = {"1": "1/1", "2": "4/2", "2/4": "1/2", "-1": "-1/1"}.get(v, v) if qstar else v + n
+        items.append({key: list(t), "v": twin})
+    elif brk == "different repeat":
+        items.append({key: list(t), "v": draw(value.filter(lambda v: v != item.get("v")))})
+    elif brk == "reversed pair":
+        items.append({key: t[::-1], "v": draw(value)})
+    elif brk == "diagonal":
+        t[-1] = t[0]
+    elif brk == "identity":
+        item["v"] = "1" if qstar else n
+    if not items:
+        items.append(item)
+    return payload, key
+
+
+@settings(max_examples=400, deadline=None)
+@given(wire_cochains())
+def test_cochain_reader_matches_the_item_reader(case):
+    # the same cochain, dict order included, or the same exit code and report
+    payload, key = case
+    assert _read_outcome(cli.cochain_from_json, payload, key) == _read_outcome(_item_reader, payload, key)
+
+
+def test_reader_validates_each_literal_once(monkeypatch):
+    # a well-formed N = 8 cochain: at most one validate per distinct literal,
+    # and the checked constructors never run
+    rng = random.Random(8)
+    nerve = twisted.CoverNerve(8)
+    docs = []
+    for group, pick in ((twisted.Qstar(), [Fraction(p, q) for p in (1, -1, 2, 3) for q in (1, 2, 5)]),
+                        (twisted.Mu(6), list(range(6)))):
+        beta = twisted.Cochain1(nerve, group, {(i, j): rng.choice(pick)
+                                               for i in range(8) for j in range(i + 1, 8)})
+        docs += [(cli.cochain_to_json(beta), "ij"),
+                 (cli.cochain_to_json(twisted.coboundary(beta)), "ijk")]
+    want = [cli.cochain_from_json(doc, key) for doc, key in docs]
+
+    def refuse(*_):
+        raise AssertionError("the checked constructor ran")
+    calls = []
+    qstar, mu = twisted.Qstar.validate, twisted.Mu.validate
+    monkeypatch.setattr(twisted.Qstar, "validate", staticmethod(lambda a: calls.append(a) or qstar(a)))
+    monkeypatch.setattr(twisted.Mu, "validate", lambda self, a: calls.append(a) or mu(self, a))
+    monkeypatch.setattr(twisted.UnitCochain2, "__init__", refuse)
+    monkeypatch.setattr(twisted.Cochain1, "__init__", refuse)
+    for (doc, key), cochain in zip(docs, want):
+        calls.clear()
+        got = cli.cochain_from_json(doc, key)
+        assert list(got.values.items()) == list(cochain.values.items())
+        assert 0 < len(calls) <= len({item["v"] for item in doc["values"]}) < len(doc["values"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([None, 2, 3, 6]), st.randoms(use_true_random=False))
+def test_coboundary_matches_the_checked_constructor(size, n, rng):
+    nerve = twisted.CoverNerve(size)
+    group = twisted.Qstar() if n is None else twisted.Mu(n)
+    pick = [Fraction(1), Fraction(-2), Fraction(3, 4)] if n is None else list(range(n))
+    beta = twisted.Cochain1(nerve, group, {(i, j): rng.choice(pick)
+                                           for i in range(size) for j in range(i + 1, size)})
+    got = twisted.coboundary(beta)
+    want = twisted.UnitCochain2(nerve, group, twisted._coboundary_values(beta))
+    assert got == want and list(got.values.items()) == list(want.values.items())
 
 
 # -- the parser is built once per process and shared by every main() call ----------

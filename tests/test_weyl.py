@@ -633,7 +633,7 @@ def normal_ordered_texts(draw):
     star = draw(st.sampled_from(["*", " * "]))
 
     def term(first):
-        kind = draw(st.sampled_from(["none", "rational", "paren"]))
+        kind = draw(st.sampled_from(["none", "rational", "paren", "bare"]))
         sign = draw(st.sampled_from(["", "-"] if first else [" + ", " - ", "+", "-"]))
         parts = []
         if kind == "rational":
@@ -647,6 +647,12 @@ def normal_ordered_texts(draw):
             else:
                 c = draw(PRINT_COEFFS)
             parts.append(f"({c})")
+        elif kind == "bare":
+            sign = sign.replace("-", "+")
+            p, q = draw(st.integers(0, 20)), draw(st.sampled_from([1, 1, 2, 3, 12]))
+            pad = draw(st.sampled_from(["", " "]))
+            parts.append(f"({pad}{draw(st.sampled_from(['', '-', '+', '- ']))}"
+                         f"{p if q == 1 else f'{p}/{q}'}{pad})")
         for names in (xs, ds):
             for name in draw(st.lists(st.sampled_from(names), max_size=2)):
                 k = draw(st.sampled_from([None, 0, 1, 2, 3]))
@@ -707,6 +713,12 @@ def test_reader_matches_the_general_parser(case):
     ("x2*d1 + 1", None, Fraction(-2, 3), True),
     ("(x + d)^2*(x - d)", None, Fraction(1), True),
     ("0", 3, FORMAL, True),
+    ("(-1)*x + (3/2)*d", None, Fraction(1), True),
+    ("(1.5)*x", None, Fraction(1), False),
+    ("(1_000)*x", None, Fraction(1), False),
+    ("(3 / 4)*x", None, Fraction(1), False),
+    ("(- 1/0)*x", None, FORMAL, False),
+    ("(--1)*x", None, FORMAL, True),
 ])
 def test_reader_hands_other_text_to_the_general_parser(text, n, lam, read):
     try:
