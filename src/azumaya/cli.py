@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -128,11 +129,27 @@ def _names(raw, what) -> tuple:
     return tuple(items)
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(raw) -> Fraction:
+    """The Fraction written ``[+-]digits`` or ``[+-]digits/digits``, an int
+    as its decimal text.  Any other text (``1.5``, ``1e3``, ``1_000``,
+    `` 3 ``) is refused as ``Fraction`` refuses an invalid literal, before
+    ``Fraction`` reads an exponent that costs superlinear time."""
+    text = str(raw)
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    p, q = m.groups()
+    return Fraction(int(p), int(q or 1))
+
+
 def _fraction(text, what="value") -> Fraction:
     if isinstance(text, float):
         raise UsageError(f"bad {what}: floating point is not exact; "
                          "send rationals as strings")
-    return _convert(lambda t: Fraction(str(t)), text, what)
+    return _convert(_rational, text, what)
 
 
 def _poly(text, what="polynomial") -> MultiPoly:
@@ -325,7 +342,7 @@ def cochain_from_json(payload, key: str):
         raise InvalidInputError(f"unknown group {name!r}")
     nerve = twisted.CoverNerve(_int(_field(payload, "indices"), "indices"))
     items = _list(payload.get("values", []), "values")
-    convert = Fraction if name == "qstar" else int
+    convert = _rational if name == "qstar" else int
     cochain = twisted.UnitCochain2 if len(key) == 3 else twisted.Cochain1
     store = _wire_store(items, key, nerve.index_count, group, convert)
     if store is not None:
@@ -420,7 +437,7 @@ def _bundle(payload) -> twisted.TwistedBundle:
     for item in _list(payload["gluing"], "gluing"):
         _take(item, required=("ij", "g"))
         gluing[_indices(item["ij"], "ij", 2)] = [
-            [_exact(x, Fraction, "gluing entries") for x in _list(row, "g row")]
+            [_exact(x, _rational, "gluing entries") for x in _list(row, "g row")]
             for row in _list(item["g"], "g")]
     return twisted.TwistedBundle(rank, nerve, gluing, twist)
 

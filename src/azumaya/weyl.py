@@ -17,6 +17,11 @@ lam * d/dx_i, consistently with the family's momentum action.
 products and powers of it in parentheses in one pass, into one integer
 numerator map over one denominator per factor; any other text goes to the
 recursive-descent ``_parse_general``, which also gives every error message.
+
+``weyl_mul`` takes its normal-ordering tables from ``_contractions``, a
+bounded cache keyed on ints, and ``str()`` writes each coefficient from the
+symbol's integer numerators over its denominator and each x^a d^b from the
+bounded cache ``_monomial``, building no polynomial to print it.
 """
 
 from __future__ import annotations
@@ -209,25 +214,48 @@ class WeylElement:
 
     def __str__(self):
         """Terms by descending total degree, then exponents; a coefficient
-        of more than one term in lam is parenthesized."""
-        names, den = sum(_names(self.n), ()), self.symbol.den
-        text = ""
+        of more than one term in lam is parenthesized, its terms by
+        descending power of lam.  Every coefficient is read off the integer
+        numerators over the symbol's denominator."""
+        den, text = self.symbol.den, ""
         for (a, b), num in sorted(self._groups().items(), reverse=True,
                                   key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]), kv[0])):
             if len(num) > 1:
-                sign, parts = "+", [f"({_join(('lam',), num, den)})"]
+                # byte-equal to str() of this coefficient as a MultiPoly in lam
+                sign, coef = "+", "(" + _lead("".join(
+                    f" {'-' if c < 0 else '+'} {_lam_term(c, den, k) or '1'}"
+                    for (k,), c in sorted(num.items(), reverse=True))) + ")"
             else:
                 ((k,), c), = num.items()
-                sign = "-" if c < 0 else "+"
-                parts = [_ratio_str(abs(c), den) if abs(c) != den else "",
-                         f"lam^{k}" if k > 1 else "lam" if k else ""]
-            parts += [f"{nm}^{k}" if k > 1 else nm for nm, k in zip(names, a + b) if k]
-            text += f" {sign} {'*'.join(filter(None, parts)) or '1'}"
-        # the first term carries its sign without the surrounding spaces
-        return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
+                sign, coef = "-" if c < 0 else "+", _lam_term(c, den, k)
+            mono = _monomial(self.n, (a, b))
+            text += f" {sign} {coef}*{mono}" if coef and mono else f" {sign} {coef or mono or '1'}"
+        return _lead(text) if text else "0"
 
     def __repr__(self):
         return f"WeylElement({str(self)!r})"
+
+
+def _lam_term(c: int, den: int, k: int) -> str:
+    """The text of |c|/den * lam^k, without a coefficient 1; empty for 1."""
+    lam = f"lam^{k}" if k > 1 else "lam" if k else ""
+    if abs(c) == den:
+        return lam
+    ratio = _ratio_str(abs(c), den)
+    return f"{ratio}*{lam}" if lam else ratio
+
+
+def _lead(text: str) -> str:
+    """A sum written " + t1 - t2 ..." without its leading " + ", or with
+    its leading " - " written "-"."""
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+@lru_cache(maxsize=4096)
+def _monomial(n: int, key: tuple) -> str:
+    """The text of x^a d^b at rank n for ``key`` = (a, b); empty for 1."""
+    a, b = key
+    return "*".join(f"{nm}^{k}" if k > 1 else nm for nm, k in zip(sum(_names(n), ()), a + b) if k)
 
 
 def _index(i: int, n: int) -> int:
@@ -266,6 +294,10 @@ def weyl_mul(d1: WeylElement, d2: WeylElement) -> WeylElement:
     lam = p/q is multiplied in as the integer weight p^t q^(T-t) of a
     contraction total t, where T bounds every total, so the denominator
     gains q^T and no lam power occurs; at lam = 0 every t > 0 term drops.
+    The contraction tables are memoized across products (``_contractions``),
+    so every step of a power and every repeated pair of exponents reuses
+    them; each term pair adds its zero-contraction term, weighted q^T,
+    directly.
     """
     d1._check_compatible(d2)
     n, lam = d1.n, d1.lam
@@ -273,12 +305,14 @@ def weyl_mul(d1: WeylElement, d2: WeylElement) -> WeylElement:
     if not any(dv in s1.vars and xv in s2.vars for xv, dv in zip(*_names(n))):
         return WeylElement._trusted(n, lam, s1 * s2)
     names, xpos, dpos, _ = _layout(n)
-    den = s1.den * s2.den
-    top = 0
+    pq, top, weight = None, 0, 1
     if lam != FORMAL:
-        top = sum(min(s1.degree_in(names[pd]), s2.degree_in(names[px]))
-                  for px, pd in zip(xpos, dpos))
-        den *= lam.denominator ** top
+        pq = lam.numerator, lam.denominator
+        if pq[1] != 1:  # q^T is 1 at an integer lam, whatever T is
+            top = sum(min(s1.degree_in(names[pd]), s2.degree_in(names[px]))
+                      for px, pd in zip(xpos, dpos))
+            weight = pq[1] ** top
+    den = s1.den * s2.den * weight
     # group the left terms by momenta and the right ones by positions, so
     # each pair of groups is normal-ordered once
     left, right, out = {}, {}, {}
@@ -288,24 +322,28 @@ def weyl_mul(d1: WeylElement, d2: WeylElement) -> WeylElement:
         right.setdefault(tuple(e[p] for p in xpos), []).append((e, c))
     for b1, lterms in left.items():
         for a2, rterms in right.items():
-            moves = _contractions(n, b1, a2, lam, top)
+            moves = _contractions(n, b1, a2, pq, top)
             for e1, c1 in lterms:
                 for e2, c2 in rterms:
                     e, c = tuple(map(add, e1, e2)), c1 * c2
+                    out[e] = out.get(e, 0) + c * weight
                     for shift, f in moves:
                         m = tuple(map(add, e, shift))
                         out[m] = out.get(m, 0) + c * f
     return WeylElement._trusted(n, lam, _join(names, out, den))
 
 
-def _contractions(n: int, b: tuple, a: tuple, lam, top: int) -> list:
-    """The normal ordering of d^b x^a as [(shift, f), ...], one pair for each
-    contraction (k_1..k_n) with a nonzero factor: the shift from x^a d^b over
-    the rank-n layout and the integer factor.  A fixed lam = p/q enters as
-    the weight p^t q^(top-t) of the contraction total t <= top."""
+@lru_cache(maxsize=4096)
+def _contractions(n: int, b: tuple, a: tuple, pq, top: int) -> tuple:
+    """The normal ordering of d^b x^a past its zero-contraction term, as
+    ((shift, f), ...): one pair for each contraction (k_1..k_n) != 0 with a
+    nonzero factor, the shift from x^a d^b over the rank-n layout and the
+    integer factor.  ``pq`` is None in formal mode; a fixed lam = p/q,
+    given as (p, q), enters as the weight p^t q^(top-t) of the contraction
+    total t <= top.  The key is all ints: a Fraction lam hashes and
+    compares in Python."""
     names, xpos, dpos, lpos = _layout(n)
-    formal = lam == FORMAL
-    p, q = (1, 1) if formal else (lam.numerator, lam.denominator)
+    p, q = pq or (1, 1)
     moves = [([0] * len(names), q ** top)]
     for px, pd, i, j in zip(xpos, dpos, b, a):
         more = []
@@ -315,11 +353,11 @@ def _contractions(n: int, b: tuple, a: tuple, lam, top: int) -> list:
                 s = shift.copy()
                 s[px] -= k
                 s[pd] -= k
-                s[lpos] += k if formal else 0
+                s[lpos] += 0 if pq else k
                 # f holds q^(top-t) for its total t so far, and t + k <= top
                 more.append((s, f * c // q ** k))
         moves += more
-    return [(tuple(s), f) for s, f in moves if f]
+    return tuple((tuple(s), f) for s, f in moves[1:] if f)
 
 
 def act_on_polynomial(d: WeylElement, f: MultiPoly) -> MultiPoly:

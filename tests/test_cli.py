@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -625,6 +626,47 @@ def test_cochain_codec_reports(capsys, tmp_path, command, payload, status, repor
     assert (code, out) == (status, report + "\n")
 
 
+# -- a rational is read only as [+-]digits or [+-]digits/digits ----------------------
+
+def _rational_requests(literal, tmp_path):
+    """argv and report label for each place a rational literal arrives: weyl's
+    --lam, azu's lambda, a qstar cochain value and a gluing entry."""
+    def problem(command, payload):
+        f = tmp_path / f"{command.replace(' ', '-')}.json"
+        f.write_text(json.dumps({"version": 1, "command": command, "payload": payload}))
+        return [*command.split(), str(f)]
+
+    glue = [{"ij": [0, 1], "g": [[literal]]}, {"ij": [1, 0], "g": [["1"]]}]
+    return [(["weyl", "nf", "--expr", "d*x", f"--lam={literal}"], "lambda"),
+            (problem("azu basis", {"A": [["0", "1"], ["0", "0"]], "lambda": literal}), "lambda"),
+            (problem("coc check", _with_value(_QSTAR, v=literal)), "values"),
+            (problem("coc glue", dict(_GLUE, gluing=glue)), "gluing entries")]
+
+
+@pytest.mark.parametrize("literal", ["1e500000", "1.5", "1_000", " 3 ", "1e3", "٣", "3/", "/3"])
+def test_rational_literal_outside_the_grammar_is_refused_at_once(capsys, tmp_path, literal):
+    run(capsys, "weyl", "nf", "--expr", "d*x", "--lam", "1")  # the parser is built
+    for argv, what in _rational_requests(literal, tmp_path):
+        t0 = time.perf_counter()
+        code, doc = run_json(capsys, *argv)
+        assert time.perf_counter() - t0 < 0.05, argv
+        reason = f"Invalid literal for Fraction: {literal!r}"
+        assert (code, doc) == (1, json.loads(_INPUT % f"bad {what}: {literal!r} ({reason})"))
+
+
+@pytest.mark.parametrize("literal, value", [("-2/3", Fraction(-2, 3)), ("+3", Fraction(3)),
+                                            ("4/8", Fraction(1, 2)), ("007", Fraction(7)),
+                                            (-5, Fraction(-5))])
+def test_rational_literal_in_the_grammar_is_read(capsys, tmp_path, literal, value):
+    assert cli._rational(literal) == value
+    for argv, _ in _rational_requests(literal, tmp_path):
+        assert run(capsys, *argv)[0] != 1, argv
+    assert run_json(capsys, "weyl", "nf", "--expr", "d*x", f"--lam={literal}")[1]["data"] == {
+        "normal_form": str(weyl.parse_weyl("x*d", 1, value) + value)}
+    read = cli.cochain_from_json(_with_value(_QSTAR, v=str(literal)), "ijk")
+    assert read.values == ({} if value == 1 else {(0, 1, 2): value})
+
+
 # -- the reader converts each distinct literal once ---------------------------------
 
 def _item_by_item(payload, key):
@@ -709,6 +751,15 @@ def test_tuple_listed_twice(capsys, tmp_path, command, payload, status, report):
 
 # -- the one-pass reader against the reader it replaced ------------------------------
 
+def _wire_rational(raw):
+    """A qstar value as the wire contract reads it: ``Fraction`` of the text
+    only when it is [+-]digits or [+-]digits/digits."""
+    text = str(raw)
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    return Fraction(text)
+
+
 def _item_reader(payload, key):
     """``cochain_from_json`` as it read cochains before the one-pass reader:
     the helpers, then the checked constructor."""
@@ -721,7 +772,7 @@ def _item_reader(payload, key):
     else:
         raise twisted.InvalidInputError(f"unknown group {name!r}")
     nerve = twisted.CoverNerve(cli._int(cli._field(payload, "indices"), "indices"))
-    convert = Fraction if name == "qstar" else int
+    convert = _wire_rational if name == "qstar" else int
     values = {}
     for item in cli._list(payload.get("values", []), "values"):
         cli._take(item, required=(key, "v"))
@@ -762,7 +813,8 @@ def _read_outcome(reader, payload, key):
 _BREAKS = ["bool index", "float index", "string index", "index -1", "index N", "short tuple",
            "long tuple", "tuple as tuple", "extra key", "missing v", "item not a dict",
            "bool value", "float value", "value 0", "value 1/0", "string mu value",
-           "equal repeat", "different repeat", "reversed pair", "diagonal", "identity"]
+           "equal repeat", "different repeat", "reversed pair", "diagonal", "identity",
+           "decimal value"]
 
 
 @st.composite
@@ -841,6 +893,8 @@ def wire_cochains(draw):
         t[-1] = t[0]
     elif brk == "identity":
         item["v"] = "1" if qstar else n
+    elif brk == "decimal value":
+        item["v"] = draw(st.sampled_from(["1.5", "1e3", " 2", "1_000", "2.0"]))
     if not items:
         items.append(item)
     return payload, key

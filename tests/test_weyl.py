@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from azumaya import weyl
 from azumaya.errors import (DegenerateError, ModeMismatchError,
                             ZeroElementError)
-from azumaya.poly import MultiPoly
+from azumaya.poly import MultiPoly, _join, _ratio_str
 from azumaya.suites import rand_position_poly, rand_weyl
 from azumaya.weyl import (FORMAL, WeylElement, act_on_polynomial, fourier,
                           parse_weyl, position_vars, reduce_to_scalar,
@@ -567,6 +567,23 @@ def test_commuting_products_skip_the_reordering(lam, monkeypatch):
         assert weyl_mul(e1, e2).terms == slow_terms(e1, e2)
 
 
+# -- the memoized contraction tables carry the mode in their key -------------------
+
+def test_contraction_tables_are_keyed_by_the_mode():
+    # the same operands at each lam in turn, in one process: a table keyed
+    # without p, q or the mode would serve one lam's factors to the next
+    # (2/5 after 2/3: the same p and total bound, another q)
+    texts = [("d^2 + 3*d*x^2 - x", "x^3*d + 1/2*x^2 - d"), ("d1^3*d2 + x2*d2^2", "x1^2*x2^3 + x1*d1")]
+    modes = [Fraction(2, 3), Fraction(-2, 3), Fraction(0), Fraction(1), FORMAL, Fraction(2, 5)]
+    pairs = [(parse_weyl(t1, 2, lam), parse_weyl(t2, 2, lam)) for t1, t2 in texts for lam in modes]
+    shared = [weyl_mul(e1, e2) for e1, e2 in pairs]
+    for (e1, e2), product in zip(pairs, shared):
+        weyl._contractions.cache_clear()
+        assert product == weyl_mul(e1, e2) == fraction_weyl_mul(e1, e2)
+    for cached in (weyl._contractions, weyl._monomial):
+        assert isinstance(cached.cache_info().maxsize, int)
+
+
 # -- printing from integer numerators against the Fraction-per-term renderer -----
 
 def fraction_weyl_str(e):
@@ -750,3 +767,54 @@ def test_rank_ten_text_is_not_the_symbol_text():
     e = parse_weyl("d2*d10 + x2*x10 + d2^2", 10, Fraction(1))
     assert str(e) == "x2*x10 + d2^2 + d2*d10"
     assert str(e.symbol) == "x2*x10 + d10*d2 + d2^2"
+
+
+# -- printing: the numerator printer against the printer it replaced ---------------
+
+def groups_weyl_str(e):
+    """``str(e)`` as it was printed before the numerator printer: a
+    coefficient of several lam powers through ``_join`` and
+    ``MultiPoly.__str__``, each x^a d^b joined on the spot."""
+    names, den = sum(weyl._names(e.n), ()), e.symbol.den
+    text = ""
+    for (a, b), num in sorted(e._groups().items(), reverse=True,
+                              key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]), kv[0])):
+        if len(num) > 1:
+            sign, parts = "+", [f"({_join(('lam',), num, den)})"]
+        else:
+            ((k,), c), = num.items()
+            sign = "-" if c < 0 else "+"
+            parts = [_ratio_str(abs(c), den) if abs(c) != den else "",
+                     f"lam^{k}" if k > 1 else "lam" if k else ""]
+        parts += [f"{nm}^{k}" if k > 1 else nm for nm, k in zip(names, a + b) if k]
+        text += f" {sign} {'*'.join(filter(None, parts)) or '1'}"
+    return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+@st.composite
+def printed_elements(draw):
+    """Elements of rank 1, 2, 3, 10 or 11 with a few generators per term,
+    coefficients +-1 among them, and in formal mode lam coefficients of up
+    to three powers, lam^0 or not; the zero element among them."""
+    n = draw(st.sampled_from([1, 2, 3, 10, 11]))
+    lam = draw(st.sampled_from([FORMAL, Fraction(0), Fraction(1), Fraction(-2, 3)]))
+    exps = st.dictionaries(st.integers(0, n - 1), st.integers(1, 3), max_size=2).map(
+        lambda powers: tuple(powers.get(i, 0) for i in range(n)))
+    powers = st.integers(0, 3) if lam == FORMAL else st.just(0)
+    coeffs = st.dictionaries(powers, PRINT_COEFFS, min_size=1, max_size=3)
+    terms = draw(st.dictionaries(st.tuples(exps, exps), coeffs, max_size=5))
+    scale = draw(st.sampled_from([1, -1, 6, Fraction(1, 4)]))
+    return WeylElement(n, lam, {k: scale * sum((c * _LAM ** p for p, c in cs.items()), MultiPoly.zero())
+                                for k, cs in terms.items()})
+
+
+@settings(max_examples=400, deadline=None)
+@given(printed_elements())
+@example(WeylElement.zero(10))
+@example(WeylElement.zero(2, Fraction(0)))
+@example(parse_weyl("(d10 + x10)*(x10 + lam*d2) + d2*d10", 10))
+@example(parse_weyl("(lam^2 - lam)*x11*d1 - (2*lam^3 + 1/2)*d11 - lam*d2 + 1", 11))
+@example(parse_weyl("-x1*d10 + d2*d10 - 1 + 2/3*x3^2", 10, Fraction(-2, 3)))
+def test_str_matches_the_groups_printer(e):
+    assert str(e) == groups_weyl_str(e)
+    assert parse_weyl(str(e), e.n, e.lam) == e
