@@ -25,7 +25,7 @@ from math import comb, lcm
 from .errors import (NonConstantError, NotSplitError, PreconditionError,
                      ShapeError, ZeroLambdaError)
 from .linalg import PolyMatrix, char_poly, echelon, kernel_saturated, min_poly
-from .poly import MultiPoly, _join
+from .poly import MultiPoly, _join, _monomial_text
 
 
 class MixedOperator:
@@ -126,7 +126,7 @@ class MixedOperator:
         keys = sorted(self.coeffs, key=lambda k: (sum(k), k), reverse=True)
         parts = []
         for k in keys:
-            mono = "*".join(f"{nm}^{e}" if e > 1 else nm for nm, e in zip(names, k) if e)
+            mono = _monomial_text(names, k)
             body = str(self.coeffs[k])
             parts.append(f"{body}*{mono}" if mono else body)
         return " + ".join(parts)

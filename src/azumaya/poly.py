@@ -19,11 +19,15 @@ polynomials over one layout and denominator, for ``linalg``'s matrix
 products, fraction-free elimination and pseudo-remainder sequences.  A
 constant factor skips the kernel (see ``_scale``).
 
-``parse_poly`` reads canonical text (a signed sum of monomials, each an
-optional integer or p/q and then ``name`` or ``name^k`` factors joined by
-``*``) in one pass into one integer numerator map over one denominator;
-any other text goes to the recursive-descent ``_Parser``, which also gives
-every error message.
+This module is the one reader and writer of canonical sum text, a signed
+sum of terms, each an optional coefficient (an integer or p/q, bare or
+parenthesized, or a parenthesized polynomial) and then ``name`` or
+``name^k`` factors joined by ``*``.  ``_read_terms`` reads the terms and
+``_assemble`` builds one integer numerator map over one denominator from
+them; ``_parse`` runs the recursive-descent ``_Parser`` on any other text
+and gives every error message.  ``_term_text``, ``_monomial_text`` and
+``_lead`` write the terms back.  ``parse_poly`` and ``str()`` are built on
+them, and so are the Weyl and mixed-operator readers and printers.
 """
 
 from __future__ import annotations
@@ -254,33 +258,12 @@ class MultiPoly:
     def _term_sort_key(e):
         return (sum(e), e)
 
-    def _monomial_str(self, e) -> str:
-        parts = []
-        for name, k in zip(self.vars, e):
-            if k == 1:
-                parts.append(name)
-            elif k > 1:
-                parts.append(f"{name}^{k}")
-        return "*".join(parts)
-
     def __str__(self):
         if not self.num:
             return "0"
-        pieces = []
-        items = sorted(self.num.items(), key=lambda kv: self._term_sort_key(kv[0]), reverse=True)
-        for idx, (e, c) in enumerate(items):
-            mono = self._monomial_str(e)
-            if mono and abs(c) == self.den:
-                body = mono
-            elif mono:
-                body = f"{_ratio_str(abs(c), self.den)}*{mono}"
-            else:
-                body = _ratio_str(abs(c), self.den)
-            if idx == 0:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(pieces)
+        den, names = self.den, self.vars
+        return _lead("".join([_term_text(c, den, _monomial_text(names, e)) for e, c in sorted(
+            self.num.items(), key=lambda kv: self._term_sort_key(kv[0]), reverse=True)]))
 
     def __repr__(self):
         return f"MultiPoly({str(self)!r})"
@@ -291,6 +274,28 @@ def _ratio_str(c: int, den: int) -> str:
     integers without building the Fraction."""
     g = math.gcd(c, den)
     return str(c // g) if g == den else f"{c // g}/{den // g}"
+
+
+def _term_text(c: int, den: int, mono: str) -> str:
+    """The term c/den * ``mono`` of a sum, written " + t" or " - t": the
+    coefficient's absolute value, then ``mono`` after ``*``; the coefficient
+    alone when ``mono`` is empty, ``mono`` alone when the coefficient is 1."""
+    sign, c = (" - ", -c) if c < 0 else (" + ", c)
+    if c == den:
+        return sign + (mono or "1")
+    return f"{sign}{_ratio_str(c, den)}*{mono}" if mono else sign + _ratio_str(c, den)
+
+
+def _monomial_text(names, e) -> str:
+    """The monomial with exponents ``e`` over ``names``: ``name`` or
+    ``name^k`` factors joined by ``*``; empty for 1."""
+    return "*".join([f"{v}^{k}" if k > 1 else v for v, k in zip(names, e) if k])
+
+
+def _lead(text: str) -> str:
+    """A sum of ``_term_text`` terms without its leading " + ", or with its
+    leading " - " written "-"."""
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def _coerce(x):
@@ -461,7 +466,8 @@ def _int_quo(num: dict, div: dict) -> dict:
 # parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([A-Za-z][A-Za-z0-9]*)|(\^)|(\*)|(\+)|(-)|(\()|(\)))")
+_TOKEN = re.compile(r"\s*(?:([0-9]+/[0-9]+|[0-9]+)|([A-Za-z][A-Za-z0-9]*)"
+                    r"|(\^)|(\*)|(\+)|(-)|(\()|(\)))")
 # the kind of a token by the number of its group in _TOKEN
 _KINDS = (None, "num", "name", "pow", "mul", "plus", "minus", "lpar", "rpar")
 
@@ -545,53 +551,89 @@ class _Parser:
         raise ValueError(f"unexpected token {kind}")
 
 
-# one monomial of canonical text (see parse_poly), its sign and trailing
-# whitespace; a p/q with q = 0 does not match
+def _parse(s: str, hook=MultiPoly.var):
+    """``s`` read whole by ``_Parser``, with ``hook`` turning each name into
+    a value; every error message of the text readers comes from here."""
+    parser = _Parser(_tokenize(s), hook)
+    out = parser.parse_expr()
+    if parser.i != len(parser.tokens):
+        raise ValueError(f"trailing input in {s!r}")
+    return out
+
+
+# one term of canonical text and its trailing whitespace: a sign (no - before
+# a parenthesis), then an integer or p/q with q > 0, bare or parenthesized with
+# its own sign, or another parenthesized coefficient, then name powers joined
+# by *; or the name powers alone
 _NAME = r"[A-Za-z][A-Za-z0-9]*"
 _FACTORS = rf"{_NAME}(?:\s*\^\s*[0-9]+)?(?:\s*\*\s*{_NAME}(?:\s*\^\s*[0-9]+)?)*"
-_MONOMIAL = re.compile(rf"\s*([+-]?)\s*(?:([0-9]+)(?:/([0-9]*[1-9][0-9]*))?"
-                       rf"(?:\s*\*\s*({_FACTORS}))?|({_FACTORS}))\s*")
+_RATIONAL = r"([0-9]+)(?:/([0-9]*[1-9][0-9]*))?"
+_TERM = re.compile(rf"\s*(\+|-(?!\s*\()|)\s*(?:(?:{_RATIONAL}|\((?:\s*([+-]?)\s*{_RATIONAL}\s*\)"
+                   rf"|([^()]*)\)))(?:\s*\*\s*({_FACTORS}))?|({_FACTORS}))\s*")
 _POWER = re.compile(rf"({_NAME})(?:\s*\^\s*([0-9]+))?")
+
+
+def _read_terms(text: str):
+    """The terms of canonical text, or None for other text: ``_TERM``
+    repeated to the end, with a sign before every term but the first.
+
+    A term is (c, q, [(name, k), ...]): the coefficient c/q as ints, or c a
+    MultiPoly (a parenthesized coefficient, read by ``parse_poly``) and q
+    its denominator.  Raises ValueError for a number too long for int() or
+    a parenthesized coefficient ``parse_poly`` refuses.
+    """
+    terms, pos = [], 0
+    while (m := _TERM.match(text, pos)) and (m[1] or not terms):
+        sign, p, q, inner, pp, pq, paren, factors, alone = m.groups()
+        if paren is None:  # a parenthesized rational's sign is its own: the term's is never -
+            c, q = int((inner or sign) + (p or pp or "1")), int(q or pq or 1)
+        else:
+            c = parse_poly(paren)
+            q = c.den
+        terms.append((c, q, [(v, int(k or 1)) for v, k in _POWER.findall(factors or alone or "")]))
+        pos = m.end()
+    return terms if terms and pos == len(text) else None
+
+
+def _assemble(terms, layout: tuple) -> MultiPoly:
+    """The sum of ``terms`` (see ``_read_terms``) as one integer numerator
+    map over one denominator, over the sorted ``layout``, which holds every
+    name of the terms and their coefficients."""
+    where = {v: i for i, v in enumerate(layout)}
+    den, num = math.lcm(*{q for _, q, _ in terms}), {}
+    for c, q, powers in terms:
+        e = [0] * len(layout)
+        for v, k in powers:
+            e[where[v]] += k
+        if type(c) is int:
+            key = tuple(e)
+            num[key] = num.get(key, 0) + c * (den // q)
+            continue
+        spots = [where[v] for v in c.vars]
+        for j, x in c.num.items():
+            f = e.copy()
+            for i, k in zip(spots, j):
+                f[i] += k
+            key = tuple(f)
+            num[key] = num.get(key, 0) + x * (den // q)
+    return _join(layout, num, den)
 
 
 def parse_poly(s: str):
     """Parse the canonical text form (sums of rational-coefficient monomials).
 
-    Canonical text, ``_MONOMIAL`` repeated to the end with a sign before
-    every monomial but the first, is read in one pass into one integer
-    numerator map over one denominator.  Anything else (parentheses,
-    repeated signs, ``^`` on a number, a zero denominator, ...) goes through
-    ``_Parser``, which gives every other result and every error message.
+    Canonical text (see ``_read_terms``) is read in one pass into one
+    integer numerator map over one denominator.  Anything else (a minus
+    before a parenthesis, repeated signs, ``^`` on a number or a
+    parenthesis, a zero denominator, ...) goes through ``_Parser``, which
+    gives every other result and every error message.
     """
-    terms, names, den, pos = [], set(), 1, 0
     try:
-        while pos < len(s):
-            mono = _MONOMIAL.match(s, pos)
-            if mono is None or (pos and not mono[1]):
-                break
-            sign, p, q, factors, alone = mono.groups()
-            c, q = int(p or 1), int(q or 1)
-            powers = [(name, int(k or 1)) for name, k in _POWER.findall(factors or alone or "")]
-            names.update(name for name, _ in powers)
-            terms.append((-c if sign == "-" else c, q, powers))
-            den = math.lcm(den, q)
-            pos = mono.end()
-        else:
-            if terms:
-                layout = tuple(sorted(names, key=var_sort_key))
-                index = {name: i for i, name in enumerate(layout)}
-                num = {}
-                for c, q, powers in terms:
-                    e = [0] * len(layout)
-                    for name, k in powers:
-                        e[index[name]] += k
-                    e = tuple(e)
-                    num[e] = num.get(e, 0) + c * (den // q)
-                return _join(layout, num, den)
+        terms = _read_terms(s)
     except ValueError:
-        pass  # a number too long for int(): _Parser reports it
-    parser = _Parser(_tokenize(s))
-    out = parser.parse_expr()
-    if parser.i != len(parser.tokens):
-        raise ValueError(f"trailing input in {s!r}")
-    return out
+        terms = None  # a number too long for int(), a bad coefficient: _Parser reports it
+    if terms is None:
+        return _parse(s)
+    names = {v for _, _, powers in terms for v, _ in powers}
+    names.update(*(c.vars for c, _, _ in terms if type(c) is not int))
+    return _assemble(terms, tuple(sorted(names, key=var_sort_key)))

@@ -13,15 +13,18 @@ differential operators; at lam = 0 the commutative fiber.
 Convention: in fixed mode the generator d_i acts on polynomials as
 lam * d/dx_i, consistently with the family's momentum action.
 
-``parse_weyl`` reads normal-ordered text, the form ``str()`` writes, and
-products and powers of it in parentheses in one pass, into one integer
-numerator map over one denominator per factor; any other text goes to the
-recursive-descent ``_parse_general``, which also gives every error message.
+Canonical text is read and written by ``poly``'s term reader and writer.
+``parse_weyl`` adds what is the Weyl algebra's own: a product of
+parenthesized sums, each with an optional ``^k``, and the generator order
+of normal-ordered text (every x_i left of every d_i).  Such text is read in
+one pass, into one integer numerator map over one denominator per factor;
+any other text goes to the recursive-descent ``_parse_general``, which also
+gives every error message.
 
 ``weyl_mul`` takes its normal-ordering tables from ``_contractions``, a
 bounded cache keyed on ints, and ``str()`` writes each coefficient from the
-symbol's integer numerators over its denominator and each x^a d^b from the
-bounded cache ``_monomial``, building no polynomial to print it.
+symbol's integer numerators over its denominator and each lam^k x^a d^b from
+the bounded cache ``_monomial``, building no polynomial to print it.
 """
 
 from __future__ import annotations
@@ -30,12 +33,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import add
 
 from .errors import DegenerateError, ModeMismatchError, ZeroElementError
-from .poly import (_FACTORS, _POWER, ONE, ZERO, MultiPoly, _const, _join, _Parser, _ratio_str,
-                   _relayout, _tokenize, parse_poly, var_sort_key)
+from .poly import (ONE, ZERO, MultiPoly, _assemble, _join, _lead, _monomial_text, _parse,
+                   _read_terms, _relayout, _term_text, _tokenize, var_sort_key)
 
 FORMAL = "formal"
 
@@ -217,45 +220,28 @@ class WeylElement:
         of more than one term in lam is parenthesized, its terms by
         descending power of lam.  Every coefficient is read off the integer
         numerators over the symbol's denominator."""
-        den, text = self.symbol.den, ""
-        for (a, b), num in sorted(self._groups().items(), reverse=True,
-                                  key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]), kv[0])):
+        n, den, text = self.n, self.symbol.den, ""
+        for key, num in sorted(self._groups().items(), reverse=True,
+                               key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]), kv[0])):
             if len(num) > 1:
-                # byte-equal to str() of this coefficient as a MultiPoly in lam
-                sign, coef = "+", "(" + _lead("".join(
-                    f" {'-' if c < 0 else '+'} {_lam_term(c, den, k) or '1'}"
-                    for (k,), c in sorted(num.items(), reverse=True))) + ")"
+                coef = "(" + _lead("".join([_term_text(c, den, _monomial(1, k, ()))
+                                            for (k,), c in sorted(num.items(), reverse=True)])) + ")"
+                mono = _monomial(n, 0, key)
+                text += f" + {coef}*{mono}" if mono else f" + {coef}"
             else:
                 ((k,), c), = num.items()
-                sign, coef = "-" if c < 0 else "+", _lam_term(c, den, k)
-            mono = _monomial(self.n, (a, b))
-            text += f" {sign} {coef}*{mono}" if coef and mono else f" {sign} {coef or mono or '1'}"
+                text += _term_text(c, den, _monomial(n, k, key))
         return _lead(text) if text else "0"
 
     def __repr__(self):
         return f"WeylElement({str(self)!r})"
 
 
-def _lam_term(c: int, den: int, k: int) -> str:
-    """The text of |c|/den * lam^k, without a coefficient 1; empty for 1."""
-    lam = f"lam^{k}" if k > 1 else "lam" if k else ""
-    if abs(c) == den:
-        return lam
-    ratio = _ratio_str(abs(c), den)
-    return f"{ratio}*{lam}" if lam else ratio
-
-
-def _lead(text: str) -> str:
-    """A sum written " + t1 - t2 ..." without its leading " + ", or with
-    its leading " - " written "-"."""
-    return text[3:] if text[1] == "+" else "-" + text[3:]
-
-
 @lru_cache(maxsize=4096)
-def _monomial(n: int, key: tuple) -> str:
-    """The text of x^a d^b at rank n for ``key`` = (a, b); empty for 1."""
-    a, b = key
-    return "*".join(f"{nm}^{k}" if k > 1 else nm for nm, k in zip(sum(_names(n), ()), a + b) if k)
+def _monomial(n: int, k: int, key: tuple) -> str:
+    """The text of lam^k x^a d^b at rank n for ``key`` = (a, b), or of
+    lam^k alone for ``key`` = (); empty for 1."""
+    return _monomial_text(sum(_names(n), ("lam",)), (k,) + sum(key, ()))
 
 
 def _index(i: int, n: int) -> int:
@@ -470,90 +456,55 @@ def parse_weyl(s: str, n: int = None, lam=FORMAL) -> WeylElement:
     return reduce(weyl_mul, (e if k == 1 else e ** k for e, k in factors))
 
 
-# one term of normal-ordered text and its trailing whitespace: a sign (no -
-# before a parenthesis), an integer or p/q with q > 0, bare or parenthesized
-# with its own sign, or another parenthesized coefficient, then generator
-# powers joined by *; or the powers alone
-_RATIONAL = r"([0-9]+)(?:/([0-9]*[1-9][0-9]*))?"
-_TERM = re.compile(rf"\s*(\+|-(?!\s*\()|)\s*(?:(?:{_RATIONAL}|\((?:\s*([+-]?)\s*{_RATIONAL}\s*\)"
-                   rf"|([^()]*)\)))(?:\s*\*\s*({_FACTORS}))?|({_FACTORS}))\s*")
 # a parenthesized sum, whose coefficients may be parenthesized, and its power
 _FACTOR = re.compile(r"\s*\(((?:[^()]|\([^()]*\))*)\)\s*(?:\^\s*([0-9]+)\s*)?")
 _PRODUCT = re.compile(rf"(?:{_FACTOR.pattern}\*)*{_FACTOR.pattern}")
+
+
+def _rank(names) -> int:
+    """The rank ``names`` imply: the largest i of a generator x<i> or d<i>
+    among them, and at least 1."""
+    return max([1] + [int(v[1:]) for v in names if v[0] in "xd" and v[1:].isdigit()])
 
 
 def _read_normal_ordered(s: str, n, lam):
     """[(element, k), ...] for the factors of normal-ordered text, or None.
 
     The text is one sum, or a product of parenthesized sums joined by ``*``,
-    each with an optional ``^k``.  A sum is a sequence of signed terms (the
-    first sign optional): a rational, bare or parenthesized, or another
-    parenthesized coefficient in Q[lam] (read by ``parse_poly``), then
-    ``lam^k`` and generator powers, every x_i left of every d_i.  Other
-    text, a generator outside ``_names(rank)`` and ``lam`` in fixed mode
-    give None.
+    each with an optional ``^k``.  A sum is canonical sum text (see
+    ``poly._read_terms``) whose coefficients are in Q[lam] and whose terms
+    write ``lam^k`` and generator powers, every x_i left of every d_i.
+    Other text, a generator outside ``_names(rank)`` and ``lam`` in fixed
+    mode give None.
     """
-    factors = _scan(s)
-    if factors is None:
-        return None
-    names = {v for terms, _ in factors for _, powers in terms for v, _ in powers}
-    rank = n or max([1] + [int(v[1:]) for v in names if v[0] in "xd" and v[1:].isdigit()])
+    factors = []
+    for text, k in _FACTOR.findall(s) if _PRODUCT.fullmatch(s) else [(s, "")]:
+        terms = _read_terms(text)
+        if terms is None:
+            return None
+        factors.append((terms, int(k or 1)))
+    names = {v for terms, _ in factors for _, _, powers in terms for v, _ in powers}
+    rank = n or _rank(names)
     scalars = {"lam"} if lam == FORMAL else set()
     if not names <= scalars.union(*_names(rank)):
         return None
-    layout, _, _, lpos = _layout(rank)
-    where = {v: i for i, v in enumerate(layout)}
-    out = []
-    for terms, k in factors:
-        num, den = {}, lcm(*(coef.den for coef, _ in terms))
-        for coef, powers in terms:
-            if not scalars.issuperset(coef.vars):
+    for terms, _ in factors:
+        for c, _, powers in terms:
+            if type(c) is not int and not scalars.issuperset(c.vars):
                 return None
-            e, momentum = [0] * len(layout), False
-            for v, j in powers:
+            momentum = False
+            for v, _ in powers:
                 if momentum and v[0] == "x":
                     return None
                 momentum = momentum or v[0] == "d"
-                e[where[v]] += j
-            for j, c in coef.num.items():
-                key = tuple(e[:lpos] + [e[lpos] + sum(j)] + e[lpos + 1:])
-                num[key] = num.get(key, 0) + c * (den // coef.den)
-        out.append((WeylElement._trusted(rank, lam, _join(layout, num, den)), k))
-    return out
-
-
-def _scan(s: str):
-    """[(terms, k), ...] for the parenthesized sums of a product and their
-    powers, or for the whole text as one sum; None for other text.  A term
-    is (signed coefficient, [(name, k), ...])."""
-    factors = []
-    for text, k in _FACTOR.findall(s) if _PRODUCT.fullmatch(s) else [(s, "")]:
-        terms, pos = [], 0
-        while (m := _TERM.match(text, pos)) and (m[1] or not terms):
-            sign, p, q, inner, pp, pq, paren, powers, alone = m.groups()
-            if paren is not None:
-                coef = parse_poly(paren)
-            else:  # a parenthesized rational's sign is its own: the term's is never -
-                coef = _const(int((inner or sign) + (p or pp or "1")), int(q or pq or 1))
-            terms.append((coef, [(v, int(j or 1)) for v, j in _POWER.findall(powers or alone or "")]))
-            pos = m.end()
-        if not terms or pos < len(text):
-            return None
-        factors.append((terms, int(k or 1)))
-    return factors
+    layout = _layout(rank)[0]
+    return [(WeylElement._trusted(rank, lam, _assemble(terms, layout)), k) for terms, k in factors]
 
 
 def _parse_general(s: str, n: int = None, lam=FORMAL) -> WeylElement:
     """``parse_weyl`` by recursive descent: products, powers, parentheses,
     any order of generators, and every error message."""
-    tokens = _tokenize(s)
-    names = {val.lower() for kind, val in tokens if kind == "name"}
-    inferred = 1
-    for nm in names:
-        base = nm.rstrip("0123456789")
-        if base in ("x", "d") and nm != base:
-            inferred = max(inferred, int(nm[len(base):]))
-    rank = n or inferred
+    rank = n or _rank({val.lower() for kind, val in _tokenize(s) if kind == "name"})
 
     def hook(name: str) -> WeylElement:
         key = name.lower()
@@ -571,10 +522,7 @@ def _parse_general(s: str, n: int = None, lam=FORMAL) -> WeylElement:
             return WeylElement.x(idx, rank, lam) if base == "x" else WeylElement.d(idx, rank, lam)
         raise ValueError(f"unknown generator {name!r}")
 
-    parser = _Parser(tokens, hook)
-    out = parser.parse_expr()
-    if parser.i != len(parser.tokens):
-        raise ValueError(f"trailing input in {s!r}")
+    out = _parse(s, hook)
     # numbers parse as MultiPoly constants; MultiPoly hands + and * with a
     # WeylElement to its reflected operators, so any generator makes a WeylElement
     if isinstance(out, MultiPoly):

@@ -128,6 +128,31 @@ def test_problem_file_validation(capsys, tmp_path):
     assert code == 1 and "unknown" in rep["diagnostics"][0]
 
 
+@pytest.mark.parametrize("argv, files, report", [
+    (("coc", "check", "missing.json"), {},
+     "cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'"),
+    (("coc", "check", "list.json"), {"list.json": [1]}, "problem file must be a JSON object"),
+    (("weyl", "nf", "p.json"), {"p.json": {"version": 1, "command": "weyl nf", "payload": [1]}},
+     "payload must be a JSON object"),
+    (("azu", "basis", "b.json"),
+     {"b.json": {"version": 1, "command": "azu basis",
+                 "payload": {"A": [["0", "1"], ["0", "0"]], "lambda": 0.5}}},
+     "bad lambda: floating point is not exact; send rationals as strings"),
+    ((), {}, "expected a GROUP and SUBCOMMAND; see --help"),
+    (("demo", "example-5-1-11", "--bhat", "1,0,2"), {}, "bhat needs four entries"),
+    (("weyl", "nf", "--expr", "\u0663*x"), {}, "bad expression: bad token at '\u0663*x'"),
+    (("weyl", "nf", "--expr", "x^\u0663"), {}, "bad expression: bad token at '\u0663'"),
+])
+def test_input_error_reports(capsys, tmp_path, monkeypatch, argv, files, report):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out == json.dumps({"data": {"code": "E_INPUT"}, "diagnostics": [report],
+                              "status": "error"}, separators=(",", ":")) + "\n"
+
+
 def test_unknown_payload_fields_rejected(capsys, tmp_path):
     f = tmp_path / "p.json"
     f.write_text(json.dumps({"version": 1, "command": "azu classify",
@@ -458,6 +483,9 @@ def test_text_mode(capsys, monkeypatch):
     assert code == 0
     assert out.splitlines()[0] == "status: ok"
     assert "normal_form: x*d + 1" in out
+    code, out = run(capsys, "weyl", "nf", "--expr", "x^", "--text")
+    assert code == 1
+    assert out == "status: error\nnote: bad expression: expected num, got None\ncode: E_INPUT\n"
 
 
 def test_error_codes_are_distinct():

@@ -15,7 +15,7 @@ from azumaya.diffop import (CASE_DISTINCT, CASE_NILPOTENT, CASE_SEMISIMPLE,
 from azumaya.errors import (NonConstantError, NotSplitError, PreconditionError,
                             ShapeError, ZeroLambdaError)
 from azumaya.linalg import PolyMatrix, SpanBasis, char_poly
-from azumaya.poly import MultiPoly
+from azumaya.poly import MultiPoly, parse_poly
 from azumaya.suites import rand_discriminant_zero, rand_poly_matrix
 from test_linalg import fraction_rref, nullspace_from_rref
 
@@ -75,6 +75,18 @@ def test_shape_errors():
                   MixedOperator.from_matrix(PolyMatrix.identity(3)))
     with pytest.raises(ShapeError):
         MixedOperator(2, ("w1", "w2"), {}, gamma=PolyMatrix.identity(2))
+
+
+def test_operator_text():
+    a = PolyMatrix(2, 2, [parse_poly(t) for t in ("z", "1/2", "0", "-z^2 + 1")])
+    one = PolyMatrix.identity(2)
+    assert (str(MixedOperator(2, ("z",), {(1,): one, (0,): a, (3,): a}))
+            == "[z, 1/2; 0, -z^2 + 1]*D^3 + [1, 0; 0, 1]*D + [z, 1/2; 0, -z^2 + 1]")
+    assert (str(MixedOperator(2, ("w1", "w2"), {(1, 2): one, (0, 1): a, (0, 0): a}))
+            == "[1, 0; 0, 1]*D1*D2^2 + [z, 1/2; 0, -z^2 + 1]*D2 + [z, 1/2; 0, -z^2 + 1]")
+    assert str(MixedOperator(2, ("z",), {})) == "0"
+    assert repr(MixedOperator(1, ("z",), {(2,): PolyMatrix(1, 1, [parse_poly("z")])})) \
+        == "MixedOperator('[z]*D^2')"
 
 
 # -- commutation constraint ------------------------------------------------------

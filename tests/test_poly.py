@@ -117,6 +117,11 @@ def test_parser_forms():
         with pytest.raises(ValueError, match="zero denominator"):
             parse_poly(text)
     assert parse_poly("0/5*z + 2/4") == Fraction(1, 2)
+    # numbers are ASCII digits only, as in every other literal azk reads
+    for text, rest in (("\u0663*x", "\u0663*x"), ("x^\u0663", "\u0663"), ("(\u0663)*x", "\u0663)*x")):
+        with pytest.raises(ValueError) as exc:
+            parse_poly(text)
+        assert str(exc.value) == f"bad token at {rest!r}"
 
 
 def test_derivative():
@@ -453,7 +458,10 @@ def test_reader_round_trips_printed_polynomials(p):
 DESCENT_TEXTS = [
     "+x", "- -x", "x - -y", "x y", "2^3", "x^2^3", "z*2", "x*x", "0*z", "1/0", "3/00", "1/2/3",
     "007", "x\t+\ty", "x\n- 2/4*z ^ 2", "\t-3\n", "w2*w1 + lam*m*v", "x^0 - 1", "", " ",
-    "-", "(z+1)*(z-1)", "z^-1", "z^1/2", "2z", "z/2", "1 /2", "0.5", "x\u00a0+ 1"]
+    "-", "(z+1)*(z-1)", "z^-1", "z^1/2", "2z", "z/2", "1 /2", "0.5", "x\u00a0+ 1",
+    # parenthesized coefficients: a rational with its own sign, or a sum
+    "(z + 1)*v - (3/2)*z", "(z + 1)*v + (-3/2)*z", "( - 1/2 )*z", "(lam)*m^2 + (-1)",
+    "(1/0)*z", "- (z)*v", "(z)^2", "2*(z)", "+ (z)*z", "()*z", "(z +)*v", "(3/00)*z", "((z))*v"]
 
 
 @pytest.mark.parametrize("text", DESCENT_TEXTS)
