@@ -260,9 +260,11 @@ def cmd_spec_cover(payload):
     pair = _higgs_pair(payload)
     cover = spectral.spectral_cover(pair)
     ideal = spectral.image_ideal(pair, cover.poly)
+    # the minimal polynomial divides chi, so they agree up to a unit exactly
+    # when their degrees in v do; its denominators are cleared, chi's are not
     return "ok", {"cover": str(cover.poly), "reduced": cover.reduced,
                   "image_ideal": str(ideal),
-                  "image_equals_cover": ideal == cover.poly}, []
+                  "image_equals_cover": ideal.degree_in("v") == cover.poly.degree_in("v")}, []
 
 
 def cmd_spec_admissible(payload):
@@ -323,15 +325,16 @@ def cochain_from_json(payload, key: str):
     """Read the wire form of a cochain whose tuples are keyed ``key``: "ijk"
     for a 2-cochain, "ij" for a 1-cochain.
 
-    The payload's fields (``group``, ``n``, ``indices``) are read by the
-    helpers, which report what is wrong with them.  The ``values`` list is
-    then read in one pass (``_wire_store``) that makes every check of the
-    checked constructor once and wraps the result with ``_trusted``.  At
-    the first item that pass does not take, the list is read again from
-    the start: ``_take``, ``_indices`` and ``_exact`` report a malformed
-    item, the checked ``UnitCochain2``/``Cochain1`` constructor a bad index
-    or value, and a tuple listed twice with values that differ as group
-    elements is refused last."""
+    The fields are read by the helpers, and ``values`` in one loop.  An item
+    that is not a dict of ``key`` and "v" with a list of ints and a string
+    (qstar) or int (mu) value goes to ``_take``, ``_indices`` and ``_exact``,
+    which report it at once if it is malformed.  Each distinct literal is
+    converted and validated once.  An index out of range, a value other than
+    the identity on a repeated index, i >= j in a 1-cochain or a zero in
+    qstar only flags the list: the checked ``UnitCochain2``/``Cochain1``
+    constructor then builds the cochain and reports the fault; a list with
+    no flag is wrapped with ``_trusted``.  A tuple listed twice with values
+    that differ as group elements is refused last."""
     _take(payload, optional=COCHAIN)
     name = payload.get("group")
     if name == "qstar":
@@ -342,75 +345,64 @@ def cochain_from_json(payload, key: str):
         raise InvalidInputError(f"unknown group {name!r}")
     nerve = twisted.CoverNerve(_int(_field(payload, "indices"), "indices"))
     items = _list(payload.get("values", []), "values")
-    convert = _rational if name == "qstar" else int
-    cochain = twisted.UnitCochain2 if len(key) == 3 else twisted.Cochain1
-    store = _wire_store(items, key, nerve.index_count, group, convert)
-    if store is not None:
-        return cochain._trusted(nerve, group, store)
-    values, repeats = {}, []
+    convert, wire = (_rational, str) if name == "qstar" else (int, int)
+    size, unit, one, valid = nerve.index_count, len(key) == 3, group.identity(), group.validate
+    literals, values, repeats = {}, {}, []
+    checked = units = False     # a fault for the checked constructor; an identity value read
     for item in items:
-        _take(item, required=(key, "v"))
-        t = _indices(item[key], key, len(key))
-        v = _exact(item["v"], convert, "values")
-        if t in values:
-            repeats.append((t, values[t], v))
-        values[t] = v
-    out = cochain(nerve, group, values)
-    for t, a, b in repeats:
-        if group.validate(a) != group.validate(b):
-            what = f"triple {t}" if len(t) == 3 else f"pair {tuple(sorted(t))}"
-            raise InvalidInputError(f"conflicting values for {what}")
-    return out
-
-
-_SKIP = object()    # a 2-cochain's identity value, which is not stored
-
-
-def _wire_store(items, key, size, group, convert):
-    """The map the checked constructor stores for a well-formed ``values``
-    list, or None at the first item that is not plainly well formed.
-
-    An item is a dict with exactly the keys ``key`` and "v"; its tuple is a
-    list of ints in range(size), with i < j for a 1-cochain, listed once; its
-    value is a string (qstar) or an int (mu), and each distinct literal is
-    converted and validated once.  A 2-cochain skips identity values and
-    gives None for any other value on a tuple with a repeated index."""
-    wire, one, unit = int if convert is int else str, int(group.identity()), len(key) == 3
-    literals, store = {}, {}
-    try:
-        for item in items:
-            if type(item) is not dict or len(item) != 2:
-                return None
+        try:
             t, v = item[key], item["v"]
-            if type(t) is not list or type(v) is not wire:
-                return None
-            x = literals.get(v)
-            if x is None:
-                x = group.validate(convert(v))
-                if unit and x == one:
-                    x = _SKIP
-                literals[v] = x
             if unit:
                 i, j, k = t
-                if not (type(i) is type(j) is type(k) is int
-                        and 0 <= i < size and 0 <= j < size and 0 <= k < size):
-                    return None
-                if (i == j or j == k or i == k) and x is not _SKIP:
-                    return None
-                t = (i, j, k)
+                quick = type(i) is type(j) is type(k) is int
             else:
                 i, j = t
-                if not (type(i) is type(j) is int and 0 <= i < j < size):
-                    return None
-                t = (i, j)
-            # a tuple listed again with the same literal stores the same value
-            if store.setdefault(t, x) is not x:
-                return None
-    except (KeyError, ValueError, ZeroDivisionError, InvalidInputError):
-        return None  # a missing key, a tuple of another length, a bad literal
-    if _SKIP in literals.values():
-        store = {t: x for t, x in store.items() if x is not _SKIP}
-    return store
+                quick = type(i) is type(j) is int
+        except (KeyError, TypeError, ValueError):
+            quick = False
+        if not (quick and type(item) is dict and len(item) == 2
+                and type(t) is list and type(v) is wire):
+            _take(item, required=(key, "v"))
+            t = _indices(item[key], key, len(key))
+            v = item["v"]
+            _exact(v, convert, "values")    # before the cache: True == 1 and 1.0 == 1
+            if unit:
+                i, j, k = t
+            else:
+                i, j = t
+        x = literals.get(v)
+        if x is None:
+            x = _exact(v, convert, "values")
+            try:
+                x = valid(x)
+            except InvalidInputError:       # zero in qstar
+                checked = True
+            if unit and x == one:
+                x, units = one, True
+            literals[v] = x
+        if unit:
+            t = (i, j, k)
+            if not (0 <= i < size and 0 <= j < size and 0 <= k < size) or (
+                    (i == j or j == k or i == k) and x is not one):
+                checked = True
+        else:
+            t = (i, j)
+            if not 0 <= i < j < size:
+                checked = True
+        # the last listing is kept, and a repeat is checked at the end
+        old = values.setdefault(t, x)
+        if old is not x:
+            repeats.append((t, old, x))
+            values[t] = x
+    if units and not checked:
+        values = {t: x for t, x in values.items() if x is not one}
+    cochain = twisted.UnitCochain2 if unit else twisted.Cochain1
+    out = cochain(nerve, group, values) if checked else cochain._trusted(nerve, group, values)
+    for t, a, b in repeats:
+        if valid(a) != valid(b):
+            what = f"triple {t}" if unit else f"pair {tuple(sorted(t))}"
+            raise InvalidInputError(f"conflicting values for {what}")
+    return out
 
 
 def cochain_to_json(cochain) -> dict:

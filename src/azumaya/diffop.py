@@ -196,26 +196,33 @@ def _bracket_into(out, aj, b, r, t):
                 out[l * r + m] -= b[l * r + i] * c
 
 
+def _integer_terms(a: PolyMatrix):
+    """(a_den, A_0..A_deg): A = sum_j A_j z^j / a_den, a_den the lcm of its
+    entries' denominators, each integer A_j as its nonzero entries (i, m, c)."""
+    r, a_den = a.rows, lcm(*(e.den for e in a.entries))
+    terms = []
+    for idx, e in enumerate(a.entries):
+        for exps, c in e.num.items():   # exps is (j,) in z, or () for a constant
+            j = exps[0] if exps else 0
+            terms += [[] for _ in range(j + 1 - len(terms))]
+            terms[j].append((idx // r, idx % r, c * (a_den // e.den)))
+    return a_den, terms
+
+
 def _recurrence(a: PolyMatrix, lam: Fraction, deg_bound: int):
     """For each elementary B_0 = E_u, u in row-major order, the pair
     (B_0..B_D, residuals) of row-major integer lists.  B_0..B_D share one
     positive denominator, B_0[u].
 
-    A is scaled to integer matrices A_j (A = sum_j A_j z^j / a_den, a_den
-    the lcm of its entries' denominators).  For k < D = deg_bound,
-    B_{k+1} = -sum_j [A_j, B_{k-j}] / (lam (k+1) a_den): with lam = p/q,
-    B_{k+1} is -sign(p) q times the sum over the denominator of B_k times
+    A is scaled to integer matrices A_j (``_integer_terms``).  For
+    k < D = deg_bound, B_{k+1} = -sum_j [A_j, B_{k-j}] / (lam (k+1) a_den):
+    with lam = p/q, B_{k+1} is -sign(p) q times the sum over the denominator of B_k times
     |p| (k+1) a_den.  Each B_k keeps the denominator it was made over, so a
     step brings only the deg A + 1 terms that enter it to the newest one's
     (each divides the next), by scaling the A_j; the series is put over the
     last denominator once, at the end.  The residuals sum_j [A_j, B_{k-j}],
     k = D..D + deg A, concatenated, then sit over B_0[u] * a_den."""
-    r, a_den = a.rows, lcm(*(e.den for e in a.entries))
-    coeffs = [[int(c.as_fraction() * a_den) for c in e.coefficients_in("z")] for e in a.entries]
-    # A_j as its nonzero entries (i, m, c)
-    a_terms = [[(idx // r, idx % r, cs[j]) for idx, cs in enumerate(coeffs)
-                if j < len(cs) and cs[j]]
-               for j in range(max(map(len, coeffs), default=0))]
+    r, (a_den, a_terms) = a.rows, _integer_terms(a)
     p, q = lam.numerator, lam.denominator
     f, s = -q if p > 0 else q, abs(p) * a_den
     out = []
@@ -251,7 +258,9 @@ def solve_commutation(a: PolyMatrix, lam, deg_bound: int = None):
     its series read backwards.  The echelon rows that vanish on the residual
     block span the series whose residuals vanish, and back substitution
     among them alone gives their reduced echelon form (the form is unique),
-    each row over its pivot, returned in reverse order.
+    each row over its pivot, returned in reverse order.  Each basis element
+    is checked to satisfy lam B' + [A, B] = 0, coefficient by coefficient
+    times q a_den for lam = p/q.
     """
     lam = lam if isinstance(lam, Fraction) else Fraction(lam)
     if lam == 0:
@@ -270,9 +279,20 @@ def solve_commutation(a: PolyMatrix, lam, deg_bound: int = None):
             for bs, residuals in _recurrence(a, lam, deg_bound)]
     width = len(rows[0]) - r * r * n   # the residual block's
     pivots = echelon(rows, width)
+    kept = [(row, pc) for row, pc in reversed(list(zip(rows, pivots))) if pc >= width]
+    a_den, a_terms = _integer_terms(a)
+    p, q = lam.numerator * a_den, lam.denominator
+    for row, _ in kept:
+        bs = [[row[-1 - i * n - d] for i in range(r * r)] for d in range(n)]
+        for k in range(deg_bound + len(a_terms)):   # q a_den times the z^k coefficient
+            acc = [p * (k + 1) * x for x in bs[k + 1]] if k < deg_bound else [0] * (r * r)
+            for j in range(max(0, k - deg_bound), min(k + 1, len(a_terms))):
+                _bracket_into(acc, a_terms[j], bs[k - j], r, q)
+            if any(acc):
+                raise AssertionError("a basis element does not solve lam B' + [A, B] = 0")
     return [PolyMatrix(r, r, [_join(("z",), {(d,): row[-1 - i * n - d] for d in range(n)}, row[pc])
                               for i in range(r * r)])
-            for row, pc in reversed(list(zip(rows, pivots))) if pc >= width]
+            for row, pc in kept]
 
 
 def discriminant(a: PolyMatrix) -> MultiPoly:

@@ -554,9 +554,15 @@ def kernel_saturated(m: PolyMatrix):
     vector per free column, supported on it and the pivot columns before
     it): the relations (``_relations``) among the columns of M, each
     primitive, with the free coordinate's leading coefficient positive.
+    M times each basis vector is checked to vanish.
     """
     columns = ([m[i, j] for i in range(m.rows)] for j in range(m.cols))
-    return list(_relations(columns, m.cols, _base_var(m)))
+    basis = list(_relations(columns, m.cols, _base_var(m)))
+    if basis:
+        kernel = PolyMatrix(m.cols, len(basis), [x for row in zip(*basis) for x in row])
+        if not (m * kernel).is_zero():
+            raise AssertionError("M does not annihilate its kernel basis")
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from azumaya import cli, spectral, suites, twisted, weyl
+from azumaya import cli, diffop, linalg, spectral, suites, twisted, weyl
 from azumaya.cli import main
 from azumaya.linalg import PolyMatrix
 
@@ -216,6 +216,48 @@ def test_a_wrong_cover_fails_the_image_ideal_certificate(capsys, tmp_path, monke
     code, rep = run_json(capsys, "spec", "cover", f)
     assert code == 1 and rep["data"]["code"] == "E_INTERNAL"
     assert "does not annihilate" in rep["diagnostics"][0]
+
+
+def test_image_equals_cover_up_to_a_unit(capsys, tmp_path):
+    # a non-derogatory field whose cover has non-integer coefficients: the
+    # image ideal is 6 times the cover, and they are equal up to a unit
+    f = _spec_cover(tmp_path, {"rank": 2, "phis": [[["0", "(-1/2)*z + (3)"], ["1", "(2/3)*z"]]]})
+    assert run_json(capsys, "spec", "cover", f) == (0, {"status": "ok", "diagnostics": [], "data": {
+        "cover": "-2/3*z*v + v^2 + 1/2*z - 3", "reduced": True,
+        "image_ideal": "-4*z*v + 6*v^2 + 3*z - 18", "image_equals_cover": True}})
+    # diag(z, z, 1) is derogatory: its minimal polynomial has degree 2 < 3
+    f = _spec_cover(tmp_path, {"rank": 3, "phis": [[["z", "0", "0"], ["0", "z", "0"], ["0", "0", "1"]]]})
+    assert run_json(capsys, "spec", "cover", f)[1]["data"]["image_equals_cover"] is False
+
+
+def test_a_wrong_kernel_fails_the_kernel_check(capsys, tmp_path, monkeypatch):
+    # each relation is moved off the kernel; B has distinct eigenvalues, so
+    # its minimal polynomial comes from the certificate, not from _relations
+    relations = linalg._relations
+    monkeypatch.setattr(linalg, "_relations", lambda *args: (
+        (rel[0] + 1, *rel[1:]) for rel in relations(*args)))
+    with pytest.raises(AssertionError, match="does not annihilate its kernel basis"):
+        linalg.kernel_saturated(PolyMatrix.from_rows([["1", "1"], ["1", "1"]]))
+    f = tmp_path / "b.json"
+    f.write_text(json.dumps({"version": 1, "command": "azu classify",
+                             "payload": {"B": [["1", "1"], ["0", "2"]]}}))
+    code, rep = run_json(capsys, "azu", "classify", str(f))
+    assert code == 1 and rep["data"]["code"] == "E_INTERNAL"
+    assert rep["diagnostics"] == ["AssertionError: M does not annihilate its kernel basis"]
+
+
+def test_a_wrong_solution_fails_the_commutation_check(capsys, monkeypatch):
+    # each series gets 1 added to its top coefficient of the (0, 0) entry
+    recurrence = diffop._recurrence
+    def shifted(*args):
+        out = recurrence(*args)
+        for bs, _ in out:
+            bs[-1][0] += 1
+        return out
+    monkeypatch.setattr(diffop, "_recurrence", shifted)
+    code, rep = run_json(capsys, "azu", "solve", "--a", '[["0","1"],["0","0"]]', "--lambda", "1")
+    assert code == 1 and rep["data"]["code"] == "E_INTERNAL"
+    assert rep["diagnostics"] == ["AssertionError: a basis element does not solve lam B' + [A, B] = 0"]
 
 
 def test_azu_report(capsys):
@@ -777,6 +819,34 @@ def test_tuple_listed_twice(capsys, tmp_path, command, payload, status, report):
     assert code == status and (report is None or out == report + "\n")
 
 
+@pytest.mark.parametrize("payload, report", [
+    # a malformed item is reported before an index out of range listed first
+    ({"group": "qstar", "indices": 3, "values": [
+        {"ijk": [0, 1, 3], "v": "2"}, {"ijk": [0, 1, 2], "v": 0.5}]},
+     _INVALID % "floating-point values are not exact; send rationals as strings"),
+    # a zero that a later listing overrides passes the constructor, and the
+    # repeat check reports it
+    ({"group": "qstar", "indices": 3, "values": [
+        {"ijk": [0, 1, 2], "v": "0"}, {"ijk": [1, 2, 0], "v": "2"}, {"ijk": [0, 1, 2], "v": "2"}]},
+     _INVALID % "0 is not a unit"),
+    # the constructor's report comes before a conflicting repeat
+    ({"group": "mu", "n": 3, "indices": 3, "values": [
+        {"ijk": [0, 1, 2], "v": 1}, {"ijk": [0, 1, 2], "v": 2}, {"ijk": [0, 0, 1], "v": 1}]},
+     _INVALID % "values on tuples with repeated indices must be the identity"),
+    # a malformed value equal to a literal read before it (True == 1.0 == 1)
+    ({"group": "mu", "n": 3, "indices": 3, "values": [
+        {"ijk": [0, 1, 2], "v": 1}, {"ijk": [1, 2, 0], "v": True}]},
+     _INPUT % "bad values: True (expected a number)"),
+    ({"group": "mu", "n": 3, "indices": 3, "values": [
+        {"ijk": [0, 1, 2], "v": 1}, {"ijk": [1, 2, 0], "v": 1.0}]},
+     _INVALID % "floating-point values are not exact; send rationals as strings"),
+])
+def test_fault_precedence(capsys, tmp_path, payload, report):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"version": 1, "command": "coc check", "payload": payload}))
+    assert run(capsys, "coc", "check", str(f)) == (1, report + "\n")
+
+
 # -- the one-pass reader against the reader it replaced ------------------------------
 
 def _wire_rational(raw):
@@ -848,7 +918,9 @@ _BREAKS = ["bool index", "float index", "string index", "index -1", "index N", "
 @st.composite
 def wire_cochains(draw):
     """(payload, key): a wire cochain of N = 1 to 6 in qstar or mu_n, well
-    formed or with one of ``_BREAKS`` applied to one item."""
+    formed or with one or two of ``_BREAKS``, each applied to its own item,
+    so that a fault the checked constructor reports may come before a
+    malformed item."""
     key = draw(st.sampled_from(["ijk", "ij"]))
     size = draw(st.integers(1, 6))
     qstar = draw(st.booleans())
@@ -872,59 +944,63 @@ def wire_cochains(draw):
     payload = {"group": "qstar" if qstar else "mu", "indices": size, "values": items}
     if not qstar:
         payload["n"] = n
-    brk = draw(st.sampled_from([None] * 8 + _BREAKS))
-    if brk is None:
-        return payload, key
-    item = {key: [0] * len(key), "v": "1" if qstar else 0}
-    if items:
-        item = items[draw(st.integers(0, len(items) - 1))]
-    t, pos = item[key], draw(st.integers(0, len(key) - 1))
-    if brk == "bool index":
-        t[pos] = True
-    elif brk == "float index":
-        t[pos] = float(t[pos])
-    elif brk == "string index":
-        t[pos] = str(t[pos])
-    elif brk in ("index -1", "index N"):
-        t[pos] = -1 if brk == "index -1" else size
-    elif brk == "short tuple":
-        t.pop()
-    elif brk == "long tuple":
-        t.append(0)
-    elif brk == "tuple as tuple":
-        item[key] = tuple(t)
-    elif brk == "extra key":
-        item["w"] = 1
-    elif brk == "missing v":
-        del item["v"]
-    elif brk == "item not a dict":
-        items.append(list(t))
-    elif brk == "bool value":
-        item["v"] = True
-    elif brk == "float value":
-        item["v"] = 0.5
-    elif brk == "value 0":
-        item["v"] = "0" if qstar else 0
-    elif brk == "value 1/0":
-        item["v"] = "1/0"
-    elif brk == "string mu value":
-        item["v"] = str(item["v"])
-    elif brk == "equal repeat":
-        v = item["v"]
-        twin = {"1": "1/1", "2": "4/2", "2/4": "1/2", "-1": "-1/1"}.get(v, v) if qstar else v + n
-        items.append({key: list(t), "v": twin})
-    elif brk == "different repeat":
-        items.append({key: list(t), "v": draw(value.filter(lambda v: v != item.get("v")))})
-    elif brk == "reversed pair":
-        items.append({key: t[::-1], "v": draw(value)})
-    elif brk == "diagonal":
-        t[-1] = t[0]
-    elif brk == "identity":
-        item["v"] = "1" if qstar else n
-    elif brk == "decimal value":
-        item["v"] = draw(st.sampled_from(["1.5", "1e3", " 2", "1_000", "2.0"]))
-    if not items:
-        items.append(item)
+    broken = []
+    for brk in draw(st.lists(st.sampled_from([None] * 8 + _BREAKS), min_size=1, max_size=2)):
+        if brk is None:
+            continue
+        # each break goes to an item no break has touched yet
+        clean = [x for x in items if type(x) is dict and all(x is not b for b in broken)]
+        if clean:
+            item = clean[draw(st.integers(0, len(clean) - 1))]
+        else:
+            item = {key: [0] * len(key), "v": "1" if qstar else 0}
+            items.append(item)
+        broken.append(item)
+        t, pos = item[key], draw(st.integers(0, len(key) - 1))
+        if brk == "bool index":
+            t[pos] = True
+        elif brk == "float index":
+            t[pos] = float(t[pos])
+        elif brk == "string index":
+            t[pos] = str(t[pos])
+        elif brk in ("index -1", "index N"):
+            t[pos] = -1 if brk == "index -1" else size
+        elif brk == "short tuple":
+            t.pop()
+        elif brk == "long tuple":
+            t.append(0)
+        elif brk == "tuple as tuple":
+            item[key] = tuple(t)
+        elif brk == "extra key":
+            item["w"] = 1
+        elif brk == "missing v":
+            del item["v"]
+        elif brk == "item not a dict":
+            items.append(list(t))
+        elif brk == "bool value":
+            item["v"] = True
+        elif brk == "float value":
+            item["v"] = 0.5
+        elif brk == "value 0":
+            item["v"] = "0" if qstar else 0
+        elif brk == "value 1/0":
+            item["v"] = "1/0"
+        elif brk == "string mu value":
+            item["v"] = str(item["v"])
+        elif brk == "equal repeat":
+            v = item["v"]
+            twin = {"1": "1/1", "2": "4/2", "2/4": "1/2", "-1": "-1/1"}.get(v, v) if qstar else v + n
+            items.append({key: list(t), "v": twin})
+        elif brk == "different repeat":
+            items.append({key: list(t), "v": draw(value.filter(lambda v: v != item.get("v")))})
+        elif brk == "reversed pair":
+            items.append({key: t[::-1], "v": draw(value)})
+        elif brk == "diagonal":
+            t[-1] = t[0]
+        elif brk == "identity":
+            item["v"] = "1" if qstar else n
+        elif brk == "decimal value":
+            item["v"] = draw(st.sampled_from(["1.5", "1e3", " 2", "1_000", "2.0"]))
     return payload, key
 
 
