@@ -24,8 +24,8 @@ from math import comb, lcm
 
 from .errors import (NonConstantError, NotSplitError, PreconditionError,
                      ShapeError, ZeroLambdaError)
-from .linalg import PolyMatrix, char_poly, echelon, kernel_saturated, min_poly
-from .poly import MultiPoly, _join, _monomial_text
+from .linalg import PolyMatrix, char_poly, echelon, kernel_saturated
+from .poly import MultiPoly, _join, _monomial_text, poly_content
 
 
 class MixedOperator:
@@ -410,11 +410,16 @@ def classify_higgsing(b: PolyMatrix) -> HiggsingReport:
         raise NotSplitError(f"v^2 - {tr}v + {det} does not split over Q")
     nu_minus = (tr - root) / 2
     nu_plus = (tr + root) / 2
-    mp = min_poly(b, cp)
     ident = PolyMatrix.identity(2)
+    shifted = {nu: b - ident.scale(nu) for nu in (nu_minus, nu_plus)}
+    # by Cayley-Hamilton and the shape of 2x2 matrices, the minimal
+    # polynomial is v - nu when B - nu I is zero, else chi; made primitive
+    # with a positive leading coefficient, as min_poly returns it
+    mp = MultiPoly.var("v") - nu_minus if shifted[nu_minus].is_zero() else cp
+    mp = mp * (1 / poly_content(mp))
 
     def component(nu):
-        basis = kernel_saturated(b - ident.scale(nu))
+        basis = kernel_saturated(shifted[nu])
         return Component(nu, tuple(tuple(v) for v in basis), len(basis))
 
     if nu_minus != nu_plus:

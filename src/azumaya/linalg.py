@@ -554,14 +554,18 @@ def kernel_saturated(m: PolyMatrix):
     vector per free column, supported on it and the pivot columns before
     it): the relations (``_relations``) among the columns of M, each
     primitive, with the free coordinate's leading coefficient positive.
-    M times each basis vector is checked to vanish.
+    M times each basis vector is checked to vanish, as integer maps over
+    one layout: a positive common denominator does not change a zero.
     """
     columns = ([m[i, j] for i in range(m.rows)] for j in range(m.cols))
     basis = list(_relations(columns, m.cols, _base_var(m)))
     if basis:
-        kernel = PolyMatrix(m.cols, len(basis), [x for row in zip(*basis) for x in row])
-        if not (m * kernel).is_zero():
-            raise AssertionError("M does not annihilate its kernel basis")
+        names = _layout(m.entries + tuple(x for vec in basis for x in vec))
+        rows, c = _split(m.entries, names)[0], m.cols
+        for vec in basis:
+            col = _split(vec, names)[0]
+            if any(any(_dot(rows[i:i + c], col).values()) for i in range(0, len(rows), c)):
+                raise AssertionError("M does not annihilate its kernel basis")
     return basis
 
 

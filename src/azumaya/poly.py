@@ -13,10 +13,11 @@ used by golden-file tests, so it must never drift.
 
 Every result passes through one normaliser, ``_normal`` (wrapped by
 ``_join``): it drops zero terms and unused variables and divides out the
-gcd of the denominator and the numerators.  ``_int_addmul`` multiplies and
-``_int_quo`` exactly divides numerator maps; ``_split`` puts several
-polynomials over one layout and denominator, for ``linalg``'s matrix
-products, fraction-free elimination and pseudo-remainder sequences.  A
+gcd of the denominator and the numerators; ``_reduced`` does the same but
+keeps every variable, for maps kept over a fixed layout.  ``_int_addmul``
+multiplies and ``_int_quo`` exactly divides numerator maps; ``_split`` puts
+several polynomials over one layout and denominator, for ``linalg``'s
+matrix products, fraction-free elimination and pseudo-remainder sequences.  A
 constant factor skips the kernel (see ``_scale``).
 
 This module is the one reader and writer of canonical sum text, a signed
@@ -376,17 +377,24 @@ def _split(polys, names):
             for p in polys], den
 
 
-def _normal(names: tuple, num: dict, den: int):
-    """The canonical ``(vars, num, den)`` of ``num / den`` over the sorted
-    layout ``names`` (``den > 0``): without zero terms, unused variables or
-    a common factor of ``den`` and the numerators."""
+def _reduced(num: dict, den: int):
+    """``(num, den)`` for ``num / den`` (``den > 0``) without zero terms or a
+    common factor of ``den`` and the numerators; ``({}, 1)`` for zero."""
     num = {e: c for e, c in num.items() if c}
-    if not num:
-        return (), num, 1
     g = math.gcd(den, *num.values())
     if g != 1:
         num = {e: c // g for e, c in num.items()}
         den //= g
+    return num, den
+
+
+def _normal(names: tuple, num: dict, den: int):
+    """The canonical ``(vars, num, den)`` of ``num / den`` over the sorted
+    layout ``names`` (``den > 0``): ``_reduced``, and without unused
+    variables."""
+    num, den = _reduced(num, den)
+    if not num:
+        return (), num, 1
     used = tuple(map(any, zip(*num)))
     if not all(used):
         names = tuple(compress(names, used))
@@ -595,10 +603,10 @@ def _read_terms(text: str):
     return terms if terms and pos == len(text) else None
 
 
-def _assemble(terms, layout: tuple) -> MultiPoly:
-    """The sum of ``terms`` (see ``_read_terms``) as one integer numerator
-    map over one denominator, over the sorted ``layout``, which holds every
-    name of the terms and their coefficients."""
+def _assemble(terms, layout: tuple):
+    """``(num, den)``: the sum of ``terms`` (see ``_read_terms``) as one
+    integer numerator map, zeros kept, over one denominator, keyed over
+    ``layout``, which holds every name of the terms and their coefficients."""
     where = {v: i for i, v in enumerate(layout)}
     den, num = math.lcm(*{q for _, q, _ in terms}), {}
     for c, q, powers in terms:
@@ -616,7 +624,7 @@ def _assemble(terms, layout: tuple) -> MultiPoly:
                 f[i] += k
             key = tuple(f)
             num[key] = num.get(key, 0) + x * (den // q)
-    return _join(layout, num, den)
+    return num, den
 
 
 def parse_poly(s: str):
@@ -636,4 +644,5 @@ def parse_poly(s: str):
         return _parse(s)
     names = {v for _, _, powers in terms for v, _ in powers}
     names.update(*(c.vars for c, _, _ in terms if type(c) is not int))
-    return _assemble(terms, tuple(sorted(names, key=var_sort_key)))
+    names = tuple(sorted(names, key=var_sort_key))
+    return _join(names, *_assemble(terms, names))

@@ -1,10 +1,11 @@
 """The Weyl algebra A_n and its one-parameter deformation family.
 
-An element is stored as its normal-ordered symbol: one ``MultiPoly`` in the
-position names (``x`` or x1..xn), the momentum names (``d`` or d1..dn) and,
-in formal mode only, ``lam``, whose monomial x^a d^b lam^k stands for
-lam^k * x^a d^b with every position factor left of every momentum factor.
-That single canonical form makes equality, hashing and printing canonical.
+An element is stored as its normal-ordered symbol: integer numerators over
+one positive denominator, keyed by exponents over ``_layout(n)``, the fixed
+sorted names of rank n (positions, ``lam``, momenta), where lam^k x^a d^b
+stands for lam^k * x^a d^b with every x_i left of every d_i.  That form is
+canonical, so equality, hashing, sums, products and printing read the keys
+as they are; ``symbol`` builds the canonical ``MultiPoly`` on demand.
 The deformation parameter enters through the relation  d_i*x_i = x_i*d_i + lam;
 ``lam`` is either a genuine polynomial coefficient variable (formal mode) or
 a fixed rational.  At lam = 1 this is the classical algebra of polynomial
@@ -17,14 +18,8 @@ Canonical text is read and written by ``poly``'s term reader and writer.
 ``parse_weyl`` adds what is the Weyl algebra's own: a product of
 parenthesized sums, each with an optional ``^k``, and the generator order
 of normal-ordered text (every x_i left of every d_i).  Such text is read in
-one pass, into one integer numerator map over one denominator per factor;
-any other text goes to the recursive-descent ``_parse_general``, which also
-gives every error message.
-
-``weyl_mul`` takes its normal-ordering tables from ``_contractions``, a
-bounded cache keyed on ints, and ``str()`` writes each coefficient from the
-symbol's integer numerators over its denominator and each lam^k x^a d^b from
-the bounded cache ``_monomial``, building no polynomial to print it.
+one pass, into the numerator map of each factor; any other text goes to the
+recursive-descent ``_parse_general``, which also gives every error message.
 """
 
 from __future__ import annotations
@@ -33,16 +28,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, factorial
-from operator import add
+from itertools import groupby
+from math import comb, factorial, lcm
+from operator import add, itemgetter
 
 from .errors import DegenerateError, ModeMismatchError, ZeroElementError
-from .poly import (ONE, ZERO, MultiPoly, _assemble, _join, _lead, _monomial_text, _parse,
-                   _read_terms, _relayout, _term_text, _tokenize, var_sort_key)
+from .poly import (ONE, ZERO, MultiPoly, _assemble, _int_addmul, _join, _lead, _monomial_text,
+                   _parse, _read_terms, _reduced, _relayout, _term_text, _tokenize, var_sort_key)
 
 FORMAL = "formal"
-
-_LAM = MultiPoly.var("lam")
 
 
 @lru_cache(maxsize=16)
@@ -60,25 +54,26 @@ def position_vars(n: int):
 
 @lru_cache(maxsize=16)
 def _layout(n: int):
-    """The sorted names of a rank-n symbol with ``lam`` and the places of the
-    positions, of the momenta and of ``lam`` in them."""
+    """The sorted names of rank n with ``lam``, the places in them of the positions
+    (0..n-1), the momenta and ``lam`` (n), and the getter of a key's a + b."""
     xs, ds = _names(n)
     names = tuple(sorted(xs + ds + ("lam",), key=var_sort_key))
-    return names, [names.index(v) for v in xs], [names.index(v) for v in ds], names.index("lam")
+    xpos, dpos = [names.index(v) for v in xs], [names.index(v) for v in ds]
+    return names, xpos, dpos, names.index("lam"), itemgetter(*xpos, *dpos)
 
 
 class WeylElement:
-    """Element of the rank-n Weyl algebra, stored as its normal-ordered
-    ``symbol`` (see the module docstring).
+    """Element of the rank-n Weyl algebra: ``num / den`` over ``_layout(n)``
+    (see the module docstring); ``symbol`` builds its MultiPoly on demand.
 
     The constructor takes ``terms``, a map from (a, b), the exponent tuples
     over positions and momenta, to a coefficient in ``lam`` (a constant in
     fixed mode); the ``terms`` property gives that map back.
     """
 
-    __slots__ = ("n", "lam", "symbol")
+    __slots__ = ("n", "lam", "num", "den")
 
-    def __init__(self, n: int, lam, terms=None):
+    def __new__(cls, n: int, lam, terms=None):
         lam = _mode(lam)
         xs, ds = _names(n)
         flat = {}
@@ -88,96 +83,91 @@ class WeylElement:
                     raise ModeMismatchError("exponent tuple length != n")
                 key = tuple(a) + tuple(b) + (e or (0,))
                 flat[key] = flat.get(key, 0) + v
-        for slot, value in zip(self.__slots__, (n, lam, MultiPoly(xs + ds + ("lam",), flat))):
-            object.__setattr__(self, slot, value)
-
-    @staticmethod
-    def _trusted(n: int, lam, symbol: MultiPoly) -> "WeylElement":
-        """Wrap a symbol that is already clean: a MultiPoly in the names of
-        rank n, with ``lam`` only in formal mode."""
-        self = object.__new__(WeylElement)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "symbol", symbol)
-        return self
+        return _lift(MultiPoly(xs + ds + ("lam",), flat), n, lam)
 
     def __setattr__(self, *_):
         raise AttributeError("WeylElement is immutable")
 
     @property
+    def symbol(self) -> MultiPoly:
+        """The normal-ordered symbol as a canonical MultiPoly."""
+        return _join(_layout(self.n)[0], self.num, self.den)
+
+    @property
     def terms(self) -> dict:
         """A fresh map from (a, b) to the nonzero coefficient of x^a d^b, a
         MultiPoly in ``lam``."""
-        return {key: _join(("lam",), num, self.symbol.den) for key, num in self._groups().items()}
-
-    def _groups(self) -> dict:
-        """The symbol's numerators by (a, b): {(lam power,): int} over its den."""
-        n, groups = self.n, {}
-        # over the layout (lam, positions, momenta) the keys are slices
-        for e, c in _relayout(self.symbol.num, self.symbol.vars, sum(_names(n), ("lam",))).items():
-            groups.setdefault((e[1:n + 1], e[n + 1:]), {})[e[:1]] = c
-        return groups
+        n, get, groups = self.n, _layout(self.n)[4], {}
+        for e, c in self.num.items():
+            ab = get(e)
+            groups.setdefault((ab[:n], ab[n:]), {})[e[n:n + 1]] = c
+        return {key: _join(("lam",), num, self.den) for key, num in groups.items()}
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(n: int, lam=FORMAL) -> "WeylElement":
-        return WeylElement._trusted(n, _mode(lam), ZERO)
+        return _lift(ZERO, n, lam)
 
     @staticmethod
     def one(n: int, lam=FORMAL) -> "WeylElement":
-        return WeylElement._trusted(n, _mode(lam), ONE)
+        return _lift(ONE, n, lam)
 
     @staticmethod
     def scalar(c, n: int, lam=FORMAL) -> "WeylElement":
-        lam = _mode(lam)
-        return WeylElement._trusted(n, lam, _coefficient(c, lam))
+        return _lift(_coefficient(c, _mode(lam)), n, lam)
 
     @staticmethod
     def x(i: int, n: int, lam=FORMAL) -> "WeylElement":
-        return WeylElement._trusted(n, _mode(lam), MultiPoly.var(_names(n)[0][_index(i, n)]))
+        return _lift(MultiPoly.var(_names(n)[0][_index(i, n)]), n, lam)
 
     @staticmethod
     def d(i: int, n: int, lam=FORMAL) -> "WeylElement":
-        return WeylElement._trusted(n, _mode(lam), MultiPoly.var(_names(n)[1][_index(i, n)]))
+        return _lift(MultiPoly.var(_names(n)[1][_index(i, n)]), n, lam)
 
     # -- basics -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.symbol.is_zero()
+        return not self.num
 
     def _check_compatible(self, other: "WeylElement"):
         if self.n != other.n or self.lam != other.lam:
             raise ModeMismatchError(
                 f"rank/mode mismatch: ({self.n}, {self.lam}) vs ({other.n}, {other.lam})")
 
-    def _symbol_of(self, other) -> MultiPoly:
-        """The symbol of ``other``: a coefficient, or an element of the same
-        rank and mode."""
+    def _operand(self, other) -> "WeylElement":
+        """``other``, a coefficient or an element of the same rank and mode, as an element."""
         if isinstance(other, (int, Fraction, MultiPoly)):
-            return _coefficient(other, self.lam)
+            return _lift(_coefficient(other, self.lam), self.n, self.lam)
         self._check_compatible(other)
-        return other.symbol
+        return other
 
-    def _with(self, symbol: MultiPoly) -> "WeylElement":
-        return WeylElement._trusted(self.n, self.lam, symbol)
+    def _plus(self, other: "WeylElement", sign: int) -> "WeylElement":
+        """self + sign * other."""
+        m = lcm(self.den, other.den)
+        k, f = m // self.den, sign * (m // other.den)
+        out = {e: c * k for e, c in self.num.items()} if k != 1 else dict(self.num)
+        for e, c in other.num.items():
+            out[e] = out.get(e, 0) + c * f
+        return _element(self.n, self.lam, out, m)
 
     def __add__(self, other):
-        return self._with(self.symbol + self._symbol_of(other))
+        return self._plus(self._operand(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._with(-self.symbol)
+        return _element(self.n, self.lam, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        return self._with(self.symbol - self._symbol_of(other))
+        return self._plus(self._operand(other), -1)
 
     def __rsub__(self, other):
-        return self._with(self._symbol_of(other) - self.symbol)
+        return (-self)._plus(self._operand(other), 1)
 
     def scale(self, c) -> "WeylElement":
-        return self._with(self.symbol * _coefficient(c, self.lam))
+        c = _lift(_coefficient(c, self.lam), self.n, self.lam)
+        return _element(self.n, self.lam, _int_addmul({}, self.num, c.num), self.den * c.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):
@@ -192,26 +182,23 @@ class WeylElement:
     def __pow__(self, k: int) -> "WeylElement":
         if k < 0:
             raise ValueError("negative power")
-        out = WeylElement.one(self.n, self.lam)
-        for _ in range(k):
-            out = weyl_mul(out, self)
-        return out
+        return reduce(weyl_mul, [self] * k, WeylElement.one(self.n, self.lam))
 
     def __eq__(self, other):
-        return (isinstance(other, WeylElement) and self.n == other.n
-                and self.lam == other.lam and self.symbol == other.symbol)
+        return (isinstance(other, WeylElement) and self.n == other.n and self.lam == other.lam
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.n, self.lam, self.symbol))
+        return hash((self.n, self.lam, self.den, frozenset(self.num.items())))
 
     def commutator(self, other) -> "WeylElement":
         return weyl_mul(self, other) - weyl_mul(other, self)
 
     def bidegree(self):
         """(max total x-degree, max total d-degree)."""
-        keys = self._groups().keys()
-        return (max((sum(a) for a, _ in keys), default=0),
-                max((sum(b) for _, b in keys), default=0))
+        n = self.n
+        return (max((sum(e[:n]) for e in self.num), default=0),
+                max((sum(e[n + 1:]) for e in self.num), default=0))
 
     # -- canonical text -----------------------------------------------------
 
@@ -219,18 +206,19 @@ class WeylElement:
         """Terms by descending total degree, then exponents; a coefficient
         of more than one term in lam is parenthesized, its terms by
         descending power of lam.  Every coefficient is read off the integer
-        numerators over the symbol's denominator."""
-        n, den, text = self.n, self.symbol.den, ""
-        for key, num in sorted(self._groups().items(), reverse=True,
-                               key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]), kv[0])):
-            if len(num) > 1:
+        numerators over the denominator."""
+        n, den, get, text = self.n, self.den, _layout(self.n)[4], ""
+        rows = sorted([(sum(e) - e[n], get(e), e[n], c) for e, c in self.num.items()], reverse=True)
+        for ab, group in groupby(rows, itemgetter(1)):
+            group = list(group)
+            if len(group) > 1:
                 coef = "(" + _lead("".join([_term_text(c, den, _monomial(1, k, ()))
-                                            for (k,), c in sorted(num.items(), reverse=True)])) + ")"
-                mono = _monomial(n, 0, key)
+                                            for _, _, k, c in group])) + ")"
+                mono = _monomial(n, 0, ab)
                 text += f" + {coef}*{mono}" if mono else f" + {coef}"
             else:
-                ((k,), c), = num.items()
-                text += _term_text(c, den, _monomial(n, k, key))
+                (_, _, k, c), = group
+                text += _term_text(c, den, _monomial(n, k, ab))
         return _lead(text) if text else "0"
 
     def __repr__(self):
@@ -238,10 +226,10 @@ class WeylElement:
 
 
 @lru_cache(maxsize=4096)
-def _monomial(n: int, k: int, key: tuple) -> str:
-    """The text of lam^k x^a d^b at rank n for ``key`` = (a, b), or of
-    lam^k alone for ``key`` = (); empty for 1."""
-    return _monomial_text(sum(_names(n), ("lam",)), (k,) + sum(key, ()))
+def _monomial(n: int, k: int, ab: tuple) -> str:
+    """The text of lam^k x^a d^b at rank n for ``ab`` = a + b, or of lam^k
+    alone for ``ab`` = (); empty for 1."""
+    return _monomial_text(sum(_names(n), ("lam",)), (k,) + ab)
 
 
 def _index(i: int, n: int) -> int:
@@ -266,46 +254,53 @@ def _coefficient(c, lam) -> MultiPoly:
     return c
 
 
+def _lift(p: MultiPoly, n: int, lam) -> WeylElement:
+    """The element whose symbol is ``p``, a MultiPoly in the names of rank n."""
+    return _element(n, _mode(lam), _relayout(p.num, p.vars, _layout(n)[0]), p.den)
+
+
+def _element(n: int, lam, num: dict, den: int = 1) -> WeylElement:
+    """The element ``num / den`` over ``_layout(n)``, normalised (see
+    ``poly._reduced``); ``lam`` occurs in formal mode only."""
+    self = object.__new__(WeylElement)
+    for slot, value in zip(WeylElement.__slots__, (n, lam, *_reduced(num, den))):
+        object.__setattr__(self, slot, value)
+    return self
+
+
 def weyl_mul(d1: WeylElement, d2: WeylElement) -> WeylElement:
     """Normal-ordered product.
 
     Per variable the reordering is the closed form
         d^m x^n = sum_k C(m,k) C(n,k) k! lam^k x^(n-k) d^(m-k),
     which keeps term counts O(min(m,n)) instead of walking single steps.
-    When no d_i of the left symbol meets an x_i of the right one, nothing
-    is reordered and the symbols multiply as commuting polynomials, in
-    every mode.  Otherwise both symbols are put over the full layout of
-    rank n and summed as integer numerators over the product of their
-    denominators; the result is normalised once, at the end.  A fixed
-    lam = p/q is multiplied in as the integer weight p^t q^(T-t) of a
-    contraction total t, where T bounds every total, so the denominator
-    gains q^T and no lam power occurs; at lam = 0 every t > 0 term drops.
-    The contraction tables are memoized across products (``_contractions``),
-    so every step of a power and every repeated pair of exponents reuses
-    them; each term pair adds its zero-contraction term, weighted q^T,
-    directly.
+    When no d_i of the left factor meets an x_i of the right one, the
+    numerators multiply as commuting polynomials, in every mode.  Otherwise
+    they are summed over the product of the denominators and normalised
+    once, at the end.  A fixed lam = p/q enters as the integer weight
+    p^t q^(T-t) of a contraction total t, where T bounds every total, so
+    the denominator gains q^T and no lam power occurs; at lam = 0 every
+    t > 0 term drops.  The contraction tables are memoized across products
+    (``_contractions``); each term pair adds its zero-contraction term,
+    weighted q^T, directly.
     """
     d1._check_compatible(d2)
-    n, lam = d1.n, d1.lam
-    s1, s2 = d1.symbol, d2.symbol
-    if not any(dv in s1.vars and xv in s2.vars for xv, dv in zip(*_names(n))):
-        return WeylElement._trusted(n, lam, s1 * s2)
-    names, xpos, dpos, _ = _layout(n)
-    pq, top, weight = None, 0, 1
-    if lam != FORMAL:
-        pq = lam.numerator, lam.denominator
-        if pq[1] != 1:  # q^T is 1 at an integer lam, whatever T is
-            top = sum(min(s1.degree_in(names[pd]), s2.degree_in(names[px]))
-                      for px, pd in zip(xpos, dpos))
-            weight = pq[1] ** top
-    den = s1.den * s2.den * weight
+    n, lam, num1, num2 = d1.n, d1.lam, d1.num, d2.num
+    _, xpos, dpos, lpos, _ = _layout(n)
+    deg1, deg2 = list(map(max, zip(*num1))), list(map(max, zip(*num2)))
+    meet = [min(deg1[pd], deg2[px]) for px, pd in zip(xpos, dpos)] if num1 and num2 else ()
+    if not any(meet):
+        return _element(n, lam, _int_addmul({}, num1, num2), d1.den * d2.den)
+    pq = None if lam == FORMAL else (lam.numerator, lam.denominator)
+    top = sum(meet) if pq and pq[1] != 1 else 0  # q^T is 1 at an integer lam, whatever T is
+    weight = pq[1] ** top if pq else 1
     # group the left terms by momenta and the right ones by positions, so
     # each pair of groups is normal-ordered once
     left, right, out = {}, {}, {}
-    for e, c in _relayout(s1.num, s1.vars, names).items():
-        left.setdefault(tuple(e[p] for p in dpos), []).append((e, c))
-    for e, c in _relayout(s2.num, s2.vars, names).items():
-        right.setdefault(tuple(e[p] for p in xpos), []).append((e, c))
+    for e, c in num1.items():
+        left.setdefault(e[lpos + 1:], []).append((e, c))
+    for e, c in num2.items():
+        right.setdefault(e[:lpos], []).append((e, c))
     for b1, lterms in left.items():
         for a2, rterms in right.items():
             moves = _contractions(n, b1, a2, pq, top)
@@ -316,7 +311,7 @@ def weyl_mul(d1: WeylElement, d2: WeylElement) -> WeylElement:
                     for shift, f in moves:
                         m = tuple(map(add, e, shift))
                         out[m] = out.get(m, 0) + c * f
-    return WeylElement._trusted(n, lam, _join(names, out, den))
+    return _element(n, lam, out, d1.den * d2.den * weight)
 
 
 @lru_cache(maxsize=4096)
@@ -324,14 +319,16 @@ def _contractions(n: int, b: tuple, a: tuple, pq, top: int) -> tuple:
     """The normal ordering of d^b x^a past its zero-contraction term, as
     ((shift, f), ...): one pair for each contraction (k_1..k_n) != 0 with a
     nonzero factor, the shift from x^a d^b over the rank-n layout and the
-    integer factor.  ``pq`` is None in formal mode; a fixed lam = p/q,
-    given as (p, q), enters as the weight p^t q^(top-t) of the contraction
-    total t <= top.  The key is all ints: a Fraction lam hashes and
-    compares in Python."""
-    names, xpos, dpos, lpos = _layout(n)
+    integer factor.  ``a`` and ``b`` are the slices of a key before and
+    after ``lam``: the positions and the momenta in layout order.  ``pq`` is
+    None in formal mode; a fixed lam = p/q, given as (p, q), enters as the
+    weight p^t q^(top-t) of the contraction total t <= top.  The key is all
+    ints: a Fraction lam hashes and compares in Python."""
+    names, xpos, dpos, lpos, _ = _layout(n)
     p, q = pq or (1, 1)
     moves = [([0] * len(names), q ** top)]
-    for px, pd, i, j in zip(xpos, dpos, b, a):
+    for px, pd, j in zip(xpos, dpos, a):
+        i = b[pd - lpos - 1]
         more = []
         for k in range(1, min(i, j) + 1):
             c = comb(i, k) * comb(j, k) * factorial(k) * p ** k
@@ -366,14 +363,19 @@ def act_on_polynomial(d: WeylElement, f: MultiPoly) -> MultiPoly:
 
 def fourier(d: WeylElement) -> WeylElement:
     """Algebra automorphism generated by x_i -> d_i, d_i -> -x_i,
-    re-normal-ordered.  Has order four."""
-    xs, ds = _names(d.n)
-    out = WeylElement.zero(d.n, d.lam)
-    for (a, b), c in d.terms.items():
-        left = d._with(MultiPoly(ds, {a: 1}))
-        right = d._with(MultiPoly(xs, {b: (-1) ** sum(b)}) * c)
-        out = out + weyl_mul(left, right)
-    return out
+    re-normal-ordered.  Has order four.  lam^k x^a d^b goes to d^a times
+    (-1)^|b| lam^k x^b; the second factors of one d^a are summed first."""
+    n, lam = d.n, d.lam
+    _, xpos, dpos, lpos, _ = _layout(n)
+    groups = {}
+    for e, c in d.num.items():
+        left, right = [0] * len(e), [0] * len(e)
+        for px, pd in zip(xpos, dpos):
+            left[pd], right[px] = e[px], e[pd]
+        right[lpos] = e[lpos]
+        groups.setdefault(tuple(left), {})[tuple(right)] = c * (-1) ** sum(e[lpos + 1:])
+    return sum((weyl_mul(_element(n, lam, {left: 1}), _element(n, lam, right, d.den))
+                for left, right in groups.items()), WeylElement.zero(n, lam))
 
 
 def specialize_lambda(d: WeylElement, c) -> WeylElement:
@@ -381,10 +383,8 @@ def specialize_lambda(d: WeylElement, c) -> WeylElement:
     if d.lam != FORMAL:
         raise ModeMismatchError("element is already specialized")
     c = c if isinstance(c, Fraction) else Fraction(c)
-    out = ZERO
-    for k, coef in enumerate(d.symbol.coefficients_in("lam")):
-        out = out + coef * c ** k
-    return WeylElement._trusted(d.n, c, out)
+    out = sum((coef * c ** k for k, coef in enumerate(d.symbol.coefficients_in("lam"))), ZERO)
+    return _lift(out, d.n, c)
 
 
 @dataclass(frozen=True)
@@ -421,13 +421,13 @@ def reduce_to_scalar(d: WeylElement) -> SimplicityCertificate:
         raise DegenerateError("the commutative fiber (lam = 0) is not simple")
     steps = []
     cur = d
-    xs, ds = _names(d.n)
-    for i, v in enumerate(xs):
-        while cur.symbol.degree_in(v):
+    _, xpos, dpos, _, _ = _layout(d.n)
+    for i, p in enumerate(xpos):
+        while any(e[p] for e in cur.num):
             cur = WeylElement.d(i, d.n, d.lam).commutator(cur)
             steps.append(("d", i, "left"))
-    for i, v in enumerate(ds):
-        while cur.symbol.degree_in(v):
+    for i, p in enumerate(dpos):
+        while any(e[p] for e in cur.num):
             cur = cur.commutator(WeylElement.x(i, d.n, d.lam))
             steps.append(("x", i, "right"))
     return SimplicityCertificate(tuple(steps), cur.symbol)
@@ -444,7 +444,7 @@ def parse_weyl(s: str, n: int = None, lam=FORMAL) -> WeylElement:
     The rank is inferred from the largest index unless given.
 
     Normal-ordered text (see ``_read_normal_ordered``) is read straight
-    into the symbol of each factor, and only the factors of a product or a
+    into the numerator map of each factor, and only the factors of a product or a
     power are multiplied; any other text goes to ``_parse_general``.
     """
     try:
@@ -498,7 +498,7 @@ def _read_normal_ordered(s: str, n, lam):
                     return None
                 momentum = momentum or v[0] == "d"
     layout = _layout(rank)[0]
-    return [(WeylElement._trusted(rank, lam, _assemble(terms, layout)), k) for terms, k in factors]
+    return [(_element(rank, lam, *_assemble(terms, layout)), k) for terms, k in factors]
 
 
 def _parse_general(s: str, n: int = None, lam=FORMAL) -> WeylElement:
@@ -511,7 +511,7 @@ def _parse_general(s: str, n: int = None, lam=FORMAL) -> WeylElement:
         if key == "lam":
             if lam != FORMAL:
                 raise ModeMismatchError("lam is not a symbol in fixed mode")
-            return WeylElement.scalar(_LAM, rank, lam)
+            return WeylElement.scalar(MultiPoly.var("lam"), rank, lam)
         base = key.rstrip("0123456789")
         if base in ("x", "d"):
             idx = int(key[len(base):]) - 1 if key != base else 0

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from azumaya import diffop
 from azumaya.cli import main
@@ -14,7 +16,7 @@ from azumaya.diffop import (CASE_DISTINCT, CASE_NILPOTENT, CASE_SEMISIMPLE,
                             pushforward_report, solve_commutation)
 from azumaya.errors import (NonConstantError, NotSplitError, PreconditionError,
                             ShapeError, ZeroLambdaError)
-from azumaya.linalg import PolyMatrix, SpanBasis, char_poly
+from azumaya.linalg import PolyMatrix, SpanBasis, char_poly, min_poly
 from azumaya.poly import MultiPoly, parse_poly
 from azumaya.suites import rand_discriminant_zero, rand_poly_matrix
 from test_linalg import fraction_rref, nullspace_from_rref
@@ -484,6 +486,37 @@ def test_classify_errors():
         classify_higgsing(PolyMatrix.from_rows([[0, 2], [1, 0]]))
     with pytest.raises(ShapeError):
         classify_higgsing(PolyMatrix.identity(3))
+
+
+@st.composite
+def split_2x2(draw):
+    """A 2x2 B over Q[z] with a split, z-free characteristic polynomial: a
+    triangular matrix with eigenvalues nu1, nu2, equal or not, and an
+    off-diagonal entry in z (zero for a scalar B), conjugated by a constant
+    invertible P.  z^5 - 5*z^3 + 4*z vanishes at every base point of
+    min_poly's certificate, so min_poly falls back to its relation search."""
+    q = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    nu1 = draw(q)
+    nu2 = draw(st.one_of(st.just(nu1), q))
+    off = draw(st.sampled_from(["0", "1", "-3/2", "z", "-2/3*z^2 + z", "z^5 - 5*z^3 + 4*z"]))
+    t = [[nu1, off], [0, nu2]] if draw(st.booleans()) else [[nu1, 0], [off, nu2]]
+    p = draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(
+        lambda p: p[0] * p[3] != p[1] * p[2]))
+    det = Fraction(p[0] * p[3] - p[1] * p[2])
+    pm = PolyMatrix.from_rows([p[:2], p[2:]])
+    inv = PolyMatrix.from_rows([[p[3] / det, -p[1] / det], [-p[2] / det, p[0] / det]])
+    return pm * PolyMatrix.from_rows([[str(x) for x in row] for row in t]) * inv
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_2x2())
+@example(PolyMatrix.identity(2))
+@example(PolyMatrix.from_rows([["-1/2", 0], [0, "-1/2"]]))
+@example(PolyMatrix.from_rows([[0, "z^5 - 5*z^3 + 4*z"], [0, 0]]))
+@example(PolyMatrix.from_rows([["3/2", 0], ["z", "3/2"]]))
+@example(PolyMatrix.from_rows([["1/3", 0], [0, "-1/2"]]))
+def test_classify_reads_the_minimal_polynomial_off_b_minus_nu(b):
+    assert classify_higgsing(b).kernel_ideal_gen == min_poly(b)
 
 
 # -- pushforward -------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -776,8 +776,11 @@ def groups_weyl_str(e):
     coefficient of several lam powers through ``_join`` and
     ``MultiPoly.__str__``, each x^a d^b joined on the spot."""
     names, den = sum(weyl._names(e.n), ()), e.symbol.den
+    # each coefficient's numerators over den, by lam power
+    groups = {ab: {k or (0,): int(c * den) for k, c in coef.terms.items()}
+              for ab, coef in e.terms.items()}
     text = ""
-    for (a, b), num in sorted(e._groups().items(), reverse=True,
+    for (a, b), num in sorted(groups.items(), reverse=True,
                               key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]), kv[0])):
         if len(num) > 1:
             sign, parts = "+", [f"({_join(('lam',), num, den)})"]
@@ -818,3 +821,76 @@ def printed_elements(draw):
 def test_str_matches_the_groups_printer(e):
     assert str(e) == groups_weyl_str(e)
     assert parse_weyl(str(e), e.n, e.lam) == e
+
+
+# -- storage: integer numerators over the fixed layout of the rank -----------------
+
+@st.composite
+def stored_pairs(draw):
+    """Two (e, flat) of one rank, 1, 2, 3, 10 or 11, and one mode, formal
+    or fixed (lam = 0 among them): an element and the flat map over
+    (positions, momenta, lam) that the constructor once gave ``MultiPoly``."""
+    n = draw(st.sampled_from([1, 2, 3, 10, 11]))
+    lam = draw(st.sampled_from([FORMAL, Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5, 7)]))
+    exps = st.dictionaries(st.integers(0, n - 1), st.integers(1, 3), max_size=2).map(
+        lambda powers: tuple(powers.get(i, 0) for i in range(n)))
+    powers = st.integers(0, 3) if lam == FORMAL else st.just(0)
+    coeffs = st.dictionaries(powers, PRINT_COEFFS, min_size=1, max_size=3)
+
+    def stored():
+        terms = draw(st.dictionaries(st.tuples(exps, exps), coeffs, max_size=4))
+        flat = {a + b + (k,): c for (a, b), cs in terms.items() for k, c in cs.items()}
+        return WeylElement(n, lam, {k: sum((c * _LAM ** p for p, c in cs.items()), MultiPoly.zero())
+                                    for k, cs in terms.items()}), flat
+
+    return stored(), stored()
+
+
+def assert_stored(e):
+    """Nonzero integer numerators keyed over the whole rank-n layout, coprime
+    to one positive denominator, with lam only in formal mode."""
+    names, _, _, lpos, _ = weyl._layout(e.n)
+    assert all(len(k) == len(names) for k in e.num)
+    assert all(type(c) is int and c != 0 for c in e.num.values())
+    assert type(e.den) is int and e.den > 0 and gcd(e.den, *e.num.values()) == 1
+    assert e.lam == FORMAL or not any(k[lpos] for k in e.num)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stored_pairs())
+@example(((WeylElement.zero(10), {}), (WeylElement.zero(10), {})))
+@example(((WeylElement(1, 0, {((2,), (1,)): 3}), {(2, 1, 0): 3}),
+          (WeylElement(1, 0, {((1,), (2,)): Fraction(1, 3)}), {(1, 2, 0): Fraction(1, 3)})))
+def test_stored_symbol_matches_the_old_constructor(pair):
+    (e, flat), (w, wflat) = pair
+    xs, ds = weyl._names(e.n)
+    for u, f in ((e, flat), (w, wflat)):
+        assert u.symbol == MultiPoly(xs + ds + ("lam",), f)
+        assert_stored(u)
+    # one element built by a product, by the constructor and by parse_weyl;
+    # the product against the Fraction path at every rank, 10 and 11 too
+    assert weyl_mul(e, w) == fraction_weyl_mul(e, w)
+    p = weyl_mul(e, w) - w
+    assert_stored(p)
+    for q in (WeylElement(p.n, p.lam, p.terms), parse_weyl(str(p), p.n, p.lam)):
+        assert q == p and hash(q) == hash(p) and q.symbol == p.symbol
+
+
+def test_sums_products_and_printing_do_not_re_key(monkeypatch):
+    # elements are built first; then every helper that moves numerators
+    # between layouts refuses to run
+    rng = random.Random(97)
+    cases = [(weyl_operand(rng, n, lam), weyl_operand(rng, n, lam))
+             for n in (1, 2, 3) for lam in LAMS for _ in range(5)]
+    cases.append((parse_weyl("(d10 + x10)*(x10 + lam*d2) + d2*d10", 10),
+                  parse_weyl("x2*d10 - 1/2*lam", 10)))
+    expected = [(weyl_mul(u, w), u + w, u - w, -u, str(u), u.bidegree()) for u, w in cases]
+
+    def refuse(*args):
+        raise AssertionError("numerators were re-keyed")
+
+    for name in ("_relayout", "_join"):
+        monkeypatch.setattr(weyl, name, refuse)
+    for (u, w), want in zip(cases, expected):
+        assert (weyl_mul(u, w), u + w, u - w, -u, str(u), u.bidegree()) == want
+        assert str(weyl_mul(u, w)) == str(want[0]) and u.commutator(w) == want[0] - weyl_mul(w, u)
