@@ -5,7 +5,11 @@ one positive denominator, keyed by exponents over ``_layout(n)``, the fixed
 sorted names of rank n (positions, ``lam``, momenta), where lam^k x^a d^b
 stands for lam^k * x^a d^b with every x_i left of every d_i.  That form is
 canonical, so equality, hashing, sums, products and printing read the keys
-as they are; ``symbol`` builds the canonical ``MultiPoly`` on demand.
+as they are; ``symbol`` builds the canonical ``MultiPoly`` on demand.  The
+product, the action on polynomials, the commutators with a generator (the
+closed forms [d_i, P] = lam*dP/dx_i and [P, x_i] = lam*dP/dd_i) and the
+specialization of lam work on these numerators too; ``SimplicityCertificate.replay``
+keeps the ``weyl_mul`` commutators as the independent oracle of those forms.
 The deformation parameter enters through the relation  d_i*x_i = x_i*d_i + lam;
 ``lam`` is either a genuine polynomial coefficient variable (formal mode) or
 a fixed rational.  At lam = 1 this is the classical algebra of polynomial
@@ -29,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import groupby
-from math import comb, factorial, lcm
-from operator import add, itemgetter
+from math import comb, factorial, lcm, perm, prod
+from operator import add, itemgetter, sub
 
 from .errors import DegenerateError, ModeMismatchError, ZeroElementError
 from .poly import (ONE, ZERO, MultiPoly, _assemble, _int_addmul, _join, _lead, _monomial_text,
@@ -345,20 +349,31 @@ def _contractions(n: int, b: tuple, a: tuple, pq, top: int) -> tuple:
 
 def act_on_polynomial(d: WeylElement, f: MultiPoly) -> MultiPoly:
     """Action on the polynomial module: x_i multiplies, d_i applies
-    lam * d/dx_i.  Only defined in fixed mode."""
+    lam * d/dx_i.  Only defined in fixed mode.  At lam = p/q the numerator
+    term c x^a d^b sends h x^g to c h p^|b| q^(T-|b|) prod_i g_i!/(g_i-b_i)!
+    x^(a+g-b) (0 when some g_i < b_i), over d.den f.den q^T for T the
+    largest |b|; the terms of one b share the derivative of f."""
     if d.lam == FORMAL:
         raise ModeMismatchError("action requires a fixed lambda")
-    xs = position_vars(d.n)
+    n, xs = d.n, position_vars(d.n)
     if not set(f.vars) <= set(xs):
         raise ModeMismatchError(f"polynomial must live in {xs}")
-    out = MultiPoly.zero()
-    for (a, b), c in d.terms.items():
-        g = f
-        for v, k in zip(xs, b):
-            for _ in range(k):
-                g = g.derivative(v) * d.lam
-        out = out + c * MultiPoly(xs, {a: 1}) * g
-    return out
+    get, groups = _layout(n)[4], {}
+    for e, c in d.num.items():
+        ab = get(e)
+        groups.setdefault(ab[n:], {})[ab[:n]] = c
+    p, q = d.lam.numerator, d.lam.denominator
+    top = max(map(sum, groups), default=0)
+    g, out = _relayout(f.num, f.vars, xs), {}
+    for b, left in groups.items():
+        w = p ** sum(b) * q ** (top - sum(b))
+        deriv = {}
+        for e, h in g.items():
+            k = prod(map(perm, e, b)) * w  # 0 when some e_i < b_i
+            if k:
+                deriv[tuple(map(sub, e, b))] = h * k
+        _int_addmul(out, left, deriv)
+    return _join(xs, out, d.den * f.den * q ** top)
 
 
 def fourier(d: WeylElement) -> WeylElement:
@@ -379,12 +394,20 @@ def fourier(d: WeylElement) -> WeylElement:
 
 
 def specialize_lambda(d: WeylElement, c) -> WeylElement:
-    """Pass from the formal family to the fiber lam = c."""
+    """Pass from the formal family to the fiber lam = c.  On the integer
+    numerators, at c = p/q: lam^k x^a d^b with numerator v goes to x^a d^b
+    with v p^k q^(K-k) over den q^K, where K is the largest k."""
     if d.lam != FORMAL:
         raise ModeMismatchError("element is already specialized")
     c = c if isinstance(c, Fraction) else Fraction(c)
-    out = sum((coef * c ** k for k, coef in enumerate(d.symbol.coefficients_in("lam"))), ZERO)
-    return _lift(out, d.n, c)
+    n, p, q = d.n, c.numerator, c.denominator
+    top = max((e[n] for e in d.num), default=0)
+    weights = [p ** k * q ** (top - k) for k in range(top + 1)]
+    out = {}
+    for e, v in d.num.items():
+        key = e[:n] + (0,) + e[n + 1:]
+        out[key] = out.get(key, 0) + v * weights[e[n]]
+    return _element(n, c, out, d.den * q ** top)
 
 
 @dataclass(frozen=True)
@@ -394,6 +417,8 @@ class SimplicityCertificate:
     Each step is (kind, index, side): kind 'd' with side 'left' applies
     [d_i, -], kind 'x' with side 'right' applies [-, x_i].  Replaying the
     steps on the input element must reproduce ``final_scalar`` exactly.
+    ``replay`` forms each commutator from two ``weyl_mul`` products, on
+    purpose: it checks ``reduce_to_scalar``'s closed forms independently.
     """
 
     steps: tuple
@@ -413,24 +438,26 @@ def reduce_to_scalar(d: WeylElement) -> SimplicityCertificate:
 
     Commuting with d_i trims the x_i-degree (scaled by lam), commuting with
     x_i trims the d_i-degree; the lowest-index variable with positive degree
-    is processed first, so the walk is deterministic.
+    is processed first, so the walk is deterministic.  Each commutator is a
+    closed form on the numerators, [d_i, P] = lam dP/dx_i and [P, x_i] =
+    lam dP/dd_i: formal mode adds 1 to the lam exponent, lam = p/q scales by p/q.
     """
     if d.is_zero():
         raise ZeroElementError("cannot certify the zero element")
     if d.lam != FORMAL and d.lam == 0:
         raise DegenerateError("the commutative fiber (lam = 0) is not simple")
-    steps = []
-    cur = d
-    _, xpos, dpos, _, _ = _layout(d.n)
-    for i, p in enumerate(xpos):
-        while any(e[p] for e in cur.num):
-            cur = WeylElement.d(i, d.n, d.lam).commutator(cur)
-            steps.append(("d", i, "left"))
-    for i, p in enumerate(dpos):
-        while any(e[p] for e in cur.num):
-            cur = cur.commutator(WeylElement.x(i, d.n, d.lam))
-            steps.append(("x", i, "right"))
-    return SimplicityCertificate(tuple(steps), cur.symbol)
+    n, num, den, steps = d.n, d.num, d.den, []
+    names, xpos, dpos, lpos, _ = _layout(n)
+    p, q, up = (1, 1, 1) if d.lam == FORMAL else (d.lam.numerator, d.lam.denominator, 0)
+    for kind, side, places in (("d", "left", xpos), ("x", "right", dpos)):
+        for i, at in enumerate(places):
+            shift = [0] * len(names)
+            shift[at], shift[lpos] = -1, up
+            while any(e[at] for e in num):
+                num = {tuple(map(add, e, shift)): c * e[at] * p for e, c in num.items() if e[at]}
+                den *= q
+                steps.append((kind, i, side))
+    return SimplicityCertificate(tuple(steps), _join(names, num, den))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from itertools import product
 from math import comb, factorial, gcd
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -894,3 +895,121 @@ def test_sums_products_and_printing_do_not_re_key(monkeypatch):
     for (u, w), want in zip(cases, expected):
         assert (weyl_mul(u, w), u + w, u - w, -u, str(u), u.bidegree()) == want
         assert str(weyl_mul(u, w)) == str(want[0]) and u.commutator(w) == want[0] - weyl_mul(w, u)
+
+
+# -- action, certificates and specialization on the numerators ---------------------
+
+def sympy_polynomial(names, terms):
+    """sum c * prod names^e over ``terms`` {e: c} as a sympy expression."""
+    gens = [sympy.Symbol(v) for v in names]
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(v ** k for v, k in zip(gens, e))) for e, c in terms.items()),
+               sympy.Integer(0))
+
+
+def sympy_action(n, lam, terms, f):
+    """c x^a d^b acting on the sympy polynomial ``f``: lam * d/dx_i applied
+    b_i times by ``sympy.diff``, then times x^a."""
+    gens = [sympy.Symbol(v) for v in position_vars(n)]
+    out = sympy.Integer(0)
+    for (a, b), c in terms.items():
+        g = f
+        for v, k in zip(gens, b):
+            for _ in range(k):
+                g = sympy.Rational(lam.numerator, lam.denominator) * sympy.diff(g, v)
+        out += sympy.Rational(c.numerator, c.denominator) * sympy.Mul(
+            *(v ** k for v, k in zip(gens, a))) * g
+    return sympy.expand(out)
+
+
+@st.composite
+def actions(draw):
+    """(n, lam, terms, f): up to four terms c x^a d^b of rank 1 or 2 whose
+    momentum exponents reach 4, above f's degree 2 in each position, and
+    f's terms {g: h}."""
+    n = draw(st.sampled_from([1, 2]))
+    lam = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
+                                Fraction(-2, 3), Fraction(3, 2)]))
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7]))
+    positions, momenta = st.tuples(*[st.integers(0, 2)] * n), st.tuples(*[st.integers(0, 4)] * n)
+    terms = draw(st.dictionaries(st.tuples(positions, momenta), coeff, max_size=4))
+    return n, lam, terms, draw(st.dictionaries(positions, coeff, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(actions())
+@example((1, Fraction(3, 2), {((1,), (3,)): Fraction(1)}, {(2,): Fraction(1)}))
+@example((2, Fraction(-2, 3), {((0, 1), (1, 3)): Fraction(2), ((0, 0), (0, 0)): Fraction(1)},
+          {(1, 2): Fraction(5, 3), (2, 0): Fraction(-1)}))
+@example((2, Fraction(0), {((1, 0), (0, 1)): Fraction(3), ((0, 2), (0, 0)): Fraction(1)},
+          {(0, 1): Fraction(1)}))
+def test_action_matches_sympy(case):
+    n, lam, terms, fterms = case
+    xs = position_vars(n)
+    f = MultiPoly(xs, fterms)
+    got = act_on_polynomial(WeylElement(n, lam, terms), f)
+    assert_canonical(got)
+    assert set(got.vars) <= set(xs)
+    want = sympy_action(n, lam, terms, sympy_polynomial(xs, fterms))
+    assert sympy.expand(sympy_polynomial(got.vars, got.terms) - want) == 0
+    with pytest.raises(ModeMismatchError):
+        act_on_polynomial(WeylElement(n, FORMAL, terms), f)
+
+
+def reference_reduction(e):
+    """(steps, scalar) of the walk ``reduce_to_scalar`` takes, by
+    ``WeylElement.commutator`` with the generators."""
+    steps, cur = [], e
+    for i in range(e.n):
+        while any(a[i] for a, _ in cur.terms):
+            cur = WeylElement.d(i, e.n, e.lam).commutator(cur)
+            steps.append(("d", i, "left"))
+    for i in range(e.n):
+        while any(b[i] for _, b in cur.terms):
+            cur = cur.commutator(WeylElement.x(i, e.n, e.lam))
+            steps.append(("x", i, "right"))
+    return tuple(steps), cur.symbol
+
+
+@pytest.mark.parametrize("lam", [FORMAL, Fraction(1), Fraction(-1), Fraction(2, 3),
+                                 Fraction(-3, 2)])
+def test_reduce_certificates_match_the_commutator_walk(lam, monkeypatch):
+    rng = random.Random(61)
+    elements = []
+    while len(elements) < 40:
+        e = weyl_operand(rng, rng.choice([1, 2]), lam)
+        if not e.is_zero():
+            elements.append(e)
+    expected = [reference_reduction(e) for e in elements]
+    for e, (steps, scalar) in zip(elements, expected):
+        cert = reduce_to_scalar(e)
+        assert (cert.steps, cert.final_scalar) == (steps, scalar)
+        assert_canonical(cert.final_scalar)
+        assert cert.replay(e).terms == {((0,) * e.n, (0,) * e.n): scalar}
+
+    def refuse(*args):
+        raise AssertionError("the certificate multiplied")
+
+    # the certificate costs no products; replay keeps them as its check
+    monkeypatch.setattr(weyl, "weyl_mul", refuse)
+    for e, (steps, scalar) in zip(elements, expected):
+        cert = reduce_to_scalar(e)
+        assert (cert.steps, cert.final_scalar) == (steps, scalar)
+    with pytest.raises(AssertionError, match="multiplied"):
+        cert.replay(elements[-1])
+
+
+@pytest.mark.parametrize("c", [Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3),
+                               Fraction(-5, 2)])
+def test_specialize_lambda_is_the_coefficient_sum_and_a_homomorphism(c):
+    rng = random.Random(67)
+    for _ in range(40):
+        n = rng.choice([1, 2])
+        a, b = weyl_operand(rng, n, FORMAL), weyl_operand(rng, n, FORMAL)
+        s = specialize_lambda(a, c)
+        assert s.lam == c
+        assert_stored(s)
+        assert s.symbol == sum((coef * c ** k for k, coef in
+                                enumerate(a.symbol.coefficients_in("lam"))), MultiPoly.zero())
+        assert specialize_lambda(weyl_mul(a, b), c) == \
+            weyl_mul(s, specialize_lambda(b, c))
