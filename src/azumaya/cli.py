@@ -5,7 +5,8 @@ All numbers travel as strings so exact rationals survive the wire; the
 serialization is byte-stable for identical inputs (sorted keys, fixed
 separators, canonical polynomial text).
 
-Exit codes: 0 ok, 1 malformed input or module error, 2 check violation.
+Exit codes: 0 ok, 1 malformed input, a size past its budget or module
+error, 2 check violation.
 Every outcome, an unexpected exception included, gets exactly one report;
 no traceback is printed.
 """
@@ -20,17 +21,39 @@ import re
 import sys
 from fractions import Fraction
 
-from . import diffop, spectral, suites, twisted, weyl
-from .errors import (E_INPUT, E_INTERNAL, AzumayaError, CoverMismatchError,
+from . import diffop, linalg, poly, spectral, suites, twisted, weyl
+from .errors import (E_BUDGET, E_INPUT, E_INTERNAL, AzumayaError, CoverMismatchError,
                      InvalidInputError, NotAdmissibleError, ShapeError)
-from .linalg import PolyMatrix, SpanBasis, char_poly
-from .poly import MultiPoly, parse_poly
 
 PROBLEM_VERSION = 1
+
+# The largest size each budgeted value may take.  A larger one is refused
+# with E_BUDGET where it is read, before any work.  Every limit sits above
+# the sizes the tests, demos and perfbench send, and a request at a limit
+# answers in under 5 s.  The mu_n coboundary decision factors a system of
+# N(N-1)(N-2)/6 rows once per (N, n), which takes 2.5 s at N = 16 and 20 s
+# at N = 20, so it has a limit of its own below the nerve's.
+BUDGETS = {
+    "n": 64,                # Weyl rank, given or inferred from the generator names
+    "rank": 12,             # coc glue; descending to End takes rank^2
+    "deg_bound": 1000,      # azu solve and azu report
+    "indices": 64,          # a nerve: coc check loops over N^3 triples
+    "decided indices": 16,  # coc coboundary with alpha
+}
 
 
 class UsageError(Exception):
     """Malformed invocation or input; maps to exit code 1."""
+
+
+class BudgetError(Exception):
+    """A size past its entry in ``BUDGETS``; maps to exit code 1, E_BUDGET."""
+
+
+def _budget(value: int, key: str) -> int:
+    if value > BUDGETS[key]:
+        raise BudgetError(f"{key} {value} is past the budget of {BUDGETS[key]}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,17 +175,17 @@ def _fraction(text, what="value") -> Fraction:
     return _convert(_rational, text, what)
 
 
-def _poly(text, what="polynomial") -> MultiPoly:
+def _poly(text, what="polynomial") -> poly.MultiPoly:
     try:
-        return parse_poly(str(text))
+        return poly.parse_poly(str(text))
     except ValueError as exc:
         raise UsageError(f"bad {what}: {text!r} ({exc})")
 
 
-def _matrix(rows, what="matrix") -> PolyMatrix:
+def _matrix(rows, what="matrix") -> linalg.PolyMatrix:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise UsageError(f"{what} must be a list of rows")
-    return PolyMatrix.from_rows([[_poly(x, what) for x in row] for row in rows])
+    return linalg.PolyMatrix.from_rows([[_poly(x, what) for x in row] for row in rows])
 
 
 def _lambda_mode(text):
@@ -177,11 +200,13 @@ def _lambda_mode(text):
 
 def _weyl_element(payload):
     lam = _lambda_mode(payload.get("lam"))
+    text = str(payload["expr"])
     n = _int(payload["n"], "n") if "n" in payload else None
     if n is not None and n < 1:
         raise UsageError(f"bad n: {n!r} (expected at least 1)")
     try:
-        return weyl.parse_weyl(str(payload["expr"]), n=n, lam=lam)
+        _budget(n or weyl.implied_rank(text), "n")
+        return weyl.parse_weyl(text, n=n, lam=lam)
     except ValueError as exc:
         raise UsageError(f"bad expression: {exc}")
 
@@ -210,7 +235,8 @@ def cmd_weyl_reduce(payload):
 def cmd_azu_solve(payload):
     a = _matrix(payload["A"], "A")
     lam = _fraction(payload["lambda"], "lambda")
-    bound = _count(payload.get("deg_bound", diffop.default_degree_bound(a)), "deg_bound")
+    bound = _budget(_count(payload.get("deg_bound", diffop.default_degree_bound(a)),
+                           "deg_bound"), "deg_bound")
     basis = diffop.solve_commutation(a, lam, bound)
     return "ok", {"deg_bound": bound, "dimension": len(basis),
                   "basis": [b.to_strings() for b in basis]}, []
@@ -233,10 +259,11 @@ def cmd_azu_report(payload):
     a = _matrix(payload["A"], "A")
     lam = _fraction(payload["lambda"], "lambda")
     bhat = [_fraction(c, "bhat entry") for c in _list(payload["bhat"], "bhat")]
+    bound = (_budget(_count(payload["deg_bound"], "deg_bound"), "deg_bound")
+             if "deg_bound" in payload else None)
     rep = diffop.pushforward_report(a, bhat, lam)
     data = rep.to_json()
-    if "deg_bound" in payload:
-        bound = _count(payload["deg_bound"], "deg_bound")
+    if bound is not None:
         data["solve_dimension"] = len(diffop.solve_commutation(a, lam, bound))
         data["deg_bound"] = bound
     return "ok", data, []
@@ -343,7 +370,7 @@ def cochain_from_json(payload, key: str):
         group = twisted.Mu(_int(_field(payload, "n"), "n"))
     else:
         raise InvalidInputError(f"unknown group {name!r}")
-    nerve = twisted.CoverNerve(_int(_field(payload, "indices"), "indices"))
+    nerve = twisted.CoverNerve(_budget(_int(_field(payload, "indices"), "indices"), "indices"))
     items = _list(payload.get("values", []), "values")
     convert, wire = (_rational, str) if name == "qstar" else (int, int)
     size, unit, one, valid = nerve.index_count, len(key) == 3, group.identity(), group.validate
@@ -418,8 +445,8 @@ def cochain_to_json(cochain) -> dict:
 
 
 def _bundle(payload) -> twisted.TwistedBundle:
-    rank = _int(payload["rank"], "rank")
-    nerve = twisted.CoverNerve(_int(payload["indices"], "indices"))
+    rank = _budget(_int(payload["rank"], "rank"), "rank")
+    nerve = twisted.CoverNerve(_budget(_int(payload["indices"], "indices"), "indices"))
     twist = twisted.UnitCochain2.trivial(nerve, twisted.Qstar())
     if "twist" in payload:
         twist = cochain_from_json(payload["twist"], "ijk")
@@ -448,7 +475,9 @@ def cmd_coc_coboundary(payload):
     if "beta" in payload:
         beta = cochain_from_json(payload["beta"], "ij")
         return "ok", {"coboundary": cochain_to_json(twisted.coboundary(beta))}, []
-    ok, witness = twisted.is_coboundary(cochain_from_json(payload["alpha"], "ijk"))
+    alpha = cochain_from_json(payload["alpha"], "ijk")
+    _budget(alpha.nerve.index_count, "decided indices")
+    ok, witness = twisted.is_coboundary(alpha)
     if ok:
         return "ok", {"is_coboundary": True, "witness": cochain_to_json(witness)}, []
     return "ok", {"is_coboundary": False}, []
@@ -502,7 +531,7 @@ def cmd_hilb_morphism(payload):
 CANONICAL_DEMO = "example-5-1-11"
 
 
-def commutation_demo_report(a: PolyMatrix, lam: Fraction, bhat):
+def commutation_demo_report(a: linalg.PolyMatrix, lam: Fraction, bhat):
     """Full rank-2 commutation walk-through: closed-form quadruple, solver
     span comparison, degree-0 and characteristic-polynomial checks, and the
     eigen-decomposition report for the chosen combination."""
@@ -511,14 +540,14 @@ def commutation_demo_report(a: PolyMatrix, lam: Fraction, bhat):
                          for b in basis)
     deg_bound = diffop.default_degree_bound(a)
     solved = diffop.solve_commutation(a, lam, deg_bound)
-    span = SpanBasis()
+    span = linalg.SpanBasis()
     for m in solved:
         span.add(list(m.entries))
     span_match = (len(solved) == 4
                   and all(span.contains(list(b.entries)) for b in basis))
     b = diffop.combination(bhat, basis)
-    b0 = PolyMatrix.from_rows([[bhat[0], bhat[1]], [bhat[2], bhat[3]]])
-    cp_b, cp_b0 = char_poly(b), char_poly(b0)
+    b0 = linalg.PolyMatrix.from_rows([[bhat[0], bhat[1]], [bhat[2], bhat[3]]])
+    cp_b, cp_b0 = linalg.char_poly(b), linalg.char_poly(b0)
     report = diffop.classify_higgsing(b)
     return {
         "A": a.to_strings(),
@@ -731,6 +760,9 @@ def main(argv=None) -> int:
         status, data, diagnostics = HANDLERS[(args.group, args.sub)](payload)
     except UsageError as exc:
         return _emit(render_report("error", {"code": E_INPUT}, [str(exc)]), args)
+    except BudgetError as exc:
+        return _emit(render_report("error", {"code": E_BUDGET},
+                                   [f"{E_BUDGET}: {exc}"]), args)
     except AzumayaError as exc:
         return _emit(render_report("error", {"code": exc.code},
                                    [f"{exc.code}: {exc}"]), args)

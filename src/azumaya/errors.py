@@ -5,8 +5,10 @@ diagnostics and exit statuses, so codes are part of the public contract.
 """
 
 # Codes the CLI reports for failures that are not library errors: a
-# malformed invocation or payload, and any other exception a command raises.
+# malformed invocation or payload, a payload size past its budget, and any
+# other exception a command raises.
 E_INPUT = "E_INPUT"
+E_BUDGET = "E_BUDGET"
 E_INTERNAL = "E_INTERNAL"
 
 

@@ -12,9 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import diffop, linalg, spectral, twisted, weyl
-from .linalg import PolyMatrix, char_poly, eval_poly_at_matrix
-from .poly import MultiPoly
+from . import diffop, linalg, poly, spectral, twisted, weyl
 
 
 @dataclass
@@ -57,21 +55,24 @@ def rand_poly(rng, variables, deg=2, nterms=3):
     for _ in range(rng.randint(1, nterms)):
         e = tuple(rng.randint(0, deg) for _ in variables)
         terms[e] = Fraction(rng.randint(-3, 3))
-    return MultiPoly(variables, terms)
+    return poly.MultiPoly(variables, terms)
 
 
 def rand_poly_matrix(rng, r, variables=("z",), deg=2):
-    return PolyMatrix(r, r, [rand_poly(rng, variables, deg) for _ in range(r * r)])
+    return linalg.PolyMatrix(r, r, [rand_poly(rng, variables, deg) for _ in range(r * r)])
 
 
-def rand_weyl(rng, n, lam=weyl.FORMAL, bideg=3, nterms=3, with_lam=False):
+def rand_weyl(rng, n, lam=None, bideg=3, nterms=3, with_lam=False):
+    """A random element of rank ``n``; ``lam`` None is ``weyl.FORMAL``."""
+    if lam is None:
+        lam = weyl.FORMAL
     terms = {}
     for _ in range(rng.randint(1, nterms)):
         a = tuple(rng.randint(0, bideg) for _ in range(n))
         b = tuple(rng.randint(0, bideg) for _ in range(n))
-        c = MultiPoly.const(Fraction(rng.randint(-3, 3)))
+        c = poly.MultiPoly.const(Fraction(rng.randint(-3, 3)))
         if with_lam and lam == weyl.FORMAL and rng.random() < 0.5:
-            c = c * MultiPoly.var("lam") ** rng.randint(0, 2)
+            c = c * poly.MultiPoly.var("lam") ** rng.randint(0, 2)
         terms[(a, b)] = c
     return weyl.WeylElement(n, lam, terms)
 
@@ -82,7 +83,7 @@ def rand_position_poly(rng, n, deg=5, nterms=4):
     for _ in range(rng.randint(1, nterms)):
         e = tuple(rng.randint(0, deg) for _ in vs)
         terms[e] = Fraction(rng.randint(-3, 3))
-    return MultiPoly(vs, terms)
+    return poly.MultiPoly(vs, terms)
 
 
 def rand_discriminant_zero(rng):
@@ -90,7 +91,7 @@ def rand_discriminant_zero(rng):
     t = Fraction(rng.randint(-3, 3))
     s = Fraction(rng.randint(-3, 3))
     a4 = Fraction(rng.randint(-2, 2))
-    return PolyMatrix.from_rows([[a4 + 2 * t * s, t * t], [-s * s, a4]])
+    return linalg.PolyMatrix.from_rows([[a4 + 2 * t * s, t * t], [-s * s, a4]])
 
 
 def rand_commuting_pair(rng, r=2, deg=2):
@@ -98,8 +99,8 @@ def rand_commuting_pair(rng, r=2, deg=2):
     base = rand_poly_matrix(rng, r, ("z",), deg=1)
     mats = []
     for _ in range(2):
-        acc = PolyMatrix.identity(r).scale(rand_fraction(rng))
-        power = PolyMatrix.identity(r)
+        acc = linalg.PolyMatrix.identity(r).scale(rand_fraction(rng))
+        power = linalg.PolyMatrix.identity(r)
         for _ in range(rng.randint(1, 2)):
             power = power * base
             acc = acc + power.scale(rand_fraction(rng))
@@ -191,8 +192,8 @@ def lambda_commute(rng):
 def lambda_torsion(rng):
     n = rng.choice([1, 2])
     d = rand_weyl(rng, n, with_lam=True)
-    lam_var = MultiPoly.var("lam")
-    c = MultiPoly.zero()
+    lam_var = poly.MultiPoly.var("lam")
+    c = poly.MultiPoly.zero()
     for k in range(rng.randint(0, 2) + 1):
         c = c + Fraction(rng.randint(-2, 2)) * lam_var ** k
     ok = d.scale(c).is_zero() == (c.is_zero() or d.is_zero())
@@ -218,9 +219,9 @@ def charpoly_b0(rng):
     lam = Fraction(rng.choice([1, 2, -1]))
     basis = diffop.fundamental_solutions(a, lam)
     bhat = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
-    b0 = PolyMatrix.from_rows([[bhat[0], bhat[1]], [bhat[2], bhat[3]]])
-    cp = char_poly(diffop.combination(bhat, basis))
-    return cp == char_poly(b0) and set(cp.vars) <= {"v"}, lambda: f"bhat = {bhat}"
+    b0 = linalg.PolyMatrix.from_rows([[bhat[0], bhat[1]], [bhat[2], bhat[3]]])
+    cp = linalg.char_poly(diffop.combination(bhat, basis))
+    return cp == linalg.char_poly(b0) and set(cp.vars) <= {"v"}, lambda: f"bhat = {bhat}"
 
 
 @suite
@@ -300,8 +301,8 @@ def endo_cocycle(rng):
             (a, b), (c, d) = p
             det = a * d - b * c
             if det:
-                frames.append((PolyMatrix.from_rows(p),
-                               PolyMatrix.from_rows([[d, -b], [-c, a]]).scale(1 / det)))
+                frames.append((linalg.PolyMatrix.from_rows(p),
+                               linalg.PolyMatrix.from_rows([[d, -b], [-c, a]]).scale(1 / det)))
                 break
     gluing = {}
     for i in range(size):
@@ -348,9 +349,9 @@ def hilbert_constancy(rng):
 @suite
 def cayley_hamilton(rng):
     m = rand_poly_matrix(rng, rng.choice([2, 3]), ("z",), deg=2)
-    cp = char_poly(m)
+    cp = linalg.char_poly(m)
     mp = linalg.min_poly(m, cp)
-    ok = (eval_poly_at_matrix(cp, "v", m).is_zero()
+    ok = (linalg.eval_poly_at_matrix(cp, "v", m).is_zero()
           and linalg.divides_in_v(mp, cp))
     return ok, lambda: f"M = {m}"
 

@@ -20,7 +20,6 @@ from .errors import (CoverMismatchError, InvalidInputError,
                      UndecidableGroupError)
 from .linalg import PolyMatrix
 from .poly import MultiPoly, _const, _split
-from .zmod import smith_normal_form
 
 _ONE = Fraction(1)     # the identity of Qstar, built once
 
@@ -318,6 +317,8 @@ def _witness_map(size: int, n: int):
         row[pos[(i, k)]] = -1 % n
         row[len(pairs) + r] = n
         aug.append(row)
+    from .zmod import smith_normal_form     # run on the first decision only
+
     ops = []
     s, v = smith_normal_form(
         aug, [[int(i == j) for j in range(total)] for i in range(size - 1)], ops)

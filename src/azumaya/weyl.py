@@ -494,6 +494,13 @@ def _rank(names) -> int:
     return max([1] + [int(v[1:]) for v in names if v[0] in "xd" and v[1:].isdigit()])
 
 
+def implied_rank(s: str) -> int:
+    """The rank ``parse_weyl`` infers for ``s`` when none is given: the
+    largest i of a generator x<i> or d<i> in either case, and at least 1.  Raises
+    ValueError on text that does not tokenize."""
+    return _rank({val.lower() for kind, val in _tokenize(s) if kind == "name"})
+
+
 def _read_normal_ordered(s: str, n, lam):
     """[(element, k), ...] for the factors of normal-ordered text, or None.
 
@@ -531,7 +538,7 @@ def _read_normal_ordered(s: str, n, lam):
 def _parse_general(s: str, n: int = None, lam=FORMAL) -> WeylElement:
     """``parse_weyl`` by recursive descent: products, powers, parentheses,
     any order of generators, and every error message."""
-    rank = n or _rank({val.lower() for kind, val in _tokenize(s) if kind == "name"})
+    rank = n or implied_rank(s)
 
     def hook(name: str) -> WeylElement:
         key = name.lower()

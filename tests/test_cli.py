@@ -535,8 +535,63 @@ def test_error_codes_are_distinct():
     codes = [cls.code for cls in vars(errors).values()
              if isinstance(cls, type) and issubclass(cls, errors.AzumayaError)
              and cls not in (errors.AzumayaError, errors.InvalidInputError)]
-    codes += [errors.E_INPUT, errors.E_INTERNAL, errors.InvalidInputError.code]
+    codes += [errors.E_INPUT, errors.E_BUDGET, errors.E_INTERNAL, errors.InvalidInputError.code]
     assert len(codes) == len(set(codes))
+
+
+# -- budgets -------------------------------------------------------------------------
+
+def _budget_request(tmp_path, command, payload):
+    f = tmp_path / "budget.json"
+    f.write_text(json.dumps({"version": 1, "command": command, "payload": payload}))
+    return [*command.split(), str(f)]
+
+
+_AZU = {"A": [["0", "1"], ["0", "0"]], "lambda": "1"}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("weyl nf", {"expr": "x*d", "n": 10 ** 30}),
+    ("weyl act", {"expr": "x1000000000*d1", "poly": "x1", "lam": "1"}),
+    ("weyl nf", {"expr": "X1000000000*d1"}),
+    ("coc glue", {"rank": 10 ** 6, "indices": 2, "gluing": []}),
+    ("azu solve", dict(_AZU, deg_bound=10 ** 6)),
+    ("azu report", dict(_AZU, bhat=["1", "0", "0", "2"], deg_bound=10 ** 6)),
+    ("coc check", {"group": "qstar", "indices": 400, "values": []}),
+    ("coc coboundary", {"alpha": {"group": "mu", "n": 2, "indices": 400, "values": []}}),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_an_unbounded_payload_is_refused_at_once(capsys, tmp_path, command, payload):
+    # unbudgeted, each runs past 5 s, and the first two allocate without bound
+    argv = _budget_request(tmp_path, command, payload)
+    run(capsys, *argv)      # the parser and the modules the command reads are loaded
+    t0 = time.perf_counter()
+    code, doc = run_json(capsys, *argv)
+    assert time.perf_counter() - t0 < 0.1
+    assert (code, doc["data"]) == (1, {"code": "E_BUDGET"})
+    assert doc["diagnostics"][0].startswith("E_BUDGET: ")
+
+
+# budget -> a request whose only large size is that budget's, cheap at the limit
+_AT_SIZE = {
+    "n": ("weyl nf", lambda n: {"expr": f"x{n}*d1"}),
+    "rank": ("coc glue", lambda r: {"rank": r, "indices": 2, "gluing": []}),
+    "deg_bound": ("azu solve", lambda d: {"A": [["0", "0"], ["0", "0"]], "lambda": "1",
+                                          "deg_bound": d}),
+    "indices": ("coc check", lambda n: {"group": "mu", "n": 2, "indices": n, "values": []}),
+    "decided indices": ("coc coboundary",
+                        lambda n: {"alpha": {"group": "mu", "n": 2, "indices": n, "values": []}}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(cli.BUDGETS))
+def test_a_budget_takes_its_limit_and_refuses_one_more(capsys, tmp_path, key):
+    command, payload = _AT_SIZE[key]
+    limit = cli.BUDGETS[key]
+    code, doc = run_json(capsys, *_budget_request(tmp_path, command, payload(limit)))
+    assert (code, doc["status"]) == (0, "ok")
+    code, doc = run_json(capsys, *_budget_request(tmp_path, command, payload(limit + 1)))
+    assert (code, doc["diagnostics"]) == (
+        1, [f"E_BUDGET: {key} {limit + 1} is past the budget of {limit}"])
 
 
 _QSTAR = {"group": "qstar", "indices": 3, "values": [{"ijk": [0, 1, 2], "v": "2"}]}
@@ -1172,25 +1227,26 @@ def _cochain(draw, key):
 _GLUE3 = [{"ij": list(ij), "g": [[g]]} for ij, g in (
     ((0, 1), "2"), ((1, 0), "1/2"), ((0, 2), "3"), ((2, 0), "1/3"), ((1, 2), "5"), ((2, 1), "1/5"))]
 
-# a well-formed value for each payload key; sizes stay small, and values
-# that suit one command (a rank, a matrix) are often wrong for another
+# a well-formed value for each payload key; sizes stay small or go past their
+# budget, and values that suit one command (a rank, a matrix) are often wrong
+# for another
 _VALID = {
     "expr": st.sampled_from(["x", "D*x", "x1*d2 + x2^2", "(x + d)^3", "lam*d - 2/3"]),
     "poly": st.sampled_from(["x^2 + 1", "x1*x2 - 3", "2/3*x"]),
     "lam": st.sampled_from(["1", "0", "-2/3", "formal"]),
-    "n": st.integers(1, 8),
+    "n": st.one_of(st.integers(1, 8), st.just(10 ** 30)),
     "A": _MAT, "B": _MAT,
     "lambda": st.sampled_from(["1", "-2/3", "0", "2"]),
-    "deg_bound": st.integers(0, 20),
+    "deg_bound": st.one_of(st.integers(0, 20), st.just(10 ** 6)),
     "bhat": st.sampled_from([["1", "0", "0", "2"], ["1", "1", "0", "1"], ["2", "0", "0", "2"]]),
-    "rank": st.sampled_from([1, 1, 2, 2, 3, 8]),
+    "rank": st.sampled_from([1, 1, 2, 2, 3, 8, 10 ** 6]),
     "phis": st.lists(_MAT, min_size=1, max_size=2),
     "gammas": st.lists(_GAMMA, min_size=1, max_size=2),
     "base_vars": st.sampled_from([["z"], ["w1", "w2"], []]),
     "mode": st.sampled_from([None, "cover", "admissible", "family", "curvature"]),
     "degree": st.integers(0, 20),
     "group": st.sampled_from(["mu", "qstar"]),
-    "indices": st.sampled_from([1, 2, 3, 3, 8]),
+    "indices": st.sampled_from([1, 2, 3, 3, 8, 400]),
     "values": _cochain("ijk").map(lambda c: c["values"]),
     "beta": _cochain("ij"),
     **dict.fromkeys(("alpha", "left", "right", "twist"), _cochain("ijk")),
