@@ -46,8 +46,10 @@ class UsageError(Exception):
     """Malformed invocation or input; maps to exit code 1."""
 
 
-class BudgetError(Exception):
+class BudgetError(AzumayaError):
     """A size past its entry in ``BUDGETS``; maps to exit code 1, E_BUDGET."""
+
+    code = E_BUDGET
 
 
 def _budget(value: int, key: str) -> int:
@@ -760,9 +762,6 @@ def main(argv=None) -> int:
         status, data, diagnostics = HANDLERS[(args.group, args.sub)](payload)
     except UsageError as exc:
         return _emit(render_report("error", {"code": E_INPUT}, [str(exc)]), args)
-    except BudgetError as exc:
-        return _emit(render_report("error", {"code": E_BUDGET},
-                                   [f"{E_BUDGET}: {exc}"]), args)
     except AzumayaError as exc:
         return _emit(render_report("error", {"code": exc.code},
                                    [f"{exc.code}: {exc}"]), args)

@@ -475,7 +475,8 @@ def independent(vectors) -> bool:
     Vectors of polynomials that are dependent over the base fraction field
     have all their maximal minors identically zero, so they are dependent
     at every point: independence at one point proves it over the field."""
-    return len(echelon([list(x) for x in vectors])) == len(vectors)
+    rows = [list(x) for x in vectors]  # only the rank is read: no back substitution
+    return len(echelon(rows, len(rows[0]) if rows else 0)) == len(rows)
 
 
 def nonderogatory_point(m: PolyMatrix):

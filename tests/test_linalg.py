@@ -13,7 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 from azumaya import linalg
 from azumaya.errors import ShapeError
 from azumaya.linalg import (PolyMatrix, SpanBasis, char_poly, divides_in_v, echelon,
-                            eval_poly_at_matrix, kernel_saturated,
+                            eval_poly_at_matrix, independent, kernel_saturated,
                             linear_solve_exact, min_poly, squarefree_in_v)
 from azumaya.linalg import _gcd_in
 from azumaya.poly import ONE, ZERO, MultiPoly, exact_div, parse_poly, poly_content
@@ -326,6 +326,37 @@ def test_linear_solve_reads_the_reduced_augmented_rows(rows, data):
     assert sol.particular == tuple(particular)
     assert sol.nullspace == nullspace_from_rref([row[:ncols] for row in red], pivots, ncols)
     assert all(type(x) is Fraction for vec in (sol.particular, *sol.nullspace) for x in vec)
+
+
+@st.composite
+def integer_vectors(draw):
+    """Up to 6 integer vectors of one length from 1 to 6, many zeros, some
+    the sum of an earlier vector and a multiple of another."""
+    count, length = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    vectors = draw(st.lists(st.lists(entry, min_size=length, max_size=length),
+                            min_size=count, max_size=count))
+    for i in range(1, count):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            k = draw(st.integers(-3, 3))
+            vectors[i] = [x + k * y for x, y in zip(vectors[a], vectors[b])]
+    return vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_vectors())
+@example([])
+@example([[0, 0, 0]])
+@example([[1, 2], [2, 4]])
+@example([[1, 0], [0, 1], [1, 1]])
+@example([[2, 0, 1], [0, 3, 0], [0, 0, 5]])
+def test_independent_is_full_rank_by_sympy(vectors):
+    # independent reads only the rank of its echelon form, and leaves its
+    # argument as it was
+    before = [list(v) for v in vectors]
+    assert independent(vectors) == (sympy.Matrix(vectors).rank() == len(vectors))
+    assert vectors == before
 
 
 # -- PolyMatrix products ------------------------------------------------------------
