@@ -35,10 +35,12 @@ PROBLEM_VERSION = 1
 # at N = 20, so it has a limit of its own below the nerve's.
 BUDGETS = {
     "n": 64,                # Weyl rank, given or inferred from the generator names
+    "exponent": 250,        # each ^k of a Weyl expression; (x + d)^k takes about k^3
     "rank": 12,             # coc glue; descending to End takes rank^2
     "deg_bound": 1000,      # azu solve and azu report
     "indices": 64,          # a nerve: coc check loops over N^3 triples
     "decided indices": 16,  # coc coboundary with alpha
+    "count": 500,           # the cases of a suite
 }
 
 
@@ -200,6 +202,9 @@ def _lambda_mode(text):
 # command handlers: each returns (status, data, diagnostics)
 # ---------------------------------------------------------------------------
 
+_EXPONENT = re.compile(r"\^\s*([0-9]+)")
+
+
 def _weyl_element(payload):
     lam = _lambda_mode(payload.get("lam"))
     text = str(payload["expr"])
@@ -208,6 +213,7 @@ def _weyl_element(payload):
         raise UsageError(f"bad n: {n!r} (expected at least 1)")
     try:
         _budget(n or weyl.implied_rank(text), "n")
+        _budget(max(map(int, _EXPONENT.findall(text)), default=0), "exponent")
         return weyl.parse_weyl(text, n=n, lam=lam)
     except ValueError as exc:
         raise UsageError(f"bad expression: {exc}")
@@ -585,7 +591,8 @@ def cmd_canonical_demo(payload):
 
 
 def cmd_suite(name, payload):
-    result = suites.run_suite(name, payload["seed"], _count(payload["count"], "count"))
+    count = _budget(_count(payload["count"], "count"), "count")
+    result = suites.run_suite(name, payload["seed"], count)
     if result.ok:
         return "ok", result.to_json(), []
     return "violation", result.to_json(), [f"{result.failures} failures"]
@@ -653,6 +660,51 @@ HANDLERS = {command: handler for command, (handler, _, _) in COMMANDS.items()}
 
 _VALUE_OPTIONS = {option for option, _ in FLAGS.values()} | {"--out"}
 
+# command -> {option: (namespace key, text reader)}: the command's value options
+_OPTIONS = {command: {"--out": ("out", str), **{
+    option: (key, kwargs.get("type", str)) for key, (option, kwargs) in FLAGS.items()
+    if key in required + optional and command[0] != "coc"}}
+    for command, (_, required, optional) in COMMANDS.items()}
+
+
+def _read_argv(argv: list):
+    """The namespace ``build_parser().parse_args`` gives for a documented
+    command line: GROUP SUB, then in any order ``--text``, the command's own
+    flags in full as ``--flag VALUE`` or ``--flag=VALUE`` (VALUE not ``-h``
+    nor starting ``--``; the last repeat wins) and one file unless a demo.
+    None for any other argv (help, abbreviations, ``--``, refusals)."""
+    options = _OPTIONS.get(tuple(argv[:2]))
+    if options is None:
+        return None
+    group, sub = argv[:2]
+    values = {"text": False, "group": group, "sub": sub}
+    if group != "demo":
+        values["file"] = None
+    for key, _ in options.values():
+        values[key] = FLAGS[key][1].get("default") if key in FLAGS else None
+    tokens, no_file = iter(argv[2:]), group == "demo"
+    for token in tokens:
+        if token == "--text":
+            values["text"] = True
+        elif not token.startswith("-"):
+            if no_file:
+                return None
+            values["file"], no_file = token, True
+        else:
+            option, eq, value = token.partition("=")
+            if option not in options:
+                return None
+            if not eq:
+                value = next(tokens, "--")
+            if value.startswith("--") or value == "-h":     # argparse reads --flag=-- as []
+                return None
+            key, read = options[option]
+            try:
+                values[key] = read(value)
+            except Exception:   # argparse calls the same reader and reports it
+                return None
+    return argparse.Namespace(**values)
+
 
 def _attach_dash_values(argv: list) -> list:
     """``argv`` with ``--opt VALUE`` as ``--opt=VALUE`` where VALUE starts with
@@ -682,16 +734,16 @@ def build_parser() -> _Parser:
     parser.add_argument("--out", metavar="FILE", help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="group", metavar="GROUP")
     groups = {}
-    for (group, name), (_, required, optional) in COMMANDS.items():
+    for group, name in COMMANDS:
         if group not in groups:
             groups[group] = sub.add_parser(group).add_subparsers(
                 dest="sub", metavar="NAME" if group == "demo" else "SUB")
         p = groups[group].add_parser(name, parents=[common])
         if group != "demo":
             p.add_argument("file", nargs="?", help="JSON problem file")
-        for key, (option, kwargs) in FLAGS.items():
-            if key in required + optional and group != "coc":
-                p.add_argument(option, dest=key, **kwargs)
+        for option, (key, _) in _OPTIONS[group, name].items():
+            if key != "out":    # --out comes from common
+                p.add_argument(option, dest=key, **FLAGS[key][1])
     return parser
 
 
@@ -752,10 +804,9 @@ EXIT_BY_STATUS = {"ok": 0, "violation": 2, "error": 1}
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     args = None
     try:
-        args = parser.parse_args(_attach_dash_values(argv))
+        args = _read_argv(argv) or build_parser().parse_args(_attach_dash_values(argv))
         if not getattr(args, "group", None) or not getattr(args, "sub", None):
             raise UsageError("expected a GROUP and SUBCOMMAND; see --help")
         payload = _payload_from_args(args, f"{args.group} {args.sub}")

@@ -559,10 +559,11 @@ class _Parser:
         raise ValueError(f"unexpected token {kind}")
 
 
-def _parse(s: str, hook=MultiPoly.var):
+def _parse(s: str, hook=MultiPoly.var, tokens=None):
     """``s`` read whole by ``_Parser``, with ``hook`` turning each name into
-    a value; every error message of the text readers comes from here."""
-    parser = _Parser(_tokenize(s), hook)
+    a value; every error message of the text readers comes from here.
+    ``tokens`` is ``_tokenize(s)`` when the caller has it already."""
+    parser = _Parser(_tokenize(s) if tokens is None else tokens, hook)
     out = parser.parse_expr()
     if parser.i != len(parser.tokens):
         raise ValueError(f"trailing input in {s!r}")

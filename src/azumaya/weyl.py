@@ -494,11 +494,13 @@ def _rank(names) -> int:
     return max([1] + [int(v[1:]) for v in names if v[0] in "xd" and v[1:].isdigit()])
 
 
-def implied_rank(s: str) -> int:
+def implied_rank(s: str, tokens=None) -> int:
     """The rank ``parse_weyl`` infers for ``s`` when none is given: the
-    largest i of a generator x<i> or d<i> in either case, and at least 1.  Raises
+    largest i of a generator x<i> or d<i> in either case, and at least 1.
+    ``tokens`` is ``_tokenize(s)`` when the caller has it already.  Raises
     ValueError on text that does not tokenize."""
-    return _rank({val.lower() for kind, val in _tokenize(s) if kind == "name"})
+    tokens = _tokenize(s) if tokens is None else tokens
+    return _rank({val.lower() for kind, val in tokens if kind == "name"})
 
 
 def _read_normal_ordered(s: str, n, lam):
@@ -537,8 +539,10 @@ def _read_normal_ordered(s: str, n, lam):
 
 def _parse_general(s: str, n: int = None, lam=FORMAL) -> WeylElement:
     """``parse_weyl`` by recursive descent: products, powers, parentheses,
-    any order of generators, and every error message."""
-    rank = n or implied_rank(s)
+    any order of generators, and every error message.  The text is
+    tokenized once, for the rank and for the parser."""
+    tokens = _tokenize(s)
+    rank = n or implied_rank(s, tokens)
 
     def hook(name: str) -> WeylElement:
         key = name.lower()
@@ -556,7 +560,7 @@ def _parse_general(s: str, n: int = None, lam=FORMAL) -> WeylElement:
             return WeylElement.x(idx, rank, lam) if base == "x" else WeylElement.d(idx, rank, lam)
         raise ValueError(f"unknown generator {name!r}")
 
-    out = _parse(s, hook)
+    out = _parse(s, hook, tokens)
     # numbers parse as MultiPoly constants; MultiPoly hands + and * with a
     # WeylElement to its reflected operators, so any generator makes a WeylElement
     if isinstance(out, MultiPoly):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from azumaya import cli, diffop, linalg, spectral, suites, twisted, weyl
@@ -542,6 +542,8 @@ def test_error_codes_are_distinct():
 # -- budgets -------------------------------------------------------------------------
 
 def _budget_request(tmp_path, command, payload):
+    if command.startswith("demo "):     # a demo takes its payload as flags
+        return [*command.split(), *(f"--{key}={value}" for key, value in payload.items())]
     f = tmp_path / "budget.json"
     f.write_text(json.dumps({"version": 1, "command": command, "payload": payload}))
     return [*command.split(), str(f)]
@@ -559,6 +561,10 @@ _AZU = {"A": [["0", "1"], ["0", "0"]], "lambda": "1"}
     ("azu report", dict(_AZU, bhat=["1", "0", "0", "2"], deg_bound=10 ** 6)),
     ("coc check", {"group": "qstar", "indices": 400, "values": []}),
     ("coc coboundary", {"alpha": {"group": "mu", "n": 2, "indices": 400, "values": []}}),
+    ("weyl nf", {"expr": "(x + d)^1000000"}),
+    ("weyl reduce", {"expr": "x*d + (x + (lam^2)*d)^ 1000000", "n": 1}),
+    ("weyl fourier", {"expr": "(D*x)^100000*d", "lam": "1"}),
+    ("demo mixed-assoc", {"count": 10 ** 9}),
 ], ids=lambda x: x if isinstance(x, str) else "")
 def test_an_unbounded_payload_is_refused_at_once(capsys, tmp_path, command, payload):
     # unbudgeted, each runs past 5 s, and the first two allocate without bound
@@ -574,6 +580,8 @@ def test_an_unbounded_payload_is_refused_at_once(capsys, tmp_path, command, payl
 # budget -> a request whose only large size is that budget's, cheap at the limit
 _AT_SIZE = {
     "n": ("weyl nf", lambda n: {"expr": f"x{n}*d1"}),
+    "exponent": ("weyl nf", lambda k: {"expr": f"(x + 1)*d^2 + x^{k}"}),
+    "count": ("demo hilbert-degree", lambda c: {"count": c}),
     "rank": ("coc glue", lambda r: {"rank": r, "indices": 2, "gluing": []}),
     "deg_bound": ("azu solve", lambda d: {"A": [["0", "0"], ["0", "0"]], "lambda": "1",
                                           "deg_bound": d}),
@@ -1138,6 +1146,88 @@ def test_reused_parser_carries_no_state(capsys, monkeypatch, tmp_path):
             if written is not None:
                 assert written == Path("r.json").read_text()
     assert cli.build_parser() is cli.build_parser()
+
+
+# -- the documented command lines are read from the command table, not by argparse --
+
+_OPTION_NAMES = sorted({option for option, _ in cli.FLAGS.values()} | {"--out"})
+# values a flag may take, or that argparse reads as an option ("-h", "--x")
+_VALUES = st.one_of(
+    st.sampled_from(["x*d", "formal", "a=b", "1,0,0,2", '[["0","1"],["0","0"]]', "[x"]),
+    st.sampled_from(["-h", "--", "--x", "--expr", "-", "", "-2/3", "-x*d", "-3"]),
+    st.integers(-9, 999).map(str))
+
+
+@st.composite
+def _argv(draw):
+    """A command's own flags, in full, separate or with ``=``, ``--text`` and
+    files, with now and then one odd token: help, ``--``, an abbreviated
+    flag, another command's flag, a flag without its value, a second file,
+    or an option before the group."""
+    group, sub = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    own = sorted(cli._OPTIONS[group, sub])
+    argv = []
+    for _ in range(draw(st.integers(0, 4))):
+        option, value = draw(st.sampled_from(own)), draw(_VALUES)
+        argv += draw(st.sampled_from([[option, value], [option, value], [f"{option}={value}"],
+                                      ["--text"], ["p.json"]]))
+    if draw(st.booleans()):
+        option = draw(st.sampled_from(_OPTION_NAMES))
+        odd = draw(st.sampled_from([["-h"], ["--help"], ["--"], [option[:4], "1"], [option, "1"],
+                                    [option], ["--text=1"], ["q.json"], ["-x"]]))
+        where = draw(st.integers(0, len(argv)))
+        argv[where:where] = odd
+    head = draw(st.sampled_from([[group, sub]] * 8 + [
+        [group], [sub, group], ["--text", group, sub], ["weyl", sub], [group, "-h"]]))
+    return head + argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argv())
+@example(["azu", "classify", "--out=--"])     # argparse reads the value as []
+def test_the_reader_agrees_with_argparse(argv):
+    args = cli._read_argv(argv)
+    if args is not None:
+        assert vars(cli.build_parser().parse_args(cli._attach_dash_values(argv))) == vars(args)
+
+
+_A = '[["0","1"],["0","0"]]'
+_README_LINES = [
+    ["weyl", "nf", "--expr", "D*x", "--lam", "1"],
+    ["weyl", "act", "--expr", "x*d", "--poly", "x^2+1", "--lam", "1"],
+    ["weyl", "reduce", "--expr", "x^2*d"],
+    ["azu", "solve", "--a", _A, "--lambda", "1"],
+    ["azu", "basis", "--a", _A, "--lambda", "1"],
+    ["azu", "report", "--a", _A, "--lambda", "1", "--bhat", "1,0,0,2"],
+    ["coc", "check", "problem.json"],
+    ["hilb", "sheaf", "problem.json"],
+    ["demo", "example-5-1-11"],
+    ["demo", "cocycle-dd", "--seed", "3", "--count", "500"],
+    ["weyl", "nf", "--expr", "-x*d", "--lam", "-2/3", "--text", "--out", "r.json"],
+    ["weyl", "nf", "--expr=-x*d", "--lam=formal", "p.json", "--n", "2"],
+]
+
+
+def _perfbench_lines(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    for name, make in workloads.WORKLOADS.items():
+        for req in [*make(workloads.DEFAULT_SEED), workloads.LIGHTEST[name]()]:
+            yield req.argv + (["p.json"] if req.problem is not None else [])
+
+
+# GROUP SUB FILE, demo NAME --seed S --count C and the worked demo's --bhat=...
+_COMMAND_LINES = [
+    [group, sub, "p.json"] if group != "demo"
+    else [group, sub, "--bhat=1,2,0,3"] if sub == cli.CANONICAL_DEMO
+    else [group, sub, "--seed", "7", "--count", "2"] for group, sub in sorted(cli.COMMANDS)]
+
+
+def test_documented_lines_are_read_without_argparse(monkeypatch):
+    for argv in [*_README_LINES, *_COMMAND_LINES, *_perfbench_lines(monkeypatch)]:
+        args = cli._read_argv(argv)
+        assert args is not None, argv
+        assert vars(cli.build_parser().parse_args(cli._attach_dash_values(argv))) == vars(args)
 
 
 # -- fuzzed `weyl` commands: one report and a contract exit code for any text ------

@@ -121,3 +121,25 @@ assert not any(t.is_alive() for t in threads)
 import json; print(json.dumps([runs, len(seen), len({id(c) for c in seen})]))
 """)
     assert got == [["azumaya.poly"], 8, 1]
+
+
+def test_documented_command_lines_never_build_the_parser(tmp_path):
+    # one documented line per group; argparse is built for help and refusals only
+    problems = {"spec cover": {"rank": 1, "phis": [[["z"]]]},
+                "coc check": {"group": "mu", "n": 2, "indices": 3, "values": []},
+                "hilb sheaf": {"summands": [2, -1]}}
+    for command, payload in problems.items():
+        doc = {"version": 1, "command": command, "payload": payload}
+        (tmp_path / f"{command.replace(' ', '-')}.json").write_text(json.dumps(doc))
+    lines = [["weyl", "nf", "--expr", "D*x", "--lam", "1"],
+             ["azu", "basis", "--a", '[["0","1"],["0","0"]]', "--lambda", "1", "--text"],
+             ["spec", "cover", "spec-cover.json"],
+             ["coc", "check", "coc-check.json", "--out", "report.json"],
+             ["hilb", "sheaf", "hilb-sheaf.json"],
+             ["demo", "cocycle-dd", "--seed", "3", "--count=5"]]
+    got = _fresh("import io, contextlib\nfrom azumaya import cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    codes = [cli.main(argv) for argv in {lines!r}]\n"
+                 "import json; print(json.dumps([codes, cli.build_parser.cache_info().currsize]))",
+                 cwd=tmp_path)
+    assert got == [[0] * len(lines), 0]
