@@ -5,6 +5,10 @@ All numbers travel as strings so exact rationals survive the wire; the
 serialization is byte-stable for identical inputs (sorted keys, fixed
 separators, canonical polynomial text).
 
+A command line is GROUP SUB, then in any order the command's own flags,
+--text, --out FILE and one problem file (none for a demo).  -h or --help
+prints help, built from the command table, and exits 0.
+
 Exit codes: 0 ok, 1 malformed input, a size past its budget or module
 error, 2 check violation.
 Every outcome, an unexpected exception included, gets exactly one report;
@@ -13,7 +17,6 @@ no traceback is printed.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
@@ -58,11 +61,6 @@ def _budget(value: int, key: str) -> int:
     if value > BUDGETS[key]:
         raise BudgetError(f"{key} {value} is past the budget of {BUDGETS[key]}")
     return value
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +589,8 @@ def cmd_canonical_demo(payload):
 
 
 def cmd_suite(name, payload):
-    count = _budget(_count(payload["count"], "count"), "count")
-    result = suites.run_suite(name, payload["seed"], count)
+    count = _budget(_count(payload.get("count", 100), "count"), "count")
+    result = suites.run_suite(name, payload.get("seed", 0), count)
     if result.ok:
         return "ok", result.to_json(), []
     return "violation", result.to_json(), [f"{result.failures} failures"]
@@ -602,29 +600,22 @@ def cmd_suite(name, payload):
 # the command table, parsing, dispatch and serialization
 # ---------------------------------------------------------------------------
 
-def _json_flag(text):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"bad --a matrix: {exc}")
-
-
-# payload key -> (option, add_argument keywords), the flag that sets the key and,
-# as its type, the flag's text reader.  A command has the flags of its keys, but
-# "coc" reads cochains (whose "n" is not weyl's) and bundles from files only.
+# payload key -> (option, METAVAR, help, text reader): the flag that sets the
+# key.  A command has the flags of its keys, but "coc" reads cochains (whose
+# "n" is not weyl's) and bundles from files only.
 FLAGS = {
-    "expr": ("--expr", {}),
-    "poly": ("--poly", {}),
-    "lam": ("--lam", {"help": "rational value, or 'formal'"}),
-    "n": ("--n", {"type": int}),
-    "lambda": ("--lambda", {"metavar": "Q", "help": "rational value"}),
-    "A": ("--a", {"metavar": "JSON", "type": _json_flag, "help": "matrix as a JSON list of rows"}),
-    "deg_bound": ("--deg-bound", {"type": int}),
-    "bhat": ("--bhat", {"metavar": "Q,Q,Q,Q",
-                        "type": lambda text: [c.strip() for c in text.split(",")]}),
-    "degree": ("--degree", {"type": int}),
-    "seed": ("--seed", {"type": int, "default": 0}),
-    "count": ("--count", {"type": int, "default": 100}),
+    "expr": ("--expr", "TEXT", "Weyl algebra expression", str),
+    "poly": ("--poly", "TEXT", "polynomial the expression acts on", str),
+    "lam": ("--lam", "Q", "rational value, or 'formal'", str),
+    "n": ("--n", "N", "Weyl rank", int),
+    "lambda": ("--lambda", "Q", "rational value", str),
+    "A": ("--a", "JSON", "matrix as a JSON list of rows", json.loads),
+    "deg_bound": ("--deg-bound", "N", "degree bound of the solutions", int),
+    "bhat": ("--bhat", "Q,Q,Q,Q", "coefficients of the fundamental solutions",
+             lambda text: [c.strip() for c in text.split(",")]),
+    "degree": ("--degree", "N", "probe degree (default 3)", int),
+    "seed": ("--seed", "N", "suite seed (default 0)", int),
+    "count": ("--count", "N", "suite cases (default 100)", int),
 }
 
 _SPEC = ("base_vars", "mode")
@@ -658,102 +649,98 @@ COMMANDS = {
 
 HANDLERS = {command: handler for command, (handler, _, _) in COMMANDS.items()}
 
-_VALUE_OPTIONS = {option for option, _ in FLAGS.values()} | {"--out"}
-
-# command -> {option: (namespace key, text reader)}: the command's value options
-_OPTIONS = {command: {"--out": ("out", str), **{
-    option: (key, kwargs.get("type", str)) for key, (option, kwargs) in FLAGS.items()
+_COMMON = {"--out": ("out", str)}
+# command -> {option: (args key, text reader)}: the options that take a value
+_OPTIONS = {command: {**_COMMON, **{
+    option: (key, read) for key, (option, _, _, read) in FLAGS.items()
     if key in required + optional and command[0] != "coc"}}
     for command, (_, required, optional) in COMMANDS.items()}
+_GROUPS = {group: [sub for g, sub in COMMANDS if g == group] for group, _ in COMMANDS}
 
 
-def _read_argv(argv: list):
-    """The namespace ``build_parser().parse_args`` gives for a documented
-    command line: GROUP SUB, then in any order ``--text``, the command's own
-    flags in full as ``--flag VALUE`` or ``--flag=VALUE`` (VALUE not ``-h``
-    nor starting ``--``; the last repeat wins) and one file unless a demo.
-    None for any other argv (help, abbreviations, ``--``, refusals)."""
-    options = _OPTIONS.get(tuple(argv[:2]))
-    if options is None:
-        return None
-    group, sub = argv[:2]
-    values = {"text": False, "group": group, "sub": sub}
-    if group != "demo":
-        values["file"] = None
-    for key, _ in options.values():
-        values[key] = FLAGS[key][1].get("default") if key in FLAGS else None
-    tokens, no_file = iter(argv[2:]), group == "demo"
-    for token in tokens:
-        if token == "--text":
-            values["text"] = True
-        elif not token.startswith("-"):
-            if no_file:
-                return None
-            values["file"], no_file = token, True
-        else:
-            option, eq, value = token.partition("=")
-            if option not in options:
-                return None
-            if not eq:
-                value = next(tokens, "--")
-            if value.startswith("--") or value == "-h":     # argparse reads --flag=-- as []
-                return None
-            key, read = options[option]
-            try:
-                values[key] = read(value)
-            except Exception:   # argparse calls the same reader and reports it
-                return None
-    return argparse.Namespace(**values)
+def _usage(command) -> str:
+    return " ".join(["azk", *command, *(f"[{arg}]" for arg, _ in _arguments(command))])
 
 
-def _attach_dash_values(argv: list) -> list:
-    """``argv`` with ``--opt VALUE`` as ``--opt=VALUE`` where VALUE starts with
-    one ``-`` and is not ``-h``, which argparse reads as an option (``-x*d``,
-    ``-2/3``); a token starting ``--``, abbreviated or not, stays an option."""
-    out = []
-    for token in argv:
-        if (out and out[-1] in _VALUE_OPTIONS and token.startswith("-")
-                and not token.startswith("--") and token != "-h"):
-            out[-1] = f"{out[-1]}={token}"
-        else:
-            out.append(token)
-    return out
+def _arguments(command) -> list:
+    """(spelling, help) of each argument the command takes."""
+    rows = [] if command[0] == "demo" else [("FILE", "JSON problem file")]
+    rows += [("--text", "human-readable output instead of JSON"),
+             ("--out FILE", "write the report to FILE")]
+    return rows + [(f"{option} {meta}", text) for option, meta, text, _ in FLAGS.values()
+                   if option in _OPTIONS[command]]
 
 
-@functools.cache
-def build_parser() -> _Parser:
-    """The ``azk`` argument parser, built on first use and shared afterwards;
-    ``parse_args`` keeps no state between calls."""
-    parser = _Parser(prog="azk", description=__doc__)
-    common = _Parser(add_help=False)
-    common.add_argument("--text", action="store_true", default=argparse.SUPPRESS,
-                        help="human-readable output instead of JSON")
-    common.add_argument("--out", metavar="FILE", default=argparse.SUPPRESS,
-                        help="write the report to FILE")
-    parser.add_argument("--text", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--out", metavar="FILE", help=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="group", metavar="GROUP")
-    groups = {}
-    for group, name in COMMANDS:
-        if group not in groups:
-            groups[group] = sub.add_parser(group).add_subparsers(
-                dest="sub", metavar="NAME" if group == "demo" else "SUB")
-        p = groups[group].add_parser(name, parents=[common])
-        if group != "demo":
-            p.add_argument("file", nargs="?", help="JSON problem file")
-        for option, (key, _) in _OPTIONS[group, name].items():
-            if key != "out":    # --out comes from common
-                p.add_argument(option, dest=key, **FLAGS[key][1])
-    return parser
+class _Parser:
+    """The ``azk`` command line, read from ``COMMANDS`` and ``_OPTIONS``
+    (perfbench's tracer times ``parse_args`` as ``cli.parse``)."""
+
+    @staticmethod
+    def parse_args(argv: list) -> dict:
+        """``argv`` as {"command": (GROUP, SUB), "file": FILE or None, and
+        "text", "out" and the payload key of each flag, if given}, or as
+        {"help": text} at ``-h`` or ``--help``.
+
+        GROUP SUB, then in any order ``--text``, ``--out FILE``, the
+        command's own flags in full as ``--flag VALUE`` or ``--flag=VALUE``
+        (the last repeat wins; a separate VALUE may start with one ``-`` but
+        is not ``-h``) and one problem file unless a demo.  ``--text`` and
+        ``--out`` may also come before SUB.  Anything else is refused."""
+        args, words, options = {}, [], _COMMON
+        tokens = iter(argv)
+        for token in tokens:
+            if token in ("-h", "--help"):
+                return {"help": _Parser.format_help(words[:2])}
+            if token == "--text":
+                args["text"] = True
+            elif not token.startswith("-"):
+                words.append(token)
+                if len(words) == 1 and token not in _GROUPS:
+                    raise UsageError(f"unknown group {token!r}")
+                if len(words) == 2:
+                    options = _OPTIONS.get(tuple(words))
+                    if options is None:
+                        raise UsageError(f"unknown command {' '.join(words)!r}")
+                if len(words) > (2 if words[0] == "demo" else 3):
+                    raise UsageError(f"unexpected argument {token!r}")
+            else:
+                option, eq, value = token.partition("=")
+                if option not in options:
+                    raise UsageError(f"unknown option {token!r}")
+                if not eq:
+                    value = next(tokens, "--")      # none left reads as an option
+                    if value.startswith("--") or value == "-h":
+                        raise UsageError(f"argument {option}: expected one argument")
+                key, read = options[option]
+                args[key] = _convert(read, value, option)
+        if len(words) < 2:
+            raise UsageError("expected a GROUP and SUBCOMMAND; see --help")
+        args["command"] = tuple(words[:2])
+        args["file"] = words[2] if len(words) > 2 else None
+        return args
+
+    @staticmethod
+    def format_help(words: list) -> str:
+        """The help of ``azk``, of one GROUP or of one command."""
+        if len(words) == 2:
+            rows = _arguments(tuple(words))
+            width = max(len(arg) for arg, _ in rows)
+            return f"usage: {_usage(tuple(words))}\n\narguments:\n" + "".join(
+                f"  {arg:<{width}}  {text}\n" for arg, text in rows)
+        if words:
+            return "usage: " + "\n       ".join(_usage((words[0], sub))
+                                               for sub in _GROUPS[words[0]]) + "\n"
+        groups = "".join(f"  {group:<5} {' '.join(subs)}\n" for group, subs in _GROUPS.items())
+        return (f"usage: azk GROUP SUB [FILE] [--text] [--out FILE] [flags]\n\n{__doc__}\n"
+                f"commands:\n{groups}\nazk GROUP --help and azk GROUP SUB --help "
+                "list the arguments of the commands.\n")
 
 
-def _payload_from_args(args, command: str) -> dict:
-    payload = _load_problem_file(args.file, command) if getattr(args, "file", None) else {}
-    for key in FLAGS:
-        value = getattr(args, key, None)
-        if value is not None:
-            payload[key] = value
-    _, required, optional = COMMANDS[(args.group, args.sub)]
+def _payload_from_args(args: dict) -> dict:
+    command = args["command"]
+    payload = _load_problem_file(args["file"], " ".join(command)) if args["file"] else {}
+    payload.update((key, args[key]) for key in FLAGS if key in args)
+    _, required, optional = COMMANDS[command]
     _take(payload, required, optional)
     return payload
 
@@ -804,27 +791,28 @@ EXIT_BY_STATUS = {"ok": 0, "violation": 2, "error": 1}
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = None
+    args = {}
     try:
-        args = _read_argv(argv) or build_parser().parse_args(_attach_dash_values(argv))
-        if not getattr(args, "group", None) or not getattr(args, "sub", None):
-            raise UsageError("expected a GROUP and SUBCOMMAND; see --help")
-        payload = _payload_from_args(args, f"{args.group} {args.sub}")
-        status, data, diagnostics = HANDLERS[(args.group, args.sub)](payload)
+        args = _Parser.parse_args(argv)
+        if "help" in args:
+            sys.stdout.write(args["help"])
+            return 0
+        status, data, diagnostics = HANDLERS[args["command"]](_payload_from_args(args))
+        # rendered in here: a report may hold what cannot be written (an int
+        # past Python's digit limit for str)
+        return _emit(render_report(status, data, diagnostics), args)
     except UsageError as exc:
-        return _emit(render_report("error", {"code": E_INPUT}, [str(exc)]), args)
+        report = render_report("error", {"code": E_INPUT}, [str(exc)])
     except AzumayaError as exc:
-        return _emit(render_report("error", {"code": exc.code},
-                                   [f"{exc.code}: {exc}"]), args)
+        report = render_report("error", {"code": exc.code}, [f"{exc.code}: {exc}"])
     except Exception as exc:  # the report contract holds for defects too
-        return _emit(render_report("error", {"code": E_INTERNAL},
-                                   [f"{type(exc).__name__}: {exc}"]), args)
-    return _emit(render_report(status, data, diagnostics), args)
+        report = render_report("error", {"code": E_INTERNAL}, [f"{type(exc).__name__}: {exc}"])
+    return _emit(report, args)
 
 
 def _emit(report, args) -> int:
-    render = _render_text if getattr(args, "text", False) else serialize_report
-    out_path = getattr(args, "out", None)
+    render = _render_text if args.get("text") else serialize_report
+    out_path = args.get("out")
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:

@@ -38,7 +38,9 @@ def ran():
 
 
 def _fresh(code, cwd=None):
-    proc = subprocess.run([sys.executable, "-c", "import sys, types\n" + RAN + code],
+    # -B: the bare environment drops PYTHONDONTWRITEBYTECODE, and a test run
+    # should leave no bytecode in the source tree
+    proc = subprocess.run([sys.executable, "-B", "-c", "import sys, types\n" + RAN + code],
                           env={"PYTHONPATH": SRC, "PATH": ""}, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -123,8 +125,8 @@ import json; print(json.dumps([runs, len(seen), len({id(c) for c in seen})]))
     assert got == [["azumaya.poly"], 8, 1]
 
 
-def test_documented_command_lines_never_build_the_parser(tmp_path):
-    # one documented line per group; argparse is built for help and refusals only
+def test_documented_command_lines_and_help_never_import_argparse(tmp_path):
+    # one documented line per group, then help
     problems = {"spec cover": {"rank": 1, "phis": [[["z"]]]},
                 "coc check": {"group": "mu", "n": 2, "indices": 3, "values": []},
                 "hilb sheaf": {"summands": [2, -1]}}
@@ -140,6 +142,8 @@ def test_documented_command_lines_never_build_the_parser(tmp_path):
     got = _fresh("import io, contextlib\nfrom azumaya import cli\n"
                  "with contextlib.redirect_stdout(io.StringIO()):\n"
                  f"    codes = [cli.main(argv) for argv in {lines!r}]\n"
-                 "import json; print(json.dumps([codes, cli.build_parser.cache_info().currsize]))",
+                 "    after_lines = 'argparse' in sys.modules\n"
+                 "    codes.append(cli.main(['azu', 'report', '--help']))\n"
+                 "import json; print(json.dumps([codes, after_lines, 'argparse' in sys.modules]))",
                  cwd=tmp_path)
-    assert got == [[0] * len(lines), 0]
+    assert got == [[0] * (len(lines) + 1), False, False]
