@@ -73,7 +73,7 @@ def _load_problem_file(path: str, command: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # nested too deep to decode
         raise UsageError(f"malformed JSON in {path}: {exc}")
     if not isinstance(doc, dict):
         raise UsageError("problem file must be a JSON object")
@@ -109,10 +109,11 @@ def _field(payload: dict, key: str):
 
 
 def _convert(convert, raw, what):
-    """``convert(raw)``; a value it cannot convert is malformed input."""
+    """``convert(raw)``; a value it cannot convert, ``--a`` JSON nested too deep
+    included, is malformed input."""
     try:
         return convert(raw)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError, RecursionError) as exc:
         raise UsageError(f"bad {what}: {raw!r} ({exc})")
 
 
@@ -154,20 +155,9 @@ def _names(raw, what) -> tuple:
     return tuple(items)
 
 
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
-
 def _rational(raw) -> Fraction:
-    """The Fraction written ``[+-]digits`` or ``[+-]digits/digits``, an int
-    as its decimal text.  Any other text (``1.5``, ``1e3``, ``1_000``,
-    `` 3 ``) is refused as ``Fraction`` refuses an invalid literal, before
-    ``Fraction`` reads an exponent that costs superlinear time."""
-    text = str(raw)
-    m = _RATIONAL.fullmatch(text)
-    if m is None:
-        raise ValueError(f"Invalid literal for Fraction: {text!r}")
-    p, q = m.groups()
-    return Fraction(int(p), int(q or 1))
+    """An int as its decimal text, read by the package's one scalar reader."""
+    return poly._as_fraction(str(raw))
 
 
 def _fraction(text, what="value") -> Fraction:

@@ -25,7 +25,7 @@ from math import comb, lcm
 from .errors import (NonConstantError, NotSplitError, PreconditionError,
                      ShapeError, ZeroLambdaError)
 from .linalg import PolyMatrix, char_poly, echelon, kernel_saturated
-from .poly import MultiPoly, _join, _monomial_text, poly_content
+from .poly import MultiPoly, _as_fraction, _join, _monomial_text, poly_content
 
 
 class MixedOperator:
@@ -262,7 +262,7 @@ def solve_commutation(a: PolyMatrix, lam, deg_bound: int = None):
     is checked to satisfy lam B' + [A, B] = 0, coefficient by coefficient
     times q a_den for lam = p/q.
     """
-    lam = lam if isinstance(lam, Fraction) else Fraction(lam)
+    lam = _as_fraction(lam)
     if lam == 0:
         raise ZeroLambdaError("lam must be nonzero")
     if not a.is_square():
@@ -312,7 +312,7 @@ def fundamental_solutions(a: PolyMatrix, lam):
     order, and the residual [A, B_2] is checked to vanish.  Rational
     combinations sum_i bhat_i B_i have degree-0 term [[b1, b2], [b3, b4]].
     """
-    lam = lam if isinstance(lam, Fraction) else Fraction(lam)
+    lam = _as_fraction(lam)
     if lam == 0:
         raise ZeroLambdaError("lam must be nonzero")
     if a.shape() != (2, 2):
@@ -437,7 +437,7 @@ def pushforward_report(a: PolyMatrix, bhat, lam) -> HiggsingReport:
     if len(bhat) != 4:
         raise ShapeError("bhat must have four coordinates")
     basis = fundamental_solutions(a, lam)
-    bhat = [c if isinstance(c, Fraction) else Fraction(c) for c in bhat]
+    bhat = [_as_fraction(c) for c in bhat]
     return classify_higgsing(combination(bhat, basis))
 
 

@@ -29,6 +29,7 @@ them; ``_parse`` runs the recursive-descent ``_Parser`` on any other text
 and gives every error message.  ``_term_text``, ``_monomial_text`` and
 ``_lead`` write the terms back.  ``parse_poly`` and ``str()`` are built on
 them, and so are the Weyl and mixed-operator readers and printers.
+``_as_fraction`` is the package's one reader of exact rational scalars.
 """
 
 from __future__ import annotations
@@ -56,12 +57,22 @@ def var_sort_key(name: str):
     return (9, 0, name)
 
 
+_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def _as_fraction(c) -> Fraction:
+    """The one reader of exact rationals: a Fraction, a non-bool int, or the
+    text ``[+-]digits[/digits]`` (ASCII, no exponent: it costs superlinear time)."""
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, (int, str)):
+    if isinstance(c, int) and not isinstance(c, bool):
         return Fraction(c)
-    raise TypeError(f"not an exact scalar: {c!r}")
+    if not isinstance(c, str):
+        raise TypeError(f"not an exact scalar: {c!r}")
+    m = _SCALAR.fullmatch(c)
+    if m is None:
+        raise ValueError(f"Invalid literal for Fraction: {c!r}")
+    return Fraction(int(m[1]), int(m[2] or 1))
 
 
 class MultiPoly:
@@ -546,7 +557,7 @@ class _Parser:
         if kind == "num":
             text = self.take("num")
             try:
-                return MultiPoly.const(Fraction(text))
+                return MultiPoly.const(text)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {text!r}") from None
         if kind == "name":

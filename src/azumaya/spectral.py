@@ -25,7 +25,7 @@ from .errors import NotAdmissibleError, ShapeError
 from . import linalg
 from .linalg import (PolyMatrix, SpanBasis, char_poly, evaluate, independent, min_poly,
                      nonderogatory_point, squarefree_in_v)
-from .poly import MultiPoly
+from .poly import MultiPoly, _as_fraction
 
 
 @dataclass(frozen=True)
@@ -272,8 +272,12 @@ class LeibnizCheck:
 
 
 def lambda_connection_check(fam: LambdaConnectionFamily, phi: PolyMatrix) -> LeibnizCheck:
-    """Verify nabla = lam*D + A restricts to phi at lam = 0 and satisfies
-    the lam-scaled Leibniz identity on generic sections."""
+    """Verify nabla = lam*D + A restricts to phi at lam = 0.
+
+    The lam-scaled Leibniz identity nabla(z e_j) = lam e_j + z nabla(e_j)
+    needs no check: entry i of either side is lam delta_ij + z A_ij, for
+    every A.  ``tests/test_spectral.py`` keeps the entrywise check as the
+    reference this function is compared with."""
     if phi.shape() != (fam.r, fam.r):
         raise ShapeError("shapes disagree")
     at_zero = fam.a.subs({"lam": Fraction(0)})
@@ -285,24 +289,6 @@ def lambda_connection_check(fam: LambdaConnectionFamily, phi: PolyMatrix) -> Lei
                     f"restriction at lam = 0 differs at entry ({i}, {j}): "
                     f"{at_zero[i, j]} vs {phi[i, j]}",
                     (i, j))
-    lam = MultiPoly.var("lam")
-    zpoly = MultiPoly.var("z")
-
-    def nabla(section):
-        return [lam * s.derivative("z") +
-                sum((fam.a[i, j] * section[j] for j in range(fam.r)), MultiPoly.zero())
-                for i, s in enumerate(section)]
-
-    for j in range(fam.r):
-        e = [MultiPoly.const(1) if i == j else MultiPoly.zero() for i in range(fam.r)]
-        fs = [zpoly * s for s in e]
-        lhs = nabla(fs)
-        step = nabla(e)
-        rhs = [lam * e[i] + zpoly * step[i] for i in range(fam.r)]
-        for i in range(fam.r):
-            if lhs[i] != rhs[i]:
-                return LeibnizCheck(
-                    False, f"Leibniz identity fails at section {j}, row {i}", (i, j))
     return LeibnizCheck(True, "flatness is automatic on a one-variable base")
 
 
@@ -353,7 +339,7 @@ class LambdaFamily:
         of powers of p built with ``mixed_mul`` and compares this answer
         with an elimination over Q.
         """
-        lam = lam if isinstance(lam, Fraction) else Fraction(lam)
+        lam = _as_fraction(lam)
         if lam == 0:
             raise ShapeError("probe requires lam != 0; use classical_fiber()")
         if degree < 0:
@@ -362,7 +348,7 @@ class LambdaFamily:
         return KernelProbe(degree, monomials, monomials, 0)
 
     def evaluate(self, lam, degree: int = 3):
-        lam = lam if isinstance(lam, Fraction) else Fraction(lam)
+        lam = _as_fraction(lam)
         if lam == 0:
             return self.classical_fiber()
         return self.probe(lam, degree)

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import index
 
 from .errors import (CoverMismatchError, InvalidInputError,
                      UndecidableGroupError)
 from .linalg import PolyMatrix
-from .poly import MultiPoly, _const, _split
+from .poly import MultiPoly, _as_fraction, _const, _split
 
 _ONE = Fraction(1)     # the identity of Qstar, built once
 
@@ -47,7 +48,7 @@ class Qstar:
 
     @staticmethod
     def validate(a):
-        a = a if isinstance(a, Fraction) else Fraction(a)
+        a = _as_fraction(a)
         if not a:
             raise InvalidInputError("0 is not a unit")
         return a
@@ -86,7 +87,7 @@ class Mu:
         return (-a) % self.n
 
     def validate(self, a):
-        return int(a) % self.n
+        return index(a) % self.n
 
     @staticmethod
     def to_json(a):
@@ -426,7 +427,7 @@ def _exact_entry(x) -> MultiPoly:
     if isinstance(x, MultiPoly):
         if x.is_const():
             return x
-    elif not isinstance(x, bool):
+    else:
         try:
             return MultiPoly.const(x)
         except (TypeError, ValueError, ZeroDivisionError):
@@ -559,7 +560,7 @@ class SheafOnP1:
     torsion_length: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "summands", tuple(int(a) for a in self.summands))
+        object.__setattr__(self, "summands", tuple(map(index, self.summands)))
         if self.torsion_length < 0:
             raise InvalidInputError("torsion length must be nonnegative")
 
@@ -584,7 +585,7 @@ def hilbert_poly(f: SheafOnP1, g_rank: int, g_summands) -> MultiPoly:
     m + a - c + 1; the torsion part contributes its length times rank(G).
     The degree equals dim F.
     """
-    g_summands = [int(c) for c in g_summands]
+    g_summands = list(map(index, g_summands))
     if g_rank < 1 or len(g_summands) != g_rank:
         raise InvalidInputError("rank must match the number of summands of G")
     m = MultiPoly.var("m")
@@ -601,5 +602,5 @@ def morphism_hilbert_poly(summands) -> MultiPoly:
     m = MultiPoly.var("m")
     out = MultiPoly.zero()
     for a, d in summands:
-        out = out + m * (1 + int(d)) + (int(a) + 1)
+        out = out + m * (1 + index(d)) + (index(a) + 1)
     return out

@@ -37,8 +37,9 @@ from math import comb, factorial, lcm, perm, prod
 from operator import add, itemgetter, sub
 
 from .errors import DegenerateError, ModeMismatchError, ZeroElementError
-from .poly import (ONE, ZERO, MultiPoly, _assemble, _int_addmul, _join, _lead, _monomial_text,
-                   _parse, _read_terms, _reduced, _relayout, _term_text, _tokenize, var_sort_key)
+from .poly import (ONE, ZERO, MultiPoly, _as_fraction, _assemble, _int_addmul, _join, _lead,
+                   _monomial_text, _parse, _read_terms, _reduced, _relayout, _term_text, _tokenize,
+                   var_sort_key)
 
 FORMAL = "formal"
 
@@ -245,7 +246,7 @@ def _index(i: int, n: int) -> int:
 
 def _mode(lam):
     """``FORMAL``, or the fixed lam as a Fraction."""
-    return lam if isinstance(lam, Fraction) or lam == FORMAL else Fraction(lam)
+    return lam if isinstance(lam, Fraction) or lam == FORMAL else _as_fraction(lam)
 
 
 def _coefficient(c, lam) -> MultiPoly:
@@ -399,7 +400,7 @@ def specialize_lambda(d: WeylElement, c) -> WeylElement:
     with v p^k q^(K-k) over den q^K, where K is the largest k."""
     if d.lam != FORMAL:
         raise ModeMismatchError("element is already specialized")
-    c = c if isinstance(c, Fraction) else Fraction(c)
+    c = _as_fraction(c)
     n, p, q = d.n, c.numerator, c.denominator
     top = max((e[n] for e in d.num), default=0)
     weights = [p ** k * q ** (top - k) for k in range(top + 1)]

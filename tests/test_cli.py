@@ -106,6 +106,21 @@ def test_exit_code_malformed_input(capsys, tmp_path):
     assert doc["status"] == "error"
 
 
+_DEEP = "[" * 100000 + "]" * 100000     # nested past the interpreter's recursion limit
+
+
+def test_json_nested_too_deep_is_malformed_input(capsys, tmp_path):
+    # the RecursionError's wording comes from the interpreter, so it is not pinned
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"version": 1, "command": "azu classify", "payload": {"B": %s}}' % _DEEP)
+    code, doc = run_json(capsys, "azu", "classify", str(deep))
+    assert (code, doc["data"]) == (1, {"code": "E_INPUT"})
+    assert doc["diagnostics"][0].startswith(f"malformed JSON in {deep}: ")
+    code, doc = run_json(capsys, "azu", "solve", "--lambda", "1", "--a", _DEEP)
+    assert (code, doc["data"]) == (1, {"code": "E_INPUT"})
+    assert doc["diagnostics"][0].startswith("bad --a: '[[[")
+
+
 def test_problem_file_validation(capsys, tmp_path):
     doc = {"version": 2, "command": "coc check",
            "payload": {"group": "mu", "n": 2, "indices": 2, "values": []}}

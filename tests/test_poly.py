@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from azumaya import poly
-from azumaya.linalg import _gcd_in
+from azumaya import diffop, linalg, poly, spectral, twisted, weyl
+from azumaya.errors import AzumayaError
+from azumaya.linalg import PolyMatrix, _gcd_in
 from azumaya.poly import (MultiPoly, _const, _Parser, _ratio_str, _tokenize, exact_div, parse_poly,
                          poly_content, var_sort_key)
 
@@ -521,3 +522,104 @@ def test_tokenize_matches_the_group_scan(text):
 @given(st.lists(st.sampled_from(PARSE_PIECES + ["$", "x + $", "A9"]), max_size=12).map("".join))
 def test_tokenize_matches_the_group_scan_on_token_runs(text):
     assert tokens_or_error(_tokenize, text) == tokens_or_error(tokenize_by_scanning_groups, text)
+
+
+# -- the one reader of exact scalars ----------------------------------------------
+
+def _rational_reference(raw):
+    """The CLI's rational reader before ``_as_fraction`` took its grammar."""
+    text = str(raw)
+    m = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", text)
+    if m is None:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    p, q = m.groups()
+    return Fraction(int(p), int(q or 1))
+
+
+def value_or_error(fn, raw):
+    try:
+        return fn(raw)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), st.text("0123456789+-/ ._e٣\n", max_size=8), st.integers(),
+                 st.booleans(), st.none(), st.floats()))
+def test_as_fraction_reads_text_as_the_cli_reader_did(raw):
+    assert (value_or_error(lambda r: poly._as_fraction(str(r)), raw)
+            == value_or_error(_rational_reference, raw))
+
+
+_NILPOTENT = [[0, 1], [0, 0]]     # constant, with vanishing discriminant
+
+
+def _glued(c):
+    nerve = twisted.CoverNerve(2)
+    trivial = twisted.UnitCochain2.trivial(nerve, twisted.Qstar())
+    return twisted.TwistedBundle(1, nerve, {(0, 1): [[c]]}, trivial).gluing
+
+
+def _family():
+    return spectral.lambda_family(spectral.HiggsPair(2, [PolyMatrix.from_rows([[0, "z"], [1, 0]])]))
+
+
+RATIONAL_READS = {
+    "MultiPoly.const": MultiPoly.const,
+    "MultiPoly": lambda c: MultiPoly(("z",), {(1,): c}),
+    "linear_solve_exact": lambda c: linalg.linear_solve_exact([[c]], [1]),
+    "Qstar.validate": twisted.Qstar().validate,
+    "WeylElement.x": lambda c: weyl.WeylElement.x(0, 1, lam=c),
+    "specialize_lambda": lambda c: weyl.specialize_lambda(weyl.WeylElement.x(0, 1), c),
+    "solve_commutation": lambda c: diffop.solve_commutation(PolyMatrix.from_rows(_NILPOTENT), c),
+    "fundamental_solutions": lambda c: diffop.fundamental_solutions(
+        PolyMatrix.from_rows(_NILPOTENT), c),
+    "pushforward_report": lambda c: diffop.pushforward_report(
+        PolyMatrix.from_rows(_NILPOTENT), [c, 0, 0, 1], 1),
+    "LambdaFamily.probe": lambda c: _family().probe(c),
+    "LambdaFamily.evaluate": lambda c: _family().evaluate(c),
+    "TwistedBundle": _glued,
+}
+INTEGER_READS = {
+    "Mu.validate": twisted.Mu(3).validate,
+    "SheafOnP1": lambda a: twisted.SheafOnP1((a,)),
+    "hilbert_poly": lambda c: twisted.hilbert_poly(twisted.SheafOnP1((0,)), 1, [c]),
+    "morphism_hilbert_poly": lambda a: twisted.morphism_hilbert_poly([(a, a)]),
+}
+NOT_EXACT = [0.1, 0.5, "1.5", "1e3", "1_000", " 3 ", "٣"]
+
+
+@pytest.mark.parametrize("raw", NOT_EXACT + [True])
+@pytest.mark.parametrize("read", RATIONAL_READS)
+def test_rational_reads_refuse_what_is_not_an_exact_rational(read, raw):
+    with pytest.raises((TypeError, ValueError, AzumayaError)):
+        RATIONAL_READS[read](raw)
+
+
+@pytest.mark.parametrize("raw, value", [(2, 2), (Fraction(-2, 3), Fraction(-2, 3)),
+                                        ("-2/3", Fraction(-2, 3)), ("+3", 3)])
+@pytest.mark.parametrize("read", RATIONAL_READS)
+def test_rational_reads_take_ints_fractions_and_rational_text(read, raw, value):
+    assert RATIONAL_READS[read](raw) == RATIONAL_READS[read](Fraction(value))
+
+
+@pytest.mark.parametrize("raw", NOT_EXACT + ["2"])
+@pytest.mark.parametrize("read", INTEGER_READS)
+def test_integer_reads_refuse_floats_and_text(read, raw):
+    with pytest.raises(TypeError):
+        INTEGER_READS[read](raw)
+
+
+@pytest.mark.parametrize("read, value", [("Mu.validate", 2), ("SheafOnP1", twisted.SheafOnP1((2,))),
+                                         ("hilbert_poly", parse_poly("m - 1")),
+                                         ("morphism_hilbert_poly", parse_poly("3*m + 3"))])
+def test_integer_reads_take_ints(read, value):
+    assert INTEGER_READS[read](2) == value
+
+
+def test_matrix_entries_refuse_floats_and_bools():
+    # text entries are polynomial text, read by parse_poly, not scalars
+    for raw in (0.1, 0.5, True):
+        with pytest.raises(TypeError):
+            PolyMatrix.from_rows([[raw]])
+    assert PolyMatrix.from_rows([[2, Fraction(-2, 3)]]) == PolyMatrix.from_rows([["2", "-2/3"]])

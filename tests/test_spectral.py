@@ -10,7 +10,7 @@ from azumaya.errors import NotAdmissibleError, ShapeError
 from azumaya import linalg
 from azumaya.linalg import PolyMatrix, SpanBasis, divides_in_v
 from azumaya.poly import MultiPoly, parse_poly
-from azumaya.spectral import (HiggsPair, KernelProbe, LambdaConnectionFamily,
+from azumaya.spectral import (HiggsPair, KernelProbe, LambdaConnectionFamily, LeibnizCheck,
                               MorphismPresentation, commutativity_admissible,
                               curvature, curvature_via_operators,
                               higgs_to_morphism, image_ideal,
@@ -366,6 +366,53 @@ def test_lambda_connection_failure_names_entry():
     assert not chk.ok
     assert chk.entry == (0, 0)
     assert "(0, 0)" in chk.detail
+
+
+def leibniz_reference(fam, phi):
+    """``lambda_connection_check`` with the lam-scaled Leibniz identity
+    nabla(z e_j) = lam e_j + z nabla(e_j) checked entry by entry."""
+    at_zero = fam.a.subs({"lam": Fraction(0)})
+    for i in range(fam.r):
+        for j in range(fam.r):
+            if at_zero[i, j] != phi[i, j]:
+                return LeibnizCheck(
+                    False,
+                    f"restriction at lam = 0 differs at entry ({i}, {j}): "
+                    f"{at_zero[i, j]} vs {phi[i, j]}",
+                    (i, j))
+    lam = MultiPoly.var("lam")
+
+    def nabla(section):
+        return [lam * s.derivative("z") +
+                sum((fam.a[i, j] * section[j] for j in range(fam.r)), MultiPoly.zero())
+                for i, s in enumerate(section)]
+
+    for j in range(fam.r):
+        e = [MultiPoly.const(1) if i == j else MultiPoly.zero() for i in range(fam.r)]
+        lhs = nabla([z * s for s in e])
+        step = nabla(e)
+        rhs = [lam * e[i] + z * step[i] for i in range(fam.r)]
+        for i in range(fam.r):
+            if lhs[i] != rhs[i]:
+                return LeibnizCheck(
+                    False, f"Leibniz identity fails at section {j}, row {i}", (i, j))
+    return LeibnizCheck(True, "flatness is automatic on a one-variable base")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([2, 3]), st.booleans())
+def test_lambda_connection_check_matches_the_entrywise_leibniz_check(seed, r, restricts):
+    # A = phi + lam B + lam^2 C; a family that does not restrict to phi
+    # exercises the restriction report, which must match byte for byte
+    rng = random.Random(seed)
+    lam = MultiPoly.var("lam")
+    phi, b, c = (rand_poly_matrix(rng, r, ("z",), deg=2) for _ in range(3))
+    a = PolyMatrix(r, r, [p + lam * q + lam ** 2 * s
+                          for p, q, s in zip(phi.entries, b.entries, c.entries)])
+    if not restricts:
+        phi = rand_poly_matrix(rng, r, ("z",), deg=2)
+    fam = LambdaConnectionFamily(a, r)
+    assert lambda_connection_check(fam, phi) == leibniz_reference(fam, phi)
 
 
 # -- the quantum family -----------------------------------------------------------------
